@@ -14,6 +14,11 @@ and raises an alarm for a VM while y exceeds the threshold.  Each VM is
 tracked independently, which is what lets the hypervisor name the
 attacking guest rather than just noticing that the host is under load.
 
+One streaming detector, CusumDetector, holds every VM's y and its
+in-episode flag; offline traces (process_trace) and the tick simulator
+both feed it one interval at a time, so contiguous exceedances collapse
+to one alarm the same way in both.
+
 Defaults: drift 0.08, threshold 1.43, 10 s sampling interval.
 """
 
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import UnknownVm, UnsortedTrace
 
@@ -61,10 +66,7 @@ class CusumState:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
-        if self.threshold <= self.drift:
-            raise ValueError(
-                f"threshold {self.threshold} must exceed drift {self.drift}"
-            )
+        _check_parameters(self.drift, self.threshold)
 
 
 @dataclass
@@ -114,19 +116,53 @@ def discrepancy(syn: int, finrst: int) -> float:
     return (syn - finrst) / max(syn + finrst, 1)
 
 
+def _advance(y: float, d: float, drift: float) -> float:
+    """The clamped CUSUM recurrence y_n = max(0, y_{n-1} + d_n - drift)."""
+    return max(0.0, y + d - drift)
+
+
+def _check_parameters(drift: float, threshold: float) -> None:
+    if threshold <= drift:
+        raise ValueError(f"threshold {threshold} must exceed drift {drift}")
+
+
 def cusum_step(state: CusumState, iv: TrafficInterval) -> tuple[CusumState, Alarm | None]:
     """Advance one interval; an Alarm comes back whenever the new y exceeds h.
 
     The statistic is never reset, so a sustained attack keeps exceeding;
-    collapsing that into one reported episode is process_trace's job.
+    collapsing that into one reported episode is CusumDetector's job.
     """
     if iv.vm_id != state.vm_id:
         raise ValueError(f"interval for {iv.vm_id!r} fed to detector for {state.vm_id!r}")
-    y_next = max(0.0, state.y + discrepancy(iv.syn, iv.finrst) - state.drift)
-    next_state = replace(state, y=y_next)
+    y_next = _advance(state.y, discrepancy(iv.syn, iv.finrst), state.drift)
+    next_state = CusumState(state.vm_id, y_next, state.drift, state.threshold)
     if y_next > state.threshold:
         return next_state, Alarm(state.vm_id, iv.interval_index, y_next)
     return next_state, None
+
+
+class CusumDetector:
+    """Streaming per-VM detector: each VM's y plus its in-episode flag.
+
+    observe() advances one VM by one interval and returns the statistic
+    row; the row's ``alarm`` flag is set only on the first interval of
+    a contiguous exceedance, so one long attack is one incident.
+    """
+
+    def __init__(self, drift: float = DEFAULT_DRIFT, threshold: float = DEFAULT_THRESHOLD):
+        _check_parameters(drift, threshold)
+        self.drift = drift
+        self.threshold = threshold
+        self.y: dict[str, float] = {}
+        self.exceeding: dict[str, bool] = {}
+
+    def observe(self, interval_index: int, vm_id: str, syn: int, finrst: int) -> StatRow:
+        d = discrepancy(syn, finrst)
+        y = self.y[vm_id] = _advance(self.y.get(vm_id, 0.0), d, self.drift)
+        over = y > self.threshold
+        episode_start = over and not self.exceeding.get(vm_id, False)
+        self.exceeding[vm_id] = over
+        return StatRow(interval_index, vm_id, syn, finrst, d, y, episode_start)
 
 
 def process_trace(
@@ -137,37 +173,16 @@ def process_trace(
     """Run the detector over every VM's intervals independently.
 
     Contiguous exceedances collapse to a single alarm at the first
-    crossing, so one long attack is one incident.  Rows and series are
-    ordered by (vm_id, interval_index).
+    crossing.  Rows and series are ordered by (vm_id, interval_index).
     """
-    per_vm: dict[str, list[TrafficInterval]] = {}
-    for iv in intervals:
-        per_vm.setdefault(iv.vm_id, []).append(iv)
-
+    detector = CusumDetector(drift, threshold)
     report = DetectionReport()
-    for vm_id in sorted(per_vm):
-        state = CusumState(vm_id, drift=drift, threshold=threshold)
-        series: list[float] = []
-        exceeding = False
-        for iv in sorted(per_vm[vm_id], key=lambda i: i.interval_index):
-            state, alarm = cusum_step(state, iv)
-            episode_start = alarm is not None and not exceeding
-            if episode_start:
-                report.alarms.append(alarm)
-            exceeding = alarm is not None
-            series.append(state.y)
-            report.rows.append(
-                StatRow(
-                    iv.interval_index,
-                    vm_id,
-                    iv.syn,
-                    iv.finrst,
-                    discrepancy(iv.syn, iv.finrst),
-                    state.y,
-                    episode_start,
-                )
-            )
-        report.series[vm_id] = series
+    for iv in sorted(intervals, key=lambda i: (i.vm_id, i.interval_index)):
+        row = detector.observe(iv.interval_index, iv.vm_id, iv.syn, iv.finrst)
+        if row.alarm:
+            report.alarms.append(Alarm(iv.vm_id, iv.interval_index, row.y))
+        report.series.setdefault(iv.vm_id, []).append(row.y)
+        report.rows.append(row)
     return report
 
 

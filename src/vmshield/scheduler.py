@@ -118,14 +118,6 @@ def mean_usage(vectors: list[ResourceVector]) -> ResourceVector:
     return total.scaled(1.0 / n)
 
 
-def server_usage(hosted: list[ResourceVector], overhead: ResourceVector = ZERO) -> ResourceVector:
-    """Componentwise sum of hosted VM usage plus the hypervisor overhead."""
-    total = overhead
-    for v in hosted:
-        total = rv_add(total, v)
-    return total
-
-
 def estimate_demand_first_start(
     hotspot_class: str,
     records: dict[str, VmRecord],

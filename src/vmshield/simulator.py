@@ -6,12 +6,15 @@ by default).  Each tick applies, in fixed order:
 1. scenario events: VM requests placed through the scheduler (with an
    optional wake-and-retry on rejection), shutdowns, revocations, and
    attack toggles;
-2. usage sampling: every running VM's observed usage is its class
-   demand vector with uniform per-component jitter of +/-10%, and
-   server usage is recomputed as overhead plus the hosted sum;
-3. traffic and detection: per-VM SYN/FIN counts are drawn, the
-   detector statistic advances, and the response policy is applied to
-   fresh alarms;
+2. usage sampling: one (running VMs x 3) block of +/-10% uniform
+   jitter, drawn in sorted-VM order, scales each running VM's class
+   demand vector; server usage is recomputed as overhead plus the
+   hosted sum;
+3. traffic and detection: each VM draws its connections' offsets and
+   FIN delays from its own generator and bincounts the FINs into this
+   and later intervals; the run's one streaming CUSUM detector
+   advances, and the response policy acts on each alarm episode's
+   first interval;
 4. one migration pass off the hottest overloaded server, if any plan
    qualifies;
 5. a consolidation pass draining under-watermark servers to sleep;
@@ -128,12 +131,14 @@ class Scenario:
             duration = int(obj.get("duration", 0))
             seed = int(obj.get("seed", 0))
             base_rate = int(obj.get("base_rate", 100))
-            wake = bool(obj.get("wake_on_reject", True))
             raw_servers = obj["servers"]
         except KeyError as exc:
             raise ParseError(f"scenario missing required field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad scenario field: {exc}") from exc
+        wake = obj.get("wake_on_reject", True)
+        if not isinstance(wake, bool):
+            raise ParseError(f"wake_on_reject must be a JSON bool, got {wake!r}")
 
         servers = []
         for i, s in enumerate(raw_servers):
@@ -282,17 +287,14 @@ def load_scenario(path: str) -> Scenario:
 
 @dataclass
 class SimVm:
-    """Runtime state of one VM: scheduler record plus traffic and detector state."""
+    """Runtime state of one VM: scheduler record plus traffic state and response flags."""
 
     record: VmRecord
-    creation_index: int
-    cusum: det.CusumState
     rng: np.random.Generator
     state: str = RUNNING
     traffic_scale: float = 1.0
     attached: bool = True
     attack_multiplier: float = 1.0
-    exceeding: bool = False
     pending_finrst: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -331,6 +333,7 @@ class _Sim:
         self.records: dict[str, VmRecord] = {}
         self.vms: dict[str, SimVm] = {}
         self.jitter_rng = np.random.default_rng([scenario.seed, 0])
+        self.detector = det.CusumDetector(scenario.detector.drift, scenario.detector.threshold)
         self.events_at: dict[int, list[ScenarioEvent]] = {}
         for ev in scenario.events:
             self.events_at.setdefault(ev.tick, []).append(ev)
@@ -354,6 +357,8 @@ class _Sim:
         self.iv_us = iv_us
         self.fin_lo_us = round(scenario.fin_delay_range[0] * 1_000_000)
         self.fin_hi_us = round(scenario.fin_delay_range[1] * 1_000_000)
+        # FIN slots a connection can land in: this tick's plus the ones ahead
+        self.fin_slots = (iv_us - 1 + self.fin_hi_us) // iv_us + 1
 
     def _next_seq(self) -> int:
         self.seq += 1
@@ -367,10 +372,11 @@ class _Sim:
         if not server.active:
             server.usage = ZERO
             return
-        total = self.overhead[sid]
+        cpu, mem, bw = self.overhead[sid].as_tuple()
         for vid in sorted(server.vms):
-            total = rv_add(total, self.records[vid].observed)
-        server.usage = total
+            observed = self.records[vid].observed
+            cpu, mem, bw = cpu + observed.cpu, mem + observed.mem, bw + observed.bw
+        server.usage = ResourceVector(cpu, mem, bw)
 
     def _detach(self, vm: SimVm) -> None:
         host = vm.record.host
@@ -440,10 +446,6 @@ class _Sim:
         self.records[vm_id] = record
         self.vms[vm_id] = SimVm(
             record=record,
-            creation_index=self.next_vm,
-            cusum=det.CusumState(
-                vm_id, drift=self.sc.detector.drift, threshold=self.sc.detector.threshold
-            ),
             rng=np.random.default_rng([self.sc.seed, self.next_vm]),
         )
         self.counters["placements"] += 1
@@ -471,15 +473,12 @@ class _Sim:
     # phase 2 -----------------------------------------------------------
 
     def _sample_usage(self) -> None:
-        for vm_id in sorted(self.vms):
-            vm = self.vms[vm_id]
-            if vm.state != RUNNING:
-                continue
-            base = self.sc.vm_classes[vm.record.hotspot_class]
-            j0, j1, j2 = self.jitter_rng.uniform(-0.1, 0.1, 3).tolist()
-            observed = ResourceVector(
-                base.cpu * (1.0 + j0), base.mem * (1.0 + j1), base.bw * (1.0 + j2)
-            )
+        running = [vm for vm in map(self.vms.get, sorted(self.vms)) if vm.state == RUNNING]
+        base = np.array([self.sc.vm_classes[vm.record.hotspot_class].as_tuple()
+                         for vm in running]).reshape(-1, 3)
+        jitter = self.jitter_rng.uniform(-0.1, 0.1, base.shape)
+        for vm, (cpu, mem, bw) in zip(running, (base * (1.0 + jitter)).tolist()):
+            observed = ResourceVector(cpu, mem, bw)
             vm.record.observed = observed
             vm.record.history.append(observed)
         for sid in sorted(self.servers):
@@ -501,42 +500,26 @@ class _Sim:
                 offsets = vm.rng.integers(0, self.iv_us, n_pair)
                 delays = vm.rng.integers(self.fin_lo_us, self.fin_hi_us, n_pair, endpoint=True)
                 syn = n_pair + n_extra
-                ahead, counts = np.unique((offsets + delays) // self.iv_us, return_counts=True)
-                for k, c in zip(ahead.tolist(), counts.tolist()):
-                    if k == 0:
-                        finrst += c
-                    else:
-                        slot = tick + k
-                        vm.pending_finrst[slot] = vm.pending_finrst.get(slot, 0) + c
-            iv = det.TrafficInterval(tick, vm_id, syn, finrst)
-            vm.cusum, alarm = det.cusum_step(vm.cusum, iv)
-            episode_start = alarm is not None and not vm.exceeding
-            vm.exceeding = alarm is not None
-            self.report.stat_rows.append(
-                det.StatRow(
-                    tick, vm_id, syn, finrst,
-                    det.discrepancy(syn, finrst), vm.cusum.y, episode_start,
-                )
-            )
-            if episode_start:
+                now, *ahead = np.bincount((offsets + delays) // self.iv_us,
+                                          minlength=self.fin_slots).tolist()
+                finrst += now
+                for k, c in enumerate(ahead, start=tick + 1):
+                    if c:
+                        vm.pending_finrst[k] = vm.pending_finrst.get(k, 0) + c
+            row = self.detector.observe(tick, vm_id, syn, finrst)
+            self.report.stat_rows.append(row)
+            if row.alarm:
                 self.counters["alarms"] += 1
-                action = det.respond(
-                    alarm, policy, self.vms, throttle_factor=self.sc.detector.throttle_factor
-                )
+                action = det.respond(det.Alarm(vm_id, tick, row.y), policy, self.vms,
+                                     throttle_factor=self.sc.detector.throttle_factor)
                 if policy == "suspend":
                     self._detach(vm)
                     vm.state = SUSPENDED
                     self.counters["suspensions"] += 1
-                self.report.alarms.append(
-                    {
-                        "tick": tick,
-                        "seq": self._next_seq(),
-                        "vm": vm_id,
-                        "y": round(alarm.y_value, 6),
-                        "action": action.action,
-                        "detail": action.detail,
-                    }
-                )
+                self.report.alarms.append({
+                    "tick": tick, "seq": self._next_seq(), "vm": vm_id, "y": round(row.y, 6),
+                    "action": action.action, "detail": action.detail,
+                })
 
     # phase 4 -----------------------------------------------------------
 

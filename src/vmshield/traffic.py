@@ -157,10 +157,7 @@ def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterv
         if k < n_intervals:
             syn[k] += spec.base_rate
         idx = (k * iv_us + offsets + delays) // iv_us
-        idx = idx[idx < n_intervals]
-        if idx.size:
-            uniq, cnt = np.unique(idx, return_counts=True)
-            fin[uniq] += cnt
+        fin += np.bincount(idx[idx < n_intervals], minlength=n_intervals)
     return [
         TrafficInterval(i, spec.vm_id, int(syn[i]), int(fin[i])) for i in range(n_intervals)
     ]
@@ -235,14 +232,22 @@ def read_trace_csv(text: str):
         return "events", events
     if header == BINNED_HEADER:
         intervals = []
+        seen: set[tuple[str, int]] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 idx, vm_id, syn, finrst = row
-                intervals.append(TrafficInterval(int(idx), vm_id, int(syn), int(finrst)))
+                iv = TrafficInterval(int(idx), vm_id, int(syn), int(finrst))
             except ValueError as exc:
                 raise ParseError(f"trace line {lineno}: {exc}") from exc
+            if iv.syn < 0 or iv.finrst < 0:
+                raise ParseError(f"trace line {lineno}: syn and finrst must be >= 0")
+            if (vm_id, iv.interval_index) in seen:
+                raise ParseError(f"trace line {lineno}: duplicate row for vm {vm_id!r} "
+                                 f"interval {iv.interval_index}")
+            seen.add((vm_id, iv.interval_index))
+            intervals.append(iv)
         return "binned", intervals
     raise ParseError(
         f"unrecognized trace header {header!r}; expected {TRACE_HEADER} or {BINNED_HEADER}"

@@ -203,6 +203,15 @@ def test_detect_policy_annotation_and_stats(tmp_path):
     assert lines[2] == "1,vm1,107762,3,0.999944,1.839888,1"
 
 
+def test_detect_rejects_bad_binned_rows(tmp_path, capsys):
+    duplicate = _write(tmp_path, "dup.csv", ALARM_TRACE + "1,vm1,5,5\n")
+    assert _run(["detect", "--trace", duplicate])[0] == EXIT_USAGE
+    assert "trace line 4: duplicate row" in capsys.readouterr().err
+    negative = _write(tmp_path, "neg.csv", "interval_index,vm_id,syn,finrst\n0,vm1,-3,0\n")
+    assert _run(["detect", "--trace", negative])[0] == EXIT_USAGE
+    assert "trace line 2" in capsys.readouterr().err
+
+
 def test_detect_missing_trace(tmp_path):
     code, _ = _run(["detect", "--trace", str(tmp_path / "none.csv")])
     assert code == EXIT_USAGE

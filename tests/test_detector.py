@@ -8,6 +8,7 @@ from vmshield.detector import (
     DEFAULT_DRIFT,
     DEFAULT_THRESHOLD,
     Alarm,
+    CusumDetector,
     CusumState,
     TrafficInterval,
     bin_events,
@@ -90,6 +91,25 @@ def test_published_two_interval_trace():
     assert report.series["vm1"][0] == pytest.approx(0.9199, abs=1e-4)
     assert report.series["vm1"][1] == pytest.approx(1.8399, abs=1e-4)
     assert [(a.vm_id, a.interval_index) for a in report.alarms] == [("vm1", 1)]
+
+
+def test_streaming_detector_interleaves_vms_and_flags_episode_starts():
+    rng = np.random.default_rng(13)
+    pairs = {vm: [(int(rng.integers(0, 900)), int(rng.integers(0, 300))) for _ in range(30)]
+             for vm in ("a", "b")}
+    detector = CusumDetector(drift=0.1, threshold=1.2)
+    rows = {"a": [], "b": []}
+    for i in range(30):  # feed the two VMs' intervals interleaved
+        for vm in ("b", "a"):
+            rows[vm].append(detector.observe(i, vm, *pairs[vm][i]))
+    for vm, vm_rows in rows.items():
+        ys, flags = cusum_oracle(pairs[vm], 0.1, 1.2)
+        assert [r.y for r in vm_rows] == pytest.approx(ys, abs=1e-12)
+        starts = [f and not (i and flags[i - 1]) for i, f in enumerate(flags)]
+        assert [r.alarm for r in vm_rows] == starts
+        assert any(starts)
+    with pytest.raises(ValueError, match="must exceed drift"):
+        CusumDetector(drift=0.5, threshold=0.5)
 
 
 def test_episode_collapsing_one_alarm_per_exceedance_run():

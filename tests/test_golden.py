@@ -1,0 +1,97 @@
+"""Golden report digests: the six report files are pinned byte for byte.
+
+A change that claims only speed must leave every report byte unchanged,
+so these digests may only be updated by a change that alters simulated
+behaviour on purpose (and says so).
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from vmshield.simulator import REPORT_FILES, Scenario, emit_reports, load_scenario, run
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "small_datacenter.json")
+
+DEMO_DIGESTS = {
+    "utilization.csv": "735bffc2c933c066895b9198692f545d47fe66837fc7698bc838563af0887652",
+    "placements.json": "102a7cf5607207e625574c1ebd1d7a6474f1e71c3076a27da7b7aa8c7e147ae8",
+    "migrations.json": "c0dea3f197daf006db33c88287fe64a969ebcdcced73b823c4e25b341c91b55f",
+    "detector.csv": "773427bd7a10da45b37cc9fb64a1d68793fd7595954ea1f1073fcfc9f678db21",
+    "alarms.json": "c512dc5b5e317ccb9168c621dd820ad7f3adee5591ea910a67b869ec34b16f35",
+    "summary.json": "03fbb156c4ae642387056c8be42f33c3158626ebff35587ff88ff1bdd9c60095",
+}
+
+# Two servers, one asleep.  The third VM does not fit next to the two
+# 30-cpu VMs, so it wakes "b"; sampling jitter then pushes "a" over its
+# 66-cpu threshold and one overload migration follows.  vm-003 floods
+# from tick 2 to 10, and after the shutdown and revocation the emptied
+# servers drain below the watermark and sleep.
+SMALL = {
+    "servers": [
+        {"id": "a", "threshold": {"cpu": 66, "mem": 300, "bw": 300},
+         "usage": {"cpu": 5, "mem": 5, "bw": 5}},
+        {"id": "b", "threshold": {"cpu": 300, "mem": 300, "bw": 300},
+         "usage": {"cpu": 2, "mem": 2, "bw": 2}, "power": "asleep"},
+    ],
+    "vm_classes": {"cpu-intensive": {"cpu": 30, "mem": 5, "bw": 5},
+                   "bandwidth-intensive": {"cpu": 2, "mem": 1, "bw": 20}},
+    "events": [
+        {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},
+        {"tick": 0, "op": "vm_request", "class": "bandwidth-intensive"},
+        {"tick": 2, "op": "attack_start", "vm": "vm-003", "multiplier": 3.0},
+        {"tick": 10, "op": "attack_stop", "vm": "vm-003"},
+        {"tick": 14, "op": "vm_shutdown", "vm": "vm-001"},
+        {"tick": 15, "op": "vm_revoke", "vm": "vm-002"},
+    ],
+    "low_watermark": {"cpu": 12, "mem": 12, "bw": 12},
+    "base_rate": 30,
+    "duration": 30,
+    "seed": 11,
+}
+
+SMALL_DIGESTS = {
+    "throttle": {
+        "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
+        "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
+        "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
+        "detector.csv": "4a3d8eae05ef67a3979fbeae17d1b7f291f41fc62414ef64f5d7b068fc06eb98",
+        "alarms.json": "d4e1c25a64b2589b9878ff7dc313b52d532395aa3d090873c7be0b19f5383f83",
+        "summary.json": "61ce1c29670cf55f0a3ac0768202c5a7ea4c41766effe7f8be86d3a70a03faf5",
+    },
+    "suspend": {
+        "utilization.csv": "5cffbf3928ccb0d23198666acf0b17e2668d5033809bf3afb6d6e7e578efb1d9",
+        "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
+        "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
+        "detector.csv": "1b53d6d92253c230b5e1b7d487cb2eed9cc0bef5e7c5684aed04424d29de0735",
+        "alarms.json": "c35ec9d65c296bde3203fb7e0bd649b4a4cf41ede489eeeb78531121d1c54324",
+        "summary.json": "9ff56dbe5704a4853773d5bbfdf194504c1f8cdd1590b1f98911789e6645de64",
+    },
+}
+
+
+def _digests(report, outdir):
+    emit_reports(report, str(outdir))
+    out = {}
+    for name in REPORT_FILES:
+        with open(os.path.join(outdir, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def test_demo_reports_are_byte_identical(tmp_path):
+    assert _digests(run(load_scenario(DEMO)), tmp_path) == DEMO_DIGESTS
+
+
+@pytest.mark.parametrize("policy", ["throttle", "suspend"])
+def test_small_scenario_reports_are_byte_identical(policy, tmp_path):
+    report = run(Scenario.from_json({**SMALL, "detector": {"policy": policy}}))
+    counters = report.summary["counters"]
+    # the scenario must keep exercising every decision it was built for
+    assert counters["wakes"] == 1
+    assert counters["migrations_overload"] == 1
+    assert counters["sleeps"] >= 1
+    assert counters["alarms"] >= 1
+    assert counters["suspensions"] == (1 if policy == "suspend" else 0)
+    assert _digests(report, tmp_path) == SMALL_DIGESTS[policy]

@@ -103,6 +103,14 @@ def test_scenario_rejects_bad_values():
         Scenario.from_json(_scn(vm_classes={"webby": {"cpu": 1, "mem": 1, "bw": 1}}))
 
 
+def test_wake_on_reject_must_be_a_json_bool():
+    assert Scenario.from_json(_scn(wake_on_reject=False)).wake_on_reject is False
+    assert Scenario.from_json(_scn()).wake_on_reject is True
+    for bad in ("false", 0, 1, None):
+        with pytest.raises(ParseError, match="wake_on_reject"):
+            Scenario.from_json(_scn(wake_on_reject=bad))
+
+
 def test_scenario_event_reference_checks():
     events = [
         {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},

@@ -216,6 +216,21 @@ def test_read_trace_csv_errors():
         read_trace_csv("interval_index,vm_id,syn,finrst\nzero,vm1,1,1\n")
 
 
+def test_binned_trace_rejects_negative_counts():
+    header = "interval_index,vm_id,syn,finrst\n"
+    with pytest.raises(ParseError, match="line 3: syn and finrst must be >= 0"):
+        read_trace_csv(header + "0,vm1,1,1\n1,vm1,-1,0\n")
+    with pytest.raises(ParseError, match="line 2: syn and finrst must be >= 0"):
+        read_trace_csv(header + "0,vm1,4,-2\n")
+
+
+def test_binned_trace_rejects_duplicate_intervals():
+    # a repeated (vm, interval) row would advance that VM's statistic twice
+    text = "interval_index,vm_id,syn,finrst\n0,vm1,9,0\n0,vm2,9,0\n1,vm1,9,0\n0,vm1,9,0\n"
+    with pytest.raises(ParseError, match="line 5: duplicate row for vm 'vm1' interval 0"):
+        read_trace_csv(text)
+
+
 def test_empty_window_spec_generates_nothing():
     assert gen_normal(_normal(start=0, end=0)) == []
     assert gen_attack(_attack(start=3, end=3)) == []
