@@ -46,9 +46,7 @@ from .resources import (
     ZERO,
     ResourceVector,
     WeightVector,
-    rv_add,
     rv_strictly_less,
-    rv_sub,
     weighted_score,
 )
 from .scheduler import (
@@ -141,9 +139,7 @@ __all__ = [
     "read_trace_csv",
     "respond",
     "run",
-    "rv_add",
     "rv_strictly_less",
-    "rv_sub",
     "select_victim",
     "stat_rows_to_csv",
     "validate_pairwise_matrix",

@@ -39,7 +39,10 @@ class HotspotProfile:
 
 def validate_pairwise_matrix(m) -> np.ndarray:
     """Return m as a float array after checking the reciprocal-matrix invariants."""
-    a = np.asarray(m, dtype=float)
+    try:
+        a = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"pairwise matrix must be a 3x3 array of numbers: {exc}") from exc
     if a.shape != (3, 3):
         raise ValueError(f"pairwise matrix must be 3x3, got shape {a.shape}")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
@@ -81,6 +84,8 @@ def principal_eigenvector(
     a = validate_pairwise_matrix(m)
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     w = np.full(3, 1.0 / 3.0)
     for _ in range(max_iter):
         v = a @ w
@@ -102,17 +107,10 @@ def consistency_ratio(lambda_max: float) -> float:
     return ci / RANDOM_INDEX_3
 
 
-def derive_weights(
-    source,
-    tol: float = DEFAULT_TOL,
-    cr_limit: float = DEFAULT_CR_LIMIT,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> WeightVector:
-    """Weights from a HotspotProfile/ResourceVector or a 3x3 comparison matrix.
+def _consistent_weights(source, tol, cr_limit, max_iter) -> tuple[WeightVector, float, float]:
+    """(weights, lambda_max, CR) of a profile or matrix; InconsistentMatrix at CR >= cr_limit.
 
-    Profile inputs go through the ratio-matrix construction and are
-    consistent by construction; matrix inputs are accepted only when
-    their consistency ratio stays below cr_limit.
+    The one consistency gate, for derive_weights and the ahp command.
     """
     if cr_limit <= 0:
         raise ValueError("cr_limit must be > 0")
@@ -128,4 +126,19 @@ def derive_weights(
             cr=cr,
             lambda_max=lambda_max,
         )
-    return weights
+    return weights, lambda_max, cr
+
+
+def derive_weights(
+    source,
+    tol: float = DEFAULT_TOL,
+    cr_limit: float = DEFAULT_CR_LIMIT,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> WeightVector:
+    """Weights from a HotspotProfile/ResourceVector or a 3x3 comparison matrix.
+
+    Profile inputs go through the ratio-matrix construction and are
+    consistent by construction; matrix inputs are accepted only when
+    their consistency ratio stays below cr_limit.
+    """
+    return _consistent_weights(source, tol, cr_limit, max_iter)[0]

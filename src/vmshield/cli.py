@@ -20,14 +20,13 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import detector as det
 from . import scheduler as sched
 from . import simulator, traffic
-from .ahp import DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, consistency_ratio, derive_weights, principal_eigenvector, matrix_from_profile, validate_pairwise_matrix
-from .errors import InconsistentMatrix, ParseError, UnsortedTrace, ValidationError, VmShieldError
+from .ahp import DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, _consistent_weights, derive_weights
+from .errors import ParseError, UnsortedTrace, ValidationError, VmShieldError
 from .resources import ResourceVector, WeightVector
 
 log = logging.getLogger("vmshield")
@@ -163,21 +162,8 @@ def _cmd_ahp(args, cfg: GlobalConfig, out) -> int:
     obj = _read_json(args.input)
     if not isinstance(obj, dict) or ("profile" in obj) == ("matrix" in obj):
         raise ParseError(f"{args.input}: expected exactly one of 'profile' or 'matrix'")
-    if "profile" in obj:
-        matrix = matrix_from_profile(HotspotProfile(ResourceVector.from_json(obj["profile"])))
-    else:
-        try:
-            matrix = validate_pairwise_matrix(obj["matrix"])
-        except ValueError as exc:
-            raise ParseError(f"{args.input}: {exc}") from exc
-    weights, lambda_max = principal_eigenvector(matrix, tol=args.tol, max_iter=args.max_iter)
-    cr = consistency_ratio(lambda_max)
-    if cr >= args.cr_limit:
-        raise InconsistentMatrix(
-            f"consistency ratio {cr:.4f} >= limit {args.cr_limit}; revise the judgments",
-            cr=cr,
-            lambda_max=lambda_max,
-        )
+    source = HotspotProfile(ResourceVector.from_json(obj["profile"])) if "profile" in obj else obj["matrix"]
+    weights, lambda_max, cr = _consistent_weights(source, args.tol, args.cr_limit, args.max_iter)
     payload = {"weights": weights.to_json(), "lambda_max": lambda_max, "cr": cr}
     rows = [{**weights.to_json(), "lambda_max": f"{lambda_max:.9f}", "cr": f"{cr:.3e}"}]
     _emit(payload, rows, cfg.format, out)
@@ -191,8 +177,13 @@ def _load_cluster(path: str) -> tuple[list[sched.ServerState], dict[str, sched.V
     obj = _read_json(path)
     if not isinstance(obj, dict) or "servers" not in obj:
         raise ParseError(f"{path}: cluster JSON needs a 'servers' array")
+    servers = sched.servers_from_json(obj["servers"])
+    sched.validate_servers(servers)
+    raw_vms = obj.get("vms", [])
+    if not isinstance(raw_vms, list):
+        raise ParseError(f"{path}: vms must be a JSON array")
     vms: dict[str, sched.VmRecord] = {}
-    for i, v in enumerate(obj.get("vms", [])):
+    for i, v in enumerate(raw_vms):
         try:
             vm_id = str(v["id"])
             klass = sched.normalize_class(v["class"])
@@ -202,31 +193,13 @@ def _load_cluster(path: str) -> tuple[list[sched.ServerState], dict[str, sched.V
         if vm_id in vms:
             raise ValidationError(f"duplicate vm id {vm_id!r}")
         vms[vm_id] = sched.VmRecord(vm_id, klass, observed=observed)
-    servers = []
-    seen = set()
-    for i, s in enumerate(obj["servers"]):
-        try:
-            sid = str(s["id"])
-            usage = ResourceVector.from_json(s.get("usage", {"cpu": 0, "mem": 0, "bw": 0}))
-            threshold = ResourceVector.from_json(s.get("threshold", {"cpu": 80, "mem": 80, "bw": 80}))
-            power = s.get("power", sched.ACTIVE)
-            hosted = [str(x) for x in s.get("vms", [])]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: servers[{i}]: {exc}") from exc
-        if sid in seen:
-            raise ValidationError(f"duplicate server id {sid!r}")
-        seen.add(sid)
-        if power not in (sched.ACTIVE, sched.ASLEEP):
-            raise ParseError(f"{path}: servers[{i}]: power must be active or asleep")
-        for vm_id in hosted:
+    for server in servers:
+        for vm_id in sorted(server.vms):
             if vm_id not in vms:
-                raise ValidationError(f"server {sid} hosts unknown vm {vm_id!r}")
+                raise ValidationError(f"server {server.id} hosts unknown vm {vm_id!r}")
             if vms[vm_id].host is not None:
-                raise ValidationError(f"vm {vm_id!r} hosted by both {vms[vm_id].host} and {sid}")
-            vms[vm_id].host = sid
-        servers.append(
-            sched.ServerState(sid, usage=usage, threshold=threshold, power=power, vms=set(hosted))
-        )
+                raise ValidationError(f"vm {vm_id!r} hosted by both {vms[vm_id].host} and {server.id}")
+            vms[vm_id].host = server.id
     return servers, vms
 
 
@@ -340,52 +313,34 @@ def _cmd_gen(args, cfg: GlobalConfig, out) -> int:
 
 
 def _cmd_simulate(args, cfg: GlobalConfig, out) -> int:
-    if args.jobs < 1:
-        raise ParseError("--jobs must be >= 1")
-    scenarios = []
+    seed = args.seed_override if args.seed_override is not None else cfg.seed
+    scenarios = {}
     for path in args.scenario:
         scenario = simulator.load_scenario(path)
-        seed = args.seed_override if args.seed_override is not None else cfg.seed
         if seed is not None:
             scenario.seed = seed
             scenario.validate()
-        scenarios.append((path, scenario))
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in scenarios:
+            raise ValidationError(f"scenario basename {name!r} repeats; outputs would collide")
+        scenarios[name] = (path, scenario)
 
     multi = len(scenarios) > 1
-    outdirs = []
-    names = set()
-    for path, _ in scenarios:
-        name = os.path.splitext(os.path.basename(path))[0]
-        if multi and name in names:
-            raise ValidationError(f"scenario basename {name!r} repeats; outputs would collide")
-        names.add(name)
-        outdirs.append(os.path.join(args.out, name) if multi else args.out)
-
-    def run_one(pair):
-        (path, scenario), outdir = pair
+    summaries = {}
+    for name, (path, scenario) in scenarios.items():
+        outdir = os.path.join(args.out, name) if multi else args.out
         report = simulator.run(scenario)
         simulator.emit_reports(report, outdir)
         log.info("simulated %s -> %s", path, outdir)
-        return report
-
-    work = list(zip(scenarios, outdirs))
-    if args.jobs == 1 or len(work) == 1:
-        reports = [run_one(pair) for pair in work]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run_one, work))
+        summaries[name] = report.summary
 
     if multi:
-        payload = {
-            os.path.splitext(os.path.basename(path))[0]: rep.summary
-            for (path, _), rep in zip(scenarios, reports)
-        }
+        payload = summaries
         counter_rows = [
-            {"scenario": name, **{k: v for k, v in summary["counters"].items()}}
-            for name, summary in sorted(payload.items())
+            {"scenario": name, **summary["counters"]} for name, summary in sorted(summaries.items())
         ]
     else:
-        payload = reports[0].summary
+        (payload,) = summaries.values()
         counter_rows = [{"counter": k, "value": v} for k, v in payload["counters"].items()]
     _emit(payload, counter_rows, cfg.format, out)
     return EXIT_OK
@@ -444,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--seed", dest="seed_override", type=int, default=None,
                    help="override the scenario seed (default: as in the file)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs for multiple scenarios (default: 1)")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -80,16 +80,6 @@ class Alarm:
 
 
 @dataclass(frozen=True)
-class ActionRecord:
-    """What respond() actually did about an alarm."""
-
-    vm_id: str
-    interval_index: int
-    action: str
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class StatRow:
     """One line of the per-interval statistic log."""
 
@@ -202,7 +192,8 @@ def bin_events(
     trace.
 
     Events are (timestamp_us, vm_id, pkt_type) triples ordered by
-    timestamp; a backwards jump raises UnsortedTrace.
+    non-negative timestamp; a backwards jump raises UnsortedTrace and a
+    negative timestamp ValueError.
     """
     if interval_seconds <= 0:
         raise ValueError("interval_seconds must be > 0")
@@ -210,7 +201,8 @@ def bin_events(
 
     counts: dict[tuple[str, int], list[int]] = {}
     vms = set(vm_ids) if vm_ids else set()
-    last_t = None
+    # starting at 0 lets the one ordering test also catch negative times
+    last_t = 0
     max_index = -1
     limit_index = None
     if span_seconds is not None:
@@ -218,7 +210,9 @@ def bin_events(
         max_index = limit_index - 1
 
     for t_us, vm_id, pkt_type in events:
-        if last_t is not None and t_us < last_t:
+        if t_us < last_t:
+            if t_us < 0:
+                raise ValueError(f"negative timestamp {t_us} us for vm {vm_id!r}")
             raise UnsortedTrace(f"timestamp {t_us} after {last_t}")
         last_t = t_us
         idx = t_us // interval_us
@@ -244,13 +238,14 @@ def respond(
     policy: str,
     vms,
     throttle_factor: float = DEFAULT_THROTTLE_FACTOR,
-) -> ActionRecord:
+) -> str:
     """Apply the configured response to the VM an alarm names.
 
     log records only; throttle scales the VM's future generated
     traffic; suspend detaches it from the network entirely so later
     intervals carry zero counts.  vms maps vm_id to an object with
-    mutable ``traffic_scale`` and ``attached`` attributes.
+    mutable ``traffic_scale`` and ``attached`` attributes.  Sets
+    ``alarm.action_taken``; returns a detail string saying what was done.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -259,13 +254,11 @@ def respond(
     alarm.action_taken = policy
     if policy == "throttle":
         vms[alarm.vm_id].traffic_scale = throttle_factor
-        detail = f"traffic scaled to {throttle_factor}"
-    elif policy == "suspend":
+        return f"traffic scaled to {throttle_factor}"
+    if policy == "suspend":
         vms[alarm.vm_id].attached = False
-        detail = "detached from network"
-    else:
-        detail = "recorded"
-    return ActionRecord(alarm.vm_id, alarm.interval_index, policy, detail)
+        return "detached from network"
+    return "recorded"
 
 
 def stat_rows_to_csv(rows: list[StatRow]) -> str:

@@ -93,16 +93,6 @@ class WeightVector:
 UNIFORM_WEIGHTS = WeightVector(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
-def rv_add(a: ResourceVector, b: ResourceVector) -> ResourceVector:
-    """Componentwise sum."""
-    return a + b
-
-
-def rv_sub(a: ResourceVector, b: ResourceVector) -> ResourceVector:
-    """Componentwise difference (intermediate values only; may go negative)."""
-    return a - b
-
-
 def rv_strictly_less(a: ResourceVector, b: ResourceVector) -> bool:
     """True iff every component of a is strictly below b's; equality fails."""
     return a.cpu < b.cpu and a.mem < b.mem and a.bw < b.bw
@@ -111,8 +101,3 @@ def rv_strictly_less(a: ResourceVector, b: ResourceVector) -> bool:
 def weighted_score(w: WeightVector, m: ResourceVector) -> float:
     """Dot product of priority weights and a utilization vector."""
     return w.w_cpu * m.cpu + w.w_mem * m.mem + w.w_bw * m.bw
-
-
-def fmt_score(x: float) -> float:
-    """Rounding used for report output; internal math never rounds."""
-    return round(x, 3)

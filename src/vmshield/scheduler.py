@@ -4,6 +4,8 @@ All operations here are pure: they read cluster snapshots and return
 decision values (``PlacementDecision``, ``MigrationPlan``, sleep lists)
 that the simulation harness applies.  The one exception is
 ``wake_server``, which flips the chosen server's power state in place.
+Server JSON, in cluster and scenario files alike, is parsed and
+validated here only (``servers_from_json``, ``validate_servers``).
 
 Decision rules, in brief:
 
@@ -27,15 +29,13 @@ import copy
 from dataclasses import dataclass, field
 
 from . import ahp
-from .errors import EmptyServer
+from .errors import EmptyServer, ParseError, ValidationError
 from .resources import (
     UNIFORM_WEIGHTS,
     ZERO,
     ResourceVector,
     WeightVector,
-    rv_add,
     rv_strictly_less,
-    rv_sub,
     weighted_score,
 )
 
@@ -46,6 +46,8 @@ _CLASS_ALIASES = {"mem-intensive": "memory-intensive"}
 
 ACTIVE = "active"
 ASLEEP = "asleep"
+
+SERVER_KEYS = ("id", "usage", "threshold", "power", "vms")
 
 NO_FEASIBLE_SERVER = "no feasible server"
 
@@ -70,6 +72,58 @@ class ServerState:
     @property
     def active(self) -> bool:
         return self.power == ACTIVE
+
+    @classmethod
+    def from_json(cls, obj, where: str = "server") -> "ServerState":
+        """Parse one server entry; errors name the field as ``where.<key>``.
+
+        Only the string ``id`` is required: the other SERVER_KEYS take the
+        dataclass defaults (``vms`` is an array of vm ids).  Unknown keys
+        are rejected.
+        """
+        if not isinstance(obj, dict):
+            raise ParseError(f"{where} must be a JSON object")
+        unknown = set(obj) - set(SERVER_KEYS)
+        if unknown:
+            raise ParseError(f"{where}: unknown keys {sorted(unknown)}; expected {SERVER_KEYS}")
+        if not isinstance(obj.get("id"), str):
+            raise ParseError(f"{where}.id must be a JSON string")
+        vectors = {}
+        for key in ("usage", "threshold"):
+            if key in obj:
+                try:
+                    vectors[key] = ResourceVector.from_json(obj[key])
+                except ParseError as exc:
+                    raise ParseError(f"{where}.{key}: {exc}") from exc
+        power = obj.get("power", ACTIVE)
+        if power not in (ACTIVE, ASLEEP):
+            raise ParseError(f"{where}.power must be {ACTIVE!r} or {ASLEEP!r}")
+        vms = obj.get("vms", [])
+        if not isinstance(vms, list) or not all(isinstance(v, str) for v in vms):
+            raise ParseError(f"{where}.vms must be an array of vm id strings")
+        if len(set(vms)) != len(vms):
+            raise ParseError(f"{where}.vms names a vm twice")
+        return cls(obj["id"], power=power, vms=set(vms), **vectors)
+
+
+def servers_from_json(raw) -> list[ServerState]:
+    """Parse a ``servers`` array entry by entry (see ServerState.from_json)."""
+    if not isinstance(raw, list):
+        raise ParseError("servers must be a JSON array")
+    return [ServerState.from_json(s, f"servers[{i}]") for i, s in enumerate(raw)]
+
+
+def validate_servers(servers: list[ServerState]) -> None:
+    """Server ids are non-empty and unique; threshold components are > 0."""
+    seen = set()
+    for s in servers:
+        if not s.id:
+            raise ValidationError("server id must be non-empty")
+        if s.id in seen:
+            raise ValidationError(f"duplicate server id {s.id!r}")
+        seen.add(s.id)
+        if min(s.threshold.as_tuple()) <= 0:
+            raise ValidationError(f"server {s.id}: threshold components must be > 0")
 
 
 @dataclass
@@ -114,7 +168,7 @@ def mean_usage(vectors: list[ResourceVector]) -> ResourceVector:
     n = len(vectors)
     total = ZERO
     for v in vectors:
-        total = rv_add(total, v)
+        total = total + v
     return total.scaled(1.0 / n)
 
 
@@ -154,7 +208,7 @@ def filter_candidates(demand: ResourceVector, servers: list[ServerState]) -> lis
     return [
         s.id
         for s in servers
-        if s.active and rv_strictly_less(rv_add(s.usage, demand), s.threshold)
+        if s.active and rv_strictly_less(s.usage + demand, s.threshold)
     ]
 
 
@@ -225,7 +279,7 @@ def plan_migration(
         return None
     m3 = avg_vm_usage(source, vms)
     weights = ahp.derive_weights(ahp.HotspotProfile(m3))
-    source_post_score = weighted_score(weights, rv_sub(source.usage, m3))
+    source_post_score = weighted_score(weights, source.usage - m3)
     others = [s for s in servers if s.id != source.id]
     candidate_ids = filter_candidates(m3, others)
     if not candidate_ids:
@@ -283,7 +337,7 @@ def consolidate(
                     ok = False
                     break
                 target = trial[decision.chosen]
-                target.usage = rv_add(target.usage, estimate)
+                target.usage = target.usage + estimate
                 target.vms.add(vid)
                 trial[source.id].vms.discard(vid)
                 trial_plans.append(
@@ -292,7 +346,7 @@ def consolidate(
                         victim=vid,
                         target=decision.chosen,
                         source_post_score=weighted_score(
-                            weights, rv_sub(source.usage, vms[vid].observed)
+                            weights, source.usage - vms[vid].observed
                         ),
                         target_score=decision.scores[decision.chosen],
                         kind="consolidate",

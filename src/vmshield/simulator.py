@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
-from .resources import ZERO, ResourceVector, rv_add, weighted_score
+from .resources import ZERO, ResourceVector, weighted_score
 from .scheduler import ServerState, VmRecord, normalize_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE
 
@@ -140,29 +141,31 @@ class Scenario:
         if not isinstance(wake, bool):
             raise ParseError(f"wake_on_reject must be a JSON bool, got {wake!r}")
 
-        servers = []
-        for i, s in enumerate(raw_servers):
-            try:
-                sid = str(s["id"])
-                threshold = ResourceVector.from_json(s.get("threshold", {"cpu": 80, "mem": 80, "bw": 80}))
-                usage = ResourceVector.from_json(s.get("usage", {"cpu": 0, "mem": 0, "bw": 0}))
-                power = s.get("power", sched.ACTIVE)
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"servers[{i}]: {exc}") from exc
-            if power not in (sched.ACTIVE, sched.ASLEEP):
-                raise ParseError(f"servers[{i}]: power must be active or asleep")
-            servers.append(ServerState(sid, usage=usage, threshold=threshold, power=power))
+        servers = sched.servers_from_json(raw_servers)
+        for i, s in enumerate(servers):
+            if s.vms:
+                raise ParseError(f"servers[{i}].vms: scenario servers start empty; "
+                                 "VMs come only from vm_request events")
 
+        raw_classes = obj.get("vm_classes", {})
+        if not isinstance(raw_classes, dict):
+            raise ParseError("vm_classes must be a JSON object")
         vm_classes = {}
-        for name, vec in obj.get("vm_classes", {}).items():
+        for name, vec in raw_classes.items():
             try:
                 canon = normalize_class(name)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
-            vm_classes[canon] = ResourceVector.from_json(vec)
+                vector = ResourceVector.from_json(vec)
+            except (ParseError, ValueError) as exc:
+                raise ParseError(f"vm_classes.{name}: {exc}") from exc
+            if canon in vm_classes:
+                raise ParseError(f"vm_classes.{name}: class {canon!r} is given twice")
+            vm_classes[canon] = vector
 
+        raw_events = obj.get("events", [])
+        if not isinstance(raw_events, list):
+            raise ParseError("events must be a JSON array")
         events = []
-        for i, e in enumerate(obj.get("events", [])):
+        for i, e in enumerate(raw_events):
             try:
                 tick = int(e["tick"])
                 op = e["op"]
@@ -187,9 +190,11 @@ class Scenario:
         low = obj.get("low_watermark")
         low_watermark = None if low is None else ResourceVector.from_json(low)
         fin_range = obj.get("fin_delay_range", list(DEFAULT_FIN_DELAY_RANGE))
+        if not isinstance(fin_range, list) or len(fin_range) != 2:
+            raise ParseError(f"fin_delay_range must be a [low, high] array: {fin_range!r}")
         try:
-            fin_low, fin_high = (float(fin_range[0]), float(fin_range[1]))
-        except (TypeError, ValueError, IndexError) as exc:
+            fin_low, fin_high = float(fin_range[0]), float(fin_range[1])
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad fin_delay_range: {fin_range!r}") from exc
 
         scenario = cls(
@@ -220,15 +225,7 @@ class Scenario:
             )
         if not self.servers:
             raise ValidationError("scenario needs at least one server")
-        seen = set()
-        for s in self.servers:
-            if not s.id:
-                raise ValidationError("server id must be non-empty")
-            if s.id in seen:
-                raise ValidationError(f"duplicate server id {s.id!r}")
-            seen.add(s.id)
-            if min(s.threshold.as_tuple()) <= 0:
-                raise ValidationError(f"server {s.id}: threshold components must be > 0")
+        sched.validate_servers(self.servers)
         for ev in self.events:
             if not 0 <= ev.tick < self.duration:
                 raise ValidationError(
@@ -244,17 +241,15 @@ class Scenario:
             if ev.op == "attack_start" and ev.multiplier < 1.0:
                 raise ValidationError("attack multiplier must be >= 1")
         # Walk events in execution order so every reference names a VM id
-        # that has been requested by then and not yet revoked.
+        # that has been requested by then and not yet revoked.  Ids are
+        # matched by index, so a huge count costs nothing here.
         created = 0
-        known: set[str] = set()
         revoked: set[str] = set()
         for ev in sorted(self.events, key=lambda e: e.tick):
             if ev.op == "vm_request":
-                for _ in range(ev.count):
-                    created += 1
-                    known.add(_vm_name(created))
+                created += ev.count
                 continue
-            if ev.vm not in known:
+            if not 1 <= _vm_index(ev.vm) <= created:
                 raise ValidationError(
                     f"event at tick {ev.tick} references unknown vm {ev.vm!r}"
                 )
@@ -268,6 +263,12 @@ class Scenario:
 
 def _vm_name(index: int) -> str:
     return f"vm-{index:03d}"
+
+
+def _vm_index(name: str) -> int:
+    """The index _vm_name turns into name, or 0 if it never does."""
+    match = re.fullmatch(r"vm-([0-9]+)", name)
+    return int(match[1]) if match and _vm_name(int(match[1])) == name else 0
 
 
 def load_scenario(path: str) -> Scenario:
@@ -441,7 +442,7 @@ class _Sim:
             return
         host = self.servers[decision.chosen]
         host.vms.add(vm_id)
-        host.usage = rv_add(host.usage, demand)
+        host.usage = host.usage + demand
         record = VmRecord(vm_id, vm_class, observed=demand, host=decision.chosen)
         self.records[vm_id] = record
         self.vms[vm_id] = SimVm(
@@ -510,7 +511,8 @@ class _Sim:
             self.report.stat_rows.append(row)
             if row.alarm:
                 self.counters["alarms"] += 1
-                action = det.respond(det.Alarm(vm_id, tick, row.y), policy, self.vms,
+                alarm = det.Alarm(vm_id, tick, row.y)
+                detail = det.respond(alarm, policy, self.vms,
                                      throttle_factor=self.sc.detector.throttle_factor)
                 if policy == "suspend":
                     self._detach(vm)
@@ -518,7 +520,7 @@ class _Sim:
                     self.counters["suspensions"] += 1
                 self.report.alarms.append({
                     "tick": tick, "seq": self._next_seq(), "vm": vm_id, "y": round(row.y, 6),
-                    "action": action.action, "detail": action.detail,
+                    "action": alarm.action_taken, "detail": detail,
                 })
 
     # phase 4 -----------------------------------------------------------

@@ -224,6 +224,8 @@ def read_trace_csv(text: str):
                 t_us = parse_timestamp(ts)
             except ValueError as exc:
                 raise ParseError(f"trace line {lineno}: {exc}") from exc
+            if t_us < 0:
+                raise ParseError(f"trace line {lineno}: timestamp_s must be >= 0, got {ts}")
             if pkt_type not in PKT_TYPES:
                 raise ParseError(
                     f"trace line {lineno}: pkt_type {pkt_type!r} not in {PKT_TYPES}"

@@ -13,7 +13,7 @@ from conftest import cusum_oracle, migration_oracle, random_cluster
 from vmshield.ahp import consistency_ratio, derive_weights, principal_eigenvector
 from vmshield.detector import TrafficInterval, process_trace
 from vmshield.errors import InconsistentMatrix
-from vmshield.resources import ResourceVector, WeightVector, rv_add
+from vmshield.resources import ResourceVector, WeightVector
 from vmshield.scheduler import ServerState, avg_vm_usage, place, plan_migration
 from vmshield.simulator import emit_reports, load_scenario, run
 from vmshield.traffic import TrafficSpec, gen_normal_binned
@@ -148,7 +148,7 @@ def test_criterion_6_migration_matches_bruteforce_oracle():
         src_server = next(s for s in servers if s.id == plan.source)
         estimate = avg_vm_usage(src_server, vms)
         tgt = next(s for s in servers if s.id == plan.target)
-        projected = rv_add(tgt.usage, estimate)
+        projected = tgt.usage + estimate
         assert all(p < t for p, t in zip(projected.as_tuple(), tgt.threshold.as_tuple()))
         plans += 1
     assert plans > 0
@@ -187,7 +187,7 @@ def test_criterion_8_conservation_and_lifecycle_invariants(e2e):
         expected = overhead[sid]
         hosted = sorted((vm, obs) for vm, obs, host in samples if host == sid)
         for _, obs in hosted:
-            expected = rv_add(expected, obs)
+            expected = expected + obs
         assert cpu == pytest.approx(expected.cpu, abs=1e-9)
         assert mem == pytest.approx(expected.mem, abs=1e-9)
         assert bw == pytest.approx(expected.bw, abs=1e-9)

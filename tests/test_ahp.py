@@ -138,6 +138,8 @@ def test_bad_parameters_rejected():
     m = matrix_from_profile(HotspotProfile(ResourceVector(30, 50, 20)))
     with pytest.raises(ValueError):
         principal_eigenvector(m, tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        principal_eigenvector(m, max_iter=0)
     with pytest.raises(ValueError):
         derive_weights(m, cr_limit=0.0)
 

@@ -161,6 +161,20 @@ def test_ahp_input_validation(tmp_path):
     assert _run(["ahp", "--input", str(tmp_path / "nope.json")])[0] == EXIT_USAGE
     lopsided = _write(tmp_path, "bad.json", {"matrix": [[1, 2, 3], [1, 1, 1], [1, 1, 1]]})
     assert _run(["ahp", "--input", lopsided])[0] == EXIT_USAGE
+    not_numbers = _write(tmp_path, "obj.json", {"matrix": [[1, {}, 1], [1, 1, 1], [1, 1, 1]]})
+    assert _run(["ahp", "--input", not_numbers])[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--cr-limit", "0", "cr_limit"),
+    ("--cr-limit", "-1", "cr_limit"),
+    ("--max-iter", "0", "max_iter"),
+])
+def test_ahp_parameter_errors_are_usage_errors(tmp_path, capsys, flag, value, named):
+    path = _write(tmp_path, "p.json", {"profile": {"cpu": 20, "mem": 60, "bw": 20}})
+    code, out = _run(["ahp", "--input", path, flag, value])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert named in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- place
@@ -201,6 +215,28 @@ def test_place_rejection_exit_codes(tmp_path, capsys):
     # the decision still lands on stdout; the complaint goes to stderr
     assert json.loads(out)["reason"] == "no feasible server"
     assert "no feasible server" in capsys.readouterr().err
+
+
+def _one_server(**fields):
+    return {"servers": [dict({"id": "A"}, **fields)]}
+
+
+@pytest.mark.parametrize("cluster, named", [
+    ({"servers": 5}, "servers must be a JSON array"),
+    ({"servers": [5]}, "servers[0] must be a JSON object"),
+    (dict(CLUSTER, vms=5), "vms must be a JSON array"),
+    (_one_server(threshold={"cpu": 0, "mem": 80, "bw": 80}), "threshold components must be > 0"),
+    (_one_server(id=""), "server id must be non-empty"),
+    (_one_server(id=7), "servers[0].id"),
+    (_one_server(vms="v1"), "servers[0].vms"),
+    (_one_server(usage=[1, 2, 3]), "servers[0].usage"),
+    (_one_server(cores=8), "servers[0]: unknown keys ['cores']"),
+])
+def test_place_rejects_malformed_clusters(tmp_path, capsys, cluster, named):
+    path = _write(tmp_path, "cluster.json", cluster)
+    demand = _write(tmp_path, "demand.json", {"cpu": 1, "mem": 1, "bw": 1})
+    assert _run(["place", "--cluster", path, "--demand", demand])[0] == EXIT_USAGE
+    assert named in capsys.readouterr().err
 
 
 def test_place_rejects_double_hosting(tmp_path):
@@ -251,6 +287,14 @@ def test_detect_rejects_bad_binned_rows(tmp_path, capsys):
     negative = _write(tmp_path, "neg.csv", "interval_index,vm_id,syn,finrst\n0,vm1,-3,0\n")
     assert _run(["detect", "--trace", negative])[0] == EXIT_USAGE
     assert "trace line 2" in capsys.readouterr().err
+
+
+def test_detect_rejects_negative_timestamps(tmp_path, capsys):
+    trace = _write(tmp_path, "neg.csv",
+                   "timestamp_s,vm_id,pkt_type\n-5.0,vm1,SYN\n-4.0,vm1,SYN\n1.0,vm1,FIN\n")
+    code, out = _run(["detect", "--trace", trace])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "trace line 2: timestamp_s must be >= 0" in capsys.readouterr().err
 
 
 def test_detect_missing_trace(tmp_path):
@@ -336,18 +380,37 @@ def test_simulate_seed_override_revalidates(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_simulate_multiple_scenarios_parallel(tmp_path):
+def test_simulate_multiple_scenarios(tmp_path):
     s1 = _write(tmp_path, "alpha.json", SCENARIO)
     s2 = _write(tmp_path, "beta.json", dict(SCENARIO, seed=8))
     outdir = tmp_path / "multi"
-    code, out = _run(["simulate", "--scenario", s1, s2,
-                      "--out", str(outdir), "--jobs", "2"])
+    code, out = _run(["simulate", "--scenario", s1, s2, "--out", str(outdir)])
     assert code == EXIT_OK
     payload = json.loads(out)
     assert sorted(payload) == ["alpha", "beta"]
     assert (outdir / "alpha" / "summary.json").is_file()
     assert (outdir / "beta" / "summary.json").is_file()
     assert payload["beta"]["seed"] == 8
+    # the scenarios run one after another; there is no --jobs option
+    code, _ = _run(["simulate", "--scenario", s1, s2, "--out", str(outdir), "--jobs", "2"])
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"servers": 5}, "servers must be a JSON array"),
+    ({"vm_classes": []}, "vm_classes must be a JSON object"),
+    ({"events": 5}, "events must be a JSON array"),
+    ({"servers": [{"id": "s1", "vms": ["vm-001"]}]}, "servers[0].vms"),
+    ({"servers": [{"id": "s1", "cores": 8}]}, "servers[0]: unknown keys ['cores']"),
+    ({"servers": [{"id": "s1", "threshold": {"cpu": 0, "mem": 1, "bw": 1}}]},
+     "threshold components must be > 0"),
+    ({"fin_delay_range": {"low": 12}}, "fin_delay_range"),
+])
+def test_simulate_rejects_malformed_scenarios(tmp_path, capsys, fields, named):
+    scenario = _write(tmp_path, "bad.json", dict(SCENARIO, **fields))
+    code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert named in capsys.readouterr().err
 
 
 def test_simulate_rejects_colliding_names(tmp_path):
@@ -365,10 +428,6 @@ def test_simulate_bad_inputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     code, _ = _run(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
-    assert code == EXIT_USAGE
-    good = _write(tmp_path, "ok.json", SCENARIO)
-    code, _ = _run(["simulate", "--scenario", good, "--out", str(tmp_path / "o"),
-                    "--jobs", "0"])
     assert code == EXIT_USAGE
 
 

@@ -207,6 +207,13 @@ def test_bin_events_unsorted_raises():
         bin_events(events, interval_seconds=10)
 
 
+def test_bin_events_rejects_negative_timestamps():
+    # these SYNs used to fall into interval -1 and vanish from the output
+    events = [(-5_000_000, "vm1", "SYN"), (-4_000_000, "vm1", "SYN"), (1_000_000, "vm1", "FIN")]
+    with pytest.raises(ValueError, match="negative timestamp"):
+        bin_events(events, interval_seconds=10)
+
+
 def test_bin_events_multiple_vms_share_the_grid():
     events = [
         (0, "a", "SYN"),
@@ -221,25 +228,30 @@ def test_bin_events_multiple_vms_share_the_grid():
 def test_respond_log_leaves_vm_alone():
     vm = FakeVm()
     alarm = Alarm("v", 3, 2.0)
-    rec = respond(alarm, "log", {"v": vm})
+    detail = respond(alarm, "log", {"v": vm})
     assert (vm.traffic_scale, vm.attached) == (1.0, True)
     assert alarm.action_taken == "log"
-    assert rec.action == "log"
-    assert rec.interval_index == 3
+    assert alarm.interval_index == 3
+    assert detail == "recorded"
 
 
 def test_respond_throttle_scales_traffic():
     vm = FakeVm()
-    respond(Alarm("v", 0, 2.0), "throttle", {"v": vm}, throttle_factor=0.25)
+    alarm = Alarm("v", 0, 2.0)
+    detail = respond(alarm, "throttle", {"v": vm}, throttle_factor=0.25)
     assert vm.traffic_scale == 0.25
     assert vm.attached
+    assert alarm.action_taken == "throttle"
+    assert detail == "traffic scaled to 0.25"
 
 
 def test_respond_suspend_detaches():
     vm = FakeVm()
-    rec = respond(Alarm("v", 0, 2.0), "suspend", {"v": vm})
+    alarm = Alarm("v", 0, 2.0)
+    detail = respond(alarm, "suspend", {"v": vm})
     assert not vm.attached
-    assert "detach" in rec.detail
+    assert alarm.action_taken == "suspend"
+    assert "detach" in detail
 
 
 def test_respond_unknown_vm_and_bad_policy():

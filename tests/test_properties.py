@@ -1,0 +1,155 @@
+"""Property tests: a scenario or cluster with one field or container
+replaced by an arbitrary JSON value either parses or fails as a usage
+error, never with another exception.
+
+simulate is deliberately not run on the mutated inputs: a fuzzed
+duration or count can be arbitrarily large.
+"""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
+from vmshield.errors import ParseError, ValidationError  # noqa: E402
+from vmshield.simulator import Scenario  # noqa: E402
+
+SCENARIO = {
+    "servers": [
+        {"id": "s1", "usage": {"cpu": 5, "mem": 5, "bw": 5},
+         "threshold": {"cpu": 90, "mem": 90, "bw": 90}, "power": "active", "vms": []},
+        {"id": "s2", "power": "asleep"},
+    ],
+    "vm_classes": {
+        "cpu-intensive": {"cpu": 30, "mem": 5, "bw": 5},
+        "mem-intensive": {"cpu": 5, "mem": 30, "bw": 5},
+    },
+    "events": [
+        {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},
+        {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": 3.0},
+        {"tick": 2, "op": "attack_stop", "vm": "vm-001"},
+        {"tick": 3, "op": "vm_shutdown", "vm": "vm-002"},
+        {"tick": 3, "op": "vm_revoke", "vm": "vm-001"},
+    ],
+    "detector": {"drift": 0.08, "threshold": 1.43, "interval_seconds": 10,
+                 "policy": "throttle", "throttle_factor": 0.5},
+    "low_watermark": {"cpu": 20, "mem": 20, "bw": 20},
+    "base_rate": 10,
+    "fin_delay_range": [12, 19],
+    "duration": 5,
+    "seed": 3,
+    "wake_on_reject": False,
+}
+
+CLUSTER = {
+    "servers": [
+        {"id": "a", "usage": {"cpu": 40, "mem": 20, "bw": 10},
+         "threshold": {"cpu": 80, "mem": 80, "bw": 80}, "power": "active", "vms": ["v1"]},
+        {"id": "b", "power": "asleep", "vms": []},
+        {"id": "c"},
+    ],
+    "vms": [
+        {"id": "v1", "class": "cpu-intensive", "observed": {"cpu": 30, "mem": 5, "bw": 5}},
+        {"id": "v2", "class": "mem-intensive"},
+    ],
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=8,
+)
+
+# One value of each JSON type, plus the edge values parsers most often mishandle.
+SAMPLES = [None, True, 0, -1, 10**30, 1.5, "", "x", [], [1], ["x"], {}, {"a": 1}]
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+EXITS = (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
+
+
+def _paths(obj, prefix=()):
+    """Every key/index path below obj: each field and each container."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _mutations(doc):
+    return st.tuples(st.sampled_from(sorted(_paths(doc), key=repr)), JSON_VALUES).map(
+        lambda pv: _replaced(doc, *pv))
+
+
+def _every_replacement(doc):
+    for path in _paths(doc):
+        for value in SAMPLES:
+            yield _replaced(doc, path, value)
+
+
+def _check_scenario(doc):
+    try:
+        Scenario.from_json(doc)
+    except (ParseError, ValidationError):
+        pass
+
+
+def _place(tmp, cluster):
+    paths = {}
+    for name, obj in (("cluster", cluster), ("demand", {"cpu": 10, "mem": 10, "bw": 10})):
+        paths[name] = os.path.join(tmp, name + ".json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    return dispatch(["place", "--strict", "--cluster", paths["cluster"],
+                     "--demand", paths["demand"]], out=io.StringIO())
+
+
+def test_base_documents_are_valid():
+    Scenario.from_json(SCENARIO)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _place(tmp, CLUSTER) == EXIT_OK
+
+
+def test_every_field_replaced_by_each_json_type():
+    for doc in _every_replacement(SCENARIO):
+        try:
+            _check_scenario(doc)
+        except Exception as exc:
+            pytest.fail(f"scenario {doc!r} raised {exc!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc in _every_replacement(CLUSTER):
+            assert _place(tmp, doc) in EXITS, doc
+
+
+@SETTINGS
+@given(_mutations(SCENARIO))
+def test_mutated_scenario_parses_or_raises_a_usage_error(doc):
+    _check_scenario(doc)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(_mutations(CLUSTER))
+def test_mutated_cluster_never_escapes_dispatch(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _place(tmp, doc) in EXITS

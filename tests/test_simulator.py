@@ -3,7 +3,7 @@ import json
 import pytest
 
 from vmshield.errors import ParseError, ValidationError
-from vmshield.resources import ResourceVector, rv_add
+from vmshield.resources import ResourceVector
 from vmshield.simulator import (
     REPORT_FILES,
     DetectorConfig,
@@ -50,7 +50,7 @@ def _check_conservation(scenario, report):
         exp = overhead[sid]
         hosted = sorted((vm, obs) for vm, obs, host in samples if host == sid)
         for _, obs in hosted:
-            exp = rv_add(exp, obs)
+            exp = exp + obs
         assert cpu == pytest.approx(exp.cpu, abs=1e-9)
         assert mem == pytest.approx(exp.mem, abs=1e-9)
         assert bw == pytest.approx(exp.bw, abs=1e-9)

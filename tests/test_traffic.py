@@ -214,6 +214,8 @@ def test_read_trace_csv_errors():
         read_trace_csv("timestamp_s,vm_id,pkt_type\nnot-a-number,vm1,SYN\n")
     with pytest.raises(ParseError):
         read_trace_csv("interval_index,vm_id,syn,finrst\nzero,vm1,1,1\n")
+    with pytest.raises(ParseError, match="line 3: timestamp_s must be >= 0"):
+        read_trace_csv("timestamp_s,vm_id,pkt_type\n0.5,vm1,SYN\n-0.000001,vm1,SYN\n")
 
 
 def test_binned_trace_rejects_negative_counts():
