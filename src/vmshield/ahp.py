@@ -47,9 +47,9 @@ def validate_pairwise_matrix(m) -> np.ndarray:
         raise ValueError(f"pairwise matrix must be 3x3, got shape {a.shape}")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise ValueError("pairwise matrix entries must be finite and > 0")
-    if not np.allclose(np.diag(a), 1.0, rtol=0, atol=1e-9):
+    if not np.all(np.abs(np.diag(a) - 1.0) <= 1e-9):
         raise ValueError("pairwise matrix diagonal must be all ones")
-    if not np.allclose(a * a.T, 1.0, rtol=0, atol=1e-9):
+    if not np.all(np.abs(a * a.T - 1.0) <= 1e-9):
         raise ValueError("pairwise matrix must be reciprocal: a[j][i] = 1/a[i][j]")
     return a
 

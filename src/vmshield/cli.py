@@ -39,6 +39,8 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
+CLUSTER_VM_KEYS = ("id", "class", "observed")
+
 
 @dataclass(frozen=True)
 class GlobalConfig:
@@ -184,12 +186,23 @@ def _load_cluster(path: str) -> tuple[list[sched.ServerState], dict[str, sched.V
         raise ParseError(f"{path}: vms must be a JSON array")
     vms: dict[str, sched.VmRecord] = {}
     for i, v in enumerate(raw_vms):
+        where = f"{path}: vms[{i}]"
+        if not isinstance(v, dict):
+            raise ParseError(f"{where} must be a JSON object")
+        unknown = set(v) - set(CLUSTER_VM_KEYS)
+        if unknown:
+            raise ParseError(f"{where}: unknown keys {sorted(unknown)}; expected {CLUSTER_VM_KEYS}")
+        vm_id = v.get("id")
+        if not isinstance(vm_id, str):
+            raise ParseError(f"{where}.id must be a JSON string")
         try:
-            vm_id = str(v["id"])
-            klass = sched.normalize_class(v["class"])
+            klass = sched.normalize_class(v.get("class"))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}.class: {exc}") from exc
+        try:
             observed = ResourceVector.from_json(v.get("observed", {"cpu": 0, "mem": 0, "bw": 0}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: vms[{i}]: {exc}") from exc
+        except ParseError as exc:
+            raise ParseError(f"{where}.observed: {exc}") from exc
         if vm_id in vms:
             raise ValidationError(f"duplicate vm id {vm_id!r}")
         vms[vm_id] = sched.VmRecord(vm_id, klass, observed=observed)

@@ -46,6 +46,11 @@ class ResourceVector:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ResourceVector":
+        if not isinstance(obj, dict):
+            raise ParseError(f"resource vector must be a JSON object with cpu/mem/bw fields: {obj!r}")
+        unknown = set(obj) - {"cpu", "mem", "bw"}
+        if unknown:
+            raise ParseError(f"resource vector: unknown keys {sorted(unknown)}; expected cpu/mem/bw")
         try:
             v = cls(float(obj["cpu"]), float(obj["mem"]), float(obj["bw"]))
         except (KeyError, TypeError, ValueError) as exc:

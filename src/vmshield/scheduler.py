@@ -2,8 +2,10 @@
 
 All operations here are pure: they read cluster snapshots and return
 decision values (``PlacementDecision``, ``MigrationPlan``, sleep lists)
-that the simulation harness applies.  The one exception is
-``wake_server``, which flips the chosen server's power state in place.
+that the simulation harness applies.  Planning (``place``,
+``plan_migration``, ``consolidate``) never mutates its inputs.  The one
+exception is ``wake_server``, which flips the chosen server's power
+state in place.
 Server JSON, in cluster and scenario files alike, is parsed and
 validated here only (``servers_from_json``, ``validate_servers``).
 
@@ -25,7 +27,6 @@ Decision rules, in brief:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from . import ahp
@@ -308,11 +309,49 @@ def consolidate(
     estimate) somewhere else; the least-loaded such server is drained
     first.  Draining is all-or-nothing per server, so a server is never
     slept while it still hosts a VM.  Returns the planned moves plus
-    the ids to sleep; the caller applies both.
+    the ids to sleep; the caller applies both.  Planning never mutates
+    its inputs: it works on shallow server copies (own ``vms`` sets, the
+    frozen vectors shared), and a trial drain only records the usage of
+    the targets it has loaded and its moves, committed when every VM of
+    the source found a place.
     """
-    work = {s.id: copy.deepcopy(s) for s in servers}
+    work = {s.id: ServerState(s.id, s.usage, s.threshold, s.power, set(s.vms)) for s in servers}
+    sizing: dict[str, tuple[ResourceVector, WeightVector]] = {}
     plans: list[MigrationPlan] = []
     sleeps: list[str] = []
+
+    def size(vid: str) -> tuple[ResourceVector, WeightVector]:
+        # Records and class defaults are fixed for the whole call.
+        if vid not in sizing:
+            estimate = estimate_demand_restart(vms[vid], vms, class_defaults)
+            sizing[vid] = estimate, ahp.derive_weights(ahp.HotspotProfile(estimate))
+        return sizing[vid]
+
+    def trial_drain(source: ServerState) -> tuple[dict[str, ResourceVector], list[MigrationPlan]] | None:
+        loaded: dict[str, ResourceVector] = {}
+        trial_plans = []
+        for vid in sorted(source.vms):
+            estimate, weights = size(vid)
+            others = [
+                ServerState(s.id, loaded[s.id], s.threshold, s.power) if s.id in loaded else s
+                for s in work.values()
+                if s.id != source.id
+            ]
+            decision = place(estimate, weights, others)
+            if decision.rejected:
+                return None
+            loaded[decision.chosen] = loaded.get(decision.chosen, work[decision.chosen].usage) + estimate
+            trial_plans.append(
+                MigrationPlan(
+                    source=source.id,
+                    victim=vid,
+                    target=decision.chosen,
+                    source_post_score=weighted_score(weights, source.usage - vms[vid].observed),
+                    target_score=decision.scores[decision.chosen],
+                    kind="consolidate",
+                )
+            )
+        return loaded, trial_plans
 
     while True:
         drainable = sorted(
@@ -323,46 +362,22 @@ def consolidate(
             ),
             key=lambda s: (weighted_score(UNIFORM_WEIGHTS, s.usage), s.id),
         )
-        drained = None
         for source in drainable:
-            trial = {sid: copy.deepcopy(s) for sid, s in work.items()}
-            trial_plans = []
-            ok = True
-            for vid in sorted(source.vms):
-                estimate = estimate_demand_restart(vms[vid], vms, class_defaults)
-                weights = ahp.derive_weights(ahp.HotspotProfile(estimate))
-                others = [s for s in trial.values() if s.id != source.id]
-                decision = place(estimate, weights, others)
-                if decision.rejected:
-                    ok = False
-                    break
-                target = trial[decision.chosen]
-                target.usage = target.usage + estimate
-                target.vms.add(vid)
-                trial[source.id].vms.discard(vid)
-                trial_plans.append(
-                    MigrationPlan(
-                        source=source.id,
-                        victim=vid,
-                        target=decision.chosen,
-                        source_post_score=weighted_score(
-                            weights, source.usage - vms[vid].observed
-                        ),
-                        target_score=decision.scores[decision.chosen],
-                        kind="consolidate",
-                    )
-                )
-            if ok:
-                for sid, s in trial.items():
-                    work[sid] = s
-                work[source.id].usage = ZERO
-                work[source.id].power = ASLEEP
-                plans.extend(trial_plans)
-                sleeps.append(source.id)
-                drained = source.id
+            trial = trial_drain(source)
+            if trial is not None:
                 break
-        if drained is None:
+        else:
             return plans, sleeps
+        loaded, trial_plans = trial
+        for sid, usage in loaded.items():
+            work[sid].usage = usage
+        for plan in trial_plans:
+            work[plan.target].vms.add(plan.victim)
+        source.vms.clear()
+        source.usage = ZERO
+        source.power = ASLEEP
+        plans.extend(trial_plans)
+        sleeps.append(source.id)
 
 
 def wake_server(servers: list[ServerState]) -> str | None:

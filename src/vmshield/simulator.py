@@ -28,6 +28,7 @@ and seed map to byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -59,6 +60,9 @@ REPORT_FILES = (
 )
 
 
+_DETECTOR_NUMBERS = ("drift", "threshold", "interval_seconds", "throttle_factor")
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     drift: float = det.DEFAULT_DRIFT
@@ -69,14 +73,19 @@ class DetectorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetectorConfig":
+        if not isinstance(obj, dict):
+            raise ParseError("detector must be a JSON object")
         try:
             fields = dict(obj)
-            for key in ("drift", "threshold", "interval_seconds", "throttle_factor"):
+            for key in _DETECTOR_NUMBERS:
                 if key in fields:
                     fields[key] = float(fields[key])
             cfg = cls(**fields)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad detector config: {exc}") from exc
+        for key in _DETECTOR_NUMBERS:
+            if not math.isfinite(getattr(cfg, key)):
+                raise ValidationError(f"detector {key} must be finite, got {getattr(cfg, key)}")
         if cfg.policy not in det.POLICIES:
             raise ValidationError(
                 f"detector policy must be one of {det.POLICIES}, got {cfg.policy!r}"
@@ -128,20 +137,16 @@ class Scenario:
         unknown = set(obj) - known
         if unknown:
             raise ParseError(f"unknown scenario fields: {sorted(unknown)}")
-        try:
-            duration = int(obj.get("duration", 0))
-            seed = int(obj.get("seed", 0))
-            base_rate = int(obj.get("base_rate", 100))
-            raw_servers = obj["servers"]
-        except KeyError as exc:
-            raise ParseError(f"scenario missing required field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad scenario field: {exc}") from exc
+        if "servers" not in obj:
+            raise ParseError("scenario missing required field 'servers'")
+        duration = _json_int(obj.get("duration", 0), "duration")
+        seed = _json_int(obj.get("seed", 0), "seed")
+        base_rate = _json_int(obj.get("base_rate", 100), "base_rate")
         wake = obj.get("wake_on_reject", True)
         if not isinstance(wake, bool):
             raise ParseError(f"wake_on_reject must be a JSON bool, got {wake!r}")
 
-        servers = sched.servers_from_json(raw_servers)
+        servers = sched.servers_from_json(obj["servers"])
         for i, s in enumerate(servers):
             if s.vms:
                 raise ParseError(f"servers[{i}].vms: scenario servers start empty; "
@@ -166,20 +171,21 @@ class Scenario:
             raise ParseError("events must be a JSON array")
         events = []
         for i, e in enumerate(raw_events):
-            try:
-                tick = int(e["tick"])
-                op = e["op"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"events[{i}]: needs integer tick and op: {exc}") from exc
+            if not isinstance(e, dict) or "tick" not in e or "op" not in e:
+                raise ParseError(f"events[{i}]: needs integer tick and op")
+            tick = _json_int(e["tick"], f"events[{i}].tick")
+            op = e["op"]
             if op not in EVENT_OPS:
                 raise ParseError(f"events[{i}]: op must be one of {EVENT_OPS}, got {op!r}")
             kwargs = {"tick": tick, "op": op}
             try:
                 if op == "vm_request":
                     kwargs["vm_class"] = normalize_class(e["class"])
-                    kwargs["count"] = int(e.get("count", 1))
+                    kwargs["count"] = _json_int(e.get("count", 1), f"events[{i}].count")
                 else:
-                    kwargs["vm"] = str(e["vm"])
+                    if not isinstance(e["vm"], str):
+                        raise ParseError(f"events[{i}].vm must be a JSON string, got {e['vm']!r}")
+                    kwargs["vm"] = e["vm"]
                 if op == "attack_start":
                     kwargs["multiplier"] = float(e["multiplier"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -188,7 +194,10 @@ class Scenario:
 
         detector_cfg = DetectorConfig.from_json(obj.get("detector", {}))
         low = obj.get("low_watermark")
-        low_watermark = None if low is None else ResourceVector.from_json(low)
+        try:
+            low_watermark = None if low is None else ResourceVector.from_json(low)
+        except ParseError as exc:
+            raise ParseError(f"low_watermark: {exc}") from exc
         fin_range = obj.get("fin_delay_range", list(DEFAULT_FIN_DELAY_RANGE))
         if not isinstance(fin_range, list) or len(fin_range) != 2:
             raise ParseError(f"fin_delay_range must be a [low, high] array: {fin_range!r}")
@@ -219,9 +228,9 @@ class Scenario:
             raise ValidationError("seed must be >= 0")
         if self.base_rate < 0:
             raise ValidationError("base_rate must be >= 0")
-        if not 0 < self.fin_delay_range[0] <= self.fin_delay_range[1]:
+        if not 0 < self.fin_delay_range[0] <= self.fin_delay_range[1] < math.inf:
             raise ValidationError(
-                f"fin_delay_range must satisfy 0 < low <= high: {self.fin_delay_range}"
+                f"fin_delay_range must satisfy 0 < low <= high < inf: {self.fin_delay_range}"
             )
         if not self.servers:
             raise ValidationError("scenario needs at least one server")
@@ -238,8 +247,8 @@ class Scenario:
                     )
                 if ev.count < 1:
                     raise ValidationError("vm_request count must be >= 1")
-            if ev.op == "attack_start" and ev.multiplier < 1.0:
-                raise ValidationError("attack multiplier must be >= 1")
+            if ev.op == "attack_start" and not 1.0 <= ev.multiplier < math.inf:
+                raise ValidationError(f"attack multiplier must be finite and >= 1, got {ev.multiplier}")
         # Walk events in execution order so every reference names a VM id
         # that has been requested by then and not yet revoked.  Ids are
         # matched by index, so a huge count costs nothing here.
@@ -259,6 +268,13 @@ class Scenario:
                 )
             if ev.op == "vm_revoke":
                 revoked.add(ev.vm)
+
+
+def _json_int(value, name: str) -> int:
+    """value, if it is a JSON integer (a bool is not); else a ParseError naming name."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _vm_name(index: int) -> str:
@@ -283,7 +299,10 @@ def load_scenario(path: str) -> Scenario:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return Scenario.from_json(obj)
+    try:
+        return Scenario.from_json(obj)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 @dataclass

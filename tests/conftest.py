@@ -7,6 +7,8 @@ can be checked against a second implementation rather than themselves.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,97 @@ def migration_oracle(servers, vms):
         if victim is None or (d2, vid) < victim:
             victim = (d2, vid)
     return source.id, victim[1], best[1], source_post, best[0]
+
+
+def _share_weights(demand):
+    """Demand shares as priority weights; uniform for a zero demand."""
+    total = demand.cpu + demand.mem + demand.bw
+    if total <= 0:
+        return (1.0 / 3.0,) * 3
+    return (demand.cpu / total, demand.mem / total, demand.bw / total)
+
+
+def consolidate_oracle(servers, vms, low_watermark, class_defaults):
+    """Watermark consolidation re-derived on whole-cluster copies.
+
+    Each pass ranks the active servers strictly below the watermark by
+    uniform score, then id, and trial-drains them in that order on a deep
+    copy of the cluster: every hosted VM, in id order, is sized as the
+    mean of its history (or, without history, the mean observed usage of
+    its class, else the class default) and goes to the strictly feasible
+    other active server of least share-weighted score.  The first drain
+    that places every VM is kept and its source slept; a pass that keeps
+    none ends the call.  Returns (moves, sleeps), each move a tuple
+    (source, victim, target, source_post_score, target_score).
+    """
+    uniform = (1.0 / 3.0,) * 3
+    work = {s.id: copy.deepcopy(s) for s in servers}
+    moves, sleeps = [], []
+    while True:
+        drainable = sorted(
+            (
+                s
+                for s in work.values()
+                if s.power == "active"
+                and s.usage.cpu < low_watermark.cpu
+                and s.usage.mem < low_watermark.mem
+                and s.usage.bw < low_watermark.bw
+            ),
+            key=lambda s: (_score(uniform, s.usage), s.id),
+        )
+        drained = None
+        for source in drainable:
+            trial = copy.deepcopy(work)
+            trial_moves = []
+            for vid in sorted(source.vms):
+                record = vms[vid]
+                if record.history:
+                    estimate = _mean_sorted(record.history)
+                else:
+                    peers = [r.observed for r in vms.values()
+                             if r.hotspot_class == record.hotspot_class]
+                    estimate = _mean_sorted(peers) if peers else class_defaults[record.hotspot_class]
+                w = _share_weights(estimate)
+                best = None
+                for s in trial.values():
+                    if s.id == source.id or s.power != "active":
+                        continue
+                    if not (
+                        s.usage.cpu + estimate.cpu < s.threshold.cpu
+                        and s.usage.mem + estimate.mem < s.threshold.mem
+                        and s.usage.bw + estimate.bw < s.threshold.bw
+                    ):
+                        continue
+                    key = (_score(w, s.usage), s.id)
+                    if best is None or key < best:
+                        best = key
+                if best is None:
+                    trial_moves = None
+                    break
+                target = trial[best[1]]
+                target.usage = ResourceVector(
+                    target.usage.cpu + estimate.cpu,
+                    target.usage.mem + estimate.mem,
+                    target.usage.bw + estimate.bw,
+                )
+                target.vms.add(vid)
+                trial[source.id].vms.discard(vid)
+                post = ResourceVector(
+                    source.usage.cpu - record.observed.cpu,
+                    source.usage.mem - record.observed.mem,
+                    source.usage.bw - record.observed.bw,
+                )
+                trial_moves.append((source.id, vid, best[1], _score(w, post), best[0]))
+            if trial_moves is not None:
+                work = trial
+                work[source.id].usage = ResourceVector(0.0, 0.0, 0.0)
+                work[source.id].power = "asleep"
+                moves.extend(trial_moves)
+                sleeps.append(source.id)
+                drained = source.id
+                break
+        if drained is None:
+            return moves, sleeps
 
 
 def random_cluster(seed):

@@ -79,6 +79,7 @@ def test_unknown_subcommand_is_usage_error():
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "small_datacenter.json"
 
 SUBCOMMANDS = ("ahp", "place", "detect", "gen", "simulate")
 
@@ -234,6 +235,21 @@ def _one_server(**fields):
 ])
 def test_place_rejects_malformed_clusters(tmp_path, capsys, cluster, named):
     path = _write(tmp_path, "cluster.json", cluster)
+    demand = _write(tmp_path, "demand.json", {"cpu": 1, "mem": 1, "bw": 1})
+    assert _run(["place", "--cluster", path, "--demand", demand])[0] == EXIT_USAGE
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vm, named", [
+    (5, "vms[0] must be a JSON object"),
+    ({"id": "v1", "class": "cpu-intensive", "cores": 2}, "vms[0]: unknown keys ['cores']"),
+    ({"id": 1, "class": "cpu-intensive"}, "vms[0].id must be a JSON string"),
+    ({"id": "v1", "class": "gpu-intensive"}, "vms[0].class: unknown hotspot class"),
+    ({"id": "v1", "class": "cpu-intensive", "observed": {"cpu": 1, "mem": 1, "bw": 1, "gpu": 9}},
+     "vms[0].observed: resource vector: unknown keys ['gpu']"),
+])
+def test_place_rejects_malformed_cluster_vms(tmp_path, capsys, vm, named):
+    path = _write(tmp_path, "cluster.json", dict(CLUSTER, vms=[vm]))
     demand = _write(tmp_path, "demand.json", {"cpu": 1, "mem": 1, "bw": 1})
     assert _run(["place", "--cluster", path, "--demand", demand])[0] == EXIT_USAGE
     assert named in capsys.readouterr().err
@@ -411,6 +427,37 @@ def test_simulate_rejects_malformed_scenarios(tmp_path, capsys, fields, named):
     code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
     assert (code, out) == (EXIT_USAGE, "")
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"duration": 3.9}, "duration must be a JSON integer"),
+    ({"base_rate": "100"}, "base_rate must be a JSON integer"),
+    ({"events": [{"tick": 0, "op": "vm_request", "class": "cpu-intensive"},
+                 {"tick": 1, "op": "vm_shutdown", "vm": 1}]}, "events[1].vm must be a JSON string"),
+    ({"low_watermark": {"cpu": 20, "mem": 20, "bw": 20, "gpu": 9}}, "low_watermark"),
+])
+def test_simulate_rejects_coerced_values(tmp_path, capsys, fields, named):
+    scenario = _write(tmp_path, "bad.json", dict(SCENARIO, **fields))
+    code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["drift", "threshold", "interval_seconds", "throttle_factor"])
+def test_simulate_rejects_non_finite_detector_settings(tmp_path, capsys, field):
+    demo = json.loads(DEMO.read_text())
+    demo["detector"][field] = float("nan")
+    scenario = _write(tmp_path, "nan.json", demo)
+    code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"detector {field} must be finite" in capsys.readouterr().err
+
+
+def test_simulate_error_names_the_bad_file(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.json", dict(SCENARIO, servers=5))
+    code, out = _run(["simulate", "--scenario", str(DEMO), bad, "--out", str(tmp_path / "o")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"error: {bad}: servers must be a JSON array" in capsys.readouterr().err
 
 
 def test_simulate_rejects_colliding_names(tmp_path):

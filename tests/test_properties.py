@@ -66,14 +66,15 @@ CLUSTER = {
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12),
+    | st.floats() | st.text(max_size=12),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=12), inner, max_size=4),
     max_leaves=8,
 )
 
 # One value of each JSON type, plus the edge values parsers most often mishandle.
-SAMPLES = [None, True, 0, -1, 10**30, 1.5, "", "x", [], [1], ["x"], {}, {"a": 1}]
+SAMPLES = [None, True, 0, -1, 10**30, 1.5, float("nan"), float("inf"), float("-inf"),
+           "", "x", [], [1], ["x"], {}, {"a": 1}]
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 

@@ -108,6 +108,14 @@ def test_resource_vector_from_json_rejects_bad_input():
         ResourceVector.from_json({"cpu": float("inf"), "mem": 2, "bw": 3})
 
 
+def test_resource_vector_from_json_rejects_non_objects_and_unknown_keys():
+    for bad in ([1, 2, 3], "cpu", None, 5):
+        with pytest.raises(ParseError, match="must be a JSON object"):
+            ResourceVector.from_json(bad)
+    with pytest.raises(ParseError, match=r"unknown keys \['gpu'\]"):
+        ResourceVector.from_json({"cpu": 1, "mem": 2, "bw": 3, "gpu": 9})
+
+
 def test_weight_vector_from_json_rejects_bad_input():
     with pytest.raises(ParseError):
         WeightVector.from_json({"w_cpu": 0.5, "w_mem": 0.5})

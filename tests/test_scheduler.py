@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import migration_oracle, random_cluster
+from conftest import consolidate_oracle, migration_oracle, random_cluster
 from vmshield.errors import EmptyServer
 from vmshield.resources import UNIFORM_WEIGHTS, ZERO, ResourceVector, WeightVector, rv_strictly_less, weighted_score
 from vmshield.scheduler import (
@@ -343,6 +343,59 @@ def test_consolidate_can_cascade():
         ("v1", "b", "c"),
         ("v2", "b", "c"),
     ]
+
+
+def _consolidation_case(seed):
+    """random_cluster with VMs shrunk to a quarter of their observed usage,
+    random classes and histories, and a random low watermark."""
+    servers, vms = random_cluster(seed)
+    by_id = {s.id: s for s in servers}
+    rng = np.random.default_rng(10_000 + seed)
+    classes = sorted(CLASS_DEFAULTS)
+    for record in vms.values():
+        record.hotspot_class = classes[int(rng.integers(0, 3))]
+        if record.host is not None:
+            shrink = record.observed.scaled(0.75)
+            by_id[record.host].usage = by_id[record.host].usage - shrink
+            record.observed = record.observed - shrink
+        if rng.random() < 0.8:
+            record.history = [ResourceVector(*(float(x) for x in rng.uniform(0, 15, 3)))
+                              for _ in range(int(rng.integers(1, 5)))]
+    low = ResourceVector(*(float(x) for x in rng.uniform(5, 90, 3)))
+    return servers, vms, low
+
+
+def test_consolidate_matches_deepcopy_oracle_and_never_mutates_inputs():
+    drained_clusters = moves = 0
+    for seed in range(300):
+        servers, vms, low = _consolidation_case(seed)
+        servers_before = copy.deepcopy(servers)
+        vms_before = copy.deepcopy(vms)
+        expected_moves, expected_sleeps = consolidate_oracle(servers, vms, low, CLASS_DEFAULTS)
+        plans, sleeps = consolidate(servers, vms, low, CLASS_DEFAULTS)
+
+        assert sleeps == expected_sleeps, f"seed {seed}"
+        got = [(p.source, p.victim, p.target) for p in plans]
+        assert got == [m[:3] for m in expected_moves], f"seed {seed}"
+        for plan, move in zip(plans, expected_moves):
+            assert plan.kind == "consolidate"
+            assert plan.source_post_score == pytest.approx(move[3], rel=1e-9, abs=1e-9)
+            assert plan.target_score == pytest.approx(move[4], rel=1e-9, abs=1e-9)
+
+        # applying the plans leaves every slept server empty
+        hosted = {s.id: set(s.vms) for s in servers}
+        for plan in plans:
+            hosted[plan.source].remove(plan.victim)
+            hosted[plan.target].add(plan.victim)
+        assert all(not hosted[sid] for sid in sleeps), f"seed {seed}"
+
+        # planning never mutates its inputs
+        assert servers == servers_before, f"seed {seed}"
+        assert vms == vms_before, f"seed {seed}"
+        drained_clusters += bool(sleeps)
+        moves += len(plans)
+    # the random watermarks exercise both outcomes, and drains move VMs
+    assert 100 < drained_clusters < 250 and moves > 300, (drained_clusters, moves)
 
 
 def test_wake_server_picks_smallest_sleeping_id():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -146,6 +147,70 @@ def test_detector_config_validation():
         DetectorConfig.from_json({"drift": "fast"})
     cfg = DetectorConfig.from_json({"drift": "0.1", "threshold": 2})
     assert cfg.drift == 0.1 and cfg.threshold == 2.0
+
+
+@pytest.mark.parametrize("field", ["drift", "threshold", "interval_seconds", "throttle_factor"])
+def test_detector_config_rejects_non_finite_values(field):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match=f"detector {field} must be finite"):
+            DetectorConfig.from_json({field: value})
+        with pytest.raises(ValidationError, match=f"detector {field} must be finite"):
+            Scenario.from_json(json.loads(json.dumps(_scn(detector={field: value}))))
+
+
+def test_detector_config_must_be_an_object():
+    with pytest.raises(ParseError, match="detector must be a JSON object"):
+        Scenario.from_json(_scn(detector=[]))
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"duration": 5.9}, "duration must be a JSON integer"),
+    ({"duration": True}, "duration must be a JSON integer"),
+    ({"seed": "9"}, "seed must be a JSON integer"),
+    ({"base_rate": "100"}, "base_rate must be a JSON integer"),
+    ({"base_rate": 100.0}, "base_rate must be a JSON integer"),
+    ({"events": [{"tick": 0.5, "op": "vm_request", "class": "cpu-intensive"}]},
+     "events[0].tick must be a JSON integer"),
+    ({"events": [{"tick": False, "op": "vm_request", "class": "cpu-intensive"}]},
+     "events[0].tick must be a JSON integer"),
+    ({"events": [{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": "2"}]},
+     "events[0].count must be a JSON integer"),
+    ({"events": [{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2.0}]},
+     "events[0].count must be a JSON integer"),
+    ({"events": [{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},
+                 {"tick": 1, "op": "vm_shutdown", "vm": 1}]},
+     "events[1].vm must be a JSON string"),
+    ({"low_watermark": {"cpu": 20, "mem": 20, "bw": 20, "gpu": 9}},
+     "low_watermark: resource vector: unknown keys ['gpu']"),
+    ({"low_watermark": [20, 20, 20]}, "low_watermark: resource vector must be a JSON object"),
+    ({"vm_classes": {"cpu-intensive": {"cpu": 30, "mem": 5, "bw": 5, "gpu": 1}}},
+     "vm_classes.cpu-intensive: resource vector: unknown keys ['gpu']"),
+])
+def test_scenario_rejects_values_it_used_to_coerce(fields, named):
+    with pytest.raises(ParseError) as info:
+        Scenario.from_json(_scn(**fields))
+    assert named in str(info.value)
+
+
+def test_attack_multiplier_and_fin_delays_must_be_finite():
+    request = {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2}
+    for multiplier in (float("nan"), float("inf")):
+        attack = {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": multiplier}
+        with pytest.raises(ValidationError, match="multiplier must be finite"):
+            Scenario.from_json(_scn(events=[request, attack]))
+    for delays in ([12, float("inf")], [float("nan"), 19]):
+        with pytest.raises(ValidationError, match="fin_delay_range"):
+            Scenario.from_json(_scn(fin_delay_range=delays))
+
+
+def test_load_scenario_names_the_file_on_scenario_errors(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_scn(servers=5)))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: servers must be a JSON array$"):
+        load_scenario(str(path))
+    path.write_text(json.dumps(_scn(servers=[{"id": "s1"}, {"id": "s1"}])))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: duplicate server id"):
+        load_scenario(str(path))
 
 
 def test_load_scenario_reports_json_position(tmp_path):
