@@ -20,15 +20,12 @@ from .ahp import (
 from .detector import (
     Alarm,
     CusumDetector,
-    CusumState,
     DetectionReport,
     StatRow,
     TrafficInterval,
     bin_events,
-    cusum_step,
     discrepancy,
     process_trace,
-    respond,
     stat_rows_to_csv,
 )
 from .errors import (
@@ -36,7 +33,6 @@ from .errors import (
     InconsistentMatrix,
     NonConvergence,
     ParseError,
-    UnknownVm,
     UnsortedTrace,
     ValidationError,
     VmShieldError,
@@ -85,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alarm",
     "CusumDetector",
-    "CusumState",
     "DetectionReport",
     "EmptyServer",
     "HOTSPOT_CLASSES",
@@ -104,7 +99,6 @@ __all__ = [
     "TrafficInterval",
     "TrafficSpec",
     "UNIFORM_WEIGHTS",
-    "UnknownVm",
     "UnsortedTrace",
     "ValidationError",
     "VmRecord",
@@ -115,7 +109,6 @@ __all__ = [
     "bin_events",
     "consistency_ratio",
     "consolidate",
-    "cusum_step",
     "derive_weights",
     "detect_overload",
     "discrepancy",
@@ -137,7 +130,6 @@ __all__ = [
     "principal_eigenvector",
     "process_trace",
     "read_trace_csv",
-    "respond",
     "run",
     "rv_strictly_less",
     "select_victim",

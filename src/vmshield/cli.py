@@ -5,8 +5,8 @@ Conventions shared by every subcommand:
 * machine-readable results go to stdout, diagnostics and logs to
   stderr, so output can be piped;
 * exit 0 on success, 1 on a domain error (inconsistent judgment
-  matrix, no feasible server under --strict, unknown VM, ...), 2 on a
-  usage, parse, or validation error;
+  matrix, no feasible server under --strict, ...), 2 on a usage,
+  parse, or validation error;
 * global options may come from flags, VMSHIELD_* environment
   variables, or a JSON config file, in that precedence order.
 """
@@ -263,15 +263,13 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
     else:
         intervals = data
     report = det.process_trace(intervals, drift=args.drift, threshold=args.threshold)
-    for alarm in report.alarms:
-        alarm.action_taken = args.policy
     payload = {
         "alarms": [
             {
                 "vm_id": a.vm_id,
                 "interval_index": a.interval_index,
                 "y_value": round(a.y_value, 6),
-                "action_taken": a.action_taken,
+                "action_taken": args.policy,
             }
             for a in report.alarms
         ],
@@ -282,7 +280,7 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
             "vm_id": a.vm_id,
             "interval": a.interval_index,
             "y": f"{a.y_value:.6f}",
-            "action": a.action_taken,
+            "action": args.policy,
         }
         for a in report.alarms
     ]

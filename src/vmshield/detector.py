@@ -28,7 +28,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .errors import UnknownVm, UnsortedTrace
+from .errors import UnsortedTrace
 
 DEFAULT_DRIFT = 0.08
 DEFAULT_THRESHOLD = 1.43
@@ -57,26 +57,12 @@ class TrafficInterval:
 
 
 @dataclass(frozen=True)
-class CusumState:
-    """Detector state for one VM: running statistic y plus its parameters."""
-
-    vm_id: str
-    y: float = 0.0
-    drift: float = DEFAULT_DRIFT
-    threshold: float = DEFAULT_THRESHOLD
-
-    def __post_init__(self):
-        _check_parameters(self.drift, self.threshold)
-
-
-@dataclass
 class Alarm:
-    """A threshold exceedance for one VM at one interval."""
+    """The first interval of one VM's contiguous threshold exceedance."""
 
     vm_id: str
     interval_index: int
     y_value: float
-    action_taken: str | None = None
 
 
 @dataclass(frozen=True)
@@ -106,31 +92,6 @@ def discrepancy(syn: int, finrst: int) -> float:
     return (syn - finrst) / max(syn + finrst, 1)
 
 
-def _advance(y: float, d: float, drift: float) -> float:
-    """The clamped CUSUM recurrence y_n = max(0, y_{n-1} + d_n - drift)."""
-    return max(0.0, y + d - drift)
-
-
-def _check_parameters(drift: float, threshold: float) -> None:
-    if threshold <= drift:
-        raise ValueError(f"threshold {threshold} must exceed drift {drift}")
-
-
-def cusum_step(state: CusumState, iv: TrafficInterval) -> tuple[CusumState, Alarm | None]:
-    """Advance one interval; an Alarm comes back whenever the new y exceeds h.
-
-    The statistic is never reset, so a sustained attack keeps exceeding;
-    collapsing that into one reported episode is CusumDetector's job.
-    """
-    if iv.vm_id != state.vm_id:
-        raise ValueError(f"interval for {iv.vm_id!r} fed to detector for {state.vm_id!r}")
-    y_next = _advance(state.y, discrepancy(iv.syn, iv.finrst), state.drift)
-    next_state = CusumState(state.vm_id, y_next, state.drift, state.threshold)
-    if y_next > state.threshold:
-        return next_state, Alarm(state.vm_id, iv.interval_index, y_next)
-    return next_state, None
-
-
 class CusumDetector:
     """Streaming per-VM detector: each VM's y plus its in-episode flag.
 
@@ -140,7 +101,8 @@ class CusumDetector:
     """
 
     def __init__(self, drift: float = DEFAULT_DRIFT, threshold: float = DEFAULT_THRESHOLD):
-        _check_parameters(drift, threshold)
+        if threshold <= drift:
+            raise ValueError(f"threshold {threshold} must exceed drift {drift}")
         self.drift = drift
         self.threshold = threshold
         self.y: dict[str, float] = {}
@@ -148,7 +110,7 @@ class CusumDetector:
 
     def observe(self, interval_index: int, vm_id: str, syn: int, finrst: int) -> StatRow:
         d = discrepancy(syn, finrst)
-        y = self.y[vm_id] = _advance(self.y.get(vm_id, 0.0), d, self.drift)
+        y = self.y[vm_id] = max(0.0, self.y.get(vm_id, 0.0) + d - self.drift)
         over = y > self.threshold
         episode_start = over and not self.exceeding.get(vm_id, False)
         self.exceeding[vm_id] = over
@@ -231,34 +193,6 @@ def bin_events(
             s, f = counts.get((vm_id, idx), (0, 0))
             out.append(TrafficInterval(idx, vm_id, s, f))
     return out
-
-
-def respond(
-    alarm: Alarm,
-    policy: str,
-    vms,
-    throttle_factor: float = DEFAULT_THROTTLE_FACTOR,
-) -> str:
-    """Apply the configured response to the VM an alarm names.
-
-    log records only; throttle scales the VM's future generated
-    traffic; suspend detaches it from the network entirely so later
-    intervals carry zero counts.  vms maps vm_id to an object with
-    mutable ``traffic_scale`` and ``attached`` attributes.  Sets
-    ``alarm.action_taken``; returns a detail string saying what was done.
-    """
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-    if alarm.vm_id not in vms:
-        raise UnknownVm(f"alarm names VM {alarm.vm_id!r} not present in the cluster")
-    alarm.action_taken = policy
-    if policy == "throttle":
-        vms[alarm.vm_id].traffic_scale = throttle_factor
-        return f"traffic scaled to {throttle_factor}"
-    if policy == "suspend":
-        vms[alarm.vm_id].attached = False
-        return "detached from network"
-    return "recorded"
 
 
 def stat_rows_to_csv(rows: list[StatRow]) -> str:

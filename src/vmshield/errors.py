@@ -34,10 +34,6 @@ class UnsortedTrace(VmShieldError):
     """Packet events must be ordered by non-decreasing timestamp."""
 
 
-class UnknownVm(VmShieldError):
-    """Referenced VM id is not present in the cluster."""
-
-
 class ParseError(VmShieldError):
     """Input file is not syntactically valid (bad JSON/CSV, missing field)."""
 

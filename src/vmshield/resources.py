@@ -16,6 +16,20 @@ from .errors import ParseError
 WEIGHT_SUM_TOL = 1e-9
 
 
+def json_number(value, name: str) -> float:
+    """value as a float, if it is a JSON int or float (a bool or a string is not).
+
+    Anything else, or an integer too large for a float, is a ParseError
+    naming name.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class ResourceVector:
     """A (cpu, mem, bw) triple in percent-of-capacity units.
@@ -52,9 +66,9 @@ class ResourceVector:
         if unknown:
             raise ParseError(f"resource vector: unknown keys {sorted(unknown)}; expected cpu/mem/bw")
         try:
-            v = cls(float(obj["cpu"]), float(obj["mem"]), float(obj["bw"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"resource vector needs numeric cpu/mem/bw fields: {obj!r}") from exc
+            v = cls(*(json_number(obj[name], name) for name in ("cpu", "mem", "bw")))
+        except KeyError as exc:
+            raise ParseError(f"resource vector needs cpu, mem and bw fields: {obj!r}") from exc
         for name, c in zip(("cpu", "mem", "bw"), v.as_tuple()):
             if not math.isfinite(c) or c < 0:
                 raise ParseError(f"resource component {name}={c} must be finite and >= 0")
@@ -88,7 +102,7 @@ class WeightVector:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightVector":
         try:
-            return cls(float(obj["w_cpu"]), float(obj["w_mem"]), float(obj["w_bw"]))
+            return cls(*(json_number(obj[name], name) for name in ("w_cpu", "w_mem", "w_bw")))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"weight vector needs numeric w_cpu/w_mem/w_bw fields: {obj!r}") from exc
         except ValueError as exc:

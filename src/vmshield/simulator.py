@@ -39,7 +39,7 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
-from .resources import ZERO, ResourceVector, weighted_score
+from .resources import ZERO, ResourceVector, json_number, weighted_score
 from .scheduler import ServerState, VmRecord, normalize_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE
 
@@ -79,7 +79,7 @@ class DetectorConfig:
             fields = dict(obj)
             for key in _DETECTOR_NUMBERS:
                 if key in fields:
-                    fields[key] = float(fields[key])
+                    fields[key] = json_number(fields[key], f"detector {key}")
             cfg = cls(**fields)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad detector config: {exc}") from exc
@@ -187,7 +187,7 @@ class Scenario:
                         raise ParseError(f"events[{i}].vm must be a JSON string, got {e['vm']!r}")
                     kwargs["vm"] = e["vm"]
                 if op == "attack_start":
-                    kwargs["multiplier"] = float(e["multiplier"])
+                    kwargs["multiplier"] = json_number(e["multiplier"], f"events[{i}].multiplier")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"events[{i}]: {exc}") from exc
             events.append(ScenarioEvent(**kwargs))
@@ -201,10 +201,7 @@ class Scenario:
         fin_range = obj.get("fin_delay_range", list(DEFAULT_FIN_DELAY_RANGE))
         if not isinstance(fin_range, list) or len(fin_range) != 2:
             raise ParseError(f"fin_delay_range must be a [low, high] array: {fin_range!r}")
-        try:
-            fin_low, fin_high = float(fin_range[0]), float(fin_range[1])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad fin_delay_range: {fin_range!r}") from exc
+        fin_low, fin_high = (json_number(v, f"fin_delay_range[{k}]") for k, v in enumerate(fin_range))
 
         scenario = cls(
             servers=servers,
@@ -307,13 +304,12 @@ def load_scenario(path: str) -> Scenario:
 
 @dataclass
 class SimVm:
-    """Runtime state of one VM: scheduler record plus traffic state and response flags."""
+    """Runtime state of one VM: scheduler record plus traffic state."""
 
     record: VmRecord
     rng: np.random.Generator
     state: str = RUNNING
     traffic_scale: float = 1.0
-    attached: bool = True
     attack_multiplier: float = 1.0
     pending_finrst: dict[int, int] = field(default_factory=dict)
 
@@ -514,7 +510,7 @@ class _Sim:
                 continue
             finrst = vm.pending_finrst.pop(tick, 0)
             syn = 0
-            if vm.state == RUNNING and vm.attached:
+            if vm.state == RUNNING:
                 n_pair = round(self.sc.base_rate * vm.traffic_scale)
                 n_extra = round(self.sc.base_rate * (vm.attack_multiplier - 1.0) * vm.traffic_scale)
                 offsets = vm.rng.integers(0, self.iv_us, n_pair)
@@ -530,16 +526,19 @@ class _Sim:
             self.report.stat_rows.append(row)
             if row.alarm:
                 self.counters["alarms"] += 1
-                alarm = det.Alarm(vm_id, tick, row.y)
-                detail = det.respond(alarm, policy, self.vms,
-                                     throttle_factor=self.sc.detector.throttle_factor)
-                if policy == "suspend":
+                if policy == "throttle":
+                    vm.traffic_scale = self.sc.detector.throttle_factor
+                    detail = f"traffic scaled to {vm.traffic_scale}"
+                elif policy == "suspend":
                     self._detach(vm)
                     vm.state = SUSPENDED
                     self.counters["suspensions"] += 1
+                    detail = "detached from network"
+                else:
+                    detail = "recorded"
                 self.report.alarms.append({
                     "tick": tick, "seq": self._next_seq(), "vm": vm_id, "y": round(row.y, 6),
-                    "action": alarm.action_taken, "detail": detail,
+                    "action": policy, "detail": detail,
                 })
 
     # phase 4 -----------------------------------------------------------

@@ -86,7 +86,7 @@ def _delay_bounds_us(spec: TrafficSpec) -> tuple[int, int]:
     return round(low * 1_000_000), round(high * 1_000_000)
 
 
-def _normal_draws(spec: TrafficSpec, rng, interval_index: int):
+def _normal_draws(spec: TrafficSpec, rng):
     """The variates behind one interval's connections: offsets, delays, rst flags.
 
     Drawn in a fixed order so the event and binned generators stay in
@@ -111,7 +111,7 @@ def gen_normal(spec: TrafficSpec) -> list[PacketEvent]:
     iv_us = _interval_us(spec)
     events: list[PacketEvent] = []
     for k in range(spec.start, spec.end):
-        offsets, delays, is_rst = _normal_draws(spec, rng, k)
+        offsets, delays, is_rst = _normal_draws(spec, rng)
         base = k * iv_us
         for off, delay, rst in zip(offsets.tolist(), delays.tolist(), is_rst.tolist()):
             t_syn = base + off
@@ -144,7 +144,8 @@ def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterv
     """Per-interval counts of gen_normal's output without materializing events.
 
     Exactly equals bin_events(gen_normal(spec), spec.interval_seconds,
-    span_seconds=n_intervals * spec.interval_seconds, vm_ids=[spec.vm_id]).
+    span_seconds=n_intervals * spec.interval_seconds, vm_ids=[spec.vm_id])
+    when interval_seconds is a whole number of microseconds.
     """
     if spec.mode != "normal":
         raise ValueError("gen_normal_binned needs a spec with mode='normal'")
@@ -153,7 +154,7 @@ def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterv
     syn = np.zeros(n_intervals, dtype=np.int64)
     fin = np.zeros(n_intervals, dtype=np.int64)
     for k in range(spec.start, spec.end):
-        offsets, delays, _ = _normal_draws(spec, rng, k)
+        offsets, delays, _ = _normal_draws(spec, rng)
         if k < n_intervals:
             syn[k] += spec.base_rate
         idx = (k * iv_us + offsets + delays) // iv_us
@@ -222,7 +223,7 @@ def read_trace_csv(text: str):
             try:
                 ts, vm_id, pkt_type = row
                 t_us = parse_timestamp(ts)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: inf, -inf, 1e400
                 raise ParseError(f"trace line {lineno}: {exc}") from exc
             if t_us < 0:
                 raise ParseError(f"trace line {lineno}: timestamp_s must be >= 0, got {ts}")

@@ -313,6 +313,14 @@ def test_detect_rejects_negative_timestamps(tmp_path, capsys):
     assert "trace line 2: timestamp_s must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "1e400"])
+def test_detect_rejects_infinite_timestamps(tmp_path, capsys, stamp):
+    trace = _write(tmp_path, "inf.csv", f"timestamp_s,vm_id,pkt_type\n0.5,vm1,SYN\n{stamp},vm1,FIN\n")
+    code, out = _run(["detect", "--trace", trace])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error: trace line 3: " in capsys.readouterr().err
+
+
 def test_detect_missing_trace(tmp_path):
     code, _ = _run(["detect", "--trace", str(tmp_path / "none.csv")])
     assert code == EXIT_USAGE
@@ -435,6 +443,8 @@ def test_simulate_rejects_malformed_scenarios(tmp_path, capsys, fields, named):
     ({"events": [{"tick": 0, "op": "vm_request", "class": "cpu-intensive"},
                  {"tick": 1, "op": "vm_shutdown", "vm": 1}]}, "events[1].vm must be a JSON string"),
     ({"low_watermark": {"cpu": 20, "mem": 20, "bw": 20, "gpu": 9}}, "low_watermark"),
+    ({"low_watermark": {"cpu": "20", "mem": "20", "bw": "20"}},
+     "low_watermark: cpu must be a JSON number"),
 ])
 def test_simulate_rejects_coerced_values(tmp_path, capsys, fields, named):
     scenario = _write(tmp_path, "bad.json", dict(SCENARIO, **fields))

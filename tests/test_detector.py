@@ -7,24 +7,18 @@ from conftest import cusum_oracle
 from vmshield.detector import (
     DEFAULT_DRIFT,
     DEFAULT_THRESHOLD,
-    Alarm,
     CusumDetector,
-    CusumState,
     TrafficInterval,
     bin_events,
-    cusum_step,
     discrepancy,
     process_trace,
-    respond,
     stat_rows_to_csv,
 )
-from vmshield.errors import UnknownVm, UnsortedTrace
+from vmshield.errors import UnsortedTrace
 
 
-class FakeVm:
-    def __init__(self):
-        self.traffic_scale = 1.0
-        self.attached = True
+def _episode_starts(flags):
+    return [f and not (i and flags[i - 1]) for i, f in enumerate(flags)]
 
 
 def test_discrepancy_basics():
@@ -53,33 +47,41 @@ def test_cusum_step_matches_recurrence_oracle():
         drift = float(rng.uniform(0.01, 0.3))
         threshold = drift + float(rng.uniform(0.1, 2.0))
         expected_y, expected_flags = cusum_oracle(pairs, drift, threshold)
-        state = CusumState("vm", drift=drift, threshold=threshold)
-        for i, (syn, finrst) in enumerate(pairs):
-            state, alarm = cusum_step(state, TrafficInterval(i, "vm", syn, finrst))
-            assert state.y == pytest.approx(expected_y[i], abs=1e-12)
-            assert (alarm is not None) == expected_flags[i]
+        detector = CusumDetector(drift, threshold)
+        rows = [detector.observe(i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(pairs)]
+        assert [r.y for r in rows] == pytest.approx(expected_y, abs=1e-12)
+        assert [r.alarm for r in rows] == _episode_starts(expected_flags)
 
 
 def test_cusum_never_negative_and_never_resets():
-    state = CusumState("vm", drift=0.08, threshold=1.43)
-    state, _ = cusum_step(state, TrafficInterval(0, "vm", 0, 1000))
-    assert state.y == 0.0  # clamped at zero on all-FIN traffic
-    # a sustained flood keeps the statistic above threshold
-    for i in range(1, 40):
-        state, alarm = cusum_step(state, TrafficInterval(i, "vm", 1000, 0))
-        if state.y > 1.43:
-            assert alarm is not None
+    detector = CusumDetector(drift=0.08, threshold=1.43)
+    assert detector.observe(0, "vm", 0, 1000).y == 0.0  # clamped at zero on all-FIN traffic
+    # a sustained flood keeps the statistic above threshold: one episode, one alarm
+    rows = [detector.observe(i, "vm", 1000, 0) for i in range(1, 40)]
+    assert all(a.y < b.y for a, b in zip(rows, rows[1:]))
+    assert sum(r.alarm for r in rows) == 1
 
 
-def test_cusum_step_rejects_foreign_vm():
-    state = CusumState("vm-a")
-    with pytest.raises(ValueError):
-        cusum_step(state, TrafficInterval(0, "vm-b", 1, 1))
+def test_detector_keeps_one_statistic_per_vm():
+    # vm-b joins at interval 20 of an interleaved stream; it starts from
+    # y = 0 however far vm-a's statistic has climbed by then
+    rng = np.random.default_rng(21)
+    pairs = {"vm-a": [(int(rng.integers(0, 900)), int(rng.integers(0, 300))) for _ in range(40)],
+             "vm-b": [(int(rng.integers(0, 500)), int(rng.integers(0, 500))) for _ in range(20)]}
+    detector = CusumDetector(drift=0.05, threshold=0.6)
+    ys = {"vm-a": [], "vm-b": []}
+    for i in range(40):
+        ys["vm-a"].append(detector.observe(i, "vm-a", *pairs["vm-a"][i]).y)
+        if i >= 20:
+            ys["vm-b"].append(detector.observe(i, "vm-b", *pairs["vm-b"][i - 20]).y)
+    for vm, vm_ys in ys.items():
+        assert vm_ys == pytest.approx(cusum_oracle(pairs[vm], 0.05, 0.6)[0], abs=1e-12)
+    assert ys["vm-a"][19] > 0.6
 
 
 def test_cusum_state_requires_threshold_above_drift():
-    with pytest.raises(ValueError):
-        CusumState("vm", drift=0.5, threshold=0.5)
+    with pytest.raises(ValueError, match="must exceed drift"):
+        CusumDetector(0.5, 0.5)
 
 
 def test_published_two_interval_trace():
@@ -105,7 +107,7 @@ def test_streaming_detector_interleaves_vms_and_flags_episode_starts():
     for vm, vm_rows in rows.items():
         ys, flags = cusum_oracle(pairs[vm], 0.1, 1.2)
         assert [r.y for r in vm_rows] == pytest.approx(ys, abs=1e-12)
-        starts = [f and not (i and flags[i - 1]) for i, f in enumerate(flags)]
+        starts = _episode_starts(flags)
         assert [r.alarm for r in vm_rows] == starts
         assert any(starts)
     with pytest.raises(ValueError, match="must exceed drift"):
@@ -225,42 +227,6 @@ def test_bin_events_multiple_vms_share_the_grid():
     ]
 
 
-def test_respond_log_leaves_vm_alone():
-    vm = FakeVm()
-    alarm = Alarm("v", 3, 2.0)
-    detail = respond(alarm, "log", {"v": vm})
-    assert (vm.traffic_scale, vm.attached) == (1.0, True)
-    assert alarm.action_taken == "log"
-    assert alarm.interval_index == 3
-    assert detail == "recorded"
-
-
-def test_respond_throttle_scales_traffic():
-    vm = FakeVm()
-    alarm = Alarm("v", 0, 2.0)
-    detail = respond(alarm, "throttle", {"v": vm}, throttle_factor=0.25)
-    assert vm.traffic_scale == 0.25
-    assert vm.attached
-    assert alarm.action_taken == "throttle"
-    assert detail == "traffic scaled to 0.25"
-
-
-def test_respond_suspend_detaches():
-    vm = FakeVm()
-    alarm = Alarm("v", 0, 2.0)
-    detail = respond(alarm, "suspend", {"v": vm})
-    assert not vm.attached
-    assert alarm.action_taken == "suspend"
-    assert "detach" in detail
-
-
-def test_respond_unknown_vm_and_bad_policy():
-    with pytest.raises(UnknownVm):
-        respond(Alarm("ghost", 0, 2.0), "log", {})
-    with pytest.raises(ValueError):
-        respond(Alarm("v", 0, 2.0), "reboot", {"v": FakeVm()})
-
-
 def test_stat_csv_format():
     trace = [
         TrafficInterval(0, "vm1", 106242, 3),
@@ -277,6 +243,6 @@ def test_stat_csv_format():
 def test_default_parameters():
     assert DEFAULT_DRIFT == 0.08
     assert DEFAULT_THRESHOLD == 1.43
-    state = CusumState("vm")
-    assert state.drift == 0.08
-    assert state.threshold == 1.43
+    detector = CusumDetector()
+    assert detector.drift == 0.08
+    assert detector.threshold == 1.43

@@ -1,9 +1,12 @@
-"""Property tests: a scenario or cluster with one field or container
-replaced by an arbitrary JSON value either parses or fails as a usage
-error, never with another exception.
+"""Property tests.
 
-simulate is deliberately not run on the mutated inputs: a fuzzed
-duration or count can be arbitrarily large.
+A scenario or cluster with one field or container replaced by an
+arbitrary JSON value either parses or fails as a usage error, never
+with another exception.  simulate is deliberately not run on the
+mutated inputs: a fuzzed duration or count can be arbitrarily large.
+
+Binning gen_normal's events gives exactly gen_normal_binned's counts
+for random traffic specs.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
+from vmshield.detector import bin_events  # noqa: E402
 from vmshield.errors import ParseError, ValidationError  # noqa: E402
 from vmshield.simulator import Scenario  # noqa: E402
+from vmshield.traffic import TrafficSpec, gen_normal, gen_normal_binned  # noqa: E402
 
 SCENARIO = {
     "servers": [
@@ -154,3 +159,28 @@ def test_mutated_scenario_parses_or_raises_a_usage_error(doc):
 def test_mutated_cluster_never_escapes_dispatch(doc):
     with tempfile.TemporaryDirectory() as tmp:
         assert _place(tmp, doc) in EXITS
+
+
+# gen_normal_binned's equality with binning the events holds for an
+# interval that is a whole number of microseconds; the delays may be any
+# positive float, since both generators round them the same way.
+DELAYS = st.floats(min_value=1e-3, max_value=40.0)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(
+    base_rate=st.integers(0, 50),
+    start=st.integers(0, 12),
+    length=st.integers(0, 12),
+    delays=st.tuples(DELAYS, DELAYS).map(sorted),
+    interval_us=st.integers(1, 20_000_000),
+    n=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_binned_normal_traffic_equals_binning_its_events(
+        base_rate, start, length, delays, interval_us, n, seed):
+    spec = TrafficSpec("vm", base_rate=base_rate, fin_delay_range=tuple(delays), start=start,
+                       end=start + length, seed=seed, interval_seconds=interval_us / 1e6)
+    via_events = bin_events(gen_normal(spec), spec.interval_seconds,
+                            span_seconds=n * spec.interval_seconds, vm_ids=[spec.vm_id])
+    assert via_events == gen_normal_binned(spec, n)

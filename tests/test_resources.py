@@ -123,6 +123,14 @@ def test_weight_vector_from_json_rejects_bad_input():
         WeightVector.from_json({"w_cpu": 0.5, "w_mem": 0.4, "w_bw": 0.2})
 
 
+@pytest.mark.parametrize("bad", ["20", True, 10**400], ids=["string", "bool", "huge-int"])
+def test_vector_components_must_be_json_numbers(bad):
+    with pytest.raises(ParseError, match="^cpu "):
+        ResourceVector.from_json({"cpu": bad, "mem": 2, "bw": 3})
+    with pytest.raises(ParseError, match="^w_cpu "):
+        WeightVector.from_json({"w_cpu": bad, "w_mem": 0.0, "w_bw": 0.0})
+
+
 def test_vectors_are_hashable_values():
     assert ResourceVector(1, 2, 3) in {ResourceVector(1, 2, 3)}
     with pytest.raises(Exception):

@@ -145,7 +145,9 @@ def test_detector_config_validation():
         DetectorConfig.from_json({"throttle_factor": 1.5})
     with pytest.raises(ParseError):
         DetectorConfig.from_json({"drift": "fast"})
-    cfg = DetectorConfig.from_json({"drift": "0.1", "threshold": 2})
+    with pytest.raises(ParseError, match="detector drift must be a JSON number"):
+        DetectorConfig.from_json({"drift": "0.1"})
+    cfg = DetectorConfig.from_json({"drift": 0.1, "threshold": 2})
     assert cfg.drift == 0.1 and cfg.threshold == 2.0
 
 
@@ -185,6 +187,17 @@ def test_detector_config_must_be_an_object():
     ({"low_watermark": [20, 20, 20]}, "low_watermark: resource vector must be a JSON object"),
     ({"vm_classes": {"cpu-intensive": {"cpu": 30, "mem": 5, "bw": 5, "gpu": 1}}},
      "vm_classes.cpu-intensive: resource vector: unknown keys ['gpu']"),
+    ({"low_watermark": {"cpu": "20", "mem": "20", "bw": "20"}},
+     "low_watermark: cpu must be a JSON number, got '20'"),
+    ({"low_watermark": {"cpu": 20, "mem": 10**400, "bw": 20}},
+     "low_watermark: mem is too large for a float"),
+    ({"detector": {"drift": "0.1"}}, "detector drift must be a JSON number, got '0.1'"),
+    ({"detector": {"throttle_factor": True}}, "detector throttle_factor must be a JSON number"),
+    ({"events": [{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},
+                 {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": "3"}]},
+     "events[1].multiplier must be a JSON number, got '3'"),
+    ({"fin_delay_range": ["12", 19]}, "fin_delay_range[0] must be a JSON number"),
+    ({"fin_delay_range": [12, True]}, "fin_delay_range[1] must be a JSON number"),
 ])
 def test_scenario_rejects_values_it_used_to_coerce(fields, named):
     with pytest.raises(ParseError) as info:
@@ -354,6 +367,7 @@ def test_suspend_policy_detaches_vm_and_zeroes_traffic():
     alarm = report.alarms[0]
     assert alarm["vm"] == "vm-001"
     assert alarm["action"] == "suspend"
+    assert alarm["detail"] == "detached from network"
     assert alarm["tick"] <= 3
     after = [r for r in report.stat_rows if r.interval_index > alarm["tick"]]
     assert after, "suspension must not end the detector series"
@@ -376,6 +390,7 @@ def test_throttle_policy_scales_traffic_down():
     assert len(report.alarms) == 1
     alarm_tick = report.alarms[0]["tick"]
     assert report.alarms[0]["action"] == "throttle"
+    assert report.alarms[0]["detail"] == "traffic scaled to 0.4"
     after = [r for r in report.stat_rows if r.interval_index > alarm_tick]
     # paired 100 x 0.4 plus attack extras 100 x (3 - 1) x 0.4
     assert all(r.syn == 120 for r in after)
@@ -395,6 +410,7 @@ def test_log_policy_and_attack_stop():
     report = run(scn)
     assert len(report.alarms) == 1
     assert report.alarms[0]["action"] == "log"
+    assert report.alarms[0]["detail"] == "recorded"
     during = [r.syn for r in report.stat_rows if 1 <= r.interval_index < 6]
     assert all(s == 300 for s in during)
     after = [r.syn for r in report.stat_rows if r.interval_index >= 6]
