@@ -25,6 +25,7 @@ from .detector import (
     TrafficInterval,
     bin_events,
     discrepancy,
+    fill_gaps,
     process_trace,
     stat_rows_to_csv,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "estimate_demand_first_start",
     "estimate_demand_restart",
     "events_to_csv",
+    "fill_gaps",
     "filter_candidates",
     "gen_attack",
     "gen_attack_binned",

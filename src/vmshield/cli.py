@@ -261,7 +261,7 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
     if kind == "events":
         intervals = det.bin_events(data, interval_seconds=args.interval)
     else:
-        intervals = data
+        intervals = det.fill_gaps(data)
     report = det.process_trace(intervals, drift=args.drift, threshold=args.threshold)
     payload = {
         "alarms": [

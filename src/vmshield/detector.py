@@ -195,6 +195,20 @@ def bin_events(
     return out
 
 
+def fill_gaps(intervals: list[TrafficInterval]) -> list[TrafficInterval]:
+    """intervals plus a zero row for every (vm, index) missing from the span.
+
+    The span runs from interval 0 (or the smallest index, if lower) to
+    the largest index, for every VM, as bin_events emits it, so a quiet
+    interval left out of a pre-binned trace still decays its VM's y.
+    """
+    given = {(iv.vm_id, iv.interval_index): iv for iv in intervals}
+    indices = [0, *(iv.interval_index for iv in intervals)]
+    span = range(min(indices), max(indices) + 1)
+    return [given.get((vm_id, idx)) or TrafficInterval(idx, vm_id, 0, 0)
+            for vm_id in sorted({iv.vm_id for iv in intervals}) for idx in span]
+
+
 def stat_rows_to_csv(rows: list[StatRow]) -> str:
     """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm."""
     buf = io.StringIO()

@@ -30,6 +30,13 @@ def json_number(value, name: str) -> float:
         raise ParseError(f"{name} is too large for a float") from None
 
 
+def json_int(value, name: str) -> int:
+    """value, if it is a JSON integer (a bool is not); else a ParseError naming name."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ResourceVector:
     """A (cpu, mem, bw) triple in percent-of-capacity units.

@@ -10,19 +10,22 @@ by default).  Each tick applies, in fixed order:
    jitter, drawn in sorted-VM order, scales each running VM's class
    demand vector; server usage is recomputed as overhead plus the
    hosted sum;
-3. traffic and detection: each VM draws its connections' offsets and
-   FIN delays from its own generator and bincounts the FINs into this
-   and later intervals; the run's one streaming CUSUM detector
-   advances, and the response policy acts on each alarm episode's
-   first interval;
+3. traffic and detection: the run's traffic generator draws every
+   running VM's connection offsets and FIN delays in two calls, in
+   sorted-VM order, and one bincount adds each VM's FINs to its row of
+   a FIN ring (one column per interval a FIN can land in, tick t in
+   column t % fin_slots); each VM then reads this tick's column, the
+   run's one streaming CUSUM detector advances, and the response
+   policy acts on each alarm episode's first interval;
 4. one migration pass off the hottest overloaded server, if any plan
    qualifies;
 5. a consolidation pass draining under-watermark servers to sleep;
 6. log emission.
 
-Everything random comes from generators seeded by (scenario seed,
-stream index), and every iteration runs in sorted order, so a scenario
-and seed map to byte-identical reports.
+Everything random comes from two generators per run, seeded by
+(scenario seed, stream index): stream 0 draws the usage jitter and
+stream 1 the traffic.  Every iteration runs in sorted order, so a
+scenario and seed map to byte-identical reports.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
-from .resources import ZERO, ResourceVector, json_number, weighted_score
+from .resources import ZERO, ResourceVector, json_int, json_number, weighted_score
 from .scheduler import ServerState, VmRecord, normalize_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE
 
@@ -139,9 +142,9 @@ class Scenario:
             raise ParseError(f"unknown scenario fields: {sorted(unknown)}")
         if "servers" not in obj:
             raise ParseError("scenario missing required field 'servers'")
-        duration = _json_int(obj.get("duration", 0), "duration")
-        seed = _json_int(obj.get("seed", 0), "seed")
-        base_rate = _json_int(obj.get("base_rate", 100), "base_rate")
+        duration = json_int(obj.get("duration", 0), "duration")
+        seed = json_int(obj.get("seed", 0), "seed")
+        base_rate = json_int(obj.get("base_rate", 100), "base_rate")
         wake = obj.get("wake_on_reject", True)
         if not isinstance(wake, bool):
             raise ParseError(f"wake_on_reject must be a JSON bool, got {wake!r}")
@@ -173,7 +176,7 @@ class Scenario:
         for i, e in enumerate(raw_events):
             if not isinstance(e, dict) or "tick" not in e or "op" not in e:
                 raise ParseError(f"events[{i}]: needs integer tick and op")
-            tick = _json_int(e["tick"], f"events[{i}].tick")
+            tick = json_int(e["tick"], f"events[{i}].tick")
             op = e["op"]
             if op not in EVENT_OPS:
                 raise ParseError(f"events[{i}]: op must be one of {EVENT_OPS}, got {op!r}")
@@ -181,7 +184,7 @@ class Scenario:
             try:
                 if op == "vm_request":
                     kwargs["vm_class"] = normalize_class(e["class"])
-                    kwargs["count"] = _json_int(e.get("count", 1), f"events[{i}].count")
+                    kwargs["count"] = json_int(e.get("count", 1), f"events[{i}].count")
                 else:
                     if not isinstance(e["vm"], str):
                         raise ParseError(f"events[{i}].vm must be a JSON string, got {e['vm']!r}")
@@ -267,13 +270,6 @@ class Scenario:
                 revoked.add(ev.vm)
 
 
-def _json_int(value, name: str) -> int:
-    """value, if it is a JSON integer (a bool is not); else a ParseError naming name."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{name} must be a JSON integer, got {value!r}")
-    return value
-
-
 def _vm_name(index: int) -> str:
     return f"vm-{index:03d}"
 
@@ -307,11 +303,10 @@ class SimVm:
     """Runtime state of one VM: scheduler record plus traffic state."""
 
     record: VmRecord
-    rng: np.random.Generator
+    fin_row: int  # this VM's row of _Sim.fin_ring
     state: str = RUNNING
     traffic_scale: float = 1.0
     attack_multiplier: float = 1.0
-    pending_finrst: dict[int, int] = field(default_factory=dict)
 
     @property
     def id(self) -> str:
@@ -349,6 +344,7 @@ class _Sim:
         self.records: dict[str, VmRecord] = {}
         self.vms: dict[str, SimVm] = {}
         self.jitter_rng = np.random.default_rng([scenario.seed, 0])
+        self.traffic_rng = np.random.default_rng([scenario.seed, 1])
         self.detector = det.CusumDetector(scenario.detector.drift, scenario.detector.threshold)
         self.events_at: dict[int, list[ScenarioEvent]] = {}
         for ev in scenario.events:
@@ -375,6 +371,8 @@ class _Sim:
         self.fin_hi_us = round(scenario.fin_delay_range[1] * 1_000_000)
         # FIN slots a connection can land in: this tick's plus the ones ahead
         self.fin_slots = (iv_us - 1 + self.fin_hi_us) // iv_us + 1
+        # FINs due per VM row, tick t in column t % fin_slots; grown as VMs are placed
+        self.fin_ring = np.zeros((0, self.fin_slots), dtype=np.int64)
 
     def _next_seq(self) -> int:
         self.seq += 1
@@ -400,7 +398,7 @@ class _Sim:
             self.servers[host].vms.discard(vm.id)
             vm.record.host = None
             self._recompute_usage(host)
-        vm.pending_finrst.clear()
+        self.fin_ring[vm.fin_row] = 0
 
     def _wake(self, tick: int) -> str | None:
         woken = sched.wake_server(self._server_list())
@@ -460,10 +458,10 @@ class _Sim:
         host.usage = host.usage + demand
         record = VmRecord(vm_id, vm_class, observed=demand, host=decision.chosen)
         self.records[vm_id] = record
-        self.vms[vm_id] = SimVm(
-            record=record,
-            rng=np.random.default_rng([self.sc.seed, self.next_vm]),
-        )
+        row = len(self.vms)
+        if row == len(self.fin_ring):
+            self.fin_ring = np.vstack([self.fin_ring, np.zeros((row + 8, self.fin_slots), np.int64)])
+        self.vms[vm_id] = SimVm(record=record, fin_row=row)
         self.counters["placements"] += 1
 
     def _lifecycle(self, tick: int, vm_id: str, new_state: str) -> None:
@@ -504,25 +502,28 @@ class _Sim:
 
     def _traffic_and_detect(self, tick: int) -> None:
         policy = self.sc.detector.policy
-        for vm_id in sorted(self.vms):
-            vm = self.vms[vm_id]
-            if vm.state not in (RUNNING, SUSPENDED):
-                continue
-            finrst = vm.pending_finrst.pop(tick, 0)
-            syn = 0
-            if vm.state == RUNNING:
-                n_pair = round(self.sc.base_rate * vm.traffic_scale)
-                n_extra = round(self.sc.base_rate * (vm.attack_multiplier - 1.0) * vm.traffic_scale)
-                offsets = vm.rng.integers(0, self.iv_us, n_pair)
-                delays = vm.rng.integers(self.fin_lo_us, self.fin_hi_us, n_pair, endpoint=True)
-                syn = n_pair + n_extra
-                now, *ahead = np.bincount((offsets + delays) // self.iv_us,
-                                          minlength=self.fin_slots).tolist()
-                finrst += now
-                for k, c in enumerate(ahead, start=tick + 1):
-                    if c:
-                        vm.pending_finrst[k] = vm.pending_finrst.get(k, 0) + c
-            row = self.detector.observe(tick, vm_id, syn, finrst)
+        rate = self.sc.base_rate
+        live = [vm for vm in map(self.vms.get, sorted(self.vms))
+                if vm.state in (RUNNING, SUSPENDED)]
+        sending = [vm for vm in live if vm.state == RUNNING]
+        n_pair = [round(rate * vm.traffic_scale) for vm in sending]
+        syn = {vm.id: n + round(rate * (vm.attack_multiplier - 1.0) * vm.traffic_scale)
+               for vm, n in zip(sending, n_pair)}
+        # every sending VM's paired connections in two draws, in sorted-VM order
+        total = sum(n_pair)
+        offsets = self.traffic_rng.integers(0, self.iv_us, total)
+        delays = self.traffic_rng.integers(self.fin_lo_us, self.fin_hi_us, total, endpoint=True)
+        slots = (np.repeat(np.arange(len(sending)) * self.fin_slots, n_pair)
+                 + (offsets + delays) // self.iv_us)
+        fins = np.bincount(slots, minlength=len(sending) * self.fin_slots).reshape(-1, self.fin_slots)
+        # fins[:, k] is due at tick + k, which the ring keeps in column (tick + k) % fin_slots
+        now = tick % self.fin_slots
+        self.fin_ring[[vm.fin_row for vm in sending]] += np.roll(fins, now, axis=1)
+        finrst = self.fin_ring[[vm.fin_row for vm in live], now].tolist()
+        self.fin_ring[:, now] = 0
+        for vm, fin in zip(live, finrst):
+            vm_id = vm.id
+            row = self.detector.observe(tick, vm_id, syn.get(vm_id, 0), fin)
             self.report.stat_rows.append(row)
             if row.alarm:
                 self.counters["alarms"] += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .detector import PKT_TYPES, TrafficInterval
 from .errors import ParseError, UnsortedTrace
+from .resources import json_int, json_number
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -67,14 +69,36 @@ class TrafficSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrafficSpec":
+        """A spec from its JSON object; a field of the wrong JSON type is a ParseError naming it."""
+        if not isinstance(obj, dict):
+            raise ParseError(f"traffic spec must be a JSON object, got {obj!r}")
+        fields = dict(obj)
+        for key in ("vm_id", "mode"):
+            if key in fields and not isinstance(fields[key], str):
+                raise ParseError(f"{key} must be a JSON string, got {fields[key]!r}")
+        for key in ("base_rate", "start", "end", "seed"):
+            if key in fields:
+                fields[key] = json_int(fields[key], key)
+        for key in ("attack_multiplier", "interval_seconds"):
+            if key in fields:
+                fields[key] = _finite_number(fields[key], key)
+        if "fin_delay_range" in fields:
+            pair = fields["fin_delay_range"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"fin_delay_range must be a [low, high] array, got {pair!r}")
+            fields["fin_delay_range"] = tuple(
+                _finite_number(v, f"fin_delay_range[{k}]") for k, v in enumerate(pair))
         try:
-            fields = dict(obj)
-            if "fin_delay_range" in fields:
-                low, high = fields["fin_delay_range"]
-                fields["fin_delay_range"] = (float(low), float(high))
             return cls(**fields)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"bad traffic spec: {exc}") from exc
+
+
+def _finite_number(value, name: str) -> float:
+    number = json_number(value, name)
+    if not math.isfinite(number):
+        raise ParseError(f"{name} must be finite, got {number}")
+    return number
 
 
 def _interval_us(spec: TrafficSpec) -> int:

@@ -283,6 +283,21 @@ def test_detect_prebinned_trace(tmp_path):
     assert payload["series"]["vm1"] == [0.919944, 1.839888]
 
 
+def test_detect_counts_missing_binned_intervals_as_zero(tmp_path):
+    # intervals 1-6 are absent: each is a quiet interval that decays y,
+    # exactly as if the zero rows had been written out
+    header = "interval_index,vm_id,syn,finrst\n"
+    gapped = _write(tmp_path, "gapped.csv", header + "0,v,100,0\n7,v,100,0\n")
+    filled = _write(tmp_path, "filled.csv", header + "0,v,100,0\n"
+                    + "".join(f"{i},v,0,0\n" for i in range(1, 7)) + "7,v,100,0\n")
+    code, out = _run(["detect", "--trace", gapped])
+    assert code == EXIT_OK
+    assert out == _run(["detect", "--trace", filled])[1]
+    payload = json.loads(out)
+    assert payload["alarms"] == []
+    assert len(payload["series"]["v"]) == 8
+
+
 def test_detect_policy_annotation_and_stats(tmp_path):
     trace = _write(tmp_path, "trace.csv", ALARM_TRACE)
     stats = tmp_path / "stats.csv"
@@ -373,6 +388,16 @@ def test_gen_to_stdout_and_seed_override(tmp_path):
     assert again == first
     _, reseeded = _run(["--seed", "99", "gen", "--spec", spec, "--out", "-"])
     assert reseeded != first
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"vm_id": "a", "base_rate": True, "end": 2}, "base_rate"),
+    ({"vm_id": "a", "fin_delay_range": ["12", 19], "end": 2}, "fin_delay_range[0]"),
+])
+def test_gen_rejects_spec_fields_of_the_wrong_json_type(tmp_path, capsys, spec, field):
+    path = _write(tmp_path, "spec.json", spec)
+    assert _run(["gen", "--spec", path, "--out", "-"]) == (EXIT_USAGE, "")
+    assert field in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- simulate

@@ -18,8 +18,8 @@ DEMO_DIGESTS = {
     "utilization.csv": "735bffc2c933c066895b9198692f545d47fe66837fc7698bc838563af0887652",
     "placements.json": "102a7cf5607207e625574c1ebd1d7a6474f1e71c3076a27da7b7aa8c7e147ae8",
     "migrations.json": "c0dea3f197daf006db33c88287fe64a969ebcdcced73b823c4e25b341c91b55f",
-    "detector.csv": "773427bd7a10da45b37cc9fb64a1d68793fd7595954ea1f1073fcfc9f678db21",
-    "alarms.json": "c512dc5b5e317ccb9168c621dd820ad7f3adee5591ea910a67b869ec34b16f35",
+    "detector.csv": "681294382a08af7569143b81527900a219e97f6e634fdd917d5613e60ff26d1a",
+    "alarms.json": "74ce7ac83f81caa530fb97a460cb0ac29d490578a79f8502fe399cb1905f9807",
     "summary.json": "03fbb156c4ae642387056c8be42f33c3158626ebff35587ff88ff1bdd9c60095",
 }
 
@@ -56,16 +56,16 @@ SMALL_DIGESTS = {
         "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
         "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
-        "detector.csv": "4a3d8eae05ef67a3979fbeae17d1b7f291f41fc62414ef64f5d7b068fc06eb98",
-        "alarms.json": "d4e1c25a64b2589b9878ff7dc313b52d532395aa3d090873c7be0b19f5383f83",
+        "detector.csv": "aac2a991214671e184f17fbe29d7b0950b8851036c6a45831ae4a14e7e60bc18",
+        "alarms.json": "a37c8001eb4be47954115624a81768d776a2e7c3c6d011e6906716b75f7ed1a3",
         "summary.json": "61ce1c29670cf55f0a3ac0768202c5a7ea4c41766effe7f8be86d3a70a03faf5",
     },
     "suspend": {
         "utilization.csv": "5cffbf3928ccb0d23198666acf0b17e2668d5033809bf3afb6d6e7e578efb1d9",
         "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
-        "detector.csv": "1b53d6d92253c230b5e1b7d487cb2eed9cc0bef5e7c5684aed04424d29de0735",
-        "alarms.json": "c35ec9d65c296bde3203fb7e0bd649b4a4cf41ede489eeeb78531121d1c54324",
+        "detector.csv": "6891a3d223b9c79efa226b26cf43beeb5900a31387bc1d4a602e029fe98e1a20",
+        "alarms.json": "061c20de2fe709130640da8bfb7c2d6594e3c581a7a30d2b56746c4cfad0bcaf",
         "summary.json": "9ff56dbe5704a4853773d5bbfdf194504c1f8cdd1590b1f98911789e6645de64",
     },
 }

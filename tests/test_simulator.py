@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from vmshield.simulator import (
     DetectorConfig,
     Scenario,
     ScenarioEvent,
+    _Sim,
     emit_reports,
     load_scenario,
     run,
@@ -505,3 +507,63 @@ def test_consolidation_drains_and_sleeps():
     assert report.summary["counters"]["sleeps"] == 1
     assert report.summary["counters"]["migrations_consolidate"] == 1
     _check_conservation(scn, report)
+
+
+# ------------------------------------------------ detection theory and FINs
+
+
+def _one_vm(events, duration, seed, **over):
+    return Scenario.from_json(_scn(
+        events=[{"tick": 0, "op": "vm_request", "class": "cpu-intensive"}] + events,
+        duration=duration, seed=seed, **over,
+    ))
+
+
+@pytest.mark.parametrize("multiplier,predicted", [(1.5, 12), (2.0, 6), (3.0, 4), (4.0, 3)])
+def test_detection_delay_matches_cusum_theory(multiplier, predicted):
+    # Under a flood of multiplier m the paired FINs still arrive, so each
+    # attacked interval adds d = (m - 1) / (m + 1) to y less the drift a,
+    # and the first alarm needs ceil(h / (d - a)) attacked intervals
+    # (Wang, Zhang & Shin, INFOCOM 2002).
+    drift, threshold = DetectorConfig().drift, DetectorConfig().threshold
+    assert predicted == math.ceil(threshold / ((multiplier - 1) / (multiplier + 1) - drift))
+    for seed in range(20):
+        scn = _one_vm([{"tick": 30, "op": "attack_start", "vm": "vm-001",
+                        "multiplier": multiplier}], duration=30 + predicted + 2, seed=seed)
+        alarms = [a["tick"] for a in run(scn).alarms]
+        assert alarms, f"seed {seed}: no alarm"
+        delay = alarms[0] - 30 + 1
+        assert predicted <= delay <= predicted + 1, f"seed {seed}: delay {delay}"
+
+
+def test_fin_ring_conserves_connections():
+    # vm-002 is shut down at tick 7 and vm-003 starts at tick 3; both send
+    # 50 paired connections a tick.  vm-001 floods and is throttled to 20,
+    # so a FIN credited to the wrong ring row shows as a drift in another
+    # VM's balance.  A FIN lands 12-19 s after its SYN, 1 or 2 intervals
+    # on, so each tick ends with this tick's 50 connections and at most
+    # fin_slots - 1 ticks' worth in flight.
+    events = [
+        {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},
+        {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": 3.0},
+        {"tick": 3, "op": "vm_request", "class": "cpu-intensive"},
+        {"tick": 7, "op": "vm_shutdown", "vm": "vm-002"},
+    ]
+    scn = Scenario.from_json(_scn(events=events, duration=20, base_rate=50, seed=3,
+                                  detector={"policy": "throttle", "throttle_factor": 0.4}))
+    sim = _Sim(scn)
+    assert sim.fin_slots == 3
+    for tick in range(scn.duration):
+        sim.step(tick)
+        if tick == 7:
+            assert not sim.fin_ring[sim.vms["vm-002"].fin_row].any()
+    rows = sim.report.stat_rows
+    assert (rows[-2].vm_id, rows[-2].syn) == ("vm-001", 20 + 40)
+    for vm, ticks in (("vm-002", range(7)), ("vm-003", range(3, scn.duration))):
+        in_flight = 0
+        vm_rows = [r for r in rows if r.vm_id == vm]
+        assert [r.interval_index for r in vm_rows] == list(ticks)
+        for r in vm_rows:
+            assert r.syn == 50
+            in_flight += r.syn - r.finrst
+            assert 50 <= in_flight <= 50 * (sim.fin_slots - 1), (vm, r.interval_index)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from vmshield.detector import TrafficInterval, bin_events
@@ -59,6 +61,25 @@ def test_spec_from_json_round_trip_and_errors():
         TrafficSpec.from_json({"mode": "normal"})  # vm_id missing
     with pytest.raises(ParseError):
         TrafficSpec.from_json({"vm_id": "v", "mode": "normal", "bogus": 1})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base_rate", True), ("base_rate", 10.0), ("start", "0"), ("end", 2.5), ("seed", None),
+    ("attack_multiplier", "3"), ("interval_seconds", False), ("fin_delay_range", ["12", 19]),
+    ("fin_delay_range", [12, 10**400]), ("fin_delay_range", 15), ("vm_id", 7), ("mode", ["normal"]),
+    ("attack_multiplier", float("inf")), ("interval_seconds", float("nan")),
+    ("fin_delay_range", [12, float("inf")]),
+])
+def test_spec_from_json_rejects_wrong_json_types(field, value):
+    obj = {"vm_id": "a", "mode": "normal", "base_rate": 4, "end": 2, field: value}
+    with pytest.raises(ParseError, match=re.escape(field)):
+        TrafficSpec.from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [[], "spec", None])
+def test_spec_from_json_needs_an_object(obj):
+    with pytest.raises(ParseError, match="JSON object"):
+        TrafficSpec.from_json(obj)
 
 
 def test_normal_traffic_is_fully_paired():
