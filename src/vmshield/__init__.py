@@ -66,6 +66,7 @@ from .scheduler import (
 from .simulator import Scenario, SimReport, emit_reports, load_scenario, run
 from .traffic import (
     PacketEvent,
+    Trace,
     TrafficSpec,
     events_to_csv,
     gen_attack,
@@ -97,6 +98,7 @@ __all__ = [
     "ServerState",
     "SimReport",
     "StatRow",
+    "Trace",
     "TrafficInterval",
     "TrafficSpec",
     "UNIFORM_WEIGHTS",

@@ -26,7 +26,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from itertools import product
+
+import numpy as np
 
 from .errors import UnsortedTrace
 
@@ -42,8 +46,8 @@ POLICIES = ("log", "throttle", "suspend")
 # connection attempt nor a termination, so it is ignored, as are plain
 # ACK and anything else.
 PKT_TYPES = ("SYN", "SYNACK", "FIN", "RST", "ACK", "OTHER")
-_SYN = frozenset({"SYN"})
-_FINRST = frozenset({"FIN", "RST"})
+_SYN = [PKT_TYPES.index("SYN")]
+_FINRST = [PKT_TYPES.index("FIN"), PKT_TYPES.index("RST")]
 
 
 @dataclass(frozen=True)
@@ -153,58 +157,58 @@ def bin_events(
     beyond it are dropped).  vm_ids forces rows for VMs absent from the
     trace.
 
-    Events are (timestamp_us, vm_id, pkt_type) triples ordered by
-    non-negative timestamp; a backwards jump raises UnsortedTrace and a
-    negative timestamp ValueError.
+    Events are a traffic.Trace or (timestamp_us, vm_id, pkt_type)
+    triples, ordered by non-negative timestamp; a backwards jump raises
+    UnsortedTrace and a negative timestamp ValueError.
     """
-    if interval_seconds <= 0:
-        raise ValueError("interval_seconds must be > 0")
-    interval_us = round(interval_seconds * 1_000_000)
+    from .traffic import Trace  # traffic imports this module
 
-    counts: dict[tuple[str, int], list[int]] = {}
-    vms = set(vm_ids) if vm_ids else set()
-    # starting at 0 lets the one ordering test also catch negative times
-    last_t = 0
-    max_index = -1
-    limit_index = None
+    interval_us = round(interval_seconds * 1_000_000) if math.isfinite(interval_seconds) else 0
+    if interval_us < 1:
+        raise ValueError(f"interval_seconds must be finite and at least 1 microsecond, "
+                         f"got {interval_seconds}")
+    trace = events if isinstance(events, Trace) else Trace.from_events(events)
+    t_us = trace.t_us
+
+    # comparing with a leading 0 lets the one ordering test also catch negative times
+    back = np.flatnonzero(t_us < np.concatenate(([0], t_us[:-1])))
+    if back.size:
+        i = back[0]
+        if t_us[i] < 0:
+            raise ValueError(f"negative timestamp {t_us[i]} us for vm "
+                             f"{trace.vm_ids[trace.vm[i]]!r}")
+        raise UnsortedTrace(f"timestamp {t_us[i]} after {t_us[i - 1]}")
+
+    index = t_us // interval_us
     if span_seconds is not None:
-        limit_index = max(0, -(-round(span_seconds * 1_000_000) // interval_us))
-        max_index = limit_index - 1
-
-    for t_us, vm_id, pkt_type in events:
-        if t_us < last_t:
-            if t_us < 0:
-                raise ValueError(f"negative timestamp {t_us} us for vm {vm_id!r}")
-            raise UnsortedTrace(f"timestamp {t_us} after {last_t}")
-        last_t = t_us
-        idx = t_us // interval_us
-        vms.add(vm_id)
-        if limit_index is not None and idx >= limit_index:
-            continue
-        max_index = max(max_index, idx)
-        if pkt_type in _SYN:
-            counts.setdefault((vm_id, idx), [0, 0])[0] += 1
-        elif pkt_type in _FINRST:
-            counts.setdefault((vm_id, idx), [0, 0])[1] += 1
-
-    out = []
-    for vm_id in sorted(vms):
-        for idx in range(max_index + 1):
-            s, f = counts.get((vm_id, idx), (0, 0))
-            out.append(TrafficInterval(idx, vm_id, s, f))
-    return out
+        n = max(0, -(-round(span_seconds * 1_000_000) // interval_us))
+    else:
+        n = int(index[-1]) + 1 if len(index) else 0
+    present = {trace.vm_ids[code] for code in np.unique(trace.vm).tolist()}
+    vms = sorted(present.union(vm_ids or ()))
+    row = {vm_id: r for r, vm_id in enumerate(vms)}
+    keep = index < n
+    cell = np.array([row.get(v, 0) for v in trace.vm_ids], dtype=np.int64)[trace.vm[keep]] * n
+    cell += index[keep]
+    kind = trace.kind[keep]
+    syn = np.bincount(cell[np.isin(kind, _SYN)], minlength=len(vms) * n)
+    finrst = np.bincount(cell[np.isin(kind, _FINRST)], minlength=len(vms) * n)
+    return [TrafficInterval(idx, vm_id, s, f) for (vm_id, idx), s, f
+            in zip(product(vms, range(n)), syn.tolist(), finrst.tolist())]
 
 
 def fill_gaps(intervals: list[TrafficInterval]) -> list[TrafficInterval]:
     """intervals plus a zero row for every (vm, index) missing from the span.
 
-    The span runs from interval 0 (or the smallest index, if lower) to
-    the largest index, for every VM, as bin_events emits it, so a quiet
-    interval left out of a pre-binned trace still decays its VM's y.
+    The span runs from interval 0 to the largest index, for every VM,
+    as bin_events emits it, so a quiet interval left out of a pre-binned
+    trace still decays its VM's y.  A negative index is a ValueError.
     """
     given = {(iv.vm_id, iv.interval_index): iv for iv in intervals}
     indices = [0, *(iv.interval_index for iv in intervals)]
-    span = range(min(indices), max(indices) + 1)
+    if min(indices) < 0:
+        raise ValueError(f"negative interval_index {min(indices)}")
+    span = range(max(indices) + 1)
     return [given.get((vm_id, idx)) or TrafficInterval(idx, vm_id, 0, 0)
             for vm_id in sorted({iv.vm_id for iv in intervals}) for idx in span]
 

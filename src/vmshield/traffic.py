@@ -5,6 +5,12 @@ and golden files are bit-stable across runs and platforms.  A normal
 connection is one SYN followed 12-19 s later by exactly one FIN (90%)
 or RST (10%); an attack emits bare SYNs that are never terminated.
 
+Event traces are held as a Trace: one numpy column each for the
+timestamps, the VM and the packet type.  The generators, merge_traces
+and read_trace_csv return a Trace; iterating it yields PacketEvent
+rows.  merge_traces, events_to_csv and detector.bin_events also take
+hand-built (t_us, vm_id, pkt_type) triples.
+
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
 directly with gen_normal_binned / gen_attack_binned; these draw the
 same random variates as the event generators and therefore agree with
@@ -17,6 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,11 +38,82 @@ RST_FRACTION = 0.1
 TRACE_HEADER = ["timestamp_s", "vm_id", "pkt_type"]
 BINNED_HEADER = ["interval_index", "vm_id", "syn", "finrst"]
 
+# Timestamps are int64 microseconds; a trace must stay below this.
+T_US_LIMIT = 2**63
+
+_KIND = {pkt_type: code for code, pkt_type in enumerate(PKT_TYPES)}
+# Rows of an event trace parsed per batch: bounds read_trace_csv's memory.
+_CHUNK_ROWS = 4096
+
 
 class PacketEvent(NamedTuple):
     t_us: int
     vm_id: str
     pkt_type: str
+
+
+class Trace:
+    """A packet event table held as three numpy columns.
+
+    ``t_us`` holds int64 timestamps in microseconds, ``vm`` int32 codes
+    into the sorted ``vm_ids`` tuple and ``kind`` int8 codes into
+    detector.PKT_TYPES.  Iterating yields one PacketEvent per row, in
+    table order.
+    """
+
+    __slots__ = ("t_us", "vm", "kind", "vm_ids")
+
+    def __init__(self, t_us, vm, kind, vm_ids):
+        self.t_us = np.asarray(t_us, dtype=np.int64)
+        self.vm = np.asarray(vm, dtype=np.int32)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self.vm_ids = tuple(vm_ids)
+
+    def __len__(self) -> int:
+        return len(self.t_us)
+
+    def __iter__(self):
+        return map(PacketEvent, self.t_us.tolist(),
+                   map(self.vm_ids.__getitem__, self.vm.tolist()),
+                   map(PKT_TYPES.__getitem__, self.kind.tolist()))
+
+    @classmethod
+    def from_events(cls, events) -> "Trace":
+        """The table of (t_us, vm_id, pkt_type) triples, in their order.
+
+        A pkt_type outside PKT_TYPES, or a t_us that is not an integer
+        within int64, is a ValueError.
+        """
+        codes: dict[str, int] = {}
+        t_us, vm, kind = [], [], []
+        for t, vm_id, pkt_type in events:
+            if pkt_type not in _KIND:
+                raise ValueError(f"pkt_type {pkt_type!r} not in {PKT_TYPES}")
+            if not isinstance(t, (int, np.integer)) or not -T_US_LIMIT <= t < T_US_LIMIT:
+                raise ValueError(f"timestamp {t!r} is not an int64 count of microseconds")
+            t_us.append(t)
+            vm.append(codes.setdefault(vm_id, len(codes)))
+            kind.append(_KIND[pkt_type])
+        return _sorted_ids(t_us, vm, kind, list(codes))
+
+
+def _sorted_ids(t_us, vm, kind, ids: list[str]) -> Trace:
+    """A Trace whose vm codes, given in first-seen order of ids, index sorted(ids)."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[order] = np.arange(len(ids), dtype=np.int32)
+    return Trace(t_us, rank[np.asarray(vm, dtype=np.intp)], kind, [ids[i] for i in order])
+
+
+def _as_trace(events) -> Trace:
+    return events if isinstance(events, Trace) else Trace.from_events(events)
+
+
+def _single_vm(vm_id: str, t_us: np.ndarray, kind: np.ndarray) -> Trace:
+    """One VM's events in time order; ties keep generation order."""
+    order = np.argsort(t_us, kind="stable")
+    return Trace(t_us[order], np.zeros(len(order), dtype=np.int32), kind[order],
+                 [vm_id] if len(order) else [])
 
 
 @dataclass(frozen=True)
@@ -60,12 +138,16 @@ class TrafficSpec:
         if self.attack_multiplier < 1.0:
             raise ValueError("attack_multiplier must be >= 1")
         low, high = self.fin_delay_range
-        if not 0 < low <= high:
-            raise ValueError(f"fin_delay_range must satisfy 0 < low <= high: {self.fin_delay_range}")
+        if not 0 < low <= high < math.inf:
+            raise ValueError(
+                f"fin_delay_range must satisfy 0 < low <= high < inf: {self.fin_delay_range}")
         if not 0 <= self.start <= self.end:
             raise ValueError("need 0 <= start <= end")
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be > 0")
+        if not 0 < self.interval_seconds < math.inf:
+            raise ValueError("interval_seconds must be finite and > 0")
+        if self.end * _interval_us(self) + _delay_bounds_us(self)[1] >= T_US_LIMIT:
+            raise ValueError("end * interval_seconds + fin_delay_range[1] must stay below "
+                             f"{T_US_LIMIT} microseconds")
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrafficSpec":
@@ -124,43 +206,48 @@ def _normal_draws(spec: TrafficSpec, rng):
     return offsets, delays, is_rst
 
 
-def gen_normal(spec: TrafficSpec) -> list[PacketEvent]:
+def _interval_starts(spec: TrafficSpec) -> np.ndarray:
+    """Each interval's first microsecond, as a column."""
+    return np.arange(spec.start, spec.end, dtype=np.int64)[:, None] * _interval_us(spec)
+
+
+def gen_normal(spec: TrafficSpec) -> Trace:
     """Paired traffic: base_rate connections per interval, each terminated.
 
-    The output is one time-ordered stream; ties keep generation order.
+    The output is one time-ordered stream; ties keep generation order
+    (interval by interval, each connection's SYN before its end).
     """
     if spec.mode != "normal":
         raise ValueError("gen_normal needs a spec with mode='normal'")
     rng = np.random.default_rng(spec.seed)
-    iv_us = _interval_us(spec)
-    events: list[PacketEvent] = []
-    for k in range(spec.start, spec.end):
-        offsets, delays, is_rst = _normal_draws(spec, rng)
-        base = k * iv_us
-        for off, delay, rst in zip(offsets.tolist(), delays.tolist(), is_rst.tolist()):
-            t_syn = base + off
-            events.append(PacketEvent(t_syn, spec.vm_id, "SYN"))
-            events.append(PacketEvent(t_syn + delay, spec.vm_id, "RST" if rst else "FIN"))
-    events.sort(key=lambda e: e.t_us)
-    return events
+    shape = (spec.end - spec.start, spec.base_rate)
+    offsets = np.empty(shape, dtype=np.int64)
+    delays = np.empty(shape, dtype=np.int64)
+    is_rst = np.empty(shape, dtype=bool)
+    for row in range(shape[0]):
+        offsets[row], delays[row], is_rst[row] = _normal_draws(spec, rng)
+    t_syn = _interval_starts(spec) + offsets
+    t_us = np.stack([t_syn, t_syn + delays], axis=-1)
+    kind = np.stack([np.full(shape, _KIND["SYN"]),
+                     np.where(is_rst, _KIND["RST"], _KIND["FIN"])], axis=-1)
+    return _single_vm(spec.vm_id, t_us.ravel(), kind.ravel())
 
 
-def gen_attack(spec: TrafficSpec) -> list[PacketEvent]:
+def gen_attack(spec: TrafficSpec) -> Trace:
     """Flood traffic: base_rate * attack_multiplier bare SYNs per interval."""
     if spec.mode != "attack":
         raise ValueError("gen_attack needs a spec with mode='attack'")
     rng = np.random.default_rng(spec.seed)
     iv_us = _interval_us(spec)
-    n = round(spec.base_rate * spec.attack_multiplier)
-    events: list[PacketEvent] = []
-    for k in range(spec.start, spec.end):
-        offsets = rng.integers(0, iv_us, n)
-        base = k * iv_us
-        events.extend(PacketEvent(base + off, spec.vm_id, "SYN") for off in sorted(offsets.tolist()))
-    return events
+    offsets = np.empty((spec.end - spec.start, round(spec.base_rate * spec.attack_multiplier)),
+                       dtype=np.int64)
+    for row in range(len(offsets)):
+        offsets[row] = rng.integers(0, iv_us, offsets.shape[1])
+    t_us = (_interval_starts(spec) + offsets).ravel()
+    return _single_vm(spec.vm_id, t_us, np.full(len(t_us), _KIND["SYN"]))
 
 
-def generate(spec: TrafficSpec) -> list[PacketEvent]:
+def generate(spec: TrafficSpec) -> Trace:
     return gen_normal(spec) if spec.mode == "normal" else gen_attack(spec)
 
 
@@ -199,38 +286,139 @@ def gen_attack_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterv
     ]
 
 
-def merge_traces(traces: list[list[PacketEvent]]) -> list[PacketEvent]:
-    """Merge time-ordered streams; ties break by (vm_id, input order)."""
+def merge_traces(traces) -> Trace:
+    """Merge time-ordered streams; ties break by (vm_id, input order).
+
+    Each stream is a Trace or an iterable of (t_us, vm_id, pkt_type).
+    """
+    traces = [_as_trace(trace) for trace in traces]
     for i, trace in enumerate(traces):
-        for prev, cur in zip(trace, trace[1:]):
-            if cur.t_us < prev.t_us:
-                raise UnsortedTrace(f"input stream {i} is not time-ordered")
-    merged: list[PacketEvent] = []
-    for trace in traces:
-        merged.extend(trace)
-    merged.sort(key=lambda e: (e.t_us, e.vm_id))
-    return merged
-
-
-def format_timestamp(t_us: int) -> str:
-    return f"{t_us // 1_000_000}.{t_us % 1_000_000:06d}"
+        if (trace.t_us[1:] < trace.t_us[:-1]).any():
+            raise UnsortedTrace(f"input stream {i} is not time-ordered")
+    vm_ids = sorted(set().union(*(trace.vm_ids for trace in traces)))
+    rank = {vm_id: code for code, vm_id in enumerate(vm_ids)}
+    # the leading empty arrays fix the dtypes and allow zero streams
+    t_us = np.concatenate([np.empty(0, np.int64), *(trace.t_us for trace in traces)])
+    vm = np.concatenate([np.empty(0, np.int32), *(
+        np.array([rank[v] for v in trace.vm_ids], dtype=np.int32)[trace.vm] for trace in traces)])
+    kind = np.concatenate([np.empty(0, np.int8), *(trace.kind for trace in traces)])
+    order = np.lexsort((vm, t_us))
+    return Trace(t_us[order], vm[order], kind[order], vm_ids)
 
 
 def parse_timestamp(s: str) -> int:
     return round(float(s) * 1_000_000)
 
 
-def events_to_csv(events: list[PacketEvent]) -> str:
+def _csv_field(value: str) -> str:
+    """value as csv.writer renders it in a row with another field before it."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for e in events:
-        writer.writerow([format_timestamp(e.t_us), e.vm_id, e.pkt_type])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(["", value])
+    return buf.getvalue()[1:-1]
+
+
+def events_to_csv(events) -> str:
+    """The event trace file: a header, then timestamp_s,vm_id,pkt_type rows.
+
+    events is a Trace or an iterable of (t_us, vm_id, pkt_type); the
+    text equals csv.writer's with timestamps as seconds.micros.
+    """
+    trace = _as_trace(events)
+    seconds, micros = np.divmod(trace.t_us, 1_000_000)
+    vm = np.array([_csv_field(v) for v in trace.vm_ids], dtype=object)[trace.vm]
+    kind = np.array([_csv_field(p) for p in PKT_TYPES], dtype=object)[trace.kind]
+    rows = map("%d.%06d,%s,%s\n".__mod__,
+               zip(seconds.tolist(), micros.tolist(), vm.tolist(), kind.tolist()))
+    return ",".join(TRACE_HEADER) + "\n" + "".join(rows)
+
+
+def _event_row(row: list[str], lineno: int) -> tuple[int, str, str]:
+    """One event row, parsed and checked; a bad field is a ParseError naming the line."""
+    try:
+        ts, vm_id, pkt_type = row
+        t_us = parse_timestamp(ts)
+    except (ValueError, OverflowError) as exc:  # OverflowError: inf, -inf, 1e400
+        raise ParseError(f"trace line {lineno}: {exc}") from exc
+    if t_us < 0:
+        raise ParseError(f"trace line {lineno}: timestamp_s must be >= 0, got {ts}")
+    if t_us >= T_US_LIMIT:
+        raise ParseError(f"trace line {lineno}: timestamp_s must be below "
+                         f"{T_US_LIMIT} microseconds, got {ts}")
+    if pkt_type not in PKT_TYPES:
+        raise ParseError(f"trace line {lineno}: pkt_type {pkt_type!r} not in {PKT_TYPES}")
+    return t_us, vm_id, pkt_type
+
+
+def _event_columns(rows: list[list[str]]):
+    """(t_us, vm_ids, kind codes) of event rows, or None if any row fails _event_row."""
+    if set(map(len, rows)) != {3}:
+        return None
+    stamps, vms, pkt_types = zip(*rows)
+    try:
+        t_us = np.rint(np.array(list(map(float, stamps))) * 1_000_000)
+    except ValueError:
+        return None
+    kind = np.array(list(map(_KIND.get, pkt_types, repeat(-1))), dtype=np.int8)
+    if not (((t_us >= 0) & (t_us < T_US_LIMIT)).all() and (kind >= 0).all()):
+        return None
+    return t_us.astype(np.int64), vms, kind
+
+
+def _read_events(reader) -> Trace:
+    """The event rows of a trace file, parsed a chunk of rows at a time.
+
+    Each chunk is checked as columns.  A chunk that fails re-runs the
+    per-row check (_event_row) so the first bad row is reported with
+    its own message and line number.
+    """
+    codes: dict[str, int] = {}
+    t_cols, vm_cols, kind_cols = [], [], []
+    lineno = 2
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        rows = list(filter(None, chunk))
+        columns = _event_columns(rows) if rows else None
+        if rows and columns is None:
+            for offset, row in enumerate(chunk):
+                if row:
+                    _event_row(row, lineno + offset)  # raises at the first bad row
+        if columns is not None:
+            t_us, vms, kind = columns
+            for vm_id in dict.fromkeys(vms):  # first-seen order, distinct ids only
+                codes.setdefault(vm_id, len(codes))
+            t_cols.append(t_us)
+            vm_cols.append(np.array(list(map(codes.__getitem__, vms)), dtype=np.int32))
+            kind_cols.append(kind)
+        lineno += len(chunk)
+    return _sorted_ids(np.concatenate([np.empty(0, np.int64), *t_cols]),
+                       np.concatenate([np.empty(0, np.int32), *vm_cols]),
+                       np.concatenate([np.empty(0, np.int8), *kind_cols]), list(codes))
+
+
+def _read_binned(reader) -> list[TrafficInterval]:
+    intervals = []
+    seen: set[tuple[str, int]] = set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            idx, vm_id, syn, finrst = row
+            iv = TrafficInterval(int(idx), vm_id, int(syn), int(finrst))
+        except ValueError as exc:
+            raise ParseError(f"trace line {lineno}: {exc}") from exc
+        if iv.interval_index < 0:
+            raise ParseError(f"trace line {lineno}: interval_index must be >= 0, got {idx}")
+        if iv.syn < 0 or iv.finrst < 0:
+            raise ParseError(f"trace line {lineno}: syn and finrst must be >= 0")
+        if (vm_id, iv.interval_index) in seen:
+            raise ParseError(f"trace line {lineno}: duplicate row for vm {vm_id!r} "
+                             f"interval {iv.interval_index}")
+        seen.add((vm_id, iv.interval_index))
+        intervals.append(iv)
+    return intervals
 
 
 def read_trace_csv(text: str):
-    """Parse a trace file; returns ('events', [...]) or ('binned', [...]).
+    """Parse a trace file; returns ('events', Trace) or ('binned', [...]).
 
     The two trace forms are told apart by their header row.
     """
@@ -240,42 +428,9 @@ def read_trace_csv(text: str):
     except StopIteration:
         raise ParseError("empty trace file") from None
     if header == TRACE_HEADER:
-        events = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ts, vm_id, pkt_type = row
-                t_us = parse_timestamp(ts)
-            except (ValueError, OverflowError) as exc:  # OverflowError: inf, -inf, 1e400
-                raise ParseError(f"trace line {lineno}: {exc}") from exc
-            if t_us < 0:
-                raise ParseError(f"trace line {lineno}: timestamp_s must be >= 0, got {ts}")
-            if pkt_type not in PKT_TYPES:
-                raise ParseError(
-                    f"trace line {lineno}: pkt_type {pkt_type!r} not in {PKT_TYPES}"
-                )
-            events.append(PacketEvent(t_us, vm_id, pkt_type))
-        return "events", events
+        return "events", _read_events(reader)
     if header == BINNED_HEADER:
-        intervals = []
-        seen: set[tuple[str, int]] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                idx, vm_id, syn, finrst = row
-                iv = TrafficInterval(int(idx), vm_id, int(syn), int(finrst))
-            except ValueError as exc:
-                raise ParseError(f"trace line {lineno}: {exc}") from exc
-            if iv.syn < 0 or iv.finrst < 0:
-                raise ParseError(f"trace line {lineno}: syn and finrst must be >= 0")
-            if (vm_id, iv.interval_index) in seen:
-                raise ParseError(f"trace line {lineno}: duplicate row for vm {vm_id!r} "
-                                 f"interval {iv.interval_index}")
-            seen.add((vm_id, iv.interval_index))
-            intervals.append(iv)
-        return "binned", intervals
+        return "binned", _read_binned(reader)
     raise ParseError(
         f"unrecognized trace header {header!r}; expected {TRACE_HEADER} or {BINNED_HEADER}"
     )

@@ -3,15 +3,20 @@
 The oracles re-derive the decision rules from scratch (plain arithmetic,
 no package imports beyond the data types under test) so library results
 can be checked against a second implementation rather than themselves.
+The trace oracles work one packet event, one CSV row at a time.
 """
 
 from __future__ import annotations
 
 import copy
+import csv
+import io
 
 import numpy as np
 import pytest
 
+from vmshield.detector import PKT_TYPES, TrafficInterval
+from vmshield.errors import ParseError, UnsortedTrace
 from vmshield.resources import ResourceVector
 from vmshield.scheduler import ServerState, VmRecord
 
@@ -30,6 +35,82 @@ def cusum_oracle(pairs, drift, threshold, y0=0.0):
         ys.append(y)
         flags.append(y > threshold)
     return ys, flags
+
+
+def format_timestamp(t_us):
+    return f"{t_us // 1_000_000}.{t_us % 1_000_000:06d}"
+
+
+def events_to_csv_oracle(events):
+    """The event trace file written by csv.writer, one row per event."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["timestamp_s", "vm_id", "pkt_type"])
+    for t_us, vm_id, pkt_type in events:
+        writer.writerow([format_timestamp(t_us), vm_id, pkt_type])
+    return buf.getvalue()
+
+
+def read_events_oracle(text):
+    """(t_us, vm_id, pkt_type) triples of an event trace file, checked row by row.
+
+    The first bad row raises the ParseError read_trace_csv must raise.
+    """
+    reader = csv.reader(io.StringIO(text))
+    assert next(reader) == ["timestamp_s", "vm_id", "pkt_type"]
+    events = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            ts, vm_id, pkt_type = row
+            t_us = round(float(ts) * 1_000_000)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"trace line {lineno}: {exc}") from exc
+        if t_us < 0:
+            raise ParseError(f"trace line {lineno}: timestamp_s must be >= 0, got {ts}")
+        if t_us >= 2**63:
+            raise ParseError(f"trace line {lineno}: timestamp_s must be below "
+                             f"{2**63} microseconds, got {ts}")
+        if pkt_type not in PKT_TYPES:
+            raise ParseError(f"trace line {lineno}: pkt_type {pkt_type!r} not in {PKT_TYPES}")
+        events.append((t_us, vm_id, pkt_type))
+    return events
+
+
+def merge_oracle(streams):
+    """Concatenate the streams, then a stable sort on (t_us, vm_id)."""
+    for i, stream in enumerate(streams):
+        if any(b[0] < a[0] for a, b in zip(stream, stream[1:])):
+            raise UnsortedTrace(f"input stream {i} is not time-ordered")
+    return sorted((e for stream in streams for e in stream), key=lambda e: (e[0], e[1]))
+
+
+def bin_events_oracle(events, interval_seconds, span_seconds=None, vm_ids=None):
+    """Per-(vm, interval) SYN and FIN|RST counts, one event at a time."""
+    interval_us = round(interval_seconds * 1_000_000)
+    counts = {}
+    vms = set(vm_ids or ())
+    last_t, max_index, limit = 0, -1, None
+    if span_seconds is not None:
+        limit = max(0, -(-round(span_seconds * 1_000_000) // interval_us))
+        max_index = limit - 1
+    for t_us, vm_id, pkt_type in events:
+        if t_us < last_t:
+            if t_us < 0:
+                raise ValueError(f"negative timestamp {t_us} us for vm {vm_id!r}")
+            raise UnsortedTrace(f"timestamp {t_us} after {last_t}")
+        last_t = t_us
+        idx = t_us // interval_us
+        vms.add(vm_id)
+        if limit is not None and idx >= limit:
+            continue
+        max_index = max(max_index, idx)
+        column = {"SYN": 0, "FIN": 1, "RST": 1}.get(pkt_type)
+        if column is not None:
+            counts.setdefault((vm_id, idx), [0, 0])[column] += 1
+    return [TrafficInterval(idx, vm_id, *counts.get((vm_id, idx), (0, 0)))
+            for vm_id in sorted(vms) for idx in range(max_index + 1)]
 
 
 def _score(w, u):

@@ -336,6 +336,33 @@ def test_detect_rejects_infinite_timestamps(tmp_path, capsys, stamp):
     assert "error: trace line 3: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stamp", ["1e300", "9223372036854.775808"])
+def test_detect_rejects_timestamps_beyond_int64_microseconds(tmp_path, capsys, stamp):
+    # 1e300 s used to parse, and bin_events then tried to build about 1e299 intervals
+    trace = _write(tmp_path, "far.csv", f"timestamp_s,vm_id,pkt_type\n0.5,vm1,SYN\n{stamp},vm1,FIN\n")
+    code, out = _run(["detect", "--trace", trace])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert (f"error: trace line 3: timestamp_s must be below 9223372036854775808 microseconds, "
+            f"got {stamp}") in capsys.readouterr().err
+
+
+def test_detect_rejects_negative_interval_index(tmp_path, capsys):
+    # the series lists y by position, so rows from -3 would start it at no stated interval
+    trace = _write(tmp_path, "neg.csv", "interval_index,vm_id,syn,finrst\n-3,v,100,0\n0,v,100,0\n")
+    code, out = _run(["detect", "--trace", trace])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error: trace line 2: interval_index must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", ["1e-7", "nan", "inf", "0"])
+def test_detect_rejects_intervals_below_one_microsecond(tmp_path, capsys, interval):
+    # 1e-7 rounds to a 0 us interval: a traceback before, never a silent result
+    trace = _write(tmp_path, "t.csv", "timestamp_s,vm_id,pkt_type\n0.5,vm1,SYN\n")
+    code, out = _run(["detect", "--trace", trace, "--interval", interval])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "interval_seconds must be finite and at least 1 microsecond" in capsys.readouterr().err
+
+
 def test_detect_missing_trace(tmp_path):
     code, _ = _run(["detect", "--trace", str(tmp_path / "none.csv")])
     assert code == EXIT_USAGE

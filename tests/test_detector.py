@@ -11,6 +11,7 @@ from vmshield.detector import (
     TrafficInterval,
     bin_events,
     discrepancy,
+    fill_gaps,
     process_trace,
     stat_rows_to_csv,
 )
@@ -225,6 +226,15 @@ def test_bin_events_multiple_vms_share_the_grid():
     assert [(iv.vm_id, iv.interval_index) for iv in out] == [
         ("a", 0), ("a", 1), ("b", 0), ("b", 1),
     ]
+
+
+def test_fill_gaps_spans_from_interval_zero():
+    out = fill_gaps([TrafficInterval(2, "b", 5, 1), TrafficInterval(0, "a", 3, 3)])
+    assert [(iv.vm_id, iv.interval_index, iv.syn) for iv in out] == [
+        ("a", 0, 3), ("a", 1, 0), ("a", 2, 0), ("b", 0, 0), ("b", 1, 0), ("b", 2, 5),
+    ]
+    with pytest.raises(ValueError, match="negative interval_index -3"):
+        fill_gaps([TrafficInterval(-3, "v", 100, 0), TrafficInterval(0, "v", 100, 0)])
 
 
 def test_stat_csv_format():

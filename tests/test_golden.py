@@ -2,14 +2,19 @@
 
 A change that claims only speed must leave every report byte unchanged,
 so these digests may only be updated by a change that alters simulated
-behaviour on purpose (and says so).
+behaviour on purpose (and says so).  The offline trace pipeline is
+pinned the same way: the trace `gen` writes, and the statistic log and
+JSON that `detect` writes for it.
 """
 
 import hashlib
+import io
+import json
 import os
 
 import pytest
 
+from vmshield.cli import EXIT_OK, dispatch
 from vmshield.simulator import REPORT_FILES, Scenario, emit_reports, load_scenario, run
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "small_datacenter.json")
@@ -95,3 +100,37 @@ def test_small_scenario_reports_are_byte_identical(policy, tmp_path):
     assert counters["alarms"] >= 1
     assert counters["suspensions"] == (1 if policy == "suspend" else 0)
     assert _digests(report, tmp_path) == SMALL_DIGESTS[policy]
+
+
+# Normal and flood specs over three VMs, one of whose ids needs CSV
+# quoting; "web" floods from interval 4 to 9 and the others stay paired.
+TRACE_SPECS = {"specs": [
+    {"vm_id": "web", "mode": "normal", "base_rate": 40, "start": 0, "end": 14, "seed": 3},
+    {"vm_id": 'db,"primary"', "mode": "normal", "base_rate": 25, "start": 2, "end": 12, "seed": 4},
+    {"vm_id": "cache", "mode": "normal", "base_rate": 7, "start": 0, "end": 16, "seed": 5,
+     "fin_delay_range": [3.5, 9.25], "interval_seconds": 2.5},
+    {"vm_id": "web", "mode": "attack", "base_rate": 40, "attack_multiplier": 2.5,
+     "start": 4, "end": 9, "seed": 6},
+]}
+
+TRACE_DIGESTS = {
+    "trace.csv": "f800514359ea919b10ec2ef2700b518eb188ee19e1746cfb872a12a75e640800",
+    "stats.csv": "3a75d5d901ef29c3e8ded5fa7d8301fcc50b70aea79686f3c6a857a32203fa7e",
+    "detect.json": "f99aef57f34e01c96f1e9a654e8de12b27f37b53f42c3d106cc4b945d66c93e5",
+}
+
+
+def test_trace_pipeline_outputs_are_byte_identical(tmp_path):
+    spec = tmp_path / "specs.json"
+    spec.write_text(json.dumps(TRACE_SPECS))
+    trace, stats = tmp_path / "trace.csv", tmp_path / "stats.csv"
+    assert dispatch(["gen", "--spec", str(spec), "--out", str(trace)], out=io.StringIO()) == EXIT_OK
+    out = io.StringIO()
+    assert dispatch(["detect", "--trace", str(trace), "--stats", str(stats)], out=out) == EXIT_OK
+    # the pipeline must keep exercising a quoted id and an alarm
+    assert 'db,""primary""' in trace.read_text()
+    assert "web" in [a["vm_id"] for a in json.loads(out.getvalue())["alarms"]]
+    digests = {"trace.csv": hashlib.sha256(trace.read_bytes()).hexdigest(),
+               "stats.csv": hashlib.sha256(stats.read_bytes()).hexdigest(),
+               "detect.json": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    assert digests == TRACE_DIGESTS

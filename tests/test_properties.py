@@ -7,6 +7,10 @@ mutated inputs: a fuzzed duration or count can be arbitrarily large.
 
 Binning gen_normal's events gives exactly gen_normal_binned's counts
 for random traffic specs.
+
+The columnar trace functions equal the one-row-at-a-time oracles of
+conftest on random events: CSV text, parsed rows, ParseError messages,
+merge order and interval counts.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -23,11 +28,25 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import (  # noqa: E402
+    bin_events_oracle,
+    events_to_csv_oracle,
+    merge_oracle,
+    read_events_oracle,
+)
+from vmshield import traffic  # noqa: E402
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
-from vmshield.detector import bin_events  # noqa: E402
-from vmshield.errors import ParseError, ValidationError  # noqa: E402
+from vmshield.detector import PKT_TYPES, bin_events  # noqa: E402
+from vmshield.errors import ParseError, UnsortedTrace, ValidationError  # noqa: E402
 from vmshield.simulator import Scenario  # noqa: E402
-from vmshield.traffic import TrafficSpec, gen_normal, gen_normal_binned  # noqa: E402
+from vmshield.traffic import (  # noqa: E402
+    TrafficSpec,
+    events_to_csv,
+    gen_normal,
+    gen_normal_binned,
+    merge_traces,
+    read_trace_csv,
+)
 
 SCENARIO = {
     "servers": [
@@ -184,3 +203,92 @@ def test_binned_normal_traffic_equals_binning_its_events(
     via_events = bin_events(gen_normal(spec), spec.interval_seconds,
                             span_seconds=n * spec.interval_seconds, vm_ids=[spec.vm_id])
     assert via_events == gen_normal_binned(spec, n)
+
+
+# VM ids with the characters CSV must quote, and the empty id.  A "\r"
+# is only written, never read back: csv.writer leaves it unquoted.
+VM_ID = st.text(st.sampled_from('ab,"\n é'), max_size=4)
+WRITTEN_VM_ID = st.text(st.sampled_from('ab,"\n\r é'), max_size=4)
+STAMP = st.integers(0, 2**53)
+EVENT = st.tuples(STAMP, VM_ID, st.sampled_from(PKT_TYPES))
+SORTED_EVENTS = st.lists(EVENT, max_size=30).map(sorted)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ParseError, UnsortedTrace, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-2**53, 2**53), WRITTEN_VM_ID,
+                          st.sampled_from(PKT_TYPES)), max_size=30))
+def test_events_to_csv_equals_the_row_oracle(events):
+    assert events_to_csv(events) == events_to_csv_oracle(events)
+
+
+@SETTINGS
+@given(st.lists(EVENT, max_size=30), st.integers(1, 5))
+def test_read_trace_csv_round_trips_the_oracle_text(events, chunk_rows):
+    text = events_to_csv_oracle(events)
+    with mock.patch.object(traffic, "_CHUNK_ROWS", chunk_rows):
+        kind, trace = read_trace_csv(text)
+    assert kind == "events"
+    assert list(trace) == read_events_oracle(text)
+    # below 2**48 us (about 9 years) a timestamp's decimal text is exact
+    if all(t < 2**48 for t, _, _ in events):
+        assert list(trace) == events
+
+
+@SETTINGS
+@given(st.lists(SORTED_EVENTS | st.lists(EVENT, max_size=5), max_size=4))
+def test_merge_traces_equals_the_sort_oracle(streams):
+    expected = _outcome(merge_oracle, streams)
+    got = _outcome(merge_traces, streams)
+    assert (list(got) if isinstance(got, traffic.Trace) else got) == expected
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-2**53, 2**53), VM_ID, st.sampled_from(PKT_TYPES)),
+                max_size=30).map(sorted) | SORTED_EVENTS | st.lists(EVENT, max_size=8),
+       st.integers(1, 2**53), st.none() | st.integers(0, 40),
+       st.none() | st.lists(VM_ID, max_size=3), st.booleans())
+def test_bin_events_equals_the_per_event_oracle(events, interval_us, span, vm_ids, as_trace):
+    # keep the interval count small: at most 40 past the last timestamp
+    interval_us = max(interval_us, max((t for t, _, _ in events), default=0) // 40 + 1)
+    interval_seconds = interval_us / 1e6
+    span_seconds = None if span is None else span * interval_seconds
+    expected = _outcome(bin_events_oracle, events, interval_seconds, span_seconds, vm_ids)
+    given_events = traffic.Trace.from_events(events) if as_trace else events
+    assert _outcome(bin_events, given_events, interval_seconds, span_seconds, vm_ids) == expected
+
+
+# One bad field or row; the blank row is valid and only shifts line numbers.
+BAD_STAMPS = ["nan", "inf", "-inf", "1e300", "-0.000001", "abc", "", "1_0",
+              "9223372036854.775808", "9223372036854.774"]
+BAD_PKT_TYPES = ["JUNK", "syn", "", "SYN "]
+
+
+def _bad_row(kind, stamp, pkt_type):
+    return {"stamp": f"{stamp},v,SYN", "pkt": f"1.0,v,{pkt_type}", "short": "1.0,v",
+            "long": "1.0,v,SYN,x", "blank": ""}[kind]
+
+
+@SETTINGS
+@given(st.lists(EVENT, min_size=1, max_size=12),
+       st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["stamp", "pkt", "short", "long",
+                                                                 "blank"]),
+                          st.sampled_from(BAD_STAMPS), st.sampled_from(BAD_PKT_TYPES)),
+                min_size=1, max_size=2),
+       st.integers(1, 5))
+def test_corrupted_line_raises_the_oracle_error(events, corruptions, chunk_rows):
+    lines = events_to_csv_oracle(events).splitlines(keepends=True)
+    for position, *bad in corruptions:
+        lines.insert(1 + min(position, len(lines) - 1), _bad_row(*bad) + "\n")
+    text = "".join(lines)
+    with mock.patch.object(traffic, "_CHUNK_ROWS", chunk_rows):
+        got = _outcome(read_trace_csv, text)
+    expected = _outcome(read_events_oracle, text)
+    assert (list(got[1]) if got[0] == "events" else got) == expected

@@ -10,7 +10,6 @@ from vmshield.traffic import (
     PacketEvent,
     TrafficSpec,
     events_to_csv,
-    format_timestamp,
     gen_attack,
     gen_attack_binned,
     gen_normal,
@@ -48,6 +47,9 @@ def test_spec_validation():
         TrafficSpec(vm_id="v", fin_delay_range=(0, 5))
     with pytest.raises(ValueError):
         TrafficSpec(vm_id="v", interval_seconds=0)
+    # the last timestamp, 1e13 intervals of 10 s, does not fit in int64 microseconds
+    with pytest.raises(ValueError, match="must stay below"):
+        TrafficSpec(vm_id="v", end=10**13)
 
 
 def test_spec_from_json_round_trip_and_errors():
@@ -123,9 +125,9 @@ def test_rst_fraction_close_to_ten_percent():
 
 
 def test_traces_are_time_ordered_and_deterministic():
-    a = gen_normal(_normal(seed=42))
-    b = gen_normal(_normal(seed=42))
-    c = gen_normal(_normal(seed=43))
+    a = list(gen_normal(_normal(seed=42)))
+    b = list(gen_normal(_normal(seed=42)))
+    c = list(gen_normal(_normal(seed=43)))
     assert a == b
     assert a != c
     assert all(x.t_us <= y.t_us for x, y in zip(a, a[1:]))
@@ -133,15 +135,15 @@ def test_traces_are_time_ordered_and_deterministic():
 
 def test_attack_is_unterminated_and_scaled():
     spec = _attack()
-    events = gen_attack(spec)
+    events = list(gen_attack(spec))
     assert len(events) == 5 * 200  # base 100 x multiplier 2 per interval
     assert all(e.pkt_type == "SYN" for e in events)
     assert all(x.t_us <= y.t_us for x, y in zip(events, events[1:]))
 
 
 def test_generate_dispatches_on_mode():
-    assert generate(_attack()) == gen_attack(_attack())
-    assert generate(_normal()) == gen_normal(_normal())
+    assert list(generate(_attack())) == list(gen_attack(_attack()))
+    assert list(generate(_normal())) == list(gen_normal(_normal()))
     with pytest.raises(ValueError):
         gen_normal(_attack())
     with pytest.raises(ValueError):
@@ -199,13 +201,17 @@ def test_merge_rejects_unsorted_input():
         merge_traces([[PacketEvent(10, "a", "SYN"), PacketEvent(5, "a", "SYN")]])
 
 
+def _stamps(text):
+    return [line.split(",")[0] for line in text.splitlines()[1:]]
+
+
 def test_timestamp_formatting_is_exact_microseconds():
-    assert format_timestamp(0) == "0.000000"
-    assert format_timestamp(1) == "0.000001"
-    assert format_timestamp(1_000_001) == "1.000001"
-    assert format_timestamp(123_456_789) == "123.456789"
-    for t in (0, 1, 999_999, 1_000_000, 86_400_000_000, 123_456_789_012):
-        assert parse_timestamp(format_timestamp(t)) == t
+    text = events_to_csv([(t, "v", "SYN") for t in (0, 1, 1_000_001, 123_456_789)])
+    assert _stamps(text) == ["0.000000", "0.000001", "1.000001", "123.456789"]
+    stamps = (0, 1, 999_999, 1_000_000, 86_400_000_000, 123_456_789_012)
+    text = events_to_csv([(t, "v", "SYN") for t in stamps])
+    for t, ts in zip(stamps, _stamps(text), strict=True):
+        assert parse_timestamp(ts) == t
 
 
 def test_event_csv_round_trip():
@@ -214,7 +220,7 @@ def test_event_csv_round_trip():
     assert text.startswith("timestamp_s,vm_id,pkt_type\n")
     kind, parsed = read_trace_csv(text)
     assert kind == "events"
-    assert parsed == events
+    assert list(parsed) == list(events)
 
 
 def test_binned_csv_detection():
@@ -247,6 +253,28 @@ def test_binned_trace_rejects_negative_counts():
         read_trace_csv(header + "0,vm1,4,-2\n")
 
 
+def test_binned_trace_rejects_negative_intervals():
+    header = "interval_index,vm_id,syn,finrst\n"
+    with pytest.raises(ParseError, match="line 2: interval_index must be >= 0, got -3"):
+        read_trace_csv(header + "-3,v,100,0\n0,v,100,0\n")
+
+
+def test_event_trace_rejects_timestamps_beyond_int64_microseconds():
+    header = "timestamp_s,vm_id,pkt_type\n"
+    with pytest.raises(ParseError, match="line 3: timestamp_s must be below"):
+        read_trace_csv(header + "0.5,vm1,SYN\n1e300,vm1,FIN\n")
+    # a timestamp just below 2**63 microseconds still parses
+    _, trace = read_trace_csv(header + "9223372036854.774,vm1,FIN\n")
+    assert list(trace) == [PacketEvent(2**63 - 2048, "vm1", "FIN")]
+
+
+def test_event_trace_errors_name_the_row_in_a_later_chunk():
+    # blank lines keep their row numbers; the bad row is past the first parse chunk
+    rows = ["0.5,vm1,SYN"] * 5000 + [""] * 3 + ["1.0,vm1,SYN", "2.0,vm1,PING"]
+    with pytest.raises(ParseError, match="line 5006: pkt_type 'PING' not in"):
+        read_trace_csv("timestamp_s,vm_id,pkt_type\n" + "\n".join(rows) + "\n")
+
+
 def test_binned_trace_rejects_duplicate_intervals():
     # a repeated (vm, interval) row would advance that VM's statistic twice
     text = "interval_index,vm_id,syn,finrst\n0,vm1,9,0\n0,vm2,9,0\n1,vm1,9,0\n0,vm1,9,0\n"
@@ -255,5 +283,5 @@ def test_binned_trace_rejects_duplicate_intervals():
 
 
 def test_empty_window_spec_generates_nothing():
-    assert gen_normal(_normal(start=0, end=0)) == []
-    assert gen_attack(_attack(start=3, end=3)) == []
+    assert list(gen_normal(_normal(start=0, end=0))) == []
+    assert list(gen_attack(_attack(start=3, end=3))) == []
