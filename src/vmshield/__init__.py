@@ -21,6 +21,7 @@ from .detector import (
     Alarm,
     CusumDetector,
     DetectionReport,
+    StatLog,
     StatRow,
     TrafficInterval,
     bin_events,
@@ -97,6 +98,7 @@ __all__ = [
     "Scenario",
     "ServerState",
     "SimReport",
+    "StatLog",
     "StatRow",
     "Trace",
     "TrafficInterval",

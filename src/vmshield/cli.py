@@ -253,7 +253,8 @@ def _cmd_place(args, cfg: GlobalConfig, out) -> int:
 
 def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
     try:
-        with open(args.trace, encoding="utf-8") as fh:
+        # untranslated line ends, so a "\r" inside a quoted vm_id survives
+        with open(args.trace, encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {args.trace}: {exc}") from exc

@@ -15,20 +15,21 @@ tracked independently, which is what lets the hypervisor name the
 attacking guest rather than just noticing that the host is under load.
 
 One streaming detector, CusumDetector, holds every VM's y and its
-in-episode flag; offline traces (process_trace) and the tick simulator
-both feed it one interval at a time, so contiguous exceedances collapse
-to one alarm the same way in both.
+in-episode flag as arrays.  Its observe() advances a batch of distinct
+VMs by one interval each: the tick simulator makes one call per tick,
+and offline traces (process_trace) one call per row position, so
+contiguous exceedances collapse to one alarm the same way in both.
+The statistic log is columnar too: a StatLog holds one block of arrays
+per batch and renders detector.csv in one formatting pass.
 
 Defaults: drift 0.08, threshold 1.43, 10 s sampling interval.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, groupby, product
 
 import numpy as np
 
@@ -40,6 +41,10 @@ DEFAULT_INTERVAL_SECONDS = 10.0
 DEFAULT_THROTTLE_FACTOR = 0.1
 
 POLICIES = ("log", "throttle", "suspend")
+
+# Counts are int64 columns and stay below this, so that discrepancy's
+# float64 division is exact, as Python's int / int is.
+MAX_COUNT = 2**53
 
 # pkt_type values accepted in raw event traces.  SYN counts toward S,
 # FIN and RST toward F; a server's SYN+ACK reply is neither a new
@@ -91,34 +96,104 @@ class DetectionReport:
     rows: list[StatRow] = field(default_factory=list)
 
 
-def discrepancy(syn: int, finrst: int) -> float:
-    """Normalized SYN vs FIN|RST imbalance, in [-1, 1]; 0 for paired traffic."""
-    return (syn - finrst) / max(syn + finrst, 1)
+def discrepancy(syn, finrst):
+    """Normalized SYN vs FIN|RST imbalance, in [-1, 1]; 0 for paired traffic.
+
+    Takes counts or equal-length arrays of counts.
+    """
+    return (syn - finrst) / np.maximum(syn + finrst, 1)
 
 
 class CusumDetector:
-    """Streaming per-VM detector: each VM's y plus its in-episode flag.
+    """Streaming per-VM detector: each VM's y and in-episode flag, in arrays.
 
-    observe() advances one VM by one interval and returns the statistic
-    row; the row's ``alarm`` flag is set only on the first interval of
-    a contiguous exceedance, so one long attack is one incident.
+    A VM gets a slot, with y 0 and no episode, at its first observation.
+    observe() advances one batch of distinct VMs by one interval each;
+    the episode-start flag is set only on the first interval of a
+    contiguous exceedance, so one long attack is one incident.
     """
 
     def __init__(self, drift: float = DEFAULT_DRIFT, threshold: float = DEFAULT_THRESHOLD):
+        if not (math.isfinite(drift) and math.isfinite(threshold)):
+            raise ValueError(f"drift {drift} and threshold {threshold} must be finite")
         if threshold <= drift:
             raise ValueError(f"threshold {threshold} must exceed drift {drift}")
         self.drift = drift
         self.threshold = threshold
-        self.y: dict[str, float] = {}
-        self.exceeding: dict[str, bool] = {}
+        self.slot: dict[str, int] = {}
+        self.y = np.zeros(0)
+        self.exceeding = np.zeros(0, dtype=bool)
 
-    def observe(self, interval_index: int, vm_id: str, syn: int, finrst: int) -> StatRow:
-        d = discrepancy(syn, finrst)
-        y = self.y[vm_id] = max(0.0, self.y.get(vm_id, 0.0) + d - self.drift)
+    def observe(self, vm_ids, syn, finrst):
+        """One interval's (syn, finrst) counts for each VM of vm_ids.
+
+        Returns the d, y and episode-start arrays, in vm_ids order.  A VM
+        named twice in one batch is a ValueError.
+        """
+        if len(set(vm_ids)) != len(vm_ids):
+            raise ValueError("observe needs distinct vm_ids in one batch")
+        fresh = [vm_id for vm_id in vm_ids if vm_id not in self.slot]
+        if fresh:
+            self.slot.update(zip(fresh, range(len(self.slot), len(self.slot) + len(fresh))))
+            self.y = np.concatenate([self.y, np.zeros(len(fresh))])
+            self.exceeding = np.concatenate([self.exceeding, np.zeros(len(fresh), dtype=bool)])
+        slots = np.fromiter(map(self.slot.__getitem__, vm_ids), np.intp, len(vm_ids))
+        d = discrepancy(np.asarray(syn, dtype=np.int64), np.asarray(finrst, dtype=np.int64))
+        y = np.maximum(0.0, self.y[slots] + d - self.drift)
         over = y > self.threshold
-        episode_start = over and not self.exceeding.get(vm_id, False)
-        self.exceeding[vm_id] = over
-        return StatRow(interval_index, vm_id, syn, finrst, d, y, episode_start)
+        start = over & ~self.exceeding[slots]
+        self.y[slots] = y
+        self.exceeding[slots] = over
+        return d, y, start
+
+
+_NO_ROWS = (np.empty(0, np.int64), [], np.empty(0, np.int64), np.empty(0, np.int64),
+            np.empty(0), np.empty(0), np.empty(0, bool))
+
+
+class StatLog:
+    """The statistic log as columns: one block of arrays per detector batch.
+
+    A block holds interval indices, vm ids, syn and finrst counts, d, y
+    and alarm (episode-start) flags.  len counts rows, and iterating
+    yields one StatRow per row, block by block.
+    """
+
+    def __init__(self):
+        self.blocks: list[tuple] = []
+
+    def append(self, interval_index, vm_ids, syn, finrst, d, y, alarm) -> None:
+        """Add a block; interval_index is one index for the block or a column."""
+        n = len(vm_ids)
+        self.blocks.append((np.broadcast_to(np.asarray(interval_index, dtype=np.int64), (n,)),
+                            list(vm_ids), np.asarray(syn, dtype=np.int64),
+                            np.asarray(finrst, dtype=np.int64), np.asarray(d, dtype=float),
+                            np.asarray(y, dtype=float), np.asarray(alarm, dtype=bool)))
+
+    def __len__(self) -> int:
+        return sum(len(block[1]) for block in self.blocks)
+
+    def __iter__(self):
+        for interval, vm_ids, syn, finrst, d, y, alarm in self.blocks:
+            yield from map(StatRow, interval.tolist(), vm_ids, syn.tolist(), finrst.tolist(),
+                           d.tolist(), y.tolist(), alarm.tolist())
+
+    def columns(self) -> tuple:
+        """Every block's columns joined: (interval, vm_ids, syn, finrst, d, y, alarm)."""
+        blocks = [_NO_ROWS, *self.blocks]  # the empty block fixes the dtypes
+        return (np.concatenate([b[0] for b in blocks]),
+                list(chain.from_iterable(b[1] for b in blocks)),
+                *(np.concatenate([b[k] for b in blocks]) for k in range(2, 7)))
+
+    @classmethod
+    def from_rows(cls, rows) -> "StatLog":
+        """The log of StatRows (or rows with the same fields), as one block."""
+        rows = list(rows)
+        log = cls()
+        log.append([r.interval_index for r in rows], [r.vm_id for r in rows],
+                   [r.syn for r in rows], [r.finrst for r in rows], [r.d for r in rows],
+                   [r.y for r in rows], [r.alarm for r in rows])
+        return log
 
 
 def process_trace(
@@ -130,15 +205,29 @@ def process_trace(
 
     Contiguous exceedances collapse to a single alarm at the first
     crossing.  Rows and series are ordered by (vm_id, interval_index).
+    VMs are independent, so batch j of the detector holds the j-th row
+    of every VM that has one; a VM's duplicate rows stay in input order.
     """
     detector = CusumDetector(drift, threshold)
-    report = DetectionReport()
-    for iv in sorted(intervals, key=lambda i: (i.vm_id, i.interval_index)):
-        row = detector.observe(iv.interval_index, iv.vm_id, iv.syn, iv.finrst)
+    ordered = sorted(intervals, key=lambda iv: (iv.vm_id, iv.interval_index))
+    vm_ids = [iv.vm_id for iv in ordered]
+    syn = np.array([iv.syn for iv in ordered], dtype=np.int64)
+    finrst = np.array([iv.finrst for iv in ordered], dtype=np.int64)
+    # each row's position within its VM's run of rows
+    position = np.array([j for _, run in groupby(vm_ids) for j, _ in enumerate(run)], dtype=np.intp)
+    d, y = np.empty(len(vm_ids)), np.empty(len(vm_ids))
+    alarm = np.empty(len(vm_ids), dtype=bool)
+    for j in range(int(position.max(initial=-1)) + 1):
+        batch = np.flatnonzero(position == j)
+        d[batch], y[batch], alarm[batch] = detector.observe(
+            [vm_ids[k] for k in batch.tolist()], syn[batch], finrst[batch])
+    log = StatLog()
+    log.append([iv.interval_index for iv in ordered], vm_ids, syn, finrst, d, y, alarm)
+    report = DetectionReport(rows=list(log))
+    for row in report.rows:
         if row.alarm:
-            report.alarms.append(Alarm(iv.vm_id, iv.interval_index, row.y))
-        report.series.setdefault(iv.vm_id, []).append(row.y)
-        report.rows.append(row)
+            report.alarms.append(Alarm(row.vm_id, row.interval_index, row.y))
+        report.series.setdefault(row.vm_id, []).append(row.y)
     return report
 
 
@@ -213,13 +302,27 @@ def fill_gaps(intervals: list[TrafficInterval]) -> list[TrafficInterval]:
             for vm_id in sorted({iv.vm_id for iv in intervals}) for idx in span]
 
 
-def stat_rows_to_csv(rows: list[StatRow]) -> str:
-    """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["interval", "vm_id", "syn", "finrst", "d", "y", "alarm"])
-    for r in rows:
-        writer.writerow(
-            [r.interval_index, r.vm_id, r.syn, r.finrst, f"{r.d:.6f}", f"{r.y:.6f}", int(r.alarm)]
-        )
-    return buf.getvalue()
+def _csv_field(value: str) -> str:
+    """value as one field of a CSV row: quoted, quotes doubled, if it holds , " \\n or \\r.
+
+    This is csv.writer's minimal quoting with a CRLF line terminator,
+    so every field reads back through csv.reader whatever ends the line.
+    """
+    if any(c in value for c in ',"\n\r'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def stat_rows_to_csv(rows) -> str:
+    """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm.
+
+    rows is a StatLog or a list of StatRows; the text equals
+    csv.writer's row by row, with d and y to six decimal places.
+    """
+    log = rows if isinstance(rows, StatLog) else StatLog.from_rows(rows)
+    interval, vm_ids, syn, finrst, d, y, alarm = log.columns()
+    quoted = {vm_id: _csv_field(vm_id) for vm_id in set(vm_ids)}
+    lines = map("%d,%s,%d,%d,%.6f,%.6f,%d\n".__mod__,
+                zip(interval.tolist(), map(quoted.__getitem__, vm_ids), syn.tolist(),
+                    finrst.tolist(), d.tolist(), y.tolist(), alarm.tolist()))
+    return "interval,vm_id,syn,finrst,d,y,alarm\n" + "".join(lines)

@@ -166,11 +166,14 @@ class MigrationPlan:
 
 
 def mean_usage(vectors: list[ResourceVector]) -> ResourceVector:
-    n = len(vectors)
-    total = ZERO
+    """Componentwise mean, summed left to right from 0.0 as repeated + would."""
+    cpu = mem = bw = 0.0
     for v in vectors:
-        total = total + v
-    return total.scaled(1.0 / n)
+        cpu += v.cpu
+        mem += v.mem
+        bw += v.bw
+    inv = 1.0 / len(vectors)
+    return ResourceVector(cpu * inv, mem * inv, bw * inv)
 
 
 def estimate_demand_first_start(
@@ -204,13 +207,23 @@ def estimate_demand_restart(
     return mean_usage(vm.history)
 
 
+def _feasible(demand: ResourceVector, servers: list[ServerState]) -> list[ServerState]:
+    """Active servers where usage + demand stays strictly below the threshold.
+
+    The same float sums and comparisons as
+    rv_strictly_less(s.usage + demand, s.threshold), without a vector
+    per candidate.
+    """
+    cpu, mem, bw = demand.cpu, demand.mem, demand.bw
+    return [s for s in servers
+            if s.power == ACTIVE
+            and (u := s.usage).cpu + cpu < (t := s.threshold).cpu
+            and u.mem + mem < t.mem and u.bw + bw < t.bw]
+
+
 def filter_candidates(demand: ResourceVector, servers: list[ServerState]) -> list[str]:
     """Active servers that can absorb the demand, in input order."""
-    return [
-        s.id
-        for s in servers
-        if s.active and rv_strictly_less(s.usage + demand, s.threshold)
-    ]
+    return [s.id for s in _feasible(demand, servers)]
 
 
 def place(
@@ -221,14 +234,15 @@ def place(
     """Score feasible servers on current usage and pick the minimum.
 
     Rejection ("no feasible server") is a value, not an error; callers
-    may wake a sleeping server and retry.
+    may wake a sleeping server and retry.  Scores are weighted_score's
+    dot product, from the float components.
     """
-    by_id = {s.id: s for s in servers}
-    candidates = filter_candidates(vm_demand, servers)
-    scores = {sid: weighted_score(weights, by_id[sid].usage) for sid in candidates}
+    wc, wm, wb = weights.as_tuple()
+    scores = {s.id: wc * (u := s.usage).cpu + wm * u.mem + wb * u.bw
+              for s in _feasible(vm_demand, servers)}
     if not scores:
         return PlacementDecision(vm_demand, weights, scores, None, NO_FEASIBLE_SERVER)
-    chosen = min(scores, key=lambda sid: (scores[sid], sid))
+    _, chosen = min(zip(scores.values(), scores))  # least score, then least id
     return PlacementDecision(vm_demand, weights, scores, chosen)
 
 
@@ -282,13 +296,9 @@ def plan_migration(
     weights = ahp.derive_weights(ahp.HotspotProfile(m3))
     source_post_score = weighted_score(weights, source.usage - m3)
     others = [s for s in servers if s.id != source.id]
-    candidate_ids = filter_candidates(m3, others)
-    if not candidate_ids:
+    scored = sorted((weighted_score(weights, s.usage), s.id) for s in _feasible(m3, others))
+    if not scored:
         return None
-    by_id = {s.id: s for s in servers}
-    scored = sorted(
-        ((weighted_score(weights, by_id[sid].usage), sid) for sid in candidate_ids)
-    )
     best_score, best_id = scored[0]
     if not best_score < source_post_score:
         return None

@@ -14,9 +14,11 @@ by default).  Each tick applies, in fixed order:
    running VM's connection offsets and FIN delays in two calls, in
    sorted-VM order, and one bincount adds each VM's FINs to its row of
    a FIN ring (one column per interval a FIN can land in, tick t in
-   column t % fin_slots); each VM then reads this tick's column, the
-   run's one streaming CUSUM detector advances, and the response
-   policy acts on each alarm episode's first interval;
+   column t % fin_slots); the live VMs' column of this tick and their
+   SYN counts (0 for a suspended VM) go to the run's CUSUM detector in
+   one batched call, its rows join the columnar statistic log, and the
+   response policy acts, in sorted-VM order, on each VM whose alarm
+   episode starts this tick;
 4. one migration pass off the hottest overloaded server, if any plan
    qualifies;
 5. a consolidation pass draining under-watermark servers to sleep;
@@ -97,8 +99,9 @@ class DetectorConfig:
             raise ValidationError(
                 f"detector threshold {cfg.threshold} must exceed drift {cfg.drift}"
             )
-        if cfg.interval_seconds <= 0:
-            raise ValidationError("detector interval_seconds must be > 0")
+        if round(cfg.interval_seconds * 1_000_000) < 1:
+            raise ValidationError("detector interval_seconds must be at least 1 microsecond, "
+                                  f"got {cfg.interval_seconds}")
         if not 0 <= cfg.throttle_factor <= 1:
             raise ValidationError("throttle_factor must lie in [0, 1]")
         return cfg
@@ -249,6 +252,9 @@ class Scenario:
                     raise ValidationError("vm_request count must be >= 1")
             if ev.op == "attack_start" and not 1.0 <= ev.multiplier < math.inf:
                 raise ValidationError(f"attack multiplier must be finite and >= 1, got {ev.multiplier}")
+            if ev.op == "attack_start" and not self.base_rate * ev.multiplier < det.MAX_COUNT:
+                raise ValidationError(f"attack multiplier {ev.multiplier} times base_rate "
+                                      f"{self.base_rate} must stay below {det.MAX_COUNT} SYNs a tick")
         # Walk events in execution order so every reference names a VM id
         # that has been requested by then and not yet revoked.  Ids are
         # matched by index, so a huge count costs nothing here.
@@ -321,7 +327,7 @@ class SimReport:
     placements: list[dict] = field(default_factory=list)
     migrations: list[dict] = field(default_factory=list)
     power_events: list[dict] = field(default_factory=list)
-    stat_rows: list[det.StatRow] = field(default_factory=list)
+    stat_rows: det.StatLog = field(default_factory=det.StatLog)
     alarms: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     # in-memory only: per-tick (tick, vm, observed, host) samples for invariant checks
@@ -501,46 +507,49 @@ class _Sim:
     # phase 3 -----------------------------------------------------------
 
     def _traffic_and_detect(self, tick: int) -> None:
-        policy = self.sc.detector.policy
         rate = self.sc.base_rate
-        live = [vm for vm in map(self.vms.get, sorted(self.vms))
-                if vm.state in (RUNNING, SUSPENDED)]
-        sending = [vm for vm in live if vm.state == RUNNING]
-        n_pair = [round(rate * vm.traffic_scale) for vm in sending]
-        syn = {vm.id: n + round(rate * (vm.attack_multiplier - 1.0) * vm.traffic_scale)
-               for vm, n in zip(sending, n_pair)}
+        vm_ids = [vm_id for vm_id in sorted(self.vms)
+                  if self.vms[vm_id].state in (RUNNING, SUSPENDED)]
+        live = list(map(self.vms.__getitem__, vm_ids))
+        # a suspended VM stays in the detector's batch but sends nothing
+        scale = np.array([vm.traffic_scale if vm.state == RUNNING else 0.0 for vm in live])
+        multiplier = np.array([vm.attack_multiplier for vm in live])
+        # np.rint rounds half to even, as round() does
+        n_pair = np.rint(rate * scale).astype(np.int64)
+        syn = n_pair + np.rint(rate * (multiplier - 1.0) * scale).astype(np.int64)
         # every sending VM's paired connections in two draws, in sorted-VM order
-        total = sum(n_pair)
+        total = int(n_pair.sum())
         offsets = self.traffic_rng.integers(0, self.iv_us, total)
         delays = self.traffic_rng.integers(self.fin_lo_us, self.fin_hi_us, total, endpoint=True)
-        slots = (np.repeat(np.arange(len(sending)) * self.fin_slots, n_pair)
+        slots = (np.repeat(np.arange(len(live)) * self.fin_slots, n_pair)
                  + (offsets + delays) // self.iv_us)
-        fins = np.bincount(slots, minlength=len(sending) * self.fin_slots).reshape(-1, self.fin_slots)
+        fins = np.bincount(slots, minlength=len(live) * self.fin_slots).reshape(-1, self.fin_slots)
         # fins[:, k] is due at tick + k, which the ring keeps in column (tick + k) % fin_slots
         now = tick % self.fin_slots
-        self.fin_ring[[vm.fin_row for vm in sending]] += np.roll(fins, now, axis=1)
-        finrst = self.fin_ring[[vm.fin_row for vm in live], now].tolist()
+        rows = [vm.fin_row for vm in live]
+        self.fin_ring[rows] += np.roll(fins, now, axis=1)
+        finrst = self.fin_ring[rows, now]
         self.fin_ring[:, now] = 0
-        for vm, fin in zip(live, finrst):
-            vm_id = vm.id
-            row = self.detector.observe(tick, vm_id, syn.get(vm_id, 0), fin)
-            self.report.stat_rows.append(row)
-            if row.alarm:
-                self.counters["alarms"] += 1
-                if policy == "throttle":
-                    vm.traffic_scale = self.sc.detector.throttle_factor
-                    detail = f"traffic scaled to {vm.traffic_scale}"
-                elif policy == "suspend":
-                    self._detach(vm)
-                    vm.state = SUSPENDED
-                    self.counters["suspensions"] += 1
-                    detail = "detached from network"
-                else:
-                    detail = "recorded"
-                self.report.alarms.append({
-                    "tick": tick, "seq": self._next_seq(), "vm": vm_id, "y": round(row.y, 6),
-                    "action": policy, "detail": detail,
-                })
+        d, y, alarm = self.detector.observe(vm_ids, syn, finrst)
+        self.report.stat_rows.append(tick, vm_ids, syn, finrst, d, y, alarm)
+        policy = self.sc.detector.policy
+        for k in np.flatnonzero(alarm).tolist():
+            vm = live[k]
+            self.counters["alarms"] += 1
+            if policy == "throttle":
+                vm.traffic_scale = self.sc.detector.throttle_factor
+                detail = f"traffic scaled to {vm.traffic_scale}"
+            elif policy == "suspend":
+                self._detach(vm)
+                vm.state = SUSPENDED
+                self.counters["suspensions"] += 1
+                detail = "detached from network"
+            else:
+                detail = "recorded"
+            self.report.alarms.append({
+                "tick": tick, "seq": self._next_seq(), "vm": vm.id, "y": round(float(y[k]), 6),
+                "action": policy, "detail": detail,
+            })
 
     # phase 4 -----------------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detector import PKT_TYPES, TrafficInterval
+from .detector import MAX_COUNT, PKT_TYPES, TrafficInterval, _csv_field
 from .errors import ParseError, UnsortedTrace
 from .resources import json_int, json_number
 
@@ -143,8 +143,9 @@ class TrafficSpec:
                 f"fin_delay_range must satisfy 0 < low <= high < inf: {self.fin_delay_range}")
         if not 0 <= self.start <= self.end:
             raise ValueError("need 0 <= start <= end")
-        if not 0 < self.interval_seconds < math.inf:
-            raise ValueError("interval_seconds must be finite and > 0")
+        if not 0 < self.interval_seconds < math.inf or _interval_us(self) < 1:
+            raise ValueError("interval_seconds must be finite and at least 1 microsecond, "
+                             f"got {self.interval_seconds}")
         if self.end * _interval_us(self) + _delay_bounds_us(self)[1] >= T_US_LIMIT:
             raise ValueError("end * interval_seconds + fin_delay_range[1] must stay below "
                              f"{T_US_LIMIT} microseconds")
@@ -310,18 +311,12 @@ def parse_timestamp(s: str) -> int:
     return round(float(s) * 1_000_000)
 
 
-def _csv_field(value: str) -> str:
-    """value as csv.writer renders it in a row with another field before it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["", value])
-    return buf.getvalue()[1:-1]
-
-
 def events_to_csv(events) -> str:
     """The event trace file: a header, then timestamp_s,vm_id,pkt_type rows.
 
     events is a Trace or an iterable of (t_us, vm_id, pkt_type); the
-    text equals csv.writer's with timestamps as seconds.micros.
+    text equals csv.writer's with timestamps as seconds.micros, and a
+    vm_id holding a carriage return is quoted so that it reads back.
     """
     trace = _as_trace(events)
     seconds, micros = np.divmod(trace.t_us, 1_000_000)
@@ -407,8 +402,9 @@ def _read_binned(reader) -> list[TrafficInterval]:
             raise ParseError(f"trace line {lineno}: {exc}") from exc
         if iv.interval_index < 0:
             raise ParseError(f"trace line {lineno}: interval_index must be >= 0, got {idx}")
-        if iv.syn < 0 or iv.finrst < 0:
-            raise ParseError(f"trace line {lineno}: syn and finrst must be >= 0")
+        if not (0 <= iv.syn < MAX_COUNT and 0 <= iv.finrst < MAX_COUNT):
+            raise ParseError(f"trace line {lineno}: syn and finrst must be >= 0 "
+                             f"and below {MAX_COUNT}")
         if (vm_id, iv.interval_index) in seen:
             raise ParseError(f"trace line {lineno}: duplicate row for vm {vm_id!r} "
                              f"interval {iv.interval_index}")
@@ -420,9 +416,10 @@ def _read_binned(reader) -> list[TrafficInterval]:
 def read_trace_csv(text: str):
     """Parse a trace file; returns ('events', Trace) or ('binned', [...]).
 
-    The two trace forms are told apart by their header row.
+    The two trace forms are told apart by their header row.  Rows may
+    end in \\n, \\r\\n or \\r; a quoted field keeps its own line breaks.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:

@@ -41,14 +41,48 @@ def format_timestamp(t_us):
     return f"{t_us // 1_000_000}.{t_us % 1_000_000:06d}"
 
 
+def csv_row_oracle(fields):
+    """One CSV line as csv.writer writes it, quoting a "\\r" as well as a "\\n", ended by LF.
+
+    csv.writer quotes a field holding any character of its line
+    terminator, so a CRLF terminator makes it quote both.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def events_to_csv_oracle(events):
     """The event trace file written by csv.writer, one row per event."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["timestamp_s", "vm_id", "pkt_type"])
-    for t_us, vm_id, pkt_type in events:
-        writer.writerow([format_timestamp(t_us), vm_id, pkt_type])
-    return buf.getvalue()
+    return "".join([csv_row_oracle(["timestamp_s", "vm_id", "pkt_type"]),
+                    *(csv_row_oracle([format_timestamp(t_us), vm_id, pkt_type])
+                      for t_us, vm_id, pkt_type in events)])
+
+
+def stat_rows_to_csv_oracle(rows):
+    """The statistic log written by csv.writer, one row per StatRow."""
+    return "".join([csv_row_oracle(["interval", "vm_id", "syn", "finrst", "d", "y", "alarm"]),
+                    *(csv_row_oracle([r.interval_index, r.vm_id, r.syn, r.finrst,
+                                      f"{r.d:.6f}", f"{r.y:.6f}", int(r.alarm)])
+                      for r in rows)])
+
+
+def place_oracle(demand, weights, servers):
+    """(candidate ids, scores, chosen id or None) of one placement, on ResourceVectors.
+
+    A candidate is an active server whose usage + demand, added as
+    vectors, stays strictly below its threshold in every component; the
+    least (score, id) wins.
+    """
+    candidates, scores = [], {}
+    for s in servers:
+        after = s.usage + demand
+        if (s.power == "active" and after.cpu < s.threshold.cpu
+                and after.mem < s.threshold.mem and after.bw < s.threshold.bw):
+            candidates.append(s.id)
+            scores[s.id] = _score(weights, s.usage)
+    chosen = min(((score, sid) for sid, score in scores.items()), default=(None, None))[1]
+    return candidates, scores, chosen
 
 
 def read_events_oracle(text):

@@ -5,6 +5,7 @@ they pass; any failure shows the offending numbers in the assert."""
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def e2e(tmp_path_factory):
     for tag, report in (("a", report_a), ("b", report_b)):
         outdir = tmp_path_factory.mktemp("e2e_" + tag)
         paths = emit_reports(report, str(outdir))
-        blobs.append({os.path.basename(p): open(p, "rb").read() for p in paths})
+        blobs.append({os.path.basename(p): Path(p).read_bytes() for p in paths})
     return {
         "scenario": load_scenario(SCENARIO_PATH),
         "report": report_a,

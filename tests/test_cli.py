@@ -1,3 +1,4 @@
+import csv
 import importlib.metadata
 import io
 import json
@@ -399,7 +400,51 @@ def test_gen_attack_is_detected(tmp_path):
     assert 1 <= alarms[0]["interval_index"] - 1 <= 12
 
 
+def test_gen_then_detect_round_trips_a_carriage_return_in_an_id(tmp_path):
+    # an unquoted "\r" used to end the row early, so detect rejected gen's own trace
+    spec = _write(tmp_path, "spec.json", {"specs": [
+        {"vm_id": "a\rb", "mode": "normal", "base_rate": 20, "start": 0, "end": 6, "seed": 2},
+        {"vm_id": "a\rb", "mode": "attack", "base_rate": 20, "attack_multiplier": 4.0,
+         "start": 2, "end": 6, "seed": 3},
+    ]})
+    trace, stats = tmp_path / "trace.csv", tmp_path / "stats.csv"
+    assert _run(["gen", "--spec", spec, "--out", str(trace)])[0] == EXIT_OK
+    assert b'"a\rb"' in trace.read_bytes()
+    code, out = _run(["detect", "--trace", str(trace), "--stats", str(stats)])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert list(payload["series"]) == ["a\rb"]
+    assert [a["vm_id"] for a in payload["alarms"]] == ["a\rb"]
+    with open(stats, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {row[1] for row in rows[1:]} == {"a\rb"}
+    assert len(rows) == 1 + len(payload["series"]["a\rb"])
+
+
+def test_detect_rejects_binned_counts_beyond_exact_floats(tmp_path, capsys):
+    trace = _write(tmp_path, "big.csv", f"interval_index,vm_id,syn,finrst\n0,v,{2**53},0\n")
+    assert _run(["detect", "--trace", trace]) == (EXIT_USAGE, "")
+    assert "trace line 2: syn and finrst must be >= 0 and below" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drift", ["nan", "inf"])
+def test_detect_rejects_a_non_finite_drift(tmp_path, capsys, drift):
+    # a NaN drift used to clamp every y to 0, silently turning detection off
+    trace = _write(tmp_path, "t.csv", ALARM_TRACE)
+    assert _run(["detect", "--trace", trace, "--drift", drift]) == (EXIT_USAGE, "")
+    assert "must be finite" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ gen
+
+
+@pytest.mark.parametrize("interval", [1e-7, 4e-7])
+def test_gen_rejects_intervals_below_one_microsecond(tmp_path, capsys, interval):
+    # these round to a 0 us interval, which numpy used to reject as "high <= 0"
+    path = _write(tmp_path, "spec.json", {"vm_id": "v", "interval_seconds": interval, "end": 2})
+    assert _run(["gen", "--spec", path, "--out", "-"]) == (EXIT_USAGE, "")
+    assert "interval_seconds must be finite and at least 1 microsecond" in capsys.readouterr().err
+
 
 
 def test_gen_to_stdout_and_seed_override(tmp_path):
@@ -513,6 +558,25 @@ def test_simulate_rejects_non_finite_detector_settings(tmp_path, capsys, field):
     code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
     assert (code, out) == (EXIT_USAGE, "")
     assert f"detector {field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", [1e-7, 4e-7])
+def test_simulate_rejects_detector_intervals_below_one_microsecond(tmp_path, capsys, interval):
+    # a 0 us interval used to end in a ZeroDivisionError traceback (exit 1)
+    scenario = _write(tmp_path, "short.json",
+                      dict(SCENARIO, detector={"interval_seconds": interval}))
+    code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "detector interval_seconds must be at least 1 microsecond" in capsys.readouterr().err
+
+
+def test_simulate_rejects_attack_counts_beyond_exact_floats(tmp_path, capsys):
+    events = [*SCENARIO["events"],
+              {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": 1e300}]
+    scenario = _write(tmp_path, "flood.json", dict(SCENARIO, events=events))
+    code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "must stay below 9007199254740992 SYNs a tick" in capsys.readouterr().err
 
 
 def test_simulate_error_names_the_bad_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from vmshield.detector import (
     DEFAULT_DRIFT,
     DEFAULT_THRESHOLD,
     CusumDetector,
+    StatRow,
     TrafficInterval,
     bin_events,
     discrepancy,
@@ -20,6 +23,12 @@ from vmshield.errors import UnsortedTrace
 
 def _episode_starts(flags):
     return [f and not (i and flags[i - 1]) for i, f in enumerate(flags)]
+
+
+def _observe(detector, interval_index, vm_id, syn, finrst):
+    """One VM's interval as a one-VM batch, returned as its StatRow."""
+    (d,), (y,), (alarm,) = (a.tolist() for a in detector.observe([vm_id], [syn], [finrst]))
+    return StatRow(interval_index, vm_id, syn, finrst, d, y, alarm)
 
 
 def test_discrepancy_basics():
@@ -49,16 +58,16 @@ def test_cusum_step_matches_recurrence_oracle():
         threshold = drift + float(rng.uniform(0.1, 2.0))
         expected_y, expected_flags = cusum_oracle(pairs, drift, threshold)
         detector = CusumDetector(drift, threshold)
-        rows = [detector.observe(i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(pairs)]
+        rows = [_observe(detector, i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(pairs)]
         assert [r.y for r in rows] == pytest.approx(expected_y, abs=1e-12)
         assert [r.alarm for r in rows] == _episode_starts(expected_flags)
 
 
 def test_cusum_never_negative_and_never_resets():
     detector = CusumDetector(drift=0.08, threshold=1.43)
-    assert detector.observe(0, "vm", 0, 1000).y == 0.0  # clamped at zero on all-FIN traffic
+    assert _observe(detector, 0, "vm", 0, 1000).y == 0.0  # clamped at zero on all-FIN traffic
     # a sustained flood keeps the statistic above threshold: one episode, one alarm
-    rows = [detector.observe(i, "vm", 1000, 0) for i in range(1, 40)]
+    rows = [_observe(detector, i, "vm", 1000, 0) for i in range(1, 40)]
     assert all(a.y < b.y for a, b in zip(rows, rows[1:]))
     assert sum(r.alarm for r in rows) == 1
 
@@ -72,9 +81,9 @@ def test_detector_keeps_one_statistic_per_vm():
     detector = CusumDetector(drift=0.05, threshold=0.6)
     ys = {"vm-a": [], "vm-b": []}
     for i in range(40):
-        ys["vm-a"].append(detector.observe(i, "vm-a", *pairs["vm-a"][i]).y)
+        ys["vm-a"].append(_observe(detector, i, "vm-a", *pairs["vm-a"][i]).y)
         if i >= 20:
-            ys["vm-b"].append(detector.observe(i, "vm-b", *pairs["vm-b"][i - 20]).y)
+            ys["vm-b"].append(_observe(detector, i, "vm-b", *pairs["vm-b"][i - 20]).y)
     for vm, vm_ys in ys.items():
         assert vm_ys == pytest.approx(cusum_oracle(pairs[vm], 0.05, 0.6)[0], abs=1e-12)
     assert ys["vm-a"][19] > 0.6
@@ -83,6 +92,16 @@ def test_detector_keeps_one_statistic_per_vm():
 def test_cusum_state_requires_threshold_above_drift():
     with pytest.raises(ValueError, match="must exceed drift"):
         CusumDetector(0.5, 0.5)
+
+
+def test_observe_needs_distinct_vms_and_finite_settings():
+    detector = CusumDetector()
+    with pytest.raises(ValueError, match="distinct vm_ids"):
+        detector.observe(["a", "b", "a"], [1, 2, 3], [0, 0, 0])
+    # a NaN drift used to clamp every y to 0, so detection was silently off
+    for drift, threshold in ((float("nan"), 1.43), (0.08, float("nan")), (-math.inf, 1.43)):
+        with pytest.raises(ValueError, match="must be finite"):
+            CusumDetector(drift, threshold)
 
 
 def test_published_two_interval_trace():
@@ -104,7 +123,7 @@ def test_streaming_detector_interleaves_vms_and_flags_episode_starts():
     rows = {"a": [], "b": []}
     for i in range(30):  # feed the two VMs' intervals interleaved
         for vm in ("b", "a"):
-            rows[vm].append(detector.observe(i, vm, *pairs[vm][i]))
+            rows[vm].append(_observe(detector, i, vm, *pairs[vm][i]))
     for vm, vm_rows in rows.items():
         ys, flags = cusum_oracle(pairs[vm], 0.1, 1.2)
         assert [r.y for r in vm_rows] == pytest.approx(ys, abs=1e-12)

@@ -57,6 +57,14 @@ SMALL = {
 }
 
 SMALL_DIGESTS = {
+    "log": {
+        "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
+        "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
+        "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
+        "detector.csv": "8da854457c5667547efe36af2e5ee5cc2aba1da9b9b72ca5745bb5729b299bb7",
+        "alarms.json": "1bf5ac14a2ee3423d2bb918d18b6c2728162bf7605363031f56e60ea52304e50",
+        "summary.json": "fb20d2a979e9970cfa4836f4fe79d6bc9e18235e6585d33356b5d0427fbb6eda",
+    },
     "throttle": {
         "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
         "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
@@ -76,6 +84,51 @@ SMALL_DIGESTS = {
 }
 
 
+# Six servers and 41 VMs under suspend.  Floods on vm-005, vm-009 and
+# vm-020 overlap; vm-007 and vm-011 are attacked and then shut down and
+# revoked before their alarms can fire; vm-041 is requested mid-run.
+# Suspended VMs stay in the detector's batch with no traffic, and the
+# shutdowns leave servers that drain below the watermark.
+MID = {
+    "servers": [
+        {"id": f"m{i}", "threshold": {"cpu": 80, "mem": 80, "bw": 80},
+         "usage": {"cpu": 2 + i, "mem": 3, "bw": 1 + i / 2}}
+        for i in range(6)
+    ],
+    "vm_classes": {"cpu-intensive": {"cpu": 9, "mem": 3, "bw": 2},
+                   "memory-intensive": {"cpu": 3, "mem": 10, "bw": 2},
+                   "bandwidth-intensive": {"cpu": 2, "mem": 3, "bw": 8}},
+    "events": [
+        {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 8},
+        {"tick": 0, "op": "vm_request", "class": "memory-intensive", "count": 7},
+        {"tick": 0, "op": "vm_request", "class": "bandwidth-intensive", "count": 5},
+        {"tick": 1, "op": "vm_request", "class": "bandwidth-intensive", "count": 6},
+        {"tick": 1, "op": "vm_request", "class": "cpu-intensive", "count": 7},
+        {"tick": 1, "op": "vm_request", "class": "memory-intensive", "count": 7},
+        {"tick": 4, "op": "attack_start", "vm": "vm-005", "multiplier": 3.0},
+        {"tick": 6, "op": "attack_start", "vm": "vm-009", "multiplier": 2.5},
+        {"tick": 8, "op": "attack_start", "vm": "vm-020", "multiplier": 4.0},
+        {"tick": 10, "op": "attack_start", "vm": "vm-007", "multiplier": 3.0},
+        {"tick": 10, "op": "attack_start", "vm": "vm-011", "multiplier": 2.0},
+        {"tick": 11, "op": "vm_shutdown", "vm": "vm-007"},
+        {"tick": 12, "op": "vm_revoke", "vm": "vm-011"},
+        {"tick": 12, "op": "vm_request", "class": "cpu-intensive"},
+        {"tick": 14, "op": "attack_stop", "vm": "vm-005"},
+        {"tick": 16, "op": "vm_shutdown", "vm": "vm-001"},
+        {"tick": 16, "op": "vm_shutdown", "vm": "vm-002"},
+        {"tick": 16, "op": "vm_shutdown", "vm": "vm-003"},
+        {"tick": 17, "op": "vm_revoke", "vm": "vm-004"},
+        {"tick": 17, "op": "vm_shutdown", "vm": "vm-006"},
+        {"tick": 20, "op": "attack_stop", "vm": "vm-009"},
+    ],
+    "detector": {"policy": "suspend"},
+    "low_watermark": {"cpu": 30, "mem": 30, "bw": 30},
+    "base_rate": 50,
+    "duration": 30,
+    "seed": 23,
+}
+
+
 def _digests(report, outdir):
     emit_reports(report, str(outdir))
     out = {}
@@ -89,7 +142,7 @@ def test_demo_reports_are_byte_identical(tmp_path):
     assert _digests(run(load_scenario(DEMO)), tmp_path) == DEMO_DIGESTS
 
 
-@pytest.mark.parametrize("policy", ["throttle", "suspend"])
+@pytest.mark.parametrize("policy", ["log", "throttle", "suspend"])
 def test_small_scenario_reports_are_byte_identical(policy, tmp_path):
     report = run(Scenario.from_json({**SMALL, "detector": {"policy": policy}}))
     counters = report.summary["counters"]
@@ -100,6 +153,31 @@ def test_small_scenario_reports_are_byte_identical(policy, tmp_path):
     assert counters["alarms"] >= 1
     assert counters["suspensions"] == (1 if policy == "suspend" else 0)
     assert _digests(report, tmp_path) == SMALL_DIGESTS[policy]
+
+
+MID_DIGESTS = {
+    "utilization.csv": "844f61357cdf2baf35927d9f4a55923245d9ba8d7384fda60bddaa7c7d7417a8",
+    "placements.json": "a9343370ed739746f567303e0fb7f7259dd510a47e30baea901f124018c3f16a",
+    "migrations.json": "5194a25ebc2905ccbac3b9266cb63ea01130729783bfd6faa8d2cbc0f311dbc6",
+    "detector.csv": "cede3b2a48f1e0b6b714a9031caa5abf9d36ff97015098274975d9c608ac7fe8",
+    "alarms.json": "783b4fa118e80148cb7a2e1b8444c68e845054211aac4e02e9e1d61db97471d9",
+    "summary.json": "2e10c5953d37388c715e8f030b5011acdffde44c51cbaae84bef086f500edf9f",
+}
+
+
+def test_mid_scenario_reports_are_byte_identical(tmp_path):
+    report = run(Scenario.from_json(MID))
+    counters = report.summary["counters"]
+    final = report.summary["final"]["vms"]
+    # three floods suspend their VMs; the two attacked VMs leave before an alarm
+    assert [a["vm"] for a in report.alarms] == ["vm-005", "vm-009", "vm-020"]
+    assert counters["suspensions"] == 3
+    assert final["vm-007"]["state"] == "stopped"
+    assert final["vm-011"]["state"] == "revoked"
+    assert final["vm-041"]["state"] == "running"
+    assert counters["migrations_consolidate"] >= 1
+    assert counters["sleeps"] >= 1
+    assert _digests(report, tmp_path) == MID_DIGESTS
 
 
 # Normal and flood specs over three VMs, one of whose ids needs CSV

@@ -11,6 +11,11 @@ for random traffic specs.
 The columnar trace functions equal the one-row-at-a-time oracles of
 conftest on random events: CSV text, parsed rows, ParseError messages,
 merge order and interval counts.
+
+The batched detector equals the CUSUM recurrence oracle on random
+multi-VM batches, the columnar statistic log equals csv.writer row by
+row, and placement without a vector per candidate equals the
+ResourceVector oracle, ties with the threshold included.
 """
 
 from __future__ import annotations
@@ -30,14 +35,28 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
     bin_events_oracle,
+    cusum_oracle,
     events_to_csv_oracle,
     merge_oracle,
+    place_oracle,
     read_events_oracle,
+    stat_rows_to_csv_oracle,
 )
 from vmshield import traffic  # noqa: E402
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
-from vmshield.detector import PKT_TYPES, bin_events  # noqa: E402
+from vmshield.detector import (  # noqa: E402
+    PKT_TYPES,
+    CusumDetector,
+    StatLog,
+    StatRow,
+    TrafficInterval,
+    bin_events,
+    process_trace,
+    stat_rows_to_csv,
+)
 from vmshield.errors import ParseError, UnsortedTrace, ValidationError  # noqa: E402
+from vmshield.resources import ResourceVector, WeightVector  # noqa: E402
+from vmshield.scheduler import ServerState, filter_candidates, place  # noqa: E402
 from vmshield.simulator import Scenario  # noqa: E402
 from vmshield.traffic import (  # noqa: E402
     TrafficSpec,
@@ -205,10 +224,8 @@ def test_binned_normal_traffic_equals_binning_its_events(
     assert via_events == gen_normal_binned(spec, n)
 
 
-# VM ids with the characters CSV must quote, and the empty id.  A "\r"
-# is only written, never read back: csv.writer leaves it unquoted.
-VM_ID = st.text(st.sampled_from('ab,"\n é'), max_size=4)
-WRITTEN_VM_ID = st.text(st.sampled_from('ab,"\n\r é'), max_size=4)
+# VM ids with the characters CSV must quote, and the empty id.
+VM_ID = st.text(st.sampled_from('ab,"\n\r é'), max_size=4)
 STAMP = st.integers(0, 2**53)
 EVENT = st.tuples(STAMP, VM_ID, st.sampled_from(PKT_TYPES))
 SORTED_EVENTS = st.lists(EVENT, max_size=30).map(sorted)
@@ -223,7 +240,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 @SETTINGS
-@given(st.lists(st.tuples(st.integers(-2**53, 2**53), WRITTEN_VM_ID,
+@given(st.lists(st.tuples(st.integers(-2**53, 2**53), VM_ID,
                           st.sampled_from(PKT_TYPES)), max_size=30))
 def test_events_to_csv_equals_the_row_oracle(events):
     assert events_to_csv(events) == events_to_csv_oracle(events)
@@ -292,3 +309,127 @@ def test_corrupted_line_raises_the_oracle_error(events, corruptions, chunk_rows)
         got = _outcome(read_trace_csv, text)
     expected = _outcome(read_events_oracle, text)
     assert (list(got[1]) if got[0] == "events" else got) == expected
+
+
+# ------------------------------------------------------ batched detector
+
+COUNT = st.integers(0, 2000)
+# one interval's batch: distinct VMs, each with its (syn, finrst) counts
+BATCH = st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]), st.tuples(COUNT, COUNT),
+                        max_size=5)
+DRIFT = st.floats(0.0, 0.5)
+
+
+def _per_vm_oracle(pairs_by_vm, drift, threshold):
+    """Each VM's (d, y, episode start) rows from the scalar recurrence oracle."""
+    out = {}
+    for vm, pairs in pairs_by_vm.items():
+        ys, flags = cusum_oracle(pairs, drift, threshold)
+        starts = [f and not (i and flags[i - 1]) for i, f in enumerate(flags)]
+        out[vm] = [((s - f) / max(s + f, 1), y, start)
+                   for (s, f), y, start in zip(pairs, ys, starts)]
+    return out
+
+
+@SETTINGS
+@given(st.lists(BATCH, max_size=25), DRIFT, st.floats(0.01, 3.0))
+def test_batched_observe_equals_the_recurrence_oracle(batches, drift, gap):
+    # VMs join late, batches hold one VM or none, and VM order varies
+    threshold = drift + gap
+    detector = CusumDetector(drift, threshold)
+    got, pairs_by_vm = {}, {}
+    for batch in batches:
+        vm_ids = list(batch)
+        d, y, start = detector.observe(vm_ids, [batch[v][0] for v in vm_ids],
+                                       [batch[v][1] for v in vm_ids])
+        assert len(d) == len(y) == len(start) == len(vm_ids)
+        for vm, row in zip(vm_ids, zip(d.tolist(), y.tolist(), start.tolist())):
+            got.setdefault(vm, []).append(row)
+            pairs_by_vm.setdefault(vm, []).append(batch[vm])
+    # bit for bit: no tolerance
+    assert got == _per_vm_oracle(pairs_by_vm, drift, threshold)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["x", "y", "z"]), COUNT, COUNT),
+                max_size=40), DRIFT, st.floats(0.01, 3.0))
+def test_process_trace_with_duplicate_rows_equals_the_oracle(rows, drift, gap):
+    threshold = drift + gap
+    intervals = [TrafficInterval(*row) for row in rows]
+    report = process_trace(intervals, drift, threshold)
+    # (vm, interval) order; a duplicate row keeps its input order
+    ordered = sorted(intervals, key=lambda iv: (iv.vm_id, iv.interval_index))
+    pairs_by_vm = {}
+    for iv in ordered:
+        pairs_by_vm.setdefault(iv.vm_id, []).append((iv.syn, iv.finrst))
+    expected = _per_vm_oracle(pairs_by_vm, drift, threshold)
+    position = {vm: iter(rows) for vm, rows in expected.items()}
+    expected_rows = [StatRow(iv.interval_index, iv.vm_id, iv.syn, iv.finrst,
+                             *next(position[iv.vm_id])) for iv in ordered]
+    assert report.rows == expected_rows
+    assert report.series == {vm: [y for _, y, _ in rows] for vm, rows in expected.items()}
+    assert [(a.vm_id, a.interval_index, a.y_value) for a in report.alarms] == [
+        (r.vm_id, r.interval_index, r.y) for r in expected_rows if r.alarm]
+
+
+STAT_ROW = st.builds(StatRow, st.integers(0, 10**6), VM_ID, st.integers(0, 2**53 - 1),
+                     st.integers(0, 2**53 - 1), st.floats(allow_nan=False),
+                     st.floats(allow_nan=False), st.booleans())
+
+
+@SETTINGS
+@given(st.lists(STAT_ROW, max_size=30), st.lists(st.integers(0, 30), max_size=4))
+def test_stat_rows_to_csv_equals_the_row_oracle(rows, cuts):
+    expected = stat_rows_to_csv_oracle(rows)
+    assert stat_rows_to_csv(rows) == expected
+    # the same rows as a StatLog of several blocks
+    log = StatLog()
+    bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = rows[lo:hi]
+        log.append([r.interval_index for r in block], [r.vm_id for r in block],
+                   [r.syn for r in block], [r.finrst for r in block], [r.d for r in block],
+                   [r.y for r in block], [r.alarm for r in block])
+    assert len(log) == len(rows)
+    assert list(log) == rows
+    assert stat_rows_to_csv(log) == expected
+    assert stat_rows_to_csv(StatLog.from_rows(rows)) == expected
+
+
+# ------------------------------------------------------------- placement
+
+# Components on a coarse grid, so that usage + demand often equals a
+# threshold component exactly.
+COMPONENT = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 10.0, 20.5, 33.3, 50.0])
+VECTOR = st.builds(ResourceVector, COMPONENT, COMPONENT, COMPONENT)
+
+
+@st.composite
+def _placement(draw):
+    demand = draw(VECTOR)
+    servers = []
+    for i in range(draw(st.integers(0, 6))):
+        usage = draw(VECTOR)
+        # each threshold component: exactly usage + demand (a tie, which
+        # fails), just above it, far above it, or below it
+        threshold = ResourceVector(*(
+            total + draw(st.sampled_from([0.0, 0.0, 0.1, 10.0, -0.1]))
+            for total in (usage + demand).as_tuple()))
+        servers.append(ServerState(draw(st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5"]))
+                                   + str(i), usage, threshold,
+                                   draw(st.sampled_from(["active", "active", "asleep"]))))
+    weights = draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25), (0.2, 0.7, 0.1),
+                                    (1.0, 0.0, 0.0)]))
+    return demand, WeightVector(*weights), servers
+
+
+@SETTINGS
+@given(_placement())
+def test_place_and_filter_candidates_equal_the_vector_oracle(case):
+    demand, weights, servers = case
+    candidates, scores, chosen = place_oracle(demand, weights.as_tuple(), servers)
+    assert filter_candidates(demand, servers) == candidates
+    decision = place(demand, weights, servers)
+    assert decision.scores == scores
+    assert list(decision.scores) == candidates
+    assert decision.chosen == chosen

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -248,7 +249,7 @@ def test_zero_duration_emits_snapshot_only():
     assert [(r[0], r[1]) for r in report.utilization] == [(0, "s1"), (0, "s2")]
     assert report.utilization[0][2:] == (5.0, 5.0, 5.0, "active", 0)
     assert report.placements == []
-    assert report.stat_rows == []
+    assert list(report.stat_rows) == []
     assert report.alarms == []
     assert all(v == 0 for v in report.summary["counters"].values())
 
@@ -286,9 +287,9 @@ def test_determinism_and_seed_sensitivity(tmp_path):
     a = emit_reports(run(Scenario.from_json(spec)), str(tmp_path / "a"))
     b = emit_reports(run(Scenario.from_json(spec)), str(tmp_path / "b"))
     for pa, pb in zip(a, b):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
     c = emit_reports(run(Scenario.from_json(_scn(duration=8, seed=10))), str(tmp_path / "c"))
-    assert open(a[0], "rb").read() != open(c[0], "rb").read()
+    assert Path(a[0]).read_bytes() != Path(c[0]).read_bytes()
 
 
 def test_emit_reports_writes_all_files_and_is_rerunnable(tmp_path):
@@ -296,10 +297,10 @@ def test_emit_reports_writes_all_files_and_is_rerunnable(tmp_path):
     outdir = tmp_path / "out"
     paths = emit_reports(report, str(outdir))
     assert [p.rsplit("/", 1)[1] for p in paths] == list(REPORT_FILES)
-    first = {p: open(p, "rb").read() for p in paths}
+    first = {p: Path(p).read_bytes() for p in paths}
     emit_reports(report, str(outdir))
     for p, blob in first.items():
-        assert open(p, "rb").read() == blob
+        assert Path(p).read_bytes() == blob
     util = first[paths[0]].decode()
     assert util.splitlines()[0] == "tick,server,cpu,mem,bw,power,vms"
     assert len(util.splitlines()) == 3
@@ -557,7 +558,7 @@ def test_fin_ring_conserves_connections():
         sim.step(tick)
         if tick == 7:
             assert not sim.fin_ring[sim.vms["vm-002"].fin_row].any()
-    rows = sim.report.stat_rows
+    rows = list(sim.report.stat_rows)
     assert (rows[-2].vm_id, rows[-2].syn) == ("vm-001", 20 + 40)
     for vm, ticks in (("vm-002", range(7)), ("vm-003", range(3, scn.duration))):
         in_flight = 0
