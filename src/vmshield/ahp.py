@@ -115,10 +115,8 @@ def _consistent_weights(source, tol, cr_limit, max_iter) -> tuple[WeightVector, 
     if cr_limit <= 0:
         raise ValueError("cr_limit must be > 0")
     if isinstance(source, (HotspotProfile, ResourceVector)):
-        matrix = matrix_from_profile(source)
-    else:
-        matrix = validate_pairwise_matrix(source)
-    weights, lambda_max = principal_eigenvector(matrix, tol=tol, max_iter=max_iter)
+        source = matrix_from_profile(source)
+    weights, lambda_max = principal_eigenvector(source, tol=tol, max_iter=max_iter)
     cr = consistency_ratio(lambda_max)
     if cr >= cr_limit:
         raise InconsistentMatrix(

@@ -19,8 +19,9 @@ in-episode flag as arrays.  Its observe() advances a batch of distinct
 VMs by one interval each: the tick simulator makes one call per tick,
 and offline traces (process_trace) one call per row position, so
 contiguous exceedances collapse to one alarm the same way in both.
-The statistic log is columnar too: a StatLog holds one block of arrays
-per batch and renders detector.csv in one formatting pass.
+The statistic log is columnar too: a StatLog holds blocks of arrays, one
+per tick in the simulator and one for a whole trace, and renders
+detector.csv in one formatting pass.
 
 Defaults: drift 0.08, threshold 1.43, 10 s sampling interval.
 """
@@ -87,15 +88,6 @@ class StatRow:
     alarm: bool
 
 
-@dataclass
-class DetectionReport:
-    """Alarms (one per contiguous exceedance episode) plus the full y series."""
-
-    alarms: list[Alarm] = field(default_factory=list)
-    series: dict[str, list[float]] = field(default_factory=dict)
-    rows: list[StatRow] = field(default_factory=list)
-
-
 def discrepancy(syn, finrst):
     """Normalized SYN vs FIN|RST imbalance, in [-1, 1]; 0 for paired traffic.
 
@@ -152,7 +144,7 @@ _NO_ROWS = (np.empty(0, np.int64), [], np.empty(0, np.int64), np.empty(0, np.int
 
 
 class StatLog:
-    """The statistic log as columns: one block of arrays per detector batch.
+    """The statistic log as columns: one block of arrays per append.
 
     A block holds interval indices, vm ids, syn and finrst counts, d, y
     and alarm (episode-start) flags.  len counts rows, and iterating
@@ -185,15 +177,14 @@ class StatLog:
                 list(chain.from_iterable(b[1] for b in blocks)),
                 *(np.concatenate([b[k] for b in blocks]) for k in range(2, 7)))
 
-    @classmethod
-    def from_rows(cls, rows) -> "StatLog":
-        """The log of StatRows (or rows with the same fields), as one block."""
-        rows = list(rows)
-        log = cls()
-        log.append([r.interval_index for r in rows], [r.vm_id for r in rows],
-                   [r.syn for r in rows], [r.finrst for r in rows], [r.d for r in rows],
-                   [r.y for r in rows], [r.alarm for r in rows])
-        return log
+
+@dataclass
+class DetectionReport:
+    """Alarms (one per contiguous exceedance episode), the y series and the statistic log."""
+
+    alarms: list[Alarm] = field(default_factory=list)
+    series: dict[str, list[float]] = field(default_factory=dict)
+    rows: StatLog = field(default_factory=StatLog)
 
 
 def process_trace(
@@ -207,32 +198,36 @@ def process_trace(
     crossing.  Rows and series are ordered by (vm_id, interval_index).
     VMs are independent, so batch j of the detector holds the j-th row
     of every VM that has one; a VM's duplicate rows stay in input order.
+    The rows are one StatLog block; alarms and series hold Python ints
+    and floats read off its columns.
     """
     detector = CusumDetector(drift, threshold)
     ordered = sorted(intervals, key=lambda iv: (iv.vm_id, iv.interval_index))
     vm_ids = [iv.vm_id for iv in ordered]
+    index = np.array([iv.interval_index for iv in ordered], dtype=np.int64)
     syn = np.array([iv.syn for iv in ordered], dtype=np.int64)
     finrst = np.array([iv.finrst for iv in ordered], dtype=np.int64)
-    # each row's position within its VM's run of rows
-    position = np.array([j for _, run in groupby(vm_ids) for j, _ in enumerate(run)], dtype=np.intp)
+    runs = [(vm_id, len(list(run))) for vm_id, run in groupby(vm_ids)]
+    lengths = np.array([n for _, n in runs], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    # each row's position within its VM's run; a stable sort groups batch j in vm_id order
+    position = np.arange(len(vm_ids)) - np.repeat(starts, lengths)
+    by_position = np.argsort(position, kind="stable")
     d, y = np.empty(len(vm_ids)), np.empty(len(vm_ids))
     alarm = np.empty(len(vm_ids), dtype=bool)
-    for j in range(int(position.max(initial=-1)) + 1):
-        batch = np.flatnonzero(position == j)
+    for batch in np.split(by_position, np.cumsum(np.bincount(position))[:-1]):
         d[batch], y[batch], alarm[batch] = detector.observe(
             [vm_ids[k] for k in batch.tolist()], syn[batch], finrst[batch])
-    log = StatLog()
-    log.append([iv.interval_index for iv in ordered], vm_ids, syn, finrst, d, y, alarm)
-    report = DetectionReport(rows=list(log))
-    for row in report.rows:
-        if row.alarm:
-            report.alarms.append(Alarm(row.vm_id, row.interval_index, row.y))
-        report.series.setdefault(row.vm_id, []).append(row.y)
-    return report
+    rows = StatLog()
+    rows.append(index, vm_ids, syn, finrst, d, y, alarm)
+    indices, ys = index.tolist(), y.tolist()
+    alarms = [Alarm(vm_ids[k], indices[k], ys[k]) for k in np.flatnonzero(alarm).tolist()]
+    series = {vm_id: ys[k:k + n] for (vm_id, n), k in zip(runs, starts.tolist())}
+    return DetectionReport(alarms, series, rows)
 
 
 def bin_events(
-    events,
+    trace,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     span_seconds: float | None = None,
     vm_ids=None,
@@ -246,17 +241,14 @@ def bin_events(
     beyond it are dropped).  vm_ids forces rows for VMs absent from the
     trace.
 
-    Events are a traffic.Trace or (timestamp_us, vm_id, pkt_type)
-    triples, ordered by non-negative timestamp; a backwards jump raises
-    UnsortedTrace and a negative timestamp ValueError.
+    trace is a traffic.Trace (hand-built events go through
+    Trace.from_events), ordered by non-negative timestamp; a backwards
+    jump raises UnsortedTrace and a negative timestamp ValueError.
     """
-    from .traffic import Trace  # traffic imports this module
-
     interval_us = round(interval_seconds * 1_000_000) if math.isfinite(interval_seconds) else 0
     if interval_us < 1:
         raise ValueError(f"interval_seconds must be finite and at least 1 microsecond, "
                          f"got {interval_seconds}")
-    trace = events if isinstance(events, Trace) else Trace.from_events(events)
     t_us = trace.t_us
 
     # comparing with a leading 0 lets the one ordering test also catch negative times
@@ -313,13 +305,12 @@ def _csv_field(value: str) -> str:
     return value
 
 
-def stat_rows_to_csv(rows) -> str:
+def stat_rows_to_csv(log: StatLog) -> str:
     """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm.
 
-    rows is a StatLog or a list of StatRows; the text equals
-    csv.writer's row by row, with d and y to six decimal places.
+    The text equals csv.writer's row by row, with d and y to six
+    decimal places.
     """
-    log = rows if isinstance(rows, StatLog) else StatLog.from_rows(rows)
     interval, vm_ids, syn, finrst, d, y, alarm = log.columns()
     quoted = {vm_id: _csv_field(vm_id) for vm_id in set(vm_ids)}
     lines = map("%d,%s,%d,%d,%.6f,%.6f,%d\n".__mod__,

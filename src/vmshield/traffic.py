@@ -8,8 +8,9 @@ or RST (10%); an attack emits bare SYNs that are never terminated.
 Event traces are held as a Trace: one numpy column each for the
 timestamps, the VM and the packet type.  The generators, merge_traces
 and read_trace_csv return a Trace; iterating it yields PacketEvent
-rows.  merge_traces, events_to_csv and detector.bin_events also take
-hand-built (t_us, vm_id, pkt_type) triples.
+rows.  merge_traces, events_to_csv and detector.bin_events take only
+Traces: hand-built (t_us, vm_id, pkt_type) triples go through
+Trace.from_events.
 
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
 directly with gen_normal_binned / gen_attack_binned; these draw the
@@ -103,10 +104,6 @@ def _sorted_ids(t_us, vm, kind, ids: list[str]) -> Trace:
     rank = np.empty(len(ids), dtype=np.int32)
     rank[order] = np.arange(len(ids), dtype=np.int32)
     return Trace(t_us, rank[np.asarray(vm, dtype=np.intp)], kind, [ids[i] for i in order])
-
-
-def _as_trace(events) -> Trace:
-    return events if isinstance(events, Trace) else Trace.from_events(events)
 
 
 def _single_vm(vm_id: str, t_us: np.ndarray, kind: np.ndarray) -> Trace:
@@ -288,11 +285,8 @@ def gen_attack_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterv
 
 
 def merge_traces(traces) -> Trace:
-    """Merge time-ordered streams; ties break by (vm_id, input order).
-
-    Each stream is a Trace or an iterable of (t_us, vm_id, pkt_type).
-    """
-    traces = [_as_trace(trace) for trace in traces]
+    """Merge time-ordered Traces; ties break by (vm_id, input order)."""
+    traces = list(traces)
     for i, trace in enumerate(traces):
         if (trace.t_us[1:] < trace.t_us[:-1]).any():
             raise UnsortedTrace(f"input stream {i} is not time-ordered")
@@ -311,14 +305,12 @@ def parse_timestamp(s: str) -> int:
     return round(float(s) * 1_000_000)
 
 
-def events_to_csv(events) -> str:
+def events_to_csv(trace: Trace) -> str:
     """The event trace file: a header, then timestamp_s,vm_id,pkt_type rows.
 
-    events is a Trace or an iterable of (t_us, vm_id, pkt_type); the
-    text equals csv.writer's with timestamps as seconds.micros, and a
-    vm_id holding a carriage return is quoted so that it reads back.
+    The text equals csv.writer's with timestamps as seconds.micros, and
+    a vm_id holding a carriage return is quoted so that it reads back.
     """
-    trace = _as_trace(events)
     seconds, micros = np.divmod(trace.t_us, 1_000_000)
     vm = np.array([_csv_field(v) for v in trace.vm_ids], dtype=object)[trace.vm]
     kind = np.array([_csv_field(p) for p in PKT_TYPES], dtype=object)[trace.kind]

@@ -19,6 +19,7 @@ from vmshield.detector import (
     stat_rows_to_csv,
 )
 from vmshield.errors import UnsortedTrace
+from vmshield.traffic import Trace
 
 
 def _episode_starts(flags):
@@ -177,7 +178,7 @@ def test_bin_events_pairs_across_interval_boundary():
         (1_000_000, "vm1", "SYN"),
         (14_000_000, "vm1", "FIN"),
     ]
-    out = bin_events(events, interval_seconds=10)
+    out = bin_events(Trace.from_events(events), interval_seconds=10)
     assert out == [
         TrafficInterval(0, "vm1", 1, 0),
         TrafficInterval(1, "vm1", 0, 1),
@@ -185,7 +186,7 @@ def test_bin_events_pairs_across_interval_boundary():
 
 
 def test_bin_events_empty_trace_with_span():
-    out = bin_events([], interval_seconds=10, span_seconds=30, vm_ids=["vm1"])
+    out = bin_events(Trace.from_events([]), interval_seconds=10, span_seconds=30, vm_ids=["vm1"])
     assert out == [
         TrafficInterval(0, "vm1", 0, 0),
         TrafficInterval(1, "vm1", 0, 0),
@@ -198,7 +199,7 @@ def test_bin_events_zero_fills_quiet_intervals():
         (500_000, "vm1", "SYN"),
         (45_000_000, "vm1", "RST"),
     ]
-    out = bin_events(events, interval_seconds=10)
+    out = bin_events(Trace.from_events(events), interval_seconds=10)
     assert [iv.interval_index for iv in out] == [0, 1, 2, 3, 4]
     assert out[0].syn == 1
     assert out[4].finrst == 1
@@ -213,27 +214,27 @@ def test_bin_events_ignores_non_handshake_packets():
         (3, "vm1", "OTHER"),
         (4, "vm1", "RST"),
     ]
-    out = bin_events(events, interval_seconds=10)
+    out = bin_events(Trace.from_events(events), interval_seconds=10)
     assert out == [TrafficInterval(0, "vm1", 1, 1)]
 
 
 def test_bin_events_span_drops_overflow():
     events = [(5_000_000, "vm1", "SYN"), (25_000_000, "vm1", "SYN")]
-    out = bin_events(events, interval_seconds=10, span_seconds=20)
+    out = bin_events(Trace.from_events(events), interval_seconds=10, span_seconds=20)
     assert [iv.syn for iv in out] == [1, 0]
 
 
 def test_bin_events_unsorted_raises():
     events = [(10, "vm1", "SYN"), (5, "vm1", "SYN")]
     with pytest.raises(UnsortedTrace):
-        bin_events(events, interval_seconds=10)
+        bin_events(Trace.from_events(events), interval_seconds=10)
 
 
 def test_bin_events_rejects_negative_timestamps():
     # these SYNs used to fall into interval -1 and vanish from the output
     events = [(-5_000_000, "vm1", "SYN"), (-4_000_000, "vm1", "SYN"), (1_000_000, "vm1", "FIN")]
     with pytest.raises(ValueError, match="negative timestamp"):
-        bin_events(events, interval_seconds=10)
+        bin_events(Trace.from_events(events), interval_seconds=10)
 
 
 def test_bin_events_multiple_vms_share_the_grid():
@@ -241,7 +242,7 @@ def test_bin_events_multiple_vms_share_the_grid():
         (0, "a", "SYN"),
         (11_000_000, "b", "SYN"),
     ]
-    out = bin_events(events, interval_seconds=10)
+    out = bin_events(Trace.from_events(events), interval_seconds=10)
     assert [(iv.vm_id, iv.interval_index) for iv in out] == [
         ("a", 0), ("a", 1), ("b", 0), ("b", 1),
     ]

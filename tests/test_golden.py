@@ -4,7 +4,7 @@ A change that claims only speed must leave every report byte unchanged,
 so these digests may only be updated by a change that alters simulated
 behaviour on purpose (and says so).  The offline trace pipeline is
 pinned the same way: the trace `gen` writes, and the statistic log and
-JSON that `detect` writes for it.
+JSON that `detect` writes for it and for a pre-binned trace.
 """
 
 import hashlib
@@ -212,3 +212,38 @@ def test_trace_pipeline_outputs_are_byte_identical(tmp_path):
                "stats.csv": hashlib.sha256(stats.read_bytes()).hexdigest(),
                "detect.json": hashlib.sha256(out.getvalue().encode()).hexdigest()}
     assert digests == TRACE_DIGESTS
+
+
+# A pre-binned trace for the same command.  "web" runs 12 intervals with
+# index 6 left out, which fill_gaps zero-fills, and floods from 4 to 8;
+# "db,primary" (a quoted id) stops after interval 5, so fill_gaps pads it
+# to web's span.  The rows are not in (vm_id, interval_index) order.
+BINNED_TRACE = (
+    "interval_index,vm_id,syn,finrst\n"
+    + "".join(f"{i},web,{s},{f}\n" for i, s, f in [
+        (0, 40, 3), (1, 41, 37), (2, 38, 44), (3, 40, 39), (4, 140, 41), (5, 150, 38),
+        (7, 160, 12), (8, 120, 9), (9, 42, 35), (10, 39, 41), (11, 40, 40)])
+    + "".join(f'{i},"db,primary",{s},{f}\n' for i, s, f in [
+        (3, 25, 24), (0, 25, 0), (1, 24, 20), (2, 26, 27), (4, 25, 26), (5, 0, 22)])
+)
+
+BINNED_DIGESTS = {
+    "stats.csv": "356695d7e50233fc71580c3fa3bda10f02c50937b7ebfef74c6c1318c6c214ca",
+    "detect.json": "8d9139a6a9a59d49dd473e3c96dd0a8fdd79e951ec5c2c7267aecdcdb53a5501",
+}
+
+
+def test_binned_detect_outputs_are_byte_identical(tmp_path):
+    trace, stats = tmp_path / "binned.csv", tmp_path / "stats.csv"
+    trace.write_text(BINNED_TRACE)
+    out = io.StringIO()
+    assert dispatch(["detect", "--trace", str(trace), "--stats", str(stats)], out=out) == EXIT_OK
+    result = json.loads(out.getvalue())
+    # the trace must keep exercising the filled gap, the padded VM and an alarm
+    assert sorted(result["series"]) == ["db,primary", "web"]
+    assert all(len(ys) == 12 for ys in result["series"].values())
+    assert "6,web,0,0," in stats.read_text()
+    assert "web" in [a["vm_id"] for a in result["alarms"]]
+    digests = {"stats.csv": hashlib.sha256(stats.read_bytes()).hexdigest(),
+               "detect.json": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    assert digests == BINNED_DIGESTS

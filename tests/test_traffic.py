@@ -8,6 +8,7 @@ from vmshield.detector import TrafficInterval, bin_events
 from vmshield.errors import ParseError, UnsortedTrace
 from vmshield.traffic import (
     PacketEvent,
+    Trace,
     TrafficSpec,
     events_to_csv,
     gen_attack,
@@ -186,19 +187,19 @@ def test_binned_counts_are_conserved():
 def test_merge_traces_orders_and_breaks_ties_by_vm():
     t1 = [PacketEvent(5, "b", "SYN"), PacketEvent(10, "b", "SYN")]
     t2 = [PacketEvent(5, "a", "SYN"), PacketEvent(10, "a", "FIN")]
-    merged = merge_traces([t1, t2])
+    merged = merge_traces([Trace.from_events(t1), Trace.from_events(t2)])
     assert [(e.t_us, e.vm_id) for e in merged] == [(5, "a"), (5, "b"), (10, "a"), (10, "b")]
 
 
 def test_merge_preserves_input_order_within_same_vm_and_time():
     t1 = [PacketEvent(5, "a", "SYN"), PacketEvent(5, "a", "FIN")]
-    merged = merge_traces([t1])
+    merged = merge_traces([Trace.from_events(t1)])
     assert [e.pkt_type for e in merged] == ["SYN", "FIN"]
 
 
 def test_merge_rejects_unsorted_input():
     with pytest.raises(UnsortedTrace):
-        merge_traces([[PacketEvent(10, "a", "SYN"), PacketEvent(5, "a", "SYN")]])
+        merge_traces([Trace.from_events([PacketEvent(10, "a", "SYN"), PacketEvent(5, "a", "SYN")])])
 
 
 def _stamps(text):
@@ -206,10 +207,10 @@ def _stamps(text):
 
 
 def test_timestamp_formatting_is_exact_microseconds():
-    text = events_to_csv([(t, "v", "SYN") for t in (0, 1, 1_000_001, 123_456_789)])
+    text = events_to_csv(Trace.from_events((t, "v", "SYN") for t in (0, 1, 1_000_001, 123_456_789)))
     assert _stamps(text) == ["0.000000", "0.000001", "1.000001", "123.456789"]
     stamps = (0, 1, 999_999, 1_000_000, 86_400_000_000, 123_456_789_012)
-    text = events_to_csv([(t, "v", "SYN") for t in stamps])
+    text = events_to_csv(Trace.from_events((t, "v", "SYN") for t in stamps))
     for t, ts in zip(stamps, _stamps(text), strict=True):
         assert parse_timestamp(ts) == t
 
