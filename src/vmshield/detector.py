@@ -52,8 +52,7 @@ MAX_COUNT = 2**53
 # connection attempt nor a termination, so it is ignored, as are plain
 # ACK and anything else.
 PKT_TYPES = ("SYN", "SYNACK", "FIN", "RST", "ACK", "OTHER")
-_SYN = [PKT_TYPES.index("SYN")]
-_FINRST = [PKT_TYPES.index("FIN"), PKT_TYPES.index("RST")]
+_SYN, _FIN, _RST = (PKT_TYPES.index(p) for p in ("SYN", "FIN", "RST"))
 
 
 @dataclass(frozen=True)
@@ -272,8 +271,8 @@ def bin_events(
     cell = np.array([row.get(v, 0) for v in trace.vm_ids], dtype=np.int64)[trace.vm[keep]] * n
     cell += index[keep]
     kind = trace.kind[keep]
-    syn = np.bincount(cell[np.isin(kind, _SYN)], minlength=len(vms) * n)
-    finrst = np.bincount(cell[np.isin(kind, _FINRST)], minlength=len(vms) * n)
+    syn = np.bincount(cell[kind == _SYN], minlength=len(vms) * n)
+    finrst = np.bincount(cell[(kind == _FIN) | (kind == _RST)], minlength=len(vms) * n)
     return [TrafficInterval(idx, vm_id, s, f) for (vm_id, idx), s, f
             in zip(product(vms, range(n)), syn.tolist(), finrst.tolist())]
 

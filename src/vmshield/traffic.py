@@ -12,6 +12,10 @@ rows.  merge_traces, events_to_csv and detector.bin_events take only
 Traces: hand-built (t_us, vm_id, pkt_type) triples go through
 Trace.from_events.
 
+The event trace file is written as one uint8 matrix, and read by a
+numpy byte kernel if it is plain (_read_plain_events), else by
+csv.reader, the one path that reports errors: both give the same Trace.
+
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
 directly with gen_normal_binned / gen_attack_binned; these draw the
 same random variates as the event generators and therefore agree with
@@ -28,6 +32,7 @@ from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import MAX_COUNT, PKT_TYPES, TrafficInterval, _csv_field
 from .errors import ParseError, UnsortedTrace
@@ -38,6 +43,7 @@ RST_FRACTION = 0.1
 
 TRACE_HEADER = ["timestamp_s", "vm_id", "pkt_type"]
 BINNED_HEADER = ["interval_index", "vm_id", "syn", "finrst"]
+_TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
 # Timestamps are int64 microseconds; a trace must stay below this.
 T_US_LIMIT = 2**63
@@ -190,18 +196,20 @@ def _delay_bounds_us(spec: TrafficSpec) -> tuple[int, int]:
     return round(low * 1_000_000), round(high * 1_000_000)
 
 
-def _normal_draws(spec: TrafficSpec, rng):
-    """The variates behind one interval's connections: offsets, delays, rst flags.
+def _normal_draws(spec: TrafficSpec):
+    """Each interval's connection variates in turn: offsets, delays, rst flags.
 
-    Drawn in a fixed order so the event and binned generators stay in
-    lockstep on the same seed.
+    Drawn in a fixed order from the spec's seed so the event and binned
+    generators stay in lockstep.  One integers call per interval draws
+    the offsets and delays together, the same stream as one call each.
     """
-    iv_us = _interval_us(spec)
+    rng = np.random.default_rng(spec.seed)
+    n = spec.base_rate
     lo, hi = _delay_bounds_us(spec)
-    offsets = rng.integers(0, iv_us, spec.base_rate)
-    delays = rng.integers(lo, hi, spec.base_rate, endpoint=True)
-    is_rst = rng.random(spec.base_rate) < RST_FRACTION
-    return offsets, delays, is_rst
+    low, high = np.repeat([0, lo], n), np.repeat([_interval_us(spec) - 1, hi], n)
+    for _ in range(spec.start, spec.end):
+        draws = rng.integers(low, high, endpoint=True)
+        yield draws[:n], draws[n:], rng.random(n) < RST_FRACTION
 
 
 def _interval_starts(spec: TrafficSpec) -> np.ndarray:
@@ -217,13 +225,12 @@ def gen_normal(spec: TrafficSpec) -> Trace:
     """
     if spec.mode != "normal":
         raise ValueError("gen_normal needs a spec with mode='normal'")
-    rng = np.random.default_rng(spec.seed)
     shape = (spec.end - spec.start, spec.base_rate)
     offsets = np.empty(shape, dtype=np.int64)
     delays = np.empty(shape, dtype=np.int64)
     is_rst = np.empty(shape, dtype=bool)
-    for row in range(shape[0]):
-        offsets[row], delays[row], is_rst[row] = _normal_draws(spec, rng)
+    for row, draws in enumerate(_normal_draws(spec)):
+        offsets[row], delays[row], is_rst[row] = draws
     t_syn = _interval_starts(spec) + offsets
     t_us = np.stack([t_syn, t_syn + delays], axis=-1)
     kind = np.stack([np.full(shape, _KIND["SYN"]),
@@ -236,11 +243,8 @@ def gen_attack(spec: TrafficSpec) -> Trace:
     if spec.mode != "attack":
         raise ValueError("gen_attack needs a spec with mode='attack'")
     rng = np.random.default_rng(spec.seed)
-    iv_us = _interval_us(spec)
-    offsets = np.empty((spec.end - spec.start, round(spec.base_rate * spec.attack_multiplier)),
-                       dtype=np.int64)
-    for row in range(len(offsets)):
-        offsets[row] = rng.integers(0, iv_us, offsets.shape[1])
+    shape = (spec.end - spec.start, round(spec.base_rate * spec.attack_multiplier))
+    offsets = rng.integers(0, _interval_us(spec), shape)
     t_us = (_interval_starts(spec) + offsets).ravel()
     return _single_vm(spec.vm_id, t_us, np.full(len(t_us), _KIND["SYN"]))
 
@@ -258,12 +262,10 @@ def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterv
     """
     if spec.mode != "normal":
         raise ValueError("gen_normal_binned needs a spec with mode='normal'")
-    rng = np.random.default_rng(spec.seed)
     iv_us = _interval_us(spec)
     syn = np.zeros(n_intervals, dtype=np.int64)
     fin = np.zeros(n_intervals, dtype=np.int64)
-    for k in range(spec.start, spec.end):
-        offsets, delays, _ = _normal_draws(spec, rng)
+    for k, (offsets, delays, _) in zip(range(spec.start, spec.end), _normal_draws(spec)):
         if k < n_intervals:
             syn[k] += spec.base_rate
         idx = (k * iv_us + offsets + delays) // iv_us
@@ -310,13 +312,96 @@ def events_to_csv(trace: Trace) -> str:
 
     The text equals csv.writer's with timestamps as seconds.micros, and
     a vm_id holding a carriage return is quoted so that it reads back.
+    A uint8 row holds a sign, the seconds right-aligned, a dot, six micro
+    digits and a ",vm_id,pkt_type\n" suffix; a mask drops pad and tail.
     """
     seconds, micros = np.divmod(trace.t_us, 1_000_000)
-    vm = np.array([_csv_field(v) for v in trace.vm_ids], dtype=object)[trace.vm]
-    kind = np.array([_csv_field(p) for p in PKT_TYPES], dtype=object)[trace.kind]
-    rows = map("%d.%06d,%s,%s\n".__mod__,
-               zip(seconds.tolist(), micros.tolist(), vm.tolist(), kind.tolist()))
-    return ",".join(TRACE_HEADER) + "\n" + "".join(rows)
+    magnitude = np.abs(seconds)
+    width = len(str(magnitude.max())) if len(magnitude) else 1
+    suffixes = [f",{_csv_field(v)},{p}\n".encode(errors="surrogatepass")
+                for v in trace.vm_ids for p in PKT_TYPES]
+    tail = max(map(len, suffixes), default=1)
+    table = np.array(suffixes, dtype=f"S{tail}").view(np.uint8).reshape(len(suffixes), tail)
+    suffix = trace.vm.astype(np.intp) * len(PKT_TYPES) + trace.kind
+    rows = np.empty((len(suffix), width + 8 + tail), dtype=np.uint8)
+    ends = width + 8 + np.array(list(map(len, suffixes)), dtype=np.intp)[suffix]
+    keep = np.arange(rows.shape[1]) < ends[:, None]
+    rows[:, 0], keep[:, 0] = ord("-"), seconds < 0
+    keep[:, 1:width] = magnitude[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+    for col in range(width):
+        rows[:, 1 + col] = magnitude // 10 ** (width - 1 - col) % 10 + ord("0")
+    rows[:, width + 1] = ord(".")
+    for col in range(6):
+        rows[:, width + 2 + col] = micros // 10 ** (5 - col) % 10 + ord("0")
+    rows[:, width + 8:] = table[suffix]
+    return _TRACE_HEADER_LINE + rows[keep].tobytes().decode(errors="surrogatepass")
+
+
+def _read_plain_events(data: bytes) -> Trace | None:
+    """The event trace in data (UTF-8) if it is a plain file, else None.
+
+    A plain file starts with the event header line and holds no '"',
+    '\\r' or NUL; each non-blank line has exactly two commas, a timestamp
+    matching [0-9]{1,9}\\.[0-9]{6} and a pkt_type in PKT_TYPES.  csv.reader
+    splits it at its newlines and commas alone, skipping blank lines.
+
+    The stamps are built exactly from their digits and equal _event_row's
+    round(float(ts) * 1e6): a plain stamp is below 10**15 < 2**51 us, so
+    parsing it as a float and multiplying by 10**6 errs by a relative
+    2**-52 or so, less than 0.5 in absolute terms, and rounds exactly.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"  # as csv.reader, end the last line at the end of the file
+    if not data.startswith(_TRACE_HEADER_LINE.encode()) or any(
+            c in data for c in (b'"', b"\r", b"\0")):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts, ends = ends[:-1] + 1, ends[1:]  # the header is the first line
+    starts, ends = starts[ends > starts], ends[ends > starts]
+    commas = np.flatnonzero(buf == ord(","))[2:]
+    if len(commas) != 2 * len(starts):
+        return None
+    # Once line i's stamp runs from its start to commas[2i], that is its
+    # first comma, so with 2n commas in all every line holds two.  Each
+    # window below lies in buf, as lines start after the header, and its
+    # bytes outside the line are masked out.
+    first, second = commas.reshape(-1, 2).T
+    width = first - starts
+    stamp = sliding_window_view(buf, 16)[first - 16]  # 9 seconds digits, ".", 6 micro digits
+    if not ((width >= 8) & (width <= 16) & (stamp[:, 9] == ord("."))).all():
+        return None
+    digit = (stamp - np.uint8(ord("0"))) * (np.arange(16) >= 16 - width[:, None])
+    digit[:, 9] = 0
+    if digit.max(initial=0) > 9:  # uint8: a byte below "0" wraps past 9
+        return None
+    t_us = np.zeros(len(starts), dtype=np.int64)
+    for col in [*range(9), *range(10, 16)]:
+        t_us *= 10
+        t_us += digit[:, col]
+    # each line's last 8 bytes as one uint64, to match ",pkt_type" at its end
+    tail = sliding_window_view(buf, 8)[ends - 8].view("<u8").ravel()
+    kind = np.full(len(starts), -1, dtype=np.int8)
+    for code, pkt_type in enumerate(PKT_TYPES):
+        field = b"," + pkt_type.encode()
+        kind[tail >> np.uint64(64 - 8 * len(field)) == int.from_bytes(field, "little")] = code
+    if (kind < 0).any():
+        return None
+    # group the ids by byte length; an id and its comma make a key of fixed width
+    width = second - first
+    vm, ids = np.empty(len(starts), dtype=np.int32), []
+    for w in np.unique(width).tolist():
+        lines = np.flatnonzero(width == w)
+        if w <= 8:  # as one uint64 each, which np.unique sorts far faster than bytes
+            keys = sliding_window_view(buf, 8)[second[lines] - 7].view("<u8").ravel()
+            keys >>= np.uint64(64 - 8 * w)
+        else:
+            keys = sliding_window_view(buf, w)[first[lines] + 1].view(f"S{w}").ravel()
+        unique, code = np.unique(keys, return_inverse=True)
+        vm[lines] = len(ids) + code.ravel()
+        ids += [key[:w - 1].tobytes().decode(errors="surrogatepass")
+                for key in unique.view(np.uint8).reshape(len(unique), -1)]
+    return _sorted_ids(t_us, vm, kind, ids)
 
 
 def _event_row(row: list[str], lineno: int) -> tuple[int, str, str]:
@@ -410,7 +495,11 @@ def read_trace_csv(text: str):
 
     The two trace forms are told apart by their header row.  Rows may
     end in \\n, \\r\\n or \\r; a quoted field keeps its own line breaks.
+    A plain event file is read by _read_plain_events, any other by csv.reader.
     """
+    trace = _read_plain_events(text.encode(errors="surrogatepass"))
+    if trace is not None:
+        return "events", trace
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

@@ -112,6 +112,33 @@ def read_events_oracle(text):
     return events
 
 
+def traffic_oracle(spec):
+    """(t_us, vm_id, pkt_type) events of one TrafficSpec, drawn interval by interval.
+
+    Each interval makes one integers call for the SYN offsets and, for a
+    normal spec, one for the FIN|RST delays and one random call for the
+    RST flags (10% RST); the events are then stably sorted by time.
+    """
+    rng = np.random.default_rng(spec.seed)
+    interval_us = round(spec.interval_seconds * 1_000_000)
+    low, high = (round(v * 1_000_000) for v in spec.fin_delay_range)
+    events = []
+    for k in range(spec.start, spec.end):
+        if spec.mode == "attack":
+            n = round(spec.base_rate * spec.attack_multiplier)
+            events += [(k * interval_us + offset, spec.vm_id, "SYN")
+                       for offset in rng.integers(0, interval_us, n).tolist()]
+            continue
+        offsets = rng.integers(0, interval_us, spec.base_rate).tolist()
+        delays = rng.integers(low, high, spec.base_rate, endpoint=True).tolist()
+        is_rst = (rng.random(spec.base_rate) < 0.1).tolist()
+        for offset, delay, rst in zip(offsets, delays, is_rst):
+            t_syn = k * interval_us + offset
+            events += [(t_syn, spec.vm_id, "SYN"),
+                       (t_syn + delay, spec.vm_id, "RST" if rst else "FIN")]
+    return sorted(events, key=lambda e: e[0])
+
+
 def merge_oracle(streams):
     """Concatenate the streams, then a stable sort on (t_us, vm_id)."""
     for i, stream in enumerate(streams):

@@ -198,20 +198,54 @@ TRACE_DIGESTS = {
 }
 
 
-def test_trace_pipeline_outputs_are_byte_identical(tmp_path):
+def _gen_and_detect(specs, tmp_path):
+    """gen then detect --stats: the trace text, detect's JSON and the three digests."""
     spec = tmp_path / "specs.json"
-    spec.write_text(json.dumps(TRACE_SPECS))
+    spec.write_text(json.dumps(specs))
     trace, stats = tmp_path / "trace.csv", tmp_path / "stats.csv"
     assert dispatch(["gen", "--spec", str(spec), "--out", str(trace)], out=io.StringIO()) == EXIT_OK
     out = io.StringIO()
     assert dispatch(["detect", "--trace", str(trace), "--stats", str(stats)], out=out) == EXIT_OK
-    # the pipeline must keep exercising a quoted id and an alarm
-    assert 'db,""primary""' in trace.read_text()
-    assert "web" in [a["vm_id"] for a in json.loads(out.getvalue())["alarms"]]
     digests = {"trace.csv": hashlib.sha256(trace.read_bytes()).hexdigest(),
                "stats.csv": hashlib.sha256(stats.read_bytes()).hexdigest(),
                "detect.json": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    return trace.read_text(encoding="utf-8"), json.loads(out.getvalue()), digests
+
+
+def test_trace_pipeline_outputs_are_byte_identical(tmp_path):
+    text, result, digests = _gen_and_detect(TRACE_SPECS, tmp_path)
+    # the pipeline must keep exercising a quoted id and an alarm
+    assert 'db,""primary""' in text
+    assert "web" in [a["vm_id"] for a in result["alarms"]]
     assert digests == TRACE_DIGESTS
+
+
+# The same pipeline on ids that need no quoting, so detect reads the
+# trace as a plain file: one id is longer than 8 bytes, one is not ASCII,
+# and "api-gateway-01" floods from interval 5 to 11.
+PLAIN_TRACE_SPECS = {"specs": [
+    {"vm_id": "api-gateway-01", "mode": "normal", "base_rate": 30, "start": 0, "end": 15,
+     "seed": 7},
+    {"vm_id": "nœud-b", "mode": "normal", "base_rate": 12, "start": 1, "end": 13, "seed": 8,
+     "fin_delay_range": [2.0, 7.5], "interval_seconds": 4.0},
+    {"vm_id": "db", "mode": "normal", "base_rate": 20, "start": 0, "end": 14, "seed": 9},
+    {"vm_id": "api-gateway-01", "mode": "attack", "base_rate": 30, "attack_multiplier": 3.0,
+     "start": 5, "end": 11, "seed": 10},
+]}
+
+PLAIN_TRACE_DIGESTS = {
+    "trace.csv": "d6c3eb92c25db3bf3cdc3231ea7539024c4b61ee7badc71864db43c68afbfeda",
+    "stats.csv": "504ec920e9f71972e56c3fd6756473c0d35de47f927cc6587d3665c83e8af439",
+    "detect.json": "4394f071f06e78555bfa0dd0ec8f1facec3810e8fb22c8c1760f21f8c03874d1",
+}
+
+
+def test_plain_trace_pipeline_outputs_are_byte_identical(tmp_path):
+    text, result, digests = _gen_and_detect(PLAIN_TRACE_SPECS, tmp_path)
+    # the pipeline must keep exercising a file with no quoted field, and an alarm
+    assert '"' not in text
+    assert "api-gateway-01" in [a["vm_id"] for a in result["alarms"]]
+    assert digests == PLAIN_TRACE_DIGESTS
 
 
 # A pre-binned trace for the same command.  "web" runs 12 intervals with

@@ -10,7 +10,9 @@ for random traffic specs.
 
 The columnar trace functions equal the one-row-at-a-time oracles of
 conftest on random events: CSV text, parsed rows, ParseError messages,
-merge order and interval counts.
+merge order and interval counts.  The generators equal an oracle that
+draws each interval's variates in separate calls, and read_trace_csv's
+plain-file kernel reads edited plain files as its csv.reader path does.
 
 The batched detector equals the CUSUM recurrence oracle on random
 multi-VM batches, the columnar statistic log equals csv.writer row by
@@ -21,6 +23,7 @@ ResourceVector oracle, ties with the threshold included.
 from __future__ import annotations
 
 import copy
+import csv
 import io
 import json
 import os
@@ -30,17 +33,20 @@ from unittest import mock
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
     bin_events_oracle,
+    csv_row_oracle,
     cusum_oracle,
     events_to_csv_oracle,
+    format_timestamp,
     merge_oracle,
     place_oracle,
     read_events_oracle,
     stat_rows_to_csv_oracle,
+    traffic_oracle,
 )
 from vmshield import traffic  # noqa: E402
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
@@ -63,6 +69,7 @@ from vmshield.traffic import (  # noqa: E402
     events_to_csv,
     gen_normal,
     gen_normal_binned,
+    generate,
     merge_traces,
     read_trace_csv,
 )
@@ -224,11 +231,66 @@ def test_binned_normal_traffic_equals_binning_its_events(
     assert via_events == gen_normal_binned(spec, n)
 
 
+# Intervals and delay spans above 2**32 us (about 4,295 s) draw through
+# numpy's 64-bit bounded path, the others through its 32-bit one.
+WIDE_US = st.integers(1, 20_000_000) | st.integers(2**32 - 2, 5_000_000_000)
+
+
+@SETTINGS
+@given(
+    mode=st.sampled_from(["normal", "attack"]),
+    base_rate=st.integers(0, 12),
+    multiplier=st.floats(1.0, 4.0),
+    start=st.integers(0, 5),
+    length=st.integers(0, 6),
+    delays=st.tuples(WIDE_US, WIDE_US | st.just(0)),
+    interval_us=WIDE_US,
+    n=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generators_equal_the_per_interval_draw_oracle(
+        mode, base_rate, multiplier, start, length, delays, interval_us, n, seed):
+    low, extra = delays
+    spec = TrafficSpec("vm", mode=mode, base_rate=base_rate, attack_multiplier=multiplier,
+                       fin_delay_range=(low / 1e6, (low + extra) / 1e6), start=start,
+                       end=start + length, seed=seed, interval_seconds=interval_us / 1e6)
+    events = traffic_oracle(spec)
+    assert list(generate(spec)) == events
+    if mode == "normal":
+        counts = [[0, 0] for _ in range(n)]
+        for t_us, _, pkt_type in events:
+            if t_us // interval_us < n:
+                counts[t_us // interval_us][pkt_type != "SYN"] += 1
+        assert gen_normal_binned(spec, n) == [
+            TrafficInterval(i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(counts)]
+
+
 # VM ids with the characters CSV must quote, and the empty id.
 VM_ID = st.text(st.sampled_from('ab,"\n\r é'), max_size=4)
 STAMP = st.integers(0, 2**53)
 EVENT = st.tuples(STAMP, VM_ID, st.sampled_from(PKT_TYPES))
 SORTED_EVENTS = st.lists(EVENT, max_size=30).map(sorted)
+# Ids and stamps that read_trace_csv's plain-file kernel parses: no
+# quoting, up to 24 bytes, and stamps below 10**15 us (nine seconds
+# digits).  READ_EVENT mixes them with the general reader's.
+PLAIN_ID = st.text(st.sampled_from("ab-é0"), max_size=12)
+PLAIN_STAMP = st.integers(0, 10**15 - 1)
+PLAIN_EVENT = st.tuples(PLAIN_STAMP, PLAIN_ID, st.sampled_from(PKT_TYPES))
+READ_EVENT = st.tuples(PLAIN_STAMP | st.integers(10**15 - 2, 10**15 + 1) | STAMP,
+                       PLAIN_ID | VM_ID, st.sampled_from(PKT_TYPES))
+# line numbers before which a blank line goes in, and whether the last line ends in "\n"
+BLANKS = st.tuples(st.lists(st.integers(1, 31), max_size=3), st.booleans())
+
+
+def _trace_text(events, blanks):
+    """The oracle's trace file, with blank lines put in and its last "\n" dropped if asked."""
+    positions, last_newline = blanks
+    lines = [csv_row_oracle(["timestamp_s", "vm_id", "pkt_type"]),
+             *(csv_row_oracle([format_timestamp(t_us), *rest]) for t_us, *rest in events)]
+    for position in sorted(positions, reverse=True):
+        lines.insert(min(position, len(lines)), "\n")
+    text = "".join(lines)
+    return text if last_newline else text[:-1]
 
 
 def _outcome(fn, *args, **kwargs):
@@ -240,16 +302,16 @@ def _outcome(fn, *args, **kwargs):
 
 
 @SETTINGS
-@given(st.lists(st.tuples(st.integers(-2**53, 2**53), VM_ID,
+@given(st.lists(st.tuples(st.integers(-2**53, 2**53), VM_ID | PLAIN_ID,
                           st.sampled_from(PKT_TYPES)), max_size=30))
 def test_events_to_csv_equals_the_row_oracle(events):
     assert events_to_csv(traffic.Trace.from_events(events)) == events_to_csv_oracle(events)
 
 
 @SETTINGS
-@given(st.lists(EVENT, max_size=30), st.integers(1, 5))
-def test_read_trace_csv_round_trips_the_oracle_text(events, chunk_rows):
-    text = events_to_csv_oracle(events)
+@given(st.lists(READ_EVENT, max_size=30), BLANKS, st.integers(1, 5))
+def test_read_trace_csv_round_trips_the_oracle_text(events, blanks, chunk_rows):
+    text = _trace_text(events, blanks)
     with mock.patch.object(traffic, "_CHUNK_ROWS", chunk_rows):
         kind, trace = read_trace_csv(text)
     assert kind == "events"
@@ -257,6 +319,54 @@ def test_read_trace_csv_round_trips_the_oracle_text(events, chunk_rows):
     # below 2**48 us (about 9 years) a timestamp's decimal text is exact
     if all(t < 2**48 for t, _, _ in events):
         assert list(trace) == events
+
+
+@SETTINGS
+@given(st.lists(PLAIN_EVENT, max_size=30), BLANKS)
+def test_plain_trace_never_reaches_the_general_reader(events, blanks):
+    text = _trace_text(events, blanks)
+    with mock.patch.object(traffic, "_read_events", side_effect=AssertionError("general reader")):
+        kind, trace = read_trace_csv(text)
+    # below 10**15 us the plain kernel's exact digits equal the oracle's float parse
+    assert list(trace) == read_events_oracle(text) == events
+    assert trace.vm_ids == tuple(sorted({vm_id for _, vm_id, _ in events}))
+
+
+# Edits of a plain file, each putting characters in at a line and column
+# and maybe cutting the one there: some keep it plain, others send it to
+# the general reader or make it invalid.
+EDIT = st.tuples(st.integers(0, 40), st.integers(0, 40), st.booleans(), st.sampled_from(
+    ["", "0", "9", ".", ",", "a", "é", "-", " ", ":", "/", '"', "\0", "\r", "\n", "ACK"]))
+
+
+def _read(text):
+    """read_trace_csv's rows and ids, or the type and text of what it raised.
+
+    csv.Error is caught too: before Python 3.11 csv.reader rejects a NUL.
+    """
+    try:
+        _, trace = read_trace_csv(text)
+    except (ParseError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return list(trace), trace.vm_ids
+
+
+@SETTINGS
+@given(st.lists(PLAIN_EVENT, min_size=1, max_size=8), st.lists(EDIT, max_size=2))
+# the row "1.000000,a,SYN" with its dot made a digit, or a "\r" or NUL put before its id
+@example([(10**6, "a", "SYN")], [(1, 1, True, "0")])
+@example([(10**6, "a", "SYN")], [(1, 9, False, "\r")])
+@example([(10**6, "a", "SYN")], [(1, 9, False, "\0")])
+def test_plain_kernel_reads_as_the_general_reader(events, edits):
+    lines = events_to_csv_oracle(events).splitlines(keepends=True)
+    for row, column, cut, chars in edits:
+        row %= len(lines)
+        column %= len(lines[row])
+        lines[row] = lines[row][:column] + chars + lines[row][column + cut:]
+    text = "".join(lines)
+    with mock.patch.object(traffic, "_read_plain_events", return_value=None):
+        expected = _read(text)
+    assert _read(text) == expected
 
 
 @SETTINGS
@@ -294,7 +404,7 @@ def _bad_row(kind, stamp, pkt_type):
 
 
 @SETTINGS
-@given(st.lists(EVENT, min_size=1, max_size=12),
+@given(st.lists(READ_EVENT, min_size=1, max_size=12),
        st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["stamp", "pkt", "short", "long",
                                                                  "blank"]),
                           st.sampled_from(BAD_STAMPS), st.sampled_from(BAD_PKT_TYPES)),
