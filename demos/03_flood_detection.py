@@ -21,8 +21,8 @@ print(f"generated {len(trace)} packets")
 
 # fold the packet trace into per-interval (SYN, FIN|RST) counts and run
 # the detector with its published defaults (drift 0.08, threshold 1.43)
-intervals = bin_events(trace, interval_seconds=10.0)
-report = process_trace(intervals)
+counts = bin_events(trace, interval_seconds=10.0)
+report = process_trace(counts)
 
 for alarm in report.alarms:
     print(f"alarm: vm={alarm.vm_id} interval={alarm.interval_index} y={alarm.y_value:.3f}")

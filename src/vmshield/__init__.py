@@ -19,6 +19,7 @@ from .ahp import (
 )
 from .detector import (
     Alarm,
+    Counts,
     CusumDetector,
     DetectionReport,
     StatLog,
@@ -83,6 +84,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alarm",
+    "Counts",
     "CusumDetector",
     "DetectionReport",
     "EmptyServer",

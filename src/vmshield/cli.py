@@ -260,10 +260,8 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
         raise ParseError(f"cannot read {args.trace}: {exc}") from exc
     kind, data = traffic.read_trace_csv(text)
     if kind == "events":
-        intervals = det.bin_events(data, interval_seconds=args.interval)
-    else:
-        intervals = det.fill_gaps(data)
-    report = det.process_trace(intervals, drift=args.drift, threshold=args.threshold)
+        data = det.bin_events(data, interval_seconds=args.interval)
+    report = det.process_trace(data, drift=args.drift, threshold=args.threshold)
     payload = {
         "alarms": [
             {

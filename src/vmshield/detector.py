@@ -17,8 +17,10 @@ attacking guest rather than just noticing that the host is under load.
 One streaming detector, CusumDetector, holds every VM's y and its
 in-episode flag as arrays.  Its observe() advances a batch of distinct
 VMs by one interval each: the tick simulator makes one call per tick,
-and offline traces (process_trace) one call per row position, so
+and offline traces (process_trace) one call per interval, so
 contiguous exceedances collapse to one alarm the same way in both.
+Offline counts are one dense grid, a Counts of VMs by intervals:
+bin_events, fill_gaps and traffic's binned generators return one.
 The statistic log is columnar too: a StatLog holds blocks of arrays, one
 per tick in the simulator and one for a whole trace, and renders
 detector.csv in one formatting pass.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, groupby, product
+from itertools import chain
 
 import numpy as np
 
@@ -63,6 +65,30 @@ class TrafficInterval:
     vm_id: str
     syn: int
     finrst: int
+
+
+class Counts:
+    """Per-interval (SYN, FIN|RST) counts as a dense grid of VMs by intervals.
+
+    ``vm_ids`` is a sorted tuple, and ``syn`` and ``finrst`` are int64
+    arrays of shape (len(vm_ids), intervals), intervals counted from 0.
+    len counts cells, and iterating yields one TrafficInterval per cell
+    in (vm_id, interval) order.
+    """
+
+    __slots__ = ("vm_ids", "syn", "finrst")
+
+    def __init__(self, vm_ids, syn, finrst):
+        self.vm_ids = tuple(vm_ids)
+        self.syn = np.asarray(syn, dtype=np.int64)
+        self.finrst = np.asarray(finrst, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.syn.size
+
+    def __iter__(self):
+        for vm_id, syn, finrst in zip(self.vm_ids, self.syn.tolist(), self.finrst.tolist()):
+            yield from map(TrafficInterval, range(len(syn)), [vm_id] * len(syn), syn, finrst)
 
 
 @dataclass(frozen=True)
@@ -187,42 +213,33 @@ class DetectionReport:
 
 
 def process_trace(
-    intervals: list[TrafficInterval],
+    counts: Counts,
     drift: float = DEFAULT_DRIFT,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> DetectionReport:
     """Run the detector over every VM's intervals independently.
 
     Contiguous exceedances collapse to a single alarm at the first
-    crossing.  Rows and series are ordered by (vm_id, interval_index).
-    VMs are independent, so batch j of the detector holds the j-th row
-    of every VM that has one; a VM's duplicate rows stay in input order.
-    The rows are one StatLog block; alarms and series hold Python ints
-    and floats read off its columns.
+    crossing.  Each interval is one detector batch of every VM, as a
+    tick is in the simulator.  Rows and series are ordered by (vm_id,
+    interval_index); the rows are one StatLog block, and alarms and
+    series hold Python ints and floats.  Hand-built TrafficInterval rows
+    go through fill_gaps.
     """
     detector = CusumDetector(drift, threshold)
-    ordered = sorted(intervals, key=lambda iv: (iv.vm_id, iv.interval_index))
-    vm_ids = [iv.vm_id for iv in ordered]
-    index = np.array([iv.interval_index for iv in ordered], dtype=np.int64)
-    syn = np.array([iv.syn for iv in ordered], dtype=np.int64)
-    finrst = np.array([iv.finrst for iv in ordered], dtype=np.int64)
-    runs = [(vm_id, len(list(run))) for vm_id, run in groupby(vm_ids)]
-    lengths = np.array([n for _, n in runs], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    # each row's position within its VM's run; a stable sort groups batch j in vm_id order
-    position = np.arange(len(vm_ids)) - np.repeat(starts, lengths)
-    by_position = np.argsort(position, kind="stable")
-    d, y = np.empty(len(vm_ids)), np.empty(len(vm_ids))
-    alarm = np.empty(len(vm_ids), dtype=bool)
-    for batch in np.split(by_position, np.cumsum(np.bincount(position))[:-1]):
-        d[batch], y[batch], alarm[batch] = detector.observe(
-            [vm_ids[k] for k in batch.tolist()], syn[batch], finrst[batch])
+    vm_ids = counts.vm_ids
+    n_vms, n = counts.syn.shape
+    d, y = np.empty((n_vms, n)), np.empty((n_vms, n))
+    alarm = np.empty((n_vms, n), dtype=bool)
+    for j in range(n):
+        d[:, j], y[:, j], alarm[:, j] = detector.observe(
+            vm_ids, counts.syn[:, j], counts.finrst[:, j])
     rows = StatLog()
-    rows.append(index, vm_ids, syn, finrst, d, y, alarm)
-    indices, ys = index.tolist(), y.tolist()
-    alarms = [Alarm(vm_ids[k], indices[k], ys[k]) for k in np.flatnonzero(alarm).tolist()]
-    series = {vm_id: ys[k:k + n] for (vm_id, n), k in zip(runs, starts.tolist())}
-    return DetectionReport(alarms, series, rows)
+    rows.append(np.tile(np.arange(n), n_vms), [vm_id for vm_id in vm_ids for _ in range(n)],
+                counts.syn.ravel(), counts.finrst.ravel(), d.ravel(), y.ravel(), alarm.ravel())
+    ys = y.tolist()
+    alarms = [Alarm(vm_ids[v], j, ys[v][j]) for v, j in np.argwhere(alarm).tolist()]
+    return DetectionReport(alarms, dict(zip(vm_ids, ys)), rows)
 
 
 def bin_events(
@@ -230,7 +247,7 @@ def bin_events(
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     span_seconds: float | None = None,
     vm_ids=None,
-) -> list[TrafficInterval]:
+) -> Counts:
     """Bucket raw packet events into per-(vm, interval) counts.
 
     Every interval in the observed span is emitted for every VM, zeros
@@ -273,24 +290,33 @@ def bin_events(
     kind = trace.kind[keep]
     syn = np.bincount(cell[kind == _SYN], minlength=len(vms) * n)
     finrst = np.bincount(cell[(kind == _FIN) | (kind == _RST)], minlength=len(vms) * n)
-    return [TrafficInterval(idx, vm_id, s, f) for (vm_id, idx), s, f
-            in zip(product(vms, range(n)), syn.tolist(), finrst.tolist())]
+    return Counts(vms, syn.reshape(len(vms), n), finrst.reshape(len(vms), n))
 
 
-def fill_gaps(intervals: list[TrafficInterval]) -> list[TrafficInterval]:
-    """intervals plus a zero row for every (vm, index) missing from the span.
+def fill_gaps(rows) -> Counts:
+    """The Counts grid of hand-built TrafficInterval rows, zero where a row is missing.
 
-    The span runs from interval 0 to the largest index, for every VM,
+    The grid runs from interval 0 to the largest index, for every VM,
     as bin_events emits it, so a quiet interval left out of a pre-binned
-    trace still decays its VM's y.  A negative index is a ValueError.
+    trace still decays its VM's y.  A negative index or a repeated
+    (vm_id, interval_index) is a ValueError.
     """
-    given = {(iv.vm_id, iv.interval_index): iv for iv in intervals}
-    indices = [0, *(iv.interval_index for iv in intervals)]
+    rows = list(rows)
+    indices = [0, *(iv.interval_index for iv in rows)]
     if min(indices) < 0:
         raise ValueError(f"negative interval_index {min(indices)}")
-    span = range(max(indices) + 1)
-    return [given.get((vm_id, idx)) or TrafficInterval(idx, vm_id, 0, 0)
-            for vm_id in sorted({iv.vm_id for iv in intervals}) for idx in span]
+    vm_ids = sorted({iv.vm_id for iv in rows})
+    slot = {vm_id: v for v, vm_id in enumerate(vm_ids)}
+    syn = np.zeros((len(vm_ids), max(indices) + 1 if rows else 0), dtype=np.int64)
+    finrst = np.zeros_like(syn)
+    seen = set()
+    for iv in rows:
+        cell = (slot[iv.vm_id], iv.interval_index)
+        if cell in seen:
+            raise ValueError(f"duplicate row for vm {iv.vm_id!r} interval {iv.interval_index}")
+        seen.add(cell)
+        syn[cell], finrst[cell] = iv.syn, iv.finrst
+    return Counts(vm_ids, syn, finrst)
 
 
 def _csv_field(value: str) -> str:

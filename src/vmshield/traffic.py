@@ -15,11 +15,12 @@ Trace.from_events.
 The event trace file is written as one uint8 matrix, and read by a
 numpy byte kernel if it is plain (_read_plain_events), else by
 csv.reader, the one path that reports errors: both give the same Trace.
+A binned trace file reads into a detector.Counts grid.
 
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
-directly with gen_normal_binned / gen_attack_binned; these draw the
-same random variates as the event generators and therefore agree with
-binning the materialized events exactly.
+directly as a one-VM Counts with gen_normal_binned / gen_attack_binned;
+these draw the same random variates as the event generators and
+therefore agree with binning the materialized events exactly.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import MAX_COUNT, PKT_TYPES, TrafficInterval, _csv_field
+from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _csv_field, fill_gaps
 from .errors import ParseError, UnsortedTrace
 from .resources import json_int, json_number
 
@@ -49,8 +49,6 @@ _TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 T_US_LIMIT = 2**63
 
 _KIND = {pkt_type: code for code, pkt_type in enumerate(PKT_TYPES)}
-# Rows of an event trace parsed per batch: bounds read_trace_csv's memory.
-_CHUNK_ROWS = 4096
 
 
 class PacketEvent(NamedTuple):
@@ -253,7 +251,7 @@ def generate(spec: TrafficSpec) -> Trace:
     return gen_normal(spec) if spec.mode == "normal" else gen_attack(spec)
 
 
-def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterval]:
+def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
     """Per-interval counts of gen_normal's output without materializing events.
 
     Exactly equals bin_events(gen_normal(spec), spec.interval_seconds,
@@ -270,20 +268,16 @@ def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterv
             syn[k] += spec.base_rate
         idx = (k * iv_us + offsets + delays) // iv_us
         fin += np.bincount(idx[idx < n_intervals], minlength=n_intervals)
-    return [
-        TrafficInterval(i, spec.vm_id, int(syn[i]), int(fin[i])) for i in range(n_intervals)
-    ]
+    return Counts([spec.vm_id], syn[None], fin[None])
 
 
-def gen_attack_binned(spec: TrafficSpec, n_intervals: int) -> list[TrafficInterval]:
+def gen_attack_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
     """Per-interval counts of gen_attack's output (no terminations, by design)."""
     if spec.mode != "attack":
         raise ValueError("gen_attack_binned needs a spec with mode='attack'")
-    n = round(spec.base_rate * spec.attack_multiplier)
-    return [
-        TrafficInterval(i, spec.vm_id, n if spec.start <= i < spec.end else 0, 0)
-        for i in range(n_intervals)
-    ]
+    syn = np.zeros((1, n_intervals), dtype=np.int64)
+    syn[0, spec.start:spec.end] = round(spec.base_rate * spec.attack_multiplier)
+    return Counts([spec.vm_id], syn, np.zeros_like(syn))
 
 
 def merge_traces(traces) -> Trace:
@@ -421,52 +415,14 @@ def _event_row(row: list[str], lineno: int) -> tuple[int, str, str]:
     return t_us, vm_id, pkt_type
 
 
-def _event_columns(rows: list[list[str]]):
-    """(t_us, vm_ids, kind codes) of event rows, or None if any row fails _event_row."""
-    if set(map(len, rows)) != {3}:
-        return None
-    stamps, vms, pkt_types = zip(*rows)
-    try:
-        t_us = np.rint(np.array(list(map(float, stamps))) * 1_000_000)
-    except ValueError:
-        return None
-    kind = np.array(list(map(_KIND.get, pkt_types, repeat(-1))), dtype=np.int8)
-    if not (((t_us >= 0) & (t_us < T_US_LIMIT)).all() and (kind >= 0).all()):
-        return None
-    return t_us.astype(np.int64), vms, kind
-
-
 def _read_events(reader) -> Trace:
-    """The event rows of a trace file, parsed a chunk of rows at a time.
-
-    Each chunk is checked as columns.  A chunk that fails re-runs the
-    per-row check (_event_row) so the first bad row is reported with
-    its own message and line number.
-    """
-    codes: dict[str, int] = {}
-    t_cols, vm_cols, kind_cols = [], [], []
-    lineno = 2
-    while chunk := list(islice(reader, _CHUNK_ROWS)):
-        rows = list(filter(None, chunk))
-        columns = _event_columns(rows) if rows else None
-        if rows and columns is None:
-            for offset, row in enumerate(chunk):
-                if row:
-                    _event_row(row, lineno + offset)  # raises at the first bad row
-        if columns is not None:
-            t_us, vms, kind = columns
-            for vm_id in dict.fromkeys(vms):  # first-seen order, distinct ids only
-                codes.setdefault(vm_id, len(codes))
-            t_cols.append(t_us)
-            vm_cols.append(np.array(list(map(codes.__getitem__, vms)), dtype=np.int32))
-            kind_cols.append(kind)
-        lineno += len(chunk)
-    return _sorted_ids(np.concatenate([np.empty(0, np.int64), *t_cols]),
-                       np.concatenate([np.empty(0, np.int32), *vm_cols]),
-                       np.concatenate([np.empty(0, np.int8), *kind_cols]), list(codes))
+    """The event rows of a trace file; the first bad row is a ParseError naming its line."""
+    return Trace.from_events(_event_row(row, lineno)
+                             for lineno, row in enumerate(reader, start=2) if row)
 
 
-def _read_binned(reader) -> list[TrafficInterval]:
+def _read_binned(reader) -> Counts:
+    """The binned rows of a trace file, checked row by row, then zero-filled by fill_gaps."""
     intervals = []
     seen: set[tuple[str, int]] = set()
     for lineno, row in enumerate(reader, start=2):
@@ -487,28 +443,32 @@ def _read_binned(reader) -> list[TrafficInterval]:
                              f"interval {iv.interval_index}")
         seen.add((vm_id, iv.interval_index))
         intervals.append(iv)
-    return intervals
+    return fill_gaps(intervals)
 
 
 def read_trace_csv(text: str):
-    """Parse a trace file; returns ('events', Trace) or ('binned', [...]).
+    """Parse a trace file; returns ('events', Trace) or ('binned', Counts).
 
     The two trace forms are told apart by their header row.  Rows may
     end in \\n, \\r\\n or \\r; a quoted field keeps its own line breaks.
-    A plain event file is read by _read_plain_events, any other by csv.reader.
+    A plain event file is read by _read_plain_events, any other by
+    csv.reader, whose own errors (an over-long field, or a NUL before
+    Python 3.11) are ParseErrors naming the line.
     """
     trace = _read_plain_events(text.encode(errors="surrogatepass"))
     if trace is not None:
         return "events", trace
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty trace file") from None
-    if header == TRACE_HEADER:
-        return "events", _read_events(reader)
-    if header == BINNED_HEADER:
-        return "binned", _read_binned(reader)
+        header = next(reader, None)
+        if header == TRACE_HEADER:
+            return "events", _read_events(reader)
+        if header == BINNED_HEADER:
+            return "binned", _read_binned(reader)
+    except csv.Error as exc:
+        raise ParseError(f"trace line {reader.line_num}: {exc}") from exc
+    if header is None:
+        raise ParseError("empty trace file")
     raise ParseError(
         f"unrecognized trace header {header!r}; expected {TRACE_HEADER} or {BINNED_HEADER}"
     )

@@ -12,7 +12,7 @@ import pytest
 from conftest import cusum_oracle, migration_oracle, random_cluster
 
 from vmshield.ahp import consistency_ratio, derive_weights, principal_eigenvector
-from vmshield.detector import TrafficInterval, process_trace
+from vmshield.detector import TrafficInterval, fill_gaps, process_trace
 from vmshield.errors import InconsistentMatrix
 from vmshield.resources import ResourceVector, WeightVector
 from vmshield.scheduler import ServerState, avg_vm_usage, place, plan_migration
@@ -46,7 +46,7 @@ def e2e(tmp_path_factory):
 def test_criterion_1_detector_reproduces_published_trace():
     trace = [TrafficInterval(0, "vm1", 106242, 3), TrafficInterval(1, "vm1", 107762, 3)]
     started = time.perf_counter()
-    report = process_trace(trace, drift=0.08, threshold=1.43)
+    report = process_trace(fill_gaps(trace), drift=0.08, threshold=1.43)
     elapsed = time.perf_counter() - started
     ys = report.series["vm1"]
     assert ys[0] == pytest.approx(0.9199, abs=0.01)
@@ -100,7 +100,7 @@ def test_criterion_4_no_false_alarms_on_paired_traffic():
         assert report.alarms == [], f"false alarm at base_rate {rate}"
         peaks[rate] = max(report.series["vm"])
     balanced = [TrafficInterval(i, "vm", 100, 100) for i in range(n)]
-    report = process_trace(balanced)
+    report = process_trace(fill_gaps(balanced))
     assert report.alarms == []
     assert all(y == 0.0 for y in report.series["vm"])
     print(f"criterion 4 PASS: 0 alarms over {n} intervals at rates 10/100/10000 "
@@ -111,7 +111,7 @@ def test_criterion_5_detection_latency_bounds():
     drift, threshold = 0.08, 1.43
     baseline = [TrafficInterval(i, "vm", 100, 100) for i in range(20)]
     surge = [TrafficInterval(20 + i, "vm", 150, 100) for i in range(20)]
-    report = process_trace(baseline + surge, drift=drift, threshold=threshold)
+    report = process_trace(fill_gaps(baseline + surge), drift=drift, threshold=threshold)
     assert len(report.alarms) == 1
     latency = report.alarms[0].interval_index - 20 + 1
     assert latency <= 12
@@ -122,7 +122,7 @@ def test_criterion_5_detection_latency_bounds():
     assert latency == predicted
 
     flood = [TrafficInterval(i, "vm", 1000, 0) for i in range(5)]
-    report = process_trace(flood, drift=drift, threshold=threshold)
+    report = process_trace(fill_gaps(flood), drift=drift, threshold=threshold)
     assert report.alarms and report.alarms[0].interval_index + 1 <= 2
     print(f"criterion 5 PASS: +50% surge alarms after {latency} intervals (<= 12, "
           f"oracle agrees); pure flood alarms after "

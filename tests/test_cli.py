@@ -427,6 +427,18 @@ def test_detect_rejects_binned_counts_beyond_exact_floats(tmp_path, capsys):
     assert "trace line 2: syn and finrst must be >= 0 and below" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    'timestamp_s,vm_id,pkt_type\n1.000000,"{vm_id}",SYN\n',
+    'interval_index,vm_id,syn,finrst\n0,"{vm_id}",1,1\n',
+], ids=["events", "binned"])
+def test_detect_reports_a_field_over_the_csv_limit(tmp_path, capsys, text):
+    # csv.reader's own error used to escape dispatch as a traceback
+    vm_id = "v" * (csv.field_size_limit() + 1)
+    trace = _write(tmp_path, "long.csv", text.format(vm_id=vm_id))
+    assert _run(["detect", "--trace", trace]) == (EXIT_USAGE, "")
+    assert "error: trace line 2: field larger than field limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("drift", ["nan", "inf"])
 def test_detect_rejects_a_non_finite_drift(tmp_path, capsys, drift):
     # a NaN drift used to clamp every y to 0, silently turning detection off

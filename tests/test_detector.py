@@ -110,7 +110,7 @@ def test_published_two_interval_trace():
         TrafficInterval(0, "vm1", 106242, 3),
         TrafficInterval(1, "vm1", 107762, 3),
     ]
-    report = process_trace(trace, drift=0.08, threshold=1.43)
+    report = process_trace(fill_gaps(trace), drift=0.08, threshold=1.43)
     assert report.series["vm1"][0] == pytest.approx(0.9199, abs=1e-4)
     assert report.series["vm1"][1] == pytest.approx(1.8399, abs=1e-4)
     assert [(a.vm_id, a.interval_index) for a in report.alarms] == [("vm1", 1)]
@@ -143,7 +143,7 @@ def test_episode_collapsing_one_alarm_per_exceedance_run():
     again = [(1000, 0)] * 3
     pairs = up + hold + down + again
     trace = [TrafficInterval(i, "vm", s, f) for i, (s, f) in enumerate(pairs)]
-    report = process_trace(trace)
+    report = process_trace(fill_gaps(trace))
     assert len(report.alarms) == 2
     assert report.alarms[0].interval_index == 1  # 0.92 then 1.84 crosses
     assert report.alarms[1].interval_index == len(up + hold + down) + 1
@@ -158,7 +158,7 @@ def test_process_trace_tracks_vms_independently():
         TrafficInterval(1, "quiet", 100, 100),
         TrafficInterval(1, "loud", 5000, 3),
     ]
-    report = process_trace(trace)
+    report = process_trace(fill_gaps(trace))
     assert report.series["quiet"] == [0.0, 0.0]
     assert all(a.vm_id == "loud" for a in report.alarms)
     assert [r.vm_id for r in report.rows] == ["loud", "loud", "quiet", "quiet"]
@@ -169,7 +169,7 @@ def test_process_trace_sorts_out_of_order_intervals():
         TrafficInterval(1, "vm", 100, 100),
         TrafficInterval(0, "vm", 1000, 0),
     ]
-    report = process_trace(trace)
+    report = process_trace(fill_gaps(trace))
     assert report.series["vm"][0] == pytest.approx(0.92, abs=1e-9)
 
 
@@ -179,7 +179,7 @@ def test_bin_events_pairs_across_interval_boundary():
         (14_000_000, "vm1", "FIN"),
     ]
     out = bin_events(Trace.from_events(events), interval_seconds=10)
-    assert out == [
+    assert list(out) == [
         TrafficInterval(0, "vm1", 1, 0),
         TrafficInterval(1, "vm1", 0, 1),
     ]
@@ -187,7 +187,7 @@ def test_bin_events_pairs_across_interval_boundary():
 
 def test_bin_events_empty_trace_with_span():
     out = bin_events(Trace.from_events([]), interval_seconds=10, span_seconds=30, vm_ids=["vm1"])
-    assert out == [
+    assert list(out) == [
         TrafficInterval(0, "vm1", 0, 0),
         TrafficInterval(1, "vm1", 0, 0),
         TrafficInterval(2, "vm1", 0, 0),
@@ -200,6 +200,7 @@ def test_bin_events_zero_fills_quiet_intervals():
         (45_000_000, "vm1", "RST"),
     ]
     out = bin_events(Trace.from_events(events), interval_seconds=10)
+    out = list(out)
     assert [iv.interval_index for iv in out] == [0, 1, 2, 3, 4]
     assert out[0].syn == 1
     assert out[4].finrst == 1
@@ -215,7 +216,7 @@ def test_bin_events_ignores_non_handshake_packets():
         (4, "vm1", "RST"),
     ]
     out = bin_events(Trace.from_events(events), interval_seconds=10)
-    assert out == [TrafficInterval(0, "vm1", 1, 1)]
+    assert list(out) == [TrafficInterval(0, "vm1", 1, 1)]
 
 
 def test_bin_events_span_drops_overflow():
@@ -255,6 +256,19 @@ def test_fill_gaps_spans_from_interval_zero():
     ]
     with pytest.raises(ValueError, match="negative interval_index -3"):
         fill_gaps([TrafficInterval(-3, "v", 100, 0), TrafficInterval(0, "v", 100, 0)])
+    # a repeated row used to replace the first without a word
+    with pytest.raises(ValueError, match="duplicate row for vm 'v' interval 0"):
+        fill_gaps([TrafficInterval(0, "v", 1, 0), TrafficInterval(0, "v", 9, 0)])
+
+
+def test_counts_grid_reads_as_rows():
+    counts = fill_gaps([TrafficInterval(1, "b", 5, 1), TrafficInterval(0, "a", 3, 2)])
+    assert counts.vm_ids == ("a", "b")
+    assert counts.syn.tolist() == [[3, 0], [0, 5]]
+    assert counts.finrst.tolist() == [[2, 0], [0, 1]]
+    assert len(counts) == 4
+    assert list(counts) == [TrafficInterval(0, "a", 3, 2), TrafficInterval(1, "a", 0, 0),
+                            TrafficInterval(0, "b", 0, 0), TrafficInterval(1, "b", 5, 1)]
 
 
 def test_stat_csv_format():
@@ -262,7 +276,7 @@ def test_stat_csv_format():
         TrafficInterval(0, "vm1", 106242, 3),
         TrafficInterval(1, "vm1", 107762, 3),
     ]
-    report = process_trace(trace)
+    report = process_trace(fill_gaps(trace))
     text = stat_rows_to_csv(report.rows)
     lines = text.strip().split("\n")
     assert lines[0] == "interval,vm_id,syn,finrst,d,y,alarm"

@@ -15,15 +15,15 @@ draws each interval's variates in separate calls, and read_trace_csv's
 plain-file kernel reads edited plain files as its csv.reader path does.
 
 The batched detector equals the CUSUM recurrence oracle on random
-multi-VM batches, the columnar statistic log equals csv.writer row by
-row, and placement without a vector per candidate equals the
-ResourceVector oracle, ties with the threshold included.
+multi-VM batches and on zero-filled grids of binned rows, detect prints
+the same output for an event trace as for its binned counts, the
+columnar statistic log equals csv.writer row by row, and placement
+without a vector per candidate equals the ResourceVector oracle, ties with the threshold included.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import io
 import json
 import os
@@ -52,11 +52,13 @@ from vmshield import traffic  # noqa: E402
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
 from vmshield.detector import (  # noqa: E402
     PKT_TYPES,
+    Counts,
     CusumDetector,
     StatLog,
     StatRow,
     TrafficInterval,
     bin_events,
+    fill_gaps,
     process_trace,
     stat_rows_to_csv,
 )
@@ -228,7 +230,7 @@ def test_binned_normal_traffic_equals_binning_its_events(
                        end=start + length, seed=seed, interval_seconds=interval_us / 1e6)
     via_events = bin_events(gen_normal(spec), spec.interval_seconds,
                             span_seconds=n * spec.interval_seconds, vm_ids=[spec.vm_id])
-    assert via_events == gen_normal_binned(spec, n)
+    assert list(via_events) == list(gen_normal_binned(spec, n))
 
 
 # Intervals and delay spans above 2**32 us (about 4,295 s) draw through
@@ -261,7 +263,7 @@ def test_generators_equal_the_per_interval_draw_oracle(
         for t_us, _, pkt_type in events:
             if t_us // interval_us < n:
                 counts[t_us // interval_us][pkt_type != "SYN"] += 1
-        assert gen_normal_binned(spec, n) == [
+        assert list(gen_normal_binned(spec, n)) == [
             TrafficInterval(i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(counts)]
 
 
@@ -309,11 +311,10 @@ def test_events_to_csv_equals_the_row_oracle(events):
 
 
 @SETTINGS
-@given(st.lists(READ_EVENT, max_size=30), BLANKS, st.integers(1, 5))
-def test_read_trace_csv_round_trips_the_oracle_text(events, blanks, chunk_rows):
+@given(st.lists(READ_EVENT, max_size=30), BLANKS)
+def test_read_trace_csv_round_trips_the_oracle_text(events, blanks):
     text = _trace_text(events, blanks)
-    with mock.patch.object(traffic, "_CHUNK_ROWS", chunk_rows):
-        kind, trace = read_trace_csv(text)
+    kind, trace = read_trace_csv(text)
     assert kind == "events"
     assert list(trace) == read_events_oracle(text)
     # below 2**48 us (about 9 years) a timestamp's decimal text is exact
@@ -340,13 +341,10 @@ EDIT = st.tuples(st.integers(0, 40), st.integers(0, 40), st.booleans(), st.sampl
 
 
 def _read(text):
-    """read_trace_csv's rows and ids, or the type and text of what it raised.
-
-    csv.Error is caught too: before Python 3.11 csv.reader rejects a NUL.
-    """
+    """read_trace_csv's rows and ids, or the type and text of what it raised."""
     try:
         _, trace = read_trace_csv(text)
-    except (ParseError, csv.Error) as exc:
+    except ParseError as exc:
         return type(exc), str(exc)
     return list(trace), trace.vm_ids
 
@@ -388,8 +386,9 @@ def test_bin_events_equals_the_per_event_oracle(events, interval_us, span, vm_id
     interval_seconds = interval_us / 1e6
     span_seconds = None if span is None else span * interval_seconds
     expected = _outcome(bin_events_oracle, events, interval_seconds, span_seconds, vm_ids)
-    trace = traffic.Trace.from_events(events)
-    assert _outcome(bin_events, trace, interval_seconds, span_seconds, vm_ids) == expected
+    got = _outcome(bin_events, traffic.Trace.from_events(events), interval_seconds, span_seconds,
+                   vm_ids)
+    assert (list(got) if isinstance(got, Counts) else got) == expected
 
 
 # One bad field or row; the blank row is valid and only shifts line numbers.
@@ -408,15 +407,13 @@ def _bad_row(kind, stamp, pkt_type):
        st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["stamp", "pkt", "short", "long",
                                                                  "blank"]),
                           st.sampled_from(BAD_STAMPS), st.sampled_from(BAD_PKT_TYPES)),
-                min_size=1, max_size=2),
-       st.integers(1, 5))
-def test_corrupted_line_raises_the_oracle_error(events, corruptions, chunk_rows):
+                min_size=1, max_size=2))
+def test_corrupted_line_raises_the_oracle_error(events, corruptions):
     lines = events_to_csv_oracle(events).splitlines(keepends=True)
     for position, *bad in corruptions:
         lines.insert(1 + min(position, len(lines) - 1), _bad_row(*bad) + "\n")
     text = "".join(lines)
-    with mock.patch.object(traffic, "_CHUNK_ROWS", chunk_rows):
-        got = _outcome(read_trace_csv, text)
+    got = _outcome(read_trace_csv, text)
     expected = _outcome(read_events_oracle, text)
     assert (list(got[1]) if got[0] == "events" else got) == expected
 
@@ -461,25 +458,60 @@ def test_batched_observe_equals_the_recurrence_oracle(batches, drift, gap):
 
 
 @SETTINGS
-@given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["x", "y", "z"]), COUNT, COUNT),
-                max_size=40), DRIFT, st.floats(0.01, 3.0))
-def test_process_trace_with_duplicate_rows_equals_the_oracle(rows, drift, gap):
+@given(st.dictionaries(st.tuples(st.sampled_from(["x", "y", "z"]), st.integers(0, 6)),
+                       st.tuples(COUNT, COUNT), max_size=21),
+       st.none() | st.tuples(st.integers(0, 20), COUNT, COUNT), DRIFT, st.floats(0.01, 3.0))
+def test_process_trace_with_duplicate_rows_equals_the_oracle(cells, repeat, drift, gap):
+    # rows in any order; a repeat of one row's (vm, interval) is an error
     threshold = drift + gap
-    intervals = [TrafficInterval(*row) for row in rows]
-    report = process_trace(intervals, drift, threshold)
-    # (vm, interval) order; a duplicate row keeps its input order
-    ordered = sorted(intervals, key=lambda iv: (iv.vm_id, iv.interval_index))
-    pairs_by_vm = {}
-    for iv in ordered:
-        pairs_by_vm.setdefault(iv.vm_id, []).append((iv.syn, iv.finrst))
-    expected = _per_vm_oracle(pairs_by_vm, drift, threshold)
-    position = {vm: iter(rows) for vm, rows in expected.items()}
-    expected_rows = [StatRow(iv.interval_index, iv.vm_id, iv.syn, iv.finrst,
-                             *next(position[iv.vm_id])) for iv in ordered]
+    rows = [TrafficInterval(idx, vm, *pair) for (vm, idx), pair in cells.items()]
+    if repeat is not None and rows:
+        k, *pair = repeat
+        rows.append(TrafficInterval(rows[k % len(rows)].interval_index,
+                                    rows[k % len(rows)].vm_id, *pair))
+        with pytest.raises(ValueError, match="duplicate row for vm"):
+            fill_gaps(rows)
+        return
+    report = process_trace(fill_gaps(rows), drift, threshold)
+    # the zero-filled grid: every VM from interval 0 to the largest index
+    span = range(max((idx for _, idx in cells), default=-1) + 1)
+    grid = {vm: [cells.get((vm, idx), (0, 0)) for idx in span]
+            for vm in sorted({vm for vm, _ in cells})}
+    expected = _per_vm_oracle(grid, drift, threshold)
+    expected_rows = [StatRow(idx, vm, *grid[vm][idx], *expected[vm][idx])
+                     for vm in grid for idx in span]
     assert list(report.rows) == expected_rows
-    assert report.series == {vm: [y for _, y, _ in rows] for vm, rows in expected.items()}
+    assert report.series == {vm: [y for _, y, _ in vm_rows] for vm, vm_rows in expected.items()}
     assert [(a.vm_id, a.interval_index, a.y_value) for a in report.alarms] == [
         (r.vm_id, r.interval_index, r.y) for r in expected_rows if r.alarm]
+
+
+def _detect(tmp, name, text):
+    """detect's stdout and --stats bytes on the trace file text."""
+    trace, stats = os.path.join(tmp, name), os.path.join(tmp, name + ".stats")
+    with open(trace, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    out = io.StringIO()
+    assert dispatch(["detect", "--trace", trace, "--stats", stats], out=out) == EXIT_OK
+    with open(stats, "rb") as fh:
+        return out.getvalue(), fh.read()
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 200_000_000), VM_ID, st.sampled_from(PKT_TYPES)),
+                max_size=30).map(sorted), st.booleans())
+def test_detect_reads_events_and_their_binned_counts_alike(events, drop_zeros):
+    # the binned file may leave out zero rows, except each VM's last, which keeps its VM
+    # and the span
+    trace = traffic.Trace.from_events(events)
+    counts = bin_events(trace)
+    last = counts.syn.shape[1] - 1
+    binned = "".join(csv_row_oracle([iv.interval_index, iv.vm_id, iv.syn, iv.finrst])
+                     for iv in counts if not drop_zeros or iv.syn or iv.finrst
+                     or iv.interval_index == last)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert (_detect(tmp, "events.csv", events_to_csv(trace))
+                == _detect(tmp, "binned.csv", "interval_index,vm_id,syn,finrst\n" + binned))
 
 
 STAT_ROW = st.builds(StatRow, st.integers(0, 10**6), VM_ID, st.integers(0, 2**53 - 1),
