@@ -21,6 +21,8 @@ and offline traces (process_trace) one call per interval, so
 contiguous exceedances collapse to one alarm the same way in both.
 Offline counts are one dense grid, a Counts of VMs by intervals:
 bin_events, fill_gaps and traffic's binned generators return one.
+One function, _interval_to_us, makes every interval length whole
+microseconds, so offline and simulated time share one grid.
 The statistic log is columnar too: a StatLog holds blocks of arrays, one
 per tick in the simulator and one for a whole trace, and renders
 detector.csv in one formatting pass.
@@ -111,6 +113,15 @@ class StatRow:
     d: float
     y: float
     alarm: bool
+
+
+def _interval_to_us(interval_seconds: float) -> int:
+    """interval_seconds as whole microseconds; under 1 us or not finite is a ValueError."""
+    interval_us = round(interval_seconds * 1_000_000) if math.isfinite(interval_seconds) else 0
+    if interval_us < 1:
+        raise ValueError(f"interval_seconds must be finite and at least 1 microsecond, "
+                         f"got {interval_seconds}")
+    return interval_us
 
 
 def discrepancy(syn, finrst):
@@ -245,7 +256,7 @@ def process_trace(
 def bin_events(
     trace,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
-    span_seconds: float | None = None,
+    n_intervals: int | None = None,
     vm_ids=None,
 ) -> Counts:
     """Bucket raw packet events into per-(vm, interval) counts.
@@ -253,7 +264,7 @@ def bin_events(
     Every interval in the observed span is emitted for every VM, zeros
     included, so the detector's statistic advances each interval even
     when a VM goes quiet.  The span defaults to covering the last
-    event; passing span_seconds pins the interval count (events at or
+    event; passing n_intervals pins the interval count (events at or
     beyond it are dropped).  vm_ids forces rows for VMs absent from the
     trace.
 
@@ -261,10 +272,7 @@ def bin_events(
     Trace.from_events), ordered by non-negative timestamp; a backwards
     jump raises UnsortedTrace and a negative timestamp ValueError.
     """
-    interval_us = round(interval_seconds * 1_000_000) if math.isfinite(interval_seconds) else 0
-    if interval_us < 1:
-        raise ValueError(f"interval_seconds must be finite and at least 1 microsecond, "
-                         f"got {interval_seconds}")
+    interval_us = _interval_to_us(interval_seconds)
     t_us = trace.t_us
 
     # comparing with a leading 0 lets the one ordering test also catch negative times
@@ -277,9 +285,8 @@ def bin_events(
         raise UnsortedTrace(f"timestamp {t_us[i]} after {t_us[i - 1]}")
 
     index = t_us // interval_us
-    if span_seconds is not None:
-        n = max(0, -(-round(span_seconds * 1_000_000) // interval_us))
-    else:
+    n = n_intervals
+    if n is None:
         n = int(index[-1]) + 1 if len(index) else 0
     present = {trace.vm_ids[code] for code in np.unique(trace.vm).tolist()}
     vms = sorted(present.union(vm_ids or ()))

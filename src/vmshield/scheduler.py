@@ -295,15 +295,12 @@ def plan_migration(
     m3 = avg_vm_usage(source, vms)
     weights = ahp.derive_weights(ahp.HotspotProfile(m3))
     source_post_score = weighted_score(weights, source.usage - m3)
-    others = [s for s in servers if s.id != source.id]
-    scored = sorted((weighted_score(weights, s.usage), s.id) for s in _feasible(m3, others))
-    if not scored:
-        return None
-    best_score, best_id = scored[0]
-    if not best_score < source_post_score:
+    target = place(m3, weights, [s for s in servers if s.id != source.id])
+    if target.rejected or not target.scores[target.chosen] < source_post_score:
         return None
     victim = select_victim(source, m3, vms)
-    return MigrationPlan(source.id, victim, best_id, source_post_score, best_score)
+    return MigrationPlan(source.id, victim, target.chosen, source_post_score,
+                         target.scores[target.chosen])
 
 
 def consolidate(

@@ -13,12 +13,12 @@ by default).  Each tick applies, in fixed order:
 3. traffic and detection: the run's traffic generator draws every
    running VM's connection offsets and FIN delays in two calls, in
    sorted-VM order, and one bincount adds each VM's FINs to its row of
-   a FIN ring (one column per interval a FIN can land in, tick t in
-   column t % fin_slots); the live VMs' column of this tick and their
-   SYN counts (0 for a suspended VM) go to the run's CUSUM detector in
-   one batched call, its rows join the columnar statistic log, and the
-   response policy acts, in sorted-VM order, on each VM whose alarm
-   episode starts this tick;
+   pending-FIN columns (column k holds the FINs due k ticks from now);
+   the live VMs' column 0 and their SYN counts (0 for a suspended VM)
+   go to the run's CUSUM detector in one batched call, its rows join
+   the columnar statistic log, and the columns shift left by one.  The
+   response policy then acts, in sorted-VM order, on each VM whose
+   alarm episode starts this tick;
 4. one migration pass off the hottest overloaded server, if any plan
    qualifies;
 5. a consolidation pass draining under-watermark servers to sleep;
@@ -95,13 +95,11 @@ class DetectorConfig:
             raise ValidationError(
                 f"detector policy must be one of {det.POLICIES}, got {cfg.policy!r}"
             )
-        if cfg.threshold <= cfg.drift:
-            raise ValidationError(
-                f"detector threshold {cfg.threshold} must exceed drift {cfg.drift}"
-            )
-        if round(cfg.interval_seconds * 1_000_000) < 1:
-            raise ValidationError("detector interval_seconds must be at least 1 microsecond, "
-                                  f"got {cfg.interval_seconds}")
+        try:
+            det.CusumDetector(cfg.drift, cfg.threshold)
+            det._interval_to_us(cfg.interval_seconds)
+        except ValueError as exc:
+            raise ValidationError(f"detector {exc}") from exc
         if not 0 <= cfg.throttle_factor <= 1:
             raise ValidationError("throttle_factor must lie in [0, 1]")
         return cfg
@@ -305,18 +303,13 @@ def load_scenario(path: str) -> Scenario:
 
 
 @dataclass
-class SimVm:
-    """Runtime state of one VM: scheduler record plus traffic state."""
+class SimVm(VmRecord):
+    """Runtime state of one VM: its scheduler record plus traffic state."""
 
-    record: VmRecord
-    fin_row: int  # this VM's row of _Sim.fin_ring
+    fin_row: int = 0  # this VM's row of _Sim.fin_due
     state: str = RUNNING
     traffic_scale: float = 1.0
     attack_multiplier: float = 1.0
-
-    @property
-    def id(self) -> str:
-        return self.record.id
 
 
 @dataclass
@@ -337,17 +330,17 @@ class SimReport:
 class _Sim:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
-        self.servers: dict[str, ServerState] = {
+        self.servers: dict[str, ServerState] = {  # in id order, for every pass
             s.id: ServerState(
                 s.id,
                 usage=s.usage if s.power == sched.ACTIVE else ZERO,
                 threshold=s.threshold,
                 power=s.power,
             )
-            for s in scenario.servers
+            for s in sorted(scenario.servers, key=lambda s: s.id)
         }
         self.overhead = {s.id: s.usage for s in scenario.servers}
-        self.records: dict[str, VmRecord] = {}
+        self.records: dict[str, VmRecord] = {}  # the scheduler's view: vms less the revoked ones
         self.vms: dict[str, SimVm] = {}
         self.jitter_rng = np.random.default_rng([scenario.seed, 0])
         self.traffic_rng = np.random.default_rng([scenario.seed, 1])
@@ -371,21 +364,20 @@ class _Sim:
             "suspensions": 0,
             "ignored_events": 0,
         }
-        iv_us = round(scenario.detector.interval_seconds * 1_000_000)
-        self.iv_us = iv_us
+        self.iv_us = iv_us = det._interval_to_us(scenario.detector.interval_seconds)
         self.fin_lo_us = round(scenario.fin_delay_range[0] * 1_000_000)
         self.fin_hi_us = round(scenario.fin_delay_range[1] * 1_000_000)
         # FIN slots a connection can land in: this tick's plus the ones ahead
         self.fin_slots = (iv_us - 1 + self.fin_hi_us) // iv_us + 1
-        # FINs due per VM row, tick t in column t % fin_slots; grown as VMs are placed
-        self.fin_ring = np.zeros((0, self.fin_slots), dtype=np.int64)
+        # FINs due per VM row, k ticks from now in column k; grown as VMs are placed
+        self.fin_due = np.zeros((0, self.fin_slots), dtype=np.int64)
 
     def _next_seq(self) -> int:
         self.seq += 1
         return self.seq
 
     def _server_list(self) -> list[ServerState]:
-        return [self.servers[sid] for sid in sorted(self.servers)]
+        return list(self.servers.values())
 
     def _recompute_usage(self, sid: str) -> None:
         server = self.servers[sid]
@@ -399,12 +391,12 @@ class _Sim:
         server.usage = ResourceVector(cpu, mem, bw)
 
     def _detach(self, vm: SimVm) -> None:
-        host = vm.record.host
+        host = vm.host
         if host is not None:
             self.servers[host].vms.discard(vm.id)
-            vm.record.host = None
+            vm.host = None
             self._recompute_usage(host)
-        self.fin_ring[vm.fin_row] = 0
+        self.fin_due[vm.fin_row] = 0
 
     def _wake(self, tick: int) -> str | None:
         woken = sched.wake_server(self._server_list())
@@ -462,12 +454,11 @@ class _Sim:
         host = self.servers[decision.chosen]
         host.vms.add(vm_id)
         host.usage = host.usage + demand
-        record = VmRecord(vm_id, vm_class, observed=demand, host=decision.chosen)
-        self.records[vm_id] = record
         row = len(self.vms)
-        if row == len(self.fin_ring):
-            self.fin_ring = np.vstack([self.fin_ring, np.zeros((row + 8, self.fin_slots), np.int64)])
-        self.vms[vm_id] = SimVm(record=record, fin_row=row)
+        if row == len(self.fin_due):
+            self.fin_due = np.vstack([self.fin_due, np.zeros((row + 8, self.fin_slots), np.int64)])
+        vm = SimVm(vm_id, vm_class, observed=demand, host=decision.chosen, fin_row=row)
+        self.records[vm_id] = self.vms[vm_id] = vm
         self.counters["placements"] += 1
 
     def _lifecycle(self, tick: int, vm_id: str, new_state: str) -> None:
@@ -494,14 +485,14 @@ class _Sim:
 
     def _sample_usage(self) -> None:
         running = [vm for vm in map(self.vms.get, sorted(self.vms)) if vm.state == RUNNING]
-        base = np.array([self.sc.vm_classes[vm.record.hotspot_class].as_tuple()
+        base = np.array([self.sc.vm_classes[vm.hotspot_class].as_tuple()
                          for vm in running]).reshape(-1, 3)
         jitter = self.jitter_rng.uniform(-0.1, 0.1, base.shape)
         for vm, (cpu, mem, bw) in zip(running, (base * (1.0 + jitter)).tolist()):
             observed = ResourceVector(cpu, mem, bw)
-            vm.record.observed = observed
-            vm.record.history.append(observed)
-        for sid in sorted(self.servers):
+            vm.observed = observed
+            vm.history.append(observed)
+        for sid in self.servers:
             self._recompute_usage(sid)
 
     # phase 3 -----------------------------------------------------------
@@ -524,12 +515,12 @@ class _Sim:
         slots = (np.repeat(np.arange(len(live)) * self.fin_slots, n_pair)
                  + (offsets + delays) // self.iv_us)
         fins = np.bincount(slots, minlength=len(live) * self.fin_slots).reshape(-1, self.fin_slots)
-        # fins[:, k] is due at tick + k, which the ring keeps in column (tick + k) % fin_slots
-        now = tick % self.fin_slots
+        # fins[:, k] is due k ticks from now, as is column k of fin_due
         rows = [vm.fin_row for vm in live]
-        self.fin_ring[rows] += np.roll(fins, now, axis=1)
-        finrst = self.fin_ring[rows, now]
-        self.fin_ring[:, now] = 0
+        self.fin_due[rows] += fins
+        finrst = self.fin_due[rows, 0]
+        self.fin_due[:, :-1] = self.fin_due[:, 1:]
+        self.fin_due[:, -1] = 0
         d, y, alarm = self.detector.observe(vm_ids, syn, finrst)
         self.report.stat_rows.append(tick, vm_ids, syn, finrst, d, y, alarm)
         policy = self.sc.detector.policy
@@ -594,8 +585,7 @@ class _Sim:
     # phase 6 -----------------------------------------------------------
 
     def _emit_logs(self, completed_ticks: int, sample_tick: int | None) -> None:
-        for sid in sorted(self.servers):
-            s = self.servers[sid]
+        for sid, s in self.servers.items():
             self.report.utilization.append(
                 (completed_ticks, sid, s.usage.cpu, s.usage.mem, s.usage.bw, s.power, len(s.vms))
             )
@@ -604,7 +594,7 @@ class _Sim:
                 vm = self.vms[vm_id]
                 if vm.state in (RUNNING, SUSPENDED, STOPPED):
                     self.report.vm_samples.append(
-                        (sample_tick, vm_id, vm.record.observed, vm.record.host)
+                        (sample_tick, vm_id, vm.observed, vm.host)
                     )
 
     # driver ------------------------------------------------------------
@@ -629,13 +619,12 @@ class _Sim:
         for vm_id in sorted(self.vms):
             vm = self.vms[vm_id]
             states[vm_id] = {
-                "class": vm.record.hotspot_class,
+                "class": vm.hotspot_class,
                 "state": vm.state,
-                "host": vm.record.host,
+                "host": vm.host,
             }
         servers = {}
-        for sid in sorted(self.servers):
-            s = self.servers[sid]
+        for sid, s in self.servers.items():
             servers[sid] = {
                 "power": s.power,
                 "vms": len(s.vms),

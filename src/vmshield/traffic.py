@@ -20,7 +20,8 @@ A binned trace file reads into a detector.Counts grid.
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
 directly as a one-VM Counts with gen_normal_binned / gen_attack_binned;
 these draw the same random variates as the event generators and
-therefore agree with binning the materialized events exactly.
+therefore agree with binning the materialized events exactly, at any
+interval length: both cut time on detector's one microsecond grid.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _csv_field, fill_gaps
+from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _csv_field, _interval_to_us, fill_gaps
 from .errors import ParseError, UnsortedTrace
 from .resources import json_int, json_number
 
@@ -144,9 +145,7 @@ class TrafficSpec:
                 f"fin_delay_range must satisfy 0 < low <= high < inf: {self.fin_delay_range}")
         if not 0 <= self.start <= self.end:
             raise ValueError("need 0 <= start <= end")
-        if not 0 < self.interval_seconds < math.inf or _interval_us(self) < 1:
-            raise ValueError("interval_seconds must be finite and at least 1 microsecond, "
-                             f"got {self.interval_seconds}")
+        # _interval_us raises unless the interval is at least one whole microsecond
         if self.end * _interval_us(self) + _delay_bounds_us(self)[1] >= T_US_LIMIT:
             raise ValueError("end * interval_seconds + fin_delay_range[1] must stay below "
                              f"{T_US_LIMIT} microseconds")
@@ -186,7 +185,7 @@ def _finite_number(value, name: str) -> float:
 
 
 def _interval_us(spec: TrafficSpec) -> int:
-    return round(spec.interval_seconds * 1_000_000)
+    return _interval_to_us(spec.interval_seconds)
 
 
 def _delay_bounds_us(spec: TrafficSpec) -> tuple[int, int]:
@@ -255,8 +254,7 @@ def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
     """Per-interval counts of gen_normal's output without materializing events.
 
     Exactly equals bin_events(gen_normal(spec), spec.interval_seconds,
-    span_seconds=n_intervals * spec.interval_seconds, vm_ids=[spec.vm_id])
-    when interval_seconds is a whole number of microseconds.
+    n_intervals, vm_ids=[spec.vm_id]).
     """
     if spec.mode != "normal":
         raise ValueError("gen_normal_binned needs a spec with mode='normal'")
@@ -417,17 +415,17 @@ def _event_row(row: list[str], lineno: int) -> tuple[int, str, str]:
 
 def _read_events(reader) -> Trace:
     """The event rows of a trace file; the first bad row is a ParseError naming its line."""
-    return Trace.from_events(_event_row(row, lineno)
-                             for lineno, row in enumerate(reader, start=2) if row)
+    return Trace.from_events(_event_row(row, reader.line_num) for row in reader if row)
 
 
 def _read_binned(reader) -> Counts:
     """The binned rows of a trace file, checked row by row, then zero-filled by fill_gaps."""
     intervals = []
     seen: set[tuple[str, int]] = set()
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num
         try:
             idx, vm_id, syn, finrst = row
             iv = TrafficInterval(int(idx), vm_id, int(syn), int(finrst))
@@ -452,8 +450,9 @@ def read_trace_csv(text: str):
     The two trace forms are told apart by their header row.  Rows may
     end in \\n, \\r\\n or \\r; a quoted field keeps its own line breaks.
     A plain event file is read by _read_plain_events, any other by
-    csv.reader, whose own errors (an over-long field, or a NUL before
-    Python 3.11) are ParseErrors naming the line.
+    csv.reader.  Its own errors (an over-long field, or a NUL before
+    Python 3.11) and bad rows are ParseErrors naming the physical line
+    (reader.line_num) where the row ends.
     """
     trace = _read_plain_events(text.encode(errors="surrogatepass"))
     if trace is not None:

@@ -88,14 +88,16 @@ def place_oracle(demand, weights, servers):
 def read_events_oracle(text):
     """(t_us, vm_id, pkt_type) triples of an event trace file, checked row by row.
 
-    The first bad row raises the ParseError read_trace_csv must raise.
+    The first bad row raises the ParseError read_trace_csv must raise,
+    naming the physical line the row ends on.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     assert next(reader) == ["timestamp_s", "vm_id", "pkt_type"]
     events = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num
         try:
             ts, vm_id, pkt_type = row
             t_us = round(float(ts) * 1_000_000)
@@ -147,14 +149,14 @@ def merge_oracle(streams):
     return sorted((e for stream in streams for e in stream), key=lambda e: (e[0], e[1]))
 
 
-def bin_events_oracle(events, interval_seconds, span_seconds=None, vm_ids=None):
+def bin_events_oracle(events, interval_seconds, n_intervals=None, vm_ids=None):
     """Per-(vm, interval) SYN and FIN|RST counts, one event at a time."""
     interval_us = round(interval_seconds * 1_000_000)
     counts = {}
     vms = set(vm_ids or ())
     last_t, max_index, limit = 0, -1, None
-    if span_seconds is not None:
-        limit = max(0, -(-round(span_seconds * 1_000_000) // interval_us))
+    if n_intervals is not None:
+        limit = n_intervals
         max_index = limit - 1
     for t_us, vm_id, pkt_type in events:
         if t_us < last_t:

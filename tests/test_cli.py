@@ -579,7 +579,7 @@ def test_simulate_rejects_detector_intervals_below_one_microsecond(tmp_path, cap
                       dict(SCENARIO, detector={"interval_seconds": interval}))
     code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
     assert (code, out) == (EXIT_USAGE, "")
-    assert "detector interval_seconds must be at least 1 microsecond" in capsys.readouterr().err
+    assert "detector interval_seconds must be finite and at least 1 microsecond" in capsys.readouterr().err
 
 
 def test_simulate_rejects_attack_counts_beyond_exact_floats(tmp_path, capsys):

@@ -186,7 +186,7 @@ def test_bin_events_pairs_across_interval_boundary():
 
 
 def test_bin_events_empty_trace_with_span():
-    out = bin_events(Trace.from_events([]), interval_seconds=10, span_seconds=30, vm_ids=["vm1"])
+    out = bin_events(Trace.from_events([]), interval_seconds=10, n_intervals=3, vm_ids=["vm1"])
     assert list(out) == [
         TrafficInterval(0, "vm1", 0, 0),
         TrafficInterval(1, "vm1", 0, 0),
@@ -221,7 +221,7 @@ def test_bin_events_ignores_non_handshake_packets():
 
 def test_bin_events_span_drops_overflow():
     events = [(5_000_000, "vm1", "SYN"), (25_000_000, "vm1", "SYN")]
-    out = bin_events(Trace.from_events(events), interval_seconds=10, span_seconds=20)
+    out = bin_events(Trace.from_events(events), interval_seconds=10, n_intervals=2)
     assert [iv.syn for iv in out] == [1, 0]
 
 

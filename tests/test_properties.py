@@ -220,16 +220,16 @@ DELAYS = st.floats(min_value=1e-3, max_value=40.0)
     start=st.integers(0, 12),
     length=st.integers(0, 12),
     delays=st.tuples(DELAYS, DELAYS).map(sorted),
-    interval_us=st.integers(1, 20_000_000),
+    interval=st.floats(1e-6, 20.0),
     n=st.integers(0, 30),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_binned_normal_traffic_equals_binning_its_events(
-        base_rate, start, length, delays, interval_us, n, seed):
+        base_rate, start, length, delays, interval, n, seed):
     spec = TrafficSpec("vm", base_rate=base_rate, fin_delay_range=tuple(delays), start=start,
-                       end=start + length, seed=seed, interval_seconds=interval_us / 1e6)
-    via_events = bin_events(gen_normal(spec), spec.interval_seconds,
-                            span_seconds=n * spec.interval_seconds, vm_ids=[spec.vm_id])
+                       end=start + length, seed=seed, interval_seconds=interval)
+    via_events = bin_events(gen_normal(spec), spec.interval_seconds, n_intervals=n,
+                            vm_ids=[spec.vm_id])
     assert list(via_events) == list(gen_normal_binned(spec, n))
 
 
@@ -384,10 +384,8 @@ def test_bin_events_equals_the_per_event_oracle(events, interval_us, span, vm_id
     # keep the interval count small: at most 40 past the last timestamp
     interval_us = max(interval_us, max((t for t, _, _ in events), default=0) // 40 + 1)
     interval_seconds = interval_us / 1e6
-    span_seconds = None if span is None else span * interval_seconds
-    expected = _outcome(bin_events_oracle, events, interval_seconds, span_seconds, vm_ids)
-    got = _outcome(bin_events, traffic.Trace.from_events(events), interval_seconds, span_seconds,
-                   vm_ids)
+    expected = _outcome(bin_events_oracle, events, interval_seconds, span, vm_ids)
+    got = _outcome(bin_events, traffic.Trace.from_events(events), interval_seconds, span, vm_ids)
     assert (list(got) if isinstance(got, Counts) else got) == expected
 
 

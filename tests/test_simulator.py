@@ -540,7 +540,7 @@ def test_detection_delay_matches_cusum_theory(multiplier, predicted):
 def test_fin_ring_conserves_connections():
     # vm-002 is shut down at tick 7 and vm-003 starts at tick 3; both send
     # 50 paired connections a tick.  vm-001 floods and is throttled to 20,
-    # so a FIN credited to the wrong ring row shows as a drift in another
+    # so a FIN credited to the wrong row shows as a drift in another
     # VM's balance.  A FIN lands 12-19 s after its SYN, 1 or 2 intervals
     # on, so each tick ends with this tick's 50 connections and at most
     # fin_slots - 1 ticks' worth in flight.
@@ -557,7 +557,7 @@ def test_fin_ring_conserves_connections():
     for tick in range(scn.duration):
         sim.step(tick)
         if tick == 7:
-            assert not sim.fin_ring[sim.vms["vm-002"].fin_row].any()
+            assert not sim.fin_due[sim.vms["vm-002"].fin_row].any()
     rows = list(sim.report.stat_rows)
     assert (rows[-2].vm_id, rows[-2].syn) == ("vm-001", 20 + 40)
     for vm, ticks in (("vm-002", range(7)), ("vm-003", range(3, scn.duration))):

@@ -160,7 +160,7 @@ def test_binned_normal_equals_binning_the_events():
             via_events = bin_events(
                 gen_normal(spec),
                 interval_seconds=spec.interval_seconds,
-                span_seconds=n_intervals * spec.interval_seconds,
+                n_intervals=n_intervals,
                 vm_ids=[spec.vm_id],
             )
             assert list(direct) == list(via_events), f"seed={seed} rate={rate}"
@@ -170,11 +170,21 @@ def test_binned_attack_equals_binning_the_events():
     spec = _attack(start=2, end=6)
     direct = gen_attack_binned(spec, 8)
     via_events = bin_events(
-        gen_attack(spec), interval_seconds=10, span_seconds=80, vm_ids=["bad"]
+        gen_attack(spec), interval_seconds=10, n_intervals=8, vm_ids=["bad"]
     )
     assert list(direct) == list(via_events)
     assert list(direct)[0] == TrafficInterval(0, "bad", 0, 0)
     assert list(direct)[2].syn == 200
+
+
+def test_binning_equals_binned_normal_at_a_fraction_of_a_microsecond():
+    # 10 intervals of 0.1234564 s used to bin into 11: the span and the
+    # interval were rounded to microseconds separately
+    spec = _normal(interval_seconds=0.1234564)
+    via_events = bin_events(gen_normal(spec), spec.interval_seconds, n_intervals=10,
+                            vm_ids=[spec.vm_id])
+    assert via_events.syn.shape == (1, 10)
+    assert list(via_events) == list(gen_normal_binned(spec, 10))
 
 
 def test_binned_counts_are_conserved():
@@ -274,6 +284,16 @@ def test_event_trace_errors_name_the_row_in_a_later_chunk():
     rows = ["0.5,vm1,SYN"] * 5000 + [""] * 3 + ["1.0,vm1,SYN", "2.0,vm1,PING"]
     with pytest.raises(ParseError, match="line 5006: pkt_type 'PING' not in"):
         read_trace_csv("timestamp_s,vm_id,pkt_type\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    'timestamp_s,vm_id,pkt_type\n1.0,"a\nb",SYN\n2.0,v,PING\n',
+    'interval_index,vm_id,syn,finrst\n0,"a\nb",1,0\n1,v,x,0\n',
+], ids=["events", "binned"])
+def test_row_errors_name_the_physical_line(text):
+    # a quoted newline makes the bad row the 4th line of the file but its 3rd record
+    with pytest.raises(ParseError, match="^trace line 4: "):
+        read_trace_csv(text)
 
 
 def test_binned_trace_rejects_duplicate_intervals():
