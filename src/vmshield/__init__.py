@@ -59,7 +59,6 @@ from .scheduler import (
     detect_overload,
     estimate_demand_first_start,
     estimate_demand_restart,
-    filter_candidates,
     place,
     plan_migration,
     select_victim,
@@ -124,7 +123,6 @@ __all__ = [
     "estimate_demand_restart",
     "events_to_csv",
     "fill_gaps",
-    "filter_candidates",
     "gen_attack",
     "gen_attack_binned",
     "gen_normal",

@@ -27,7 +27,8 @@ from . import scheduler as sched
 from . import simulator, traffic
 from .ahp import DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, _consistent_weights, derive_weights
 from .errors import ParseError, UnsortedTrace, ValidationError, VmShieldError
-from .resources import ResourceVector, WeightVector
+from .resources import (ResourceVector, WeightVector, json_int, json_list, json_object, json_str, read_json_file,
+                        read_text_file, write_text_file)
 
 log = logging.getLogger("vmshield")
 
@@ -39,9 +40,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-CLUSTER_VM_KEYS = ("id", "class", "observed")
-
-
 @dataclass(frozen=True)
 class GlobalConfig:
     """Cross-command options; every field has a default."""
@@ -51,20 +49,7 @@ class GlobalConfig:
     verbosity: int = 0
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    unknown = set(obj) - {"format", "seed", "verbosity"}
-    if unknown:
-        raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
-    return obj
+_CONFIG_KEYS = {"format": json_str, "seed": json_int, "verbosity": json_int}
 
 
 def resolve_config(args: argparse.Namespace, env: dict | None = None) -> GlobalConfig:
@@ -74,8 +59,8 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> GlobalC
 
     config_path = args.config or env.get(ENV_PREFIX + "CONFIG")
     if config_path:
-        file_obj = _load_config_file(config_path)
-        cfg = replace(cfg, **file_obj)
+        cfg = replace(cfg, **read_json_file(
+            config_path, lambda obj: json_object(obj, "", _CONFIG_KEYS, what="config")))
 
     def env_get(name):
         return env.get(ENV_PREFIX + name)
@@ -104,10 +89,6 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> GlobalC
 
     if cfg.format not in FORMATS:
         raise ParseError(f"output format must be one of {FORMATS}, got {cfg.format!r}")
-    if not isinstance(cfg.seed, (int, type(None))) or isinstance(cfg.seed, bool):
-        raise ParseError("config seed must be an integer")
-    if not isinstance(cfg.verbosity, int) or isinstance(cfg.verbosity, bool):
-        raise ParseError("config verbosity must be an integer")
     return cfg
 
 
@@ -120,18 +101,6 @@ def _setup_logging(verbosity: int) -> None:
     elif verbosity >= 2:
         level = logging.DEBUG
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s", force=True)
-
-
-def _read_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
 
 
 def _emit(payload, rows: list[dict], fmt: str, out) -> None:
@@ -160,11 +129,22 @@ def _emit(payload, rows: list[dict], fmt: str, out) -> None:
 # ahp -----------------------------------------------------------------
 
 
+_AHP_KEYS = {
+    "profile": lambda value, name: HotspotProfile(ResourceVector.from_json(value, name)),
+    "matrix": lambda value, name: value,  # validated as a pairwise matrix by the ahp module
+}
+
+
+def _read_ahp_input(obj):
+    """The profile or the matrix of an ahp --input object, which holds exactly one of them."""
+    fields = json_object(obj, "", _AHP_KEYS, what="ahp input")
+    if len(fields) != 1:
+        raise ParseError("expected exactly one of 'profile' or 'matrix'")
+    return next(iter(fields.values()))
+
+
 def _cmd_ahp(args, cfg: GlobalConfig, out) -> int:
-    obj = _read_json(args.input)
-    if not isinstance(obj, dict) or ("profile" in obj) == ("matrix" in obj):
-        raise ParseError(f"{args.input}: expected exactly one of 'profile' or 'matrix'")
-    source = HotspotProfile(ResourceVector.from_json(obj["profile"])) if "profile" in obj else obj["matrix"]
+    source = read_json_file(args.input, _read_ahp_input)
     weights, lambda_max, cr = _consistent_weights(source, args.tol, args.cr_limit, args.max_iter)
     payload = {"weights": weights.to_json(), "lambda_max": lambda_max, "cr": cr}
     rows = [{**weights.to_json(), "lambda_max": f"{lambda_max:.9f}", "cr": f"{cr:.3e}"}]
@@ -175,37 +155,31 @@ def _cmd_ahp(args, cfg: GlobalConfig, out) -> int:
 # place ---------------------------------------------------------------
 
 
-def _load_cluster(path: str) -> tuple[list[sched.ServerState], dict[str, sched.VmRecord]]:
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or "servers" not in obj:
-        raise ParseError(f"{path}: cluster JSON needs a 'servers' array")
-    servers = sched.servers_from_json(obj["servers"])
+_CLUSTER_VM_KEYS = {"id": json_str, "class": sched.read_class, "observed": ResourceVector.from_json}
+
+
+def _read_cluster_vm(obj, where: str) -> sched.VmRecord:
+    fields = json_object(obj, where, _CLUSTER_VM_KEYS, ("id", "class"))
+    fields["hotspot_class"] = fields.pop("class")
+    return sched.VmRecord(**fields)
+
+
+_CLUSTER_KEYS = {
+    "servers": lambda value, name: json_list(value, name, sched.ServerState.from_json),
+    "vms": lambda value, name: json_list(value, name, _read_cluster_vm),
+}
+
+
+def _read_cluster(obj) -> tuple[list[sched.ServerState], dict[str, sched.VmRecord]]:
+    """The servers and the id -> VM map of a cluster object; every hosted id names one VM."""
+    fields = json_object(obj, "", _CLUSTER_KEYS, ("servers",), "cluster")
+    servers = fields["servers"]
     sched.validate_servers(servers)
-    raw_vms = obj.get("vms", [])
-    if not isinstance(raw_vms, list):
-        raise ParseError(f"{path}: vms must be a JSON array")
     vms: dict[str, sched.VmRecord] = {}
-    for i, v in enumerate(raw_vms):
-        where = f"{path}: vms[{i}]"
-        if not isinstance(v, dict):
-            raise ParseError(f"{where} must be a JSON object")
-        unknown = set(v) - set(CLUSTER_VM_KEYS)
-        if unknown:
-            raise ParseError(f"{where}: unknown keys {sorted(unknown)}; expected {CLUSTER_VM_KEYS}")
-        vm_id = v.get("id")
-        if not isinstance(vm_id, str):
-            raise ParseError(f"{where}.id must be a JSON string")
-        try:
-            klass = sched.normalize_class(v.get("class"))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}.class: {exc}") from exc
-        try:
-            observed = ResourceVector.from_json(v.get("observed", {"cpu": 0, "mem": 0, "bw": 0}))
-        except ParseError as exc:
-            raise ParseError(f"{where}.observed: {exc}") from exc
-        if vm_id in vms:
-            raise ValidationError(f"duplicate vm id {vm_id!r}")
-        vms[vm_id] = sched.VmRecord(vm_id, klass, observed=observed)
+    for vm in fields.get("vms", []):
+        if vm.id in vms:
+            raise ValidationError(f"duplicate vm id {vm.id!r}")
+        vms[vm.id] = vm
     for server in servers:
         for vm_id in sorted(server.vms):
             if vm_id not in vms:
@@ -217,10 +191,10 @@ def _load_cluster(path: str) -> tuple[list[sched.ServerState], dict[str, sched.V
 
 
 def _cmd_place(args, cfg: GlobalConfig, out) -> int:
-    servers, _vms = _load_cluster(args.cluster)
-    demand = ResourceVector.from_json(_read_json(args.demand))
+    servers, _vms = read_json_file(args.cluster, _read_cluster)
+    demand = read_json_file(args.demand, ResourceVector.from_json)
     if args.weights:
-        weights = WeightVector.from_json(_read_json(args.weights))
+        weights = read_json_file(args.weights, WeightVector.from_json)
     else:
         weights = derive_weights(HotspotProfile(demand))
     decision = sched.place(demand, weights, servers)
@@ -252,13 +226,7 @@ def _cmd_place(args, cfg: GlobalConfig, out) -> int:
 
 
 def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
-    try:
-        # untranslated line ends, so a "\r" inside a quoted vm_id survives
-        with open(args.trace, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.trace}: {exc}") from exc
-    kind, data = traffic.read_trace_csv(text)
+    kind, data = traffic.read_trace_csv(read_text_file(args.trace))
     if kind == "events":
         data = det.bin_events(data, interval_seconds=args.interval)
     report = det.process_trace(data, drift=args.drift, threshold=args.threshold)
@@ -285,11 +253,7 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
     ]
     _emit(payload, rows, cfg.format, out)
     if args.stats:
-        try:
-            with open(args.stats, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(det.stat_rows_to_csv(report.rows))
-        except OSError as exc:
-            raise OSError(f"writing statistic log {args.stats}: {exc}") from exc
+        write_text_file(args.stats, det.stat_rows_to_csv(report.rows), "statistic log")
         log.info("wrote statistic log %s (%d rows)", args.stats, len(report.rows))
     return EXIT_OK
 
@@ -297,12 +261,21 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
 # gen -------------------------------------------------------------------
 
 
+_SPECS_KEYS = {"specs": lambda value, name: json_list(value, name, traffic.TrafficSpec.from_json)}
+
+
+def _read_specs(obj) -> list[traffic.TrafficSpec]:
+    """A spec object as a one-spec list, or the non-empty specs array of {"specs": [...]}."""
+    if not (isinstance(obj, dict) and "specs" in obj):
+        return [traffic.TrafficSpec.from_json(obj)]
+    specs = json_object(obj, "", _SPECS_KEYS, what="spec file")["specs"]
+    if not specs:
+        raise ParseError("specs must be a non-empty JSON array")
+    return specs
+
+
 def _cmd_gen(args, cfg: GlobalConfig, out) -> int:
-    obj = _read_json(args.spec)
-    raw_specs = obj["specs"] if isinstance(obj, dict) and "specs" in obj else [obj]
-    if not isinstance(raw_specs, list) or not raw_specs:
-        raise ParseError(f"{args.spec}: expected a spec object or a non-empty 'specs' array")
-    specs = [traffic.TrafficSpec.from_json(s) for s in raw_specs]
+    specs = read_json_file(args.spec, _read_specs)
     if cfg.seed is not None:
         specs = [replace(s, seed=cfg.seed) for s in specs]
     merged = traffic.merge_traces([traffic.generate(s) for s in specs])
@@ -310,11 +283,7 @@ def _cmd_gen(args, cfg: GlobalConfig, out) -> int:
     if args.out == "-":
         out.write(text)
     else:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"writing trace {args.out}: {exc}") from exc
+        write_text_file(args.out, text, "trace")
     log.info("generated %d events from %d spec(s)", len(merged), len(specs))
     return EXIT_OK
 

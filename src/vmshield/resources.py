@@ -1,19 +1,97 @@
-"""Three-dimensional resource vectors and weighted scoring.
+"""Three-dimensional resource vectors, weighted scoring, and file I/O.
 
 Every quantity in the placement and migration pipeline is a
 (cpu, mem, bw) triple expressed in percent of a server's capacity, so
 vectors from different servers compare directly.  Weighted scores are
 plain dot products against a priority vector whose components sum to 1.
+
+Input files are read by read_text_file (JSON ones by read_json_file),
+each JSON object against a table of its keys by json_object, and output
+files are written by write_text_file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 WEIGHT_SUM_TOL = 1e-9
+
+
+def read_text_file(path: str) -> str:
+    """The UTF-8 text of the file at path; else a ParseError naming path.
+
+    Line ends are not translated, so a carriage return inside a quoted CSV
+    field survives.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json_file(path: str, parse):
+    """parse(the JSON value in the file at path).
+
+    An unreadable file or invalid JSON is a ParseError naming path, and a
+    ParseError or ValidationError from parse is re-raised with path in front.
+    """
+    try:
+        obj = json.loads(read_text_file(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    try:
+        return parse(obj)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def write_text_file(path: str, text: str, what: str) -> None:
+    """Write text to path as UTF-8 with LF line ends; an OSError names what and path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"writing {what} {path}: {exc}") from exc
+
+
+def json_object(obj, where: str, readers: dict, required=(), what: str = "") -> dict:
+    """The fields of the JSON object obj, each value read by readers[key].
+
+    readers maps every allowed key to a reader(value, name) that returns
+    the parsed value or raises a ParseError naming name: ``where.key``, or
+    just ``key`` when where is empty (a file's top level, or a value such
+    as a resource vector whose holder puts its own name in front).  A
+    non-object or any unknown key is a ParseError naming where (what, when
+    where is empty), checked before any value is read; a missing required
+    key is one naming the key.  Absent optional keys are absent from the
+    result, so callers pass it as keyword arguments and let their
+    defaults cover them.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where or what} must be a JSON object")
+    if not obj.keys() <= readers.keys():
+        unknown = sorted(obj.keys() - readers.keys())
+        raise ParseError(f"{where or what}: unknown keys {unknown}; expected {', '.join(readers)}")
+    prefix = f"{where}." if where else ""
+    fields = {key: readers[key](value, prefix + key) for key, value in obj.items()}
+    for key in required:
+        if key not in fields:
+            raise ParseError(f"{prefix}{key} is required")
+    return fields
+
+
+def json_list(value, name: str, read_item) -> list:
+    """[read_item(item, f"{name}[i]") for each item] of a JSON array; else a ParseError."""
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a JSON array")
+    return [read_item(item, f"{name}[{i}]") for i, item in enumerate(value)]
 
 
 def json_number(value, name: str) -> float:
@@ -35,6 +113,31 @@ def json_int(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def json_str(value, name: str) -> str:
+    """value, if it is a JSON string; else a ParseError naming name."""
+    if not isinstance(value, str):
+        raise ParseError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
+def json_bool(value, name: str) -> bool:
+    """value, if it is a JSON bool; else a ParseError naming name."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{name} must be a JSON bool, got {value!r}")
+    return value
+
+
+def _component(value, name: str) -> float:
+    c = json_number(value, name)
+    if not math.isfinite(c) or c < 0:
+        raise ParseError(f"{name} must be finite and >= 0, got {c}")
+    return c
+
+
+_VECTOR_KEYS = {"cpu": _component, "mem": _component, "bw": _component}
+_WEIGHT_KEYS = {"w_cpu": json_number, "w_mem": json_number, "w_bw": json_number}
 
 
 @dataclass(frozen=True)
@@ -66,20 +169,17 @@ class ResourceVector:
         return {"cpu": self.cpu, "mem": self.mem, "bw": self.bw}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ResourceVector":
-        if not isinstance(obj, dict):
-            raise ParseError(f"resource vector must be a JSON object with cpu/mem/bw fields: {obj!r}")
-        unknown = set(obj) - {"cpu", "mem", "bw"}
-        if unknown:
-            raise ParseError(f"resource vector: unknown keys {sorted(unknown)}; expected cpu/mem/bw")
+    def from_json(cls, obj: dict, where: str = "") -> "ResourceVector":
+        """A vector from exactly the keys cpu, mem and bw, each finite and >= 0.
+
+        Errors name the component bare (``cpu``), behind ``where: `` if where is given.
+        """
         try:
-            v = cls(*(json_number(obj[name], name) for name in ("cpu", "mem", "bw")))
-        except KeyError as exc:
-            raise ParseError(f"resource vector needs cpu, mem and bw fields: {obj!r}") from exc
-        for name, c in zip(("cpu", "mem", "bw"), v.as_tuple()):
-            if not math.isfinite(c) or c < 0:
-                raise ParseError(f"resource component {name}={c} must be finite and >= 0")
-        return v
+            return cls(**json_object(obj, "", _VECTOR_KEYS, _VECTOR_KEYS, "resource vector"))
+        except ParseError as exc:
+            if not where:
+                raise
+            raise ParseError(f"{where}: {exc}") from exc
 
 
 ZERO = ResourceVector(0.0, 0.0, 0.0)
@@ -108,10 +208,10 @@ class WeightVector:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightVector":
+        """Weights from exactly the keys w_cpu, w_mem and w_bw."""
+        fields = json_object(obj, "", _WEIGHT_KEYS, _WEIGHT_KEYS, "weight vector")
         try:
-            return cls(*(json_number(obj[name], name) for name in ("w_cpu", "w_mem", "w_bw")))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"weight vector needs numeric w_cpu/w_mem/w_bw fields: {obj!r}") from exc
+            return cls(**fields)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 

@@ -7,7 +7,7 @@ that the simulation harness applies.  Planning (``place``,
 exception is ``wake_server``, which flips the chosen server's power
 state in place.
 Server JSON, in cluster and scenario files alike, is parsed and
-validated here only (``servers_from_json``, ``validate_servers``).
+validated here only (``ServerState.from_json``, ``validate_servers``).
 
 Decision rules, in brief:
 
@@ -36,6 +36,9 @@ from .resources import (
     ZERO,
     ResourceVector,
     WeightVector,
+    json_list,
+    json_object,
+    json_str,
     rv_strictly_less,
     weighted_score,
 )
@@ -48,8 +51,6 @@ _CLASS_ALIASES = {"mem-intensive": "memory-intensive"}
 ACTIVE = "active"
 ASLEEP = "asleep"
 
-SERVER_KEYS = ("id", "usage", "threshold", "power", "vms")
-
 NO_FEASIBLE_SERVER = "no feasible server"
 
 
@@ -58,6 +59,14 @@ def normalize_class(name: str) -> str:
     if name not in HOTSPOT_CLASSES:
         raise ValueError(f"unknown hotspot class {name!r}; expected one of {HOTSPOT_CLASSES}")
     return name
+
+
+def read_class(value, name: str) -> str:
+    """The hotspot class a JSON string names (see normalize_class); else a ParseError naming name."""
+    try:
+        return normalize_class(json_str(value, name))
+    except ValueError as exc:
+        raise ParseError(f"{name}: {exc}") from exc
 
 
 @dataclass
@@ -78,40 +87,28 @@ class ServerState:
     def from_json(cls, obj, where: str = "server") -> "ServerState":
         """Parse one server entry; errors name the field as ``where.<key>``.
 
-        Only the string ``id`` is required: the other SERVER_KEYS take the
+        Only the string ``id`` is required: the other _SERVER_KEYS take the
         dataclass defaults (``vms`` is an array of vm ids).  Unknown keys
         are rejected.
         """
-        if not isinstance(obj, dict):
-            raise ParseError(f"{where} must be a JSON object")
-        unknown = set(obj) - set(SERVER_KEYS)
-        if unknown:
-            raise ParseError(f"{where}: unknown keys {sorted(unknown)}; expected {SERVER_KEYS}")
-        if not isinstance(obj.get("id"), str):
-            raise ParseError(f"{where}.id must be a JSON string")
-        vectors = {}
-        for key in ("usage", "threshold"):
-            if key in obj:
-                try:
-                    vectors[key] = ResourceVector.from_json(obj[key])
-                except ParseError as exc:
-                    raise ParseError(f"{where}.{key}: {exc}") from exc
-        power = obj.get("power", ACTIVE)
-        if power not in (ACTIVE, ASLEEP):
-            raise ParseError(f"{where}.power must be {ACTIVE!r} or {ASLEEP!r}")
-        vms = obj.get("vms", [])
-        if not isinstance(vms, list) or not all(isinstance(v, str) for v in vms):
-            raise ParseError(f"{where}.vms must be an array of vm id strings")
-        if len(set(vms)) != len(vms):
-            raise ParseError(f"{where}.vms names a vm twice")
-        return cls(obj["id"], power=power, vms=set(vms), **vectors)
+        return cls(**json_object(obj, where, _SERVER_KEYS, ("id",)))
 
 
-def servers_from_json(raw) -> list[ServerState]:
-    """Parse a ``servers`` array entry by entry (see ServerState.from_json)."""
-    if not isinstance(raw, list):
-        raise ParseError("servers must be a JSON array")
-    return [ServerState.from_json(s, f"servers[{i}]") for i, s in enumerate(raw)]
+def _power(value, name: str) -> str:
+    if value not in (ACTIVE, ASLEEP):
+        raise ParseError(f"{name} must be {ACTIVE!r} or {ASLEEP!r}")
+    return value
+
+
+def _vm_ids(value, name: str) -> set[str]:
+    vms = json_list(value, name, json_str)
+    if len(set(vms)) != len(vms):
+        raise ParseError(f"{name} names a vm twice")
+    return set(vms)
+
+
+_SERVER_KEYS = {"id": json_str, "usage": ResourceVector.from_json,
+                "threshold": ResourceVector.from_json, "power": _power, "vms": _vm_ids}
 
 
 def validate_servers(servers: list[ServerState]) -> None:
@@ -219,11 +216,6 @@ def _feasible(demand: ResourceVector, servers: list[ServerState]) -> list[Server
             if s.power == ACTIVE
             and (u := s.usage).cpu + cpu < (t := s.threshold).cpu
             and u.mem + mem < t.mem and u.bw + bw < t.bw]
-
-
-def filter_candidates(demand: ResourceVector, servers: list[ServerState]) -> list[str]:
-    """Active servers that can absorb the demand, in input order."""
-    return [s.id for s in _feasible(demand, servers)]
 
 
 def place(

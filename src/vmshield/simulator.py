@@ -44,11 +44,10 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
-from .resources import ZERO, ResourceVector, json_int, json_number, weighted_score
-from .scheduler import ServerState, VmRecord, normalize_class
-from .traffic import DEFAULT_FIN_DELAY_RANGE
-
-EVENT_OPS = ("vm_request", "vm_shutdown", "vm_revoke", "attack_start", "attack_stop")
+from .resources import (ZERO, ResourceVector, json_bool, json_int, json_list, json_number, json_object,
+                        json_str, read_json_file, weighted_score, write_text_file)
+from .scheduler import ServerState, VmRecord, read_class
+from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
 RUNNING = "running"
 STOPPED = "stopped"
@@ -65,7 +64,8 @@ REPORT_FILES = (
 )
 
 
-_DETECTOR_NUMBERS = ("drift", "threshold", "interval_seconds", "throttle_factor")
+_DETECTOR_KEYS = {"drift": json_number, "threshold": json_number, "interval_seconds": json_number,
+                  "policy": json_str, "throttle_factor": json_number}
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,9 @@ class DetectorConfig:
     throttle_factor: float = det.DEFAULT_THROTTLE_FACTOR
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DetectorConfig":
-        if not isinstance(obj, dict):
-            raise ParseError("detector must be a JSON object")
-        try:
-            fields = dict(obj)
-            for key in _DETECTOR_NUMBERS:
-                if key in fields:
-                    fields[key] = json_number(fields[key], f"detector {key}")
-            cfg = cls(**fields)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad detector config: {exc}") from exc
-        for key in _DETECTOR_NUMBERS:
+    def from_json(cls, obj: dict, where: str = "detector") -> "DetectorConfig":
+        cfg = cls(**json_object(obj, where, _DETECTOR_KEYS))
+        for key in ("drift", "threshold", "interval_seconds", "throttle_factor"):
             if not math.isfinite(getattr(cfg, key)):
                 raise ValidationError(f"detector {key} must be finite, got {getattr(cfg, key)}")
         if cfg.policy not in det.POLICIES:
@@ -115,13 +106,74 @@ class ScenarioEvent:
     multiplier: float = 1.0
 
 
+_VM_EVENT = {"tick": json_int, "op": json_str, "vm": json_str}
+
+# op -> (key readers, required keys) of an event with that op
+_EVENT_KEYS = {
+    "vm_request": ({"tick": json_int, "op": json_str, "class": read_class, "count": json_int},
+                   ("tick", "op", "class")),
+    "vm_shutdown": (_VM_EVENT, tuple(_VM_EVENT)),
+    "vm_revoke": (_VM_EVENT, tuple(_VM_EVENT)),
+    "attack_start": ({**_VM_EVENT, "multiplier": json_number}, (*_VM_EVENT, "multiplier")),
+    "attack_stop": (_VM_EVENT, tuple(_VM_EVENT)),
+}
+EVENT_OPS = tuple(_EVENT_KEYS)
+
+
+def _read_event(obj, where: str) -> ScenarioEvent:
+    """One event object, read against the key table of its op."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    op = obj.get("op")
+    if op not in EVENT_OPS:
+        raise ParseError(f"{where}.op must be one of {EVENT_OPS}, got {op!r}")
+    fields = json_object(obj, where, *_EVENT_KEYS[op])
+    if "class" in fields:
+        fields["vm_class"] = fields.pop("class")
+    return ScenarioEvent(**fields)
+
+
+def _read_vm_classes(value, name: str) -> dict[str, ResourceVector]:
+    """The class -> demand vector object; keys are hotspot class names, each given once."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be a JSON object")
+    vm_classes = {}
+    for key, vec in value.items():
+        where = f"{name}.{key}"
+        canon = read_class(key, where)
+        if canon in vm_classes:
+            raise ParseError(f"{where}: class {canon!r} is given twice")
+        vm_classes[canon] = ResourceVector.from_json(vec, where)
+    return vm_classes
+
+
+def _read_scenario_servers(value, name: str) -> list[ServerState]:
+    servers = json_list(value, name, ServerState.from_json)
+    for i, s in enumerate(servers):
+        if s.vms:
+            raise ParseError(f"{name}[{i}].vms: scenario servers start empty; "
+                             "VMs come only from vm_request events")
+    return servers
+
+
+_SCENARIO_KEYS = {
+    "servers": _read_scenario_servers,
+    "vm_classes": _read_vm_classes,
+    "events": lambda value, name: json_list(value, name, _read_event),
+    "detector": DetectorConfig.from_json,
+    "low_watermark": lambda value, name: None if value is None else ResourceVector.from_json(value, name),
+    "base_rate": json_int, "fin_delay_range": read_delay_range, "duration": json_int, "seed": json_int,
+    "wake_on_reject": json_bool,
+}
+
+
 @dataclass
 class Scenario:
     """A validated simulation input: initial cluster, classes, events, knobs."""
 
     servers: list[ServerState]
-    vm_classes: dict[str, ResourceVector]
-    events: list[ScenarioEvent]
+    vm_classes: dict[str, ResourceVector] = field(default_factory=dict)
+    events: list[ScenarioEvent] = field(default_factory=list)
     detector: DetectorConfig = DetectorConfig()
     low_watermark: ResourceVector | None = None
     base_rate: int = 100
@@ -132,93 +184,7 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scenario":
-        if not isinstance(obj, dict):
-            raise ParseError("scenario must be a JSON object")
-        known = {
-            "servers", "vm_classes", "events", "detector", "low_watermark",
-            "base_rate", "fin_delay_range", "duration", "seed", "wake_on_reject",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise ParseError(f"unknown scenario fields: {sorted(unknown)}")
-        if "servers" not in obj:
-            raise ParseError("scenario missing required field 'servers'")
-        duration = json_int(obj.get("duration", 0), "duration")
-        seed = json_int(obj.get("seed", 0), "seed")
-        base_rate = json_int(obj.get("base_rate", 100), "base_rate")
-        wake = obj.get("wake_on_reject", True)
-        if not isinstance(wake, bool):
-            raise ParseError(f"wake_on_reject must be a JSON bool, got {wake!r}")
-
-        servers = sched.servers_from_json(obj["servers"])
-        for i, s in enumerate(servers):
-            if s.vms:
-                raise ParseError(f"servers[{i}].vms: scenario servers start empty; "
-                                 "VMs come only from vm_request events")
-
-        raw_classes = obj.get("vm_classes", {})
-        if not isinstance(raw_classes, dict):
-            raise ParseError("vm_classes must be a JSON object")
-        vm_classes = {}
-        for name, vec in raw_classes.items():
-            try:
-                canon = normalize_class(name)
-                vector = ResourceVector.from_json(vec)
-            except (ParseError, ValueError) as exc:
-                raise ParseError(f"vm_classes.{name}: {exc}") from exc
-            if canon in vm_classes:
-                raise ParseError(f"vm_classes.{name}: class {canon!r} is given twice")
-            vm_classes[canon] = vector
-
-        raw_events = obj.get("events", [])
-        if not isinstance(raw_events, list):
-            raise ParseError("events must be a JSON array")
-        events = []
-        for i, e in enumerate(raw_events):
-            if not isinstance(e, dict) or "tick" not in e or "op" not in e:
-                raise ParseError(f"events[{i}]: needs integer tick and op")
-            tick = json_int(e["tick"], f"events[{i}].tick")
-            op = e["op"]
-            if op not in EVENT_OPS:
-                raise ParseError(f"events[{i}]: op must be one of {EVENT_OPS}, got {op!r}")
-            kwargs = {"tick": tick, "op": op}
-            try:
-                if op == "vm_request":
-                    kwargs["vm_class"] = normalize_class(e["class"])
-                    kwargs["count"] = json_int(e.get("count", 1), f"events[{i}].count")
-                else:
-                    if not isinstance(e["vm"], str):
-                        raise ParseError(f"events[{i}].vm must be a JSON string, got {e['vm']!r}")
-                    kwargs["vm"] = e["vm"]
-                if op == "attack_start":
-                    kwargs["multiplier"] = json_number(e["multiplier"], f"events[{i}].multiplier")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"events[{i}]: {exc}") from exc
-            events.append(ScenarioEvent(**kwargs))
-
-        detector_cfg = DetectorConfig.from_json(obj.get("detector", {}))
-        low = obj.get("low_watermark")
-        try:
-            low_watermark = None if low is None else ResourceVector.from_json(low)
-        except ParseError as exc:
-            raise ParseError(f"low_watermark: {exc}") from exc
-        fin_range = obj.get("fin_delay_range", list(DEFAULT_FIN_DELAY_RANGE))
-        if not isinstance(fin_range, list) or len(fin_range) != 2:
-            raise ParseError(f"fin_delay_range must be a [low, high] array: {fin_range!r}")
-        fin_low, fin_high = (json_number(v, f"fin_delay_range[{k}]") for k, v in enumerate(fin_range))
-
-        scenario = cls(
-            servers=servers,
-            vm_classes=vm_classes,
-            events=events,
-            detector=detector_cfg,
-            low_watermark=low_watermark,
-            base_rate=base_rate,
-            fin_delay_range=(fin_low, fin_high),
-            duration=duration,
-            seed=seed,
-            wake_on_reject=wake,
-        )
+        scenario = cls(**json_object(obj, "", _SCENARIO_KEYS, ("servers",), "scenario"))
         scenario.validate()
         return scenario
 
@@ -229,10 +195,10 @@ class Scenario:
             raise ValidationError("seed must be >= 0")
         if self.base_rate < 0:
             raise ValidationError("base_rate must be >= 0")
-        if not 0 < self.fin_delay_range[0] <= self.fin_delay_range[1] < math.inf:
-            raise ValidationError(
-                f"fin_delay_range must satisfy 0 < low <= high < inf: {self.fin_delay_range}"
-            )
+        try:
+            _delay_bounds_us(self.fin_delay_range)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
         if not self.servers:
             raise ValidationError("scenario needs at least one server")
         sched.validate_servers(self.servers)
@@ -285,21 +251,8 @@ def _vm_index(name: str) -> int:
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
-        return Scenario.from_json(obj)
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    """The scenario in the JSON file at path; every error starts with path."""
+    return read_json_file(path, Scenario.from_json)
 
 
 @dataclass
@@ -365,8 +318,7 @@ class _Sim:
             "ignored_events": 0,
         }
         self.iv_us = iv_us = det._interval_to_us(scenario.detector.interval_seconds)
-        self.fin_lo_us = round(scenario.fin_delay_range[0] * 1_000_000)
-        self.fin_hi_us = round(scenario.fin_delay_range[1] * 1_000_000)
+        self.fin_lo_us, self.fin_hi_us = _delay_bounds_us(scenario.fin_delay_range)
         # FIN slots a connection can land in: this tick's plus the ones ahead
         self.fin_slots = (iv_us - 1 + self.fin_hi_us) // iv_us + 1
         # FINs due per VM row, k ticks from now in column k; grown as VMs are placed
@@ -700,10 +652,6 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
     paths = []
     for name, text in files.items():
         path = os.path.join(outdir, name)
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"writing report {path}: {exc}") from exc
+        write_text_file(path, text, "report")
         paths.append(path)
     return paths

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _csv_field, _interval_to_us, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import json_int, json_number
+from .resources import json_int, json_number, json_object, json_str
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -137,60 +137,48 @@ class TrafficSpec:
             raise ValueError(f"mode must be 'normal' or 'attack', got {self.mode!r}")
         if self.base_rate < 0:
             raise ValueError("base_rate must be >= 0")
-        if self.attack_multiplier < 1.0:
-            raise ValueError("attack_multiplier must be >= 1")
-        low, high = self.fin_delay_range
-        if not 0 < low <= high < math.inf:
-            raise ValueError(
-                f"fin_delay_range must satisfy 0 < low <= high < inf: {self.fin_delay_range}")
+        if not 1.0 <= self.attack_multiplier < math.inf:
+            raise ValueError("attack_multiplier must be finite and >= 1")
         if not 0 <= self.start <= self.end:
             raise ValueError("need 0 <= start <= end")
-        # _interval_us raises unless the interval is at least one whole microsecond
-        if self.end * _interval_us(self) + _delay_bounds_us(self)[1] >= T_US_LIMIT:
+        # _interval_us and _delay_bounds_us raise on an interval below one
+        # whole microsecond and on delays outside 0 < low <= high < inf
+        if self.end * _interval_us(self) + _delay_bounds_us(self.fin_delay_range)[1] >= T_US_LIMIT:
             raise ValueError("end * interval_seconds + fin_delay_range[1] must stay below "
                              f"{T_US_LIMIT} microseconds")
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TrafficSpec":
-        """A spec from its JSON object; a field of the wrong JSON type is a ParseError naming it."""
-        if not isinstance(obj, dict):
-            raise ParseError(f"traffic spec must be a JSON object, got {obj!r}")
-        fields = dict(obj)
-        for key in ("vm_id", "mode"):
-            if key in fields and not isinstance(fields[key], str):
-                raise ParseError(f"{key} must be a JSON string, got {fields[key]!r}")
-        for key in ("base_rate", "start", "end", "seed"):
-            if key in fields:
-                fields[key] = json_int(fields[key], key)
-        for key in ("attack_multiplier", "interval_seconds"):
-            if key in fields:
-                fields[key] = _finite_number(fields[key], key)
-        if "fin_delay_range" in fields:
-            pair = fields["fin_delay_range"]
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"fin_delay_range must be a [low, high] array, got {pair!r}")
-            fields["fin_delay_range"] = tuple(
-                _finite_number(v, f"fin_delay_range[{k}]") for k, v in enumerate(pair))
+    def from_json(cls, obj: dict, where: str = "") -> "TrafficSpec":
+        """A spec from its JSON object; a bad field is a ParseError naming it."""
+        fields = json_object(obj, where, _SPEC_KEYS, ("vm_id",), "traffic spec")
         try:
             return cls(**fields)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad traffic spec: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
-def _finite_number(value, name: str) -> float:
-    number = json_number(value, name)
-    if not math.isfinite(number):
-        raise ParseError(f"{name} must be finite, got {number}")
-    return number
+def read_delay_range(value, name: str) -> tuple[float, float]:
+    """A [low, high] pair of JSON numbers, in seconds; else a ParseError naming name."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ParseError(f"{name} must be a [low, high] array, got {value!r}")
+    return json_number(value[0], f"{name}[0]"), json_number(value[1], f"{name}[1]")
+
+
+def _delay_bounds_us(fin_delay_range) -> tuple[int, int]:
+    """(low, high) FIN delays in whole microseconds, if 0 < low <= high < inf; else a ValueError."""
+    low, high = fin_delay_range
+    if not 0 < low <= high < math.inf:
+        raise ValueError(f"fin_delay_range must satisfy 0 < low <= high < inf: {fin_delay_range}")
+    return round(low * 1_000_000), round(high * 1_000_000)
+
+
+_SPEC_KEYS = {"vm_id": json_str, "mode": json_str, "base_rate": json_int, "attack_multiplier": json_number,
+              "fin_delay_range": read_delay_range, "start": json_int, "end": json_int, "seed": json_int,
+              "interval_seconds": json_number}
 
 
 def _interval_us(spec: TrafficSpec) -> int:
     return _interval_to_us(spec.interval_seconds)
-
-
-def _delay_bounds_us(spec: TrafficSpec) -> tuple[int, int]:
-    low, high = spec.fin_delay_range
-    return round(low * 1_000_000), round(high * 1_000_000)
 
 
 def _normal_draws(spec: TrafficSpec):
@@ -202,7 +190,7 @@ def _normal_draws(spec: TrafficSpec):
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.base_rate
-    lo, hi = _delay_bounds_us(spec)
+    lo, hi = _delay_bounds_us(spec.fin_delay_range)
     low, high = np.repeat([0, lo], n), np.repeat([_interval_us(spec) - 1, hi], n)
     for _ in range(spec.start, spec.end):
         draws = rng.integers(low, high, endpoint=True)

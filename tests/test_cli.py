@@ -616,6 +616,51 @@ def test_simulate_bad_inputs(tmp_path):
     assert code == EXIT_USAGE
 
 
+# ---------------------------------------------------------- input files
+
+REQUEST = {"tick": 0, "op": "vm_request", "class": "cpu-intensive"}
+DEMAND = {"cpu": 1, "mem": 1, "bw": 1}
+SPEC = {"vm_id": "v", "base_rate": 5, "end": 2}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--scenario", dict(SCENARIO, events=[dict(REQUEST, counts=5)])],
+     "events[0]: unknown keys ['counts']"),
+    (["simulate", "--scenario", dict(SCENARIO, events=[
+        REQUEST, {"tick": 1, "op": "attack_stop", "vm": "vm-001", "multiplier": 2.0}])],
+     "events[1]: unknown keys ['multiplier']"),
+    (["simulate", "--scenario", dict(SCENARIO, events=[dict(REQUEST, vm="vm-001")])],
+     "events[0]: unknown keys ['vm']"),
+    (["place", "--cluster", dict(CLUSTER, comment="three servers"), "--demand", DEMAND],
+     "cluster: unknown keys ['comment']"),
+    (["place", "--cluster", CLUSTER, "--demand", DEMAND,
+      "--weights", {"w_cpu": 0.2, "w_mem": 0.6, "w_bw": 0.2, "w_gpu": 0.0}],
+     "weight vector: unknown keys ['w_gpu']"),
+    (["gen", "--spec", {"specs": [SPEC], "seed": 7}, "--out", "-"],
+     "spec file: unknown keys ['seed']"),
+    (["ahp", "--input", {"profile": {"cpu": 20, "mem": 60, "bw": 20}, "tol": 1}],
+     "ahp input: unknown keys ['tol']"),
+], ids=["vm_request-counts", "attack_stop-multiplier", "vm_request-vm", "cluster-comment",
+        "weights-w_gpu", "specs-seed", "ahp-tol"])
+def test_an_unknown_key_in_an_input_file_is_a_usage_error(tmp_path, capsys, argv, named):
+    # each of these keys used to be dropped without a word, and the command exited 0
+    argv = [_write(tmp_path, f"in{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(argv)]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert _run(argv) == (EXIT_USAGE, "")
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["ahp", "--input"], ["detect", "--trace"]])
+def test_an_input_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    # the decode error used to be printed without the file's name
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"profile": {"cpu": 1, "mem": 1, "bw": 1}, "note": "é"}'.encode("latin-1"))
+    assert _run([*command, str(path)]) == (EXIT_USAGE, "")
+    assert f"error: cannot read {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
 # -------------------------------------------------------- configuration
 
 

@@ -23,6 +23,7 @@ without a vector per candidate equals the ResourceVector oracle, ties with the t
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import json
@@ -64,7 +65,7 @@ from vmshield.detector import (  # noqa: E402
 )
 from vmshield.errors import ParseError, UnsortedTrace, ValidationError  # noqa: E402
 from vmshield.resources import ResourceVector, WeightVector  # noqa: E402
-from vmshield.scheduler import ServerState, filter_candidates, place  # noqa: E402
+from vmshield.scheduler import ServerState, place  # noqa: E402
 from vmshield.simulator import Scenario  # noqa: E402
 from vmshield.traffic import (  # noqa: E402
     TrafficSpec,
@@ -206,6 +207,83 @@ def test_mutated_scenario_parses_or_raises_a_usage_error(doc):
 def test_mutated_cluster_never_escapes_dispatch(doc):
     with tempfile.TemporaryDirectory() as tmp:
         assert _place(tmp, doc) in EXITS
+
+
+# One valid document per input file the CLI reads, and every key an
+# object in any of them takes (README, "File formats").
+INPUTS = {
+    "scenario": SCENARIO,
+    "cluster": CLUSTER,
+    "demand": {"cpu": 10, "mem": 10, "bw": 10},
+    "weights": {"w_cpu": 0.2, "w_mem": 0.6, "w_bw": 0.2},
+    "spec": {"vm_id": "v", "mode": "attack", "base_rate": 5, "attack_multiplier": 2.0,
+             "fin_delay_range": [12, 19], "start": 0, "end": 2, "seed": 1, "interval_seconds": 10},
+    "specs": {"specs": [{"vm_id": "v", "end": 2}]},
+    "ahp": {"profile": {"cpu": 20, "mem": 60, "bw": 20}},
+    "config": {"format": "json", "seed": 1, "verbosity": 0},
+}
+KNOWN_KEYS = {
+    "servers", "vm_classes", "events", "detector", "low_watermark", "base_rate",
+    "fin_delay_range", "duration", "seed", "wake_on_reject", "id", "usage", "threshold",
+    "power", "vms", "cpu", "mem", "bw", "tick", "op", "class", "count", "vm", "multiplier",
+    "drift", "interval_seconds", "policy", "throttle_factor", "observed", "w_cpu", "w_mem",
+    "w_bw", "vm_id", "mode", "attack_multiplier", "start", "end", "specs", "profile", "matrix",
+    "format", "verbosity",
+}
+
+
+def _commands(files, outdir):
+    """The command line that reads each input, by input name."""
+    place = ["place", "--cluster", files["cluster"], "--demand", files["demand"],
+             "--weights", files["weights"]]
+    return {
+        "scenario": ["simulate", "--scenario", files["scenario"], "--out", outdir],
+        "cluster": place, "demand": place, "weights": place,
+        "spec": ["gen", "--spec", files["spec"], "--out", "-"],
+        "specs": ["gen", "--spec", files["specs"], "--out", "-"],
+        "ahp": ["ahp", "--input", files["ahp"]],
+        "config": ["--config", files["config"], "ahp", "--input", files["ahp"]],
+    }
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _where(path):
+    """The name errors give the object at path, e.g. servers[0].usage."""
+    name = ""
+    for key in path:
+        name += f"[{key}]" if isinstance(key, int) else f".{key}" if name else key
+    return name
+
+
+# every object with a key table: all but vm_classes, whose keys are class names
+OBJECT_SITES = [(name, path) for name, doc in INPUTS.items() for path in [(), *_paths(doc)]
+                if isinstance(_at(doc, path), dict) and path != ("vm_classes",)]
+
+
+@SETTINGS
+@given(st.sampled_from(OBJECT_SITES), st.text(min_size=1, max_size=12).filter(
+    lambda key: key not in KNOWN_KEYS))
+def test_an_unknown_key_in_any_input_object_is_a_parse_error_naming_it(site, key):
+    name, path = site
+    doc = copy.deepcopy(INPUTS[name])
+    _at(doc, path)[key] = 0
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for input_name, obj in {**INPUTS, name: doc}.items():
+            files[input_name] = os.path.join(tmp, input_name + ".json")
+            with open(files[input_name], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        with contextlib.redirect_stderr(err):
+            code = dispatch(_commands(files, os.path.join(tmp, "out"))[name], out=io.StringIO())
+    assert code == EXIT_USAGE
+    assert err.getvalue().startswith(f"error: {files[name]}: {_where(path)}")
+    assert f"unknown keys {[key]!r}" in err.getvalue()
 
 
 # gen_normal_binned's equality with binning the events holds for an
@@ -566,7 +644,6 @@ def _placement(draw):
 def test_place_and_filter_candidates_equal_the_vector_oracle(case):
     demand, weights, servers = case
     candidates, scores, chosen = place_oracle(demand, weights.as_tuple(), servers)
-    assert filter_candidates(demand, servers) == candidates
     decision = place(demand, weights, servers)
     assert decision.scores == scores
     assert list(decision.scores) == candidates

@@ -16,7 +16,6 @@ from vmshield.scheduler import (
     detect_overload,
     estimate_demand_first_start,
     estimate_demand_restart,
-    filter_candidates,
     normalize_class,
     place,
     plan_migration,
@@ -82,12 +81,12 @@ def test_feasibility_is_strict():
         _server("ok", (69.9, 60, 60)),
         _server("hot", (75, 75, 75)),
     ]
-    assert filter_candidates(demand, servers) == ["ok"]
+    assert list(place(demand, UNIFORM_WEIGHTS, servers).scores) == ["ok"]
 
 
 def test_filter_skips_sleeping_servers():
     servers = [_server("a", (0, 0, 0), power="asleep"), _server("b", (0, 0, 0))]
-    assert filter_candidates(ResourceVector(1, 1, 1), servers) == ["b"]
+    assert list(place(ResourceVector(1, 1, 1), UNIFORM_WEIGHTS, servers).scores) == ["b"]
 
 
 def test_place_reproduces_published_example():

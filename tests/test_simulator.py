@@ -79,7 +79,7 @@ def test_minimal_scenario_parses():
 
 
 def test_scenario_rejects_unknown_fields():
-    with pytest.raises(ParseError, match="unknown scenario fields"):
+    with pytest.raises(ParseError, match=r"^scenario: unknown keys \['extra'\]"):
         Scenario.from_json(_scn(extra=1))
 
 
@@ -148,7 +148,7 @@ def test_detector_config_validation():
         DetectorConfig.from_json({"throttle_factor": 1.5})
     with pytest.raises(ParseError):
         DetectorConfig.from_json({"drift": "fast"})
-    with pytest.raises(ParseError, match="detector drift must be a JSON number"):
+    with pytest.raises(ParseError, match="detector.drift must be a JSON number"):
         DetectorConfig.from_json({"drift": "0.1"})
     cfg = DetectorConfig.from_json({"drift": 0.1, "threshold": 2})
     assert cfg.drift == 0.1 and cfg.threshold == 2.0
@@ -194,8 +194,8 @@ def test_detector_config_must_be_an_object():
      "low_watermark: cpu must be a JSON number, got '20'"),
     ({"low_watermark": {"cpu": 20, "mem": 10**400, "bw": 20}},
      "low_watermark: mem is too large for a float"),
-    ({"detector": {"drift": "0.1"}}, "detector drift must be a JSON number, got '0.1'"),
-    ({"detector": {"throttle_factor": True}}, "detector throttle_factor must be a JSON number"),
+    ({"detector": {"drift": "0.1"}}, "detector.drift must be a JSON number, got '0.1'"),
+    ({"detector": {"throttle_factor": True}}, "detector.throttle_factor must be a JSON number"),
     ({"events": [{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},
                  {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": "3"}]},
      "events[1].multiplier must be a JSON number, got '3'"),
