@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 from . import detector as det
 from . import scheduler as sched
 from . import simulator, traffic
-from .ahp import DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, _consistent_weights, derive_weights
+from .ahp import (DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, _consistent_weights, derive_weights,
+                  validate_pairwise_matrix)
 from .errors import ParseError, UnsortedTrace, ValidationError, VmShieldError
 from .resources import (ResourceVector, WeightVector, json_int, json_list, json_object, json_str, read_json_file,
                         read_text_file, write_text_file)
@@ -129,9 +130,16 @@ def _emit(payload, rows: list[dict], fmt: str, out) -> None:
 # ahp -----------------------------------------------------------------
 
 
+def _read_matrix(value, name: str):
+    try:
+        return validate_pairwise_matrix(value)
+    except ValueError as exc:
+        raise ParseError(f"{name}: {exc}") from exc
+
+
 _AHP_KEYS = {
     "profile": lambda value, name: HotspotProfile(ResourceVector.from_json(value, name)),
-    "matrix": lambda value, name: value,  # validated as a pairwise matrix by the ahp module
+    "matrix": _read_matrix,
 }
 
 
@@ -292,12 +300,11 @@ def _cmd_gen(args, cfg: GlobalConfig, out) -> int:
 
 
 def _cmd_simulate(args, cfg: GlobalConfig, out) -> int:
-    seed = args.seed_override if args.seed_override is not None else cfg.seed
     scenarios = {}
     for path in args.scenario:
         scenario = simulator.load_scenario(path)
-        if seed is not None:
-            scenario.seed = seed
+        if cfg.seed is not None:
+            scenario.seed = cfg.seed
             scenario.validate()
         name = os.path.splitext(os.path.basename(path))[0]
         if name in scenarios:
@@ -376,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run scenario(s) and write report files")
     p.add_argument("--scenario", required=True, nargs="+", help="scenario JSON file(s)")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--seed", dest="seed_override", type=int, default=None,
-                   help="override the scenario seed (default: as in the file)")
+    # the same destination as the global --seed, which it beats when both are given
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="override the scenario seed (default: the global --seed, else as in the file)")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -36,7 +36,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,9 @@ RUNNING = "running"
 STOPPED = "stopped"
 SUSPENDED = "suspended"
 REVOKED = "revoked"
+# the counter _Sim._set_state bumps on entering each state, and the event op that enters it
+_STATE_COUNTER = {STOPPED: "shutdowns", REVOKED: "revocations", SUSPENDED: "suspensions"}
+_OP_STATE = {"vm_shutdown": STOPPED, "vm_revoke": REVOKED}
 
 REPORT_FILES = (
     "utilization.csv",
@@ -284,17 +287,14 @@ class _Sim:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
         self.servers: dict[str, ServerState] = {  # in id order, for every pass
-            s.id: ServerState(
-                s.id,
-                usage=s.usage if s.power == sched.ACTIVE else ZERO,
-                threshold=s.threshold,
-                power=s.power,
-            )
+            s.id: ServerState(s.id, threshold=s.threshold, power=s.power)
             for s in sorted(scenario.servers, key=lambda s: s.id)
         }
         self.overhead = {s.id: s.usage for s in scenario.servers}
         self.records: dict[str, VmRecord] = {}  # the scheduler's view: vms less the revoked ones
         self.vms: dict[str, SimVm] = {}
+        for sid in self.servers:
+            self._recompute_usage(sid)
         self.jitter_rng = np.random.default_rng([scenario.seed, 0])
         self.traffic_rng = np.random.default_rng([scenario.seed, 1])
         self.detector = det.CusumDetector(scenario.detector.drift, scenario.detector.threshold)
@@ -332,6 +332,7 @@ class _Sim:
         return list(self.servers.values())
 
     def _recompute_usage(self, sid: str) -> None:
+        """The one writer of server usage, bar placement's provisional add."""
         server = self.servers[sid]
         if not server.active:
             server.usage = ZERO
@@ -342,23 +343,34 @@ class _Sim:
             cpu, mem, bw = cpu + observed.cpu, mem + observed.mem, bw + observed.bw
         server.usage = ResourceVector(cpu, mem, bw)
 
-    def _detach(self, vm: SimVm) -> None:
-        host = vm.host
-        if host is not None:
-            self.servers[host].vms.discard(vm.id)
-            vm.host = None
-            self._recompute_usage(host)
-        self.fin_due[vm.fin_row] = 0
+    def _rehost(self, vm: SimVm, target: str | None) -> None:
+        """Move vm from its host, if any, to target (None: to no server)."""
+        source = vm.host
+        if source is not None:
+            self.servers[source].vms.discard(vm.id)
+        if target is not None:
+            self.servers[target].vms.add(vm.id)
+        vm.host = target
+        for sid in (source, target):
+            if sid is not None:
+                self._recompute_usage(sid)
 
-    def _wake(self, tick: int) -> str | None:
-        woken = sched.wake_server(self._server_list())
-        if woken is not None:
-            self.servers[woken].usage = self.overhead[woken]
-            self.counters["wakes"] += 1
-            self.report.power_events.append(
-                {"tick": tick, "seq": self._next_seq(), "server": woken, "event": "wake"}
-            )
-        return woken
+    def _set_state(self, vm: SimVm, state: str) -> None:
+        """Stop, revoke or suspend vm: it leaves its host and its pending FINs are dropped."""
+        self._rehost(vm, None)
+        self.fin_due[vm.fin_row] = 0
+        vm.state = state
+        self.counters[_STATE_COUNTER[state]] += 1
+        if state == REVOKED:
+            self.records.pop(vm.id)
+
+    def _power_event(self, tick: int, sid: str, event: str) -> None:
+        """Log a server's "wake" or "sleep", its power already set."""
+        self._recompute_usage(sid)
+        self.counters[f"{event}s"] += 1
+        self.report.power_events.append(
+            {"tick": tick, "seq": self._next_seq(), "server": sid, "event": event}
+        )
 
     # phase 1 -----------------------------------------------------------
 
@@ -367,14 +379,22 @@ class _Sim:
             if ev.op == "vm_request":
                 for _ in range(ev.count):
                     self._request_vm(tick, ev.vm_class)
-            elif ev.op == "vm_shutdown":
-                self._lifecycle(tick, ev.vm, STOPPED)
-            elif ev.op == "vm_revoke":
-                self._lifecycle(tick, ev.vm, REVOKED)
-            elif ev.op == "attack_start":
-                self._set_attack(ev.vm, ev.multiplier)
-            elif ev.op == "attack_stop":
-                self._set_attack(ev.vm, 1.0)
+                continue
+            vm = self._event_vm(ev.vm)
+            if vm is None:
+                continue
+            if ev.op in _OP_STATE:
+                self._set_state(vm, _OP_STATE[ev.op])
+            else:  # attack_start, or attack_stop with its default multiplier of 1
+                vm.attack_multiplier = ev.multiplier
+
+    def _event_vm(self, vm_id: str) -> SimVm | None:
+        """The VM an event names; None, counted as ignored, if it was rejected or revoked."""
+        vm = self.vms.get(vm_id)
+        if vm is None or vm.state == REVOKED:
+            self.counters["ignored_events"] += 1
+            return None
+        return vm
 
     def _request_vm(self, tick: int, vm_class: str) -> None:
         self.next_vm += 1
@@ -384,8 +404,9 @@ class _Sim:
         decision = sched.place(demand, weights, self._server_list())
         woken = None
         if decision.rejected and self.sc.wake_on_reject:
-            woken = self._wake(tick)
+            woken = sched.wake_server(self._server_list())
             if woken is not None:
+                self._power_event(tick, woken, "wake")
                 decision = sched.place(demand, weights, self._server_list())
         entry = {
             "tick": tick,
@@ -412,26 +433,6 @@ class _Sim:
         vm = SimVm(vm_id, vm_class, observed=demand, host=decision.chosen, fin_row=row)
         self.records[vm_id] = self.vms[vm_id] = vm
         self.counters["placements"] += 1
-
-    def _lifecycle(self, tick: int, vm_id: str, new_state: str) -> None:
-        vm = self.vms.get(vm_id)
-        if vm is None or vm.state == REVOKED:
-            self.counters["ignored_events"] += 1
-            return
-        self._detach(vm)
-        vm.state = new_state
-        if new_state == REVOKED:
-            self.records.pop(vm_id, None)
-            self.counters["revocations"] += 1
-        else:
-            self.counters["shutdowns"] += 1
-
-    def _set_attack(self, vm_id: str, multiplier: float) -> None:
-        vm = self.vms.get(vm_id)
-        if vm is None or vm.state == REVOKED:
-            self.counters["ignored_events"] += 1
-            return
-        vm.attack_multiplier = multiplier
 
     # phase 2 -----------------------------------------------------------
 
@@ -483,9 +484,7 @@ class _Sim:
                 vm.traffic_scale = self.sc.detector.throttle_factor
                 detail = f"traffic scaled to {vm.traffic_scale}"
             elif policy == "suspend":
-                self._detach(vm)
-                vm.state = SUSPENDED
-                self.counters["suspensions"] += 1
+                self._set_state(vm, SUSPENDED)
                 detail = "detached from network"
             else:
                 detail = "recorded"
@@ -500,16 +499,9 @@ class _Sim:
         plan = sched.plan_migration(self._server_list(), self.records)
         if plan is None:
             return
-        self._move_vm(plan.victim, plan.source, plan.target)
+        self._rehost(self.vms[plan.victim], plan.target)
         self.counters["migrations_overload"] += 1
         self.report.migrations.append(_migration_entry(tick, self._next_seq(), plan))
-
-    def _move_vm(self, vm_id: str, source: str, target: str) -> None:
-        self.servers[source].vms.discard(vm_id)
-        self.servers[target].vms.add(vm_id)
-        self.records[vm_id].host = target
-        self._recompute_usage(source)
-        self._recompute_usage(target)
 
     # phase 5 -----------------------------------------------------------
 
@@ -520,7 +512,7 @@ class _Sim:
             self._server_list(), self.records, self.sc.low_watermark, self.sc.vm_classes
         )
         for plan in plans:
-            self._move_vm(plan.victim, plan.source, plan.target)
+            self._rehost(self.vms[plan.victim], plan.target)
             self.counters["migrations_consolidate"] += 1
             self.report.migrations.append(_migration_entry(tick, self._next_seq(), plan))
         for sid in sleeps:
@@ -528,11 +520,7 @@ class _Sim:
             if server.vms:
                 raise AssertionError(f"cannot sleep {sid}: still hosts {sorted(server.vms)}")
             server.power = sched.ASLEEP
-            server.usage = ZERO
-            self.counters["sleeps"] += 1
-            self.report.power_events.append(
-                {"tick": tick, "seq": self._next_seq(), "server": sid, "event": "sleep"}
-            )
+            self._power_event(tick, sid, "sleep")
 
     # phase 6 -----------------------------------------------------------
 
@@ -587,13 +575,7 @@ class _Sim:
             "duration": self.sc.duration,
             "seed": self.sc.seed,
             "base_rate": self.sc.base_rate,
-            "detector": {
-                "drift": self.sc.detector.drift,
-                "threshold": self.sc.detector.threshold,
-                "interval_seconds": self.sc.detector.interval_seconds,
-                "policy": self.sc.detector.policy,
-                "throttle_factor": self.sc.detector.throttle_factor,
-            },
+            "detector": asdict(self.sc.detector),
             "counters": dict(sorted(self.counters.items())),
             "power_events": self.report.power_events,
             "final": {"servers": servers, "vms": states},

@@ -137,6 +137,8 @@ class TrafficSpec:
             raise ValueError(f"mode must be 'normal' or 'attack', got {self.mode!r}")
         if self.base_rate < 0:
             raise ValueError("base_rate must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 1.0 <= self.attack_multiplier < math.inf:
             raise ValueError("attack_multiplier must be finite and >= 1")
         if not 0 <= self.start <= self.end:

@@ -156,15 +156,21 @@ def test_ahp_rejects_inconsistent_matrix(tmp_path, capsys):
     assert "consistency ratio" in capsys.readouterr().err
 
 
-def test_ahp_input_validation(tmp_path):
+def test_ahp_input_validation(tmp_path, capsys):
     both = _write(tmp_path, "both.json",
                   {"profile": {"cpu": 1, "mem": 1, "bw": 1}, "matrix": [[1]]})
     assert _run(["ahp", "--input", both])[0] == EXIT_USAGE
     assert _run(["ahp", "--input", str(tmp_path / "nope.json")])[0] == EXIT_USAGE
+    capsys.readouterr()
     lopsided = _write(tmp_path, "bad.json", {"matrix": [[1, 2, 3], [1, 1, 1], [1, 1, 1]]})
     assert _run(["ahp", "--input", lopsided])[0] == EXIT_USAGE
+    assert f"{lopsided}: matrix: pairwise matrix must be reciprocal" in capsys.readouterr().err
     not_numbers = _write(tmp_path, "obj.json", {"matrix": [[1, {}, 1], [1, 1, 1], [1, 1, 1]]})
     assert _run(["ahp", "--input", not_numbers])[0] == EXIT_USAGE
+    assert f"{not_numbers}: matrix: pairwise matrix must be a 3x3 array of numbers" in capsys.readouterr().err
+    one_row = _write(tmp_path, "row.json", {"matrix": [[1, 2, 3]]})
+    assert _run(["ahp", "--input", one_row])[0] == EXIT_USAGE
+    assert f"{one_row}: matrix: pairwise matrix must be 3x3, got shape (1, 3)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, named", [
@@ -474,6 +480,22 @@ def test_gen_to_stdout_and_seed_override(tmp_path):
     assert reseeded != first
 
 
+@pytest.mark.parametrize("wrap, seed_flag, seed_env, message", [
+    (False, None, None, "{path}: seed must be >= 0"),
+    (True, None, None, "{path}: specs[0]: seed must be >= 0"),
+    (False, "-3", None, "error: seed must be >= 0"),
+    (False, None, "-3", "error: seed must be >= 0"),
+], ids=["spec", "specs", "flag", "env"])
+def test_gen_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, wrap, seed_flag, seed_env, message):
+    spec = {"vm_id": "v", "seed": 1 if seed_flag or seed_env else -1, "end": 2}
+    path = _write(tmp_path, "spec.json", {"specs": [spec]} if wrap else spec)
+    if seed_env is not None:
+        monkeypatch.setenv("VMSHIELD_SEED", seed_env)
+    argv = (["--seed", seed_flag] if seed_flag else []) + ["gen", "--spec", path, "--out", "-"]
+    assert _run(argv) == (EXIT_USAGE, "")
+    assert message.format(path=path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec,field", [
     ({"vm_id": "a", "base_rate": True, "end": 2}, "base_rate"),
     ({"vm_id": "a", "fin_delay_range": ["12", 19], "end": 2}, "fin_delay_range[0]"),
@@ -511,6 +533,22 @@ def test_simulate_seed_override_revalidates(tmp_path):
     code, _ = _run(["simulate", "--scenario", scenario,
                     "--out", str(tmp_path / "o2"), "--seed", "-3"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, env_seed, expected", [
+    (["--seed", "1", "simulate"], None, 1),
+    (["simulate", "--seed", "2"], None, 2),
+    (["--seed", "1", "simulate", "--seed", "2"], None, 2),
+    (["simulate", "--seed", "2"], "5", 2),
+])
+def test_simulate_seed_flag_beats_global_flag_and_env(tmp_path, monkeypatch, argv, env_seed, expected):
+    scenario = _write(tmp_path, "demo.json", SCENARIO)
+    if env_seed is not None:
+        monkeypatch.setenv("VMSHIELD_SEED", env_seed)
+    outdir = tmp_path / "out"
+    code, _ = _run(argv + ["--scenario", scenario, "--out", str(outdir)])
+    assert code == EXIT_OK
+    assert json.loads((outdir / "summary.json").read_text())["seed"] == expected
 
 
 def test_simulate_multiple_scenarios(tmp_path):

@@ -348,6 +348,25 @@ def test_events_against_missing_vms_are_ignored():
     assert report.summary["counters"]["shutdowns"] == 0
 
 
+def test_events_naming_a_rejected_vm_are_ignored():
+    # vm-001 is a valid reference (it was requested) but no server takes it
+    events = [
+        {"tick": 0, "op": "vm_request", "class": "cpu-intensive"},
+        {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": 2.0},
+        {"tick": 1, "op": "attack_stop", "vm": "vm-001"},
+        {"tick": 2, "op": "vm_shutdown", "vm": "vm-001"},
+        {"tick": 3, "op": "vm_revoke", "vm": "vm-001"},
+    ]
+    servers = [{"id": "s1", "threshold": {"cpu": 10, "mem": 10, "bw": 10},
+                "usage": {"cpu": 5, "mem": 5, "bw": 5}}]
+    report = run(Scenario.from_json(_scn(servers=servers, events=events, duration=4)))
+    counters = report.summary["counters"]
+    assert counters["rejections"] == 1
+    assert counters["ignored_events"] == 4
+    assert counters["shutdowns"] == counters["revocations"] == 0
+    assert report.summary["final"]["vms"] == {}
+
+
 # ------------------------------------------------------- flood responses
 
 
@@ -385,6 +404,23 @@ def test_suspend_policy_detaches_vm_and_zeroes_traffic():
     assert report.summary["counters"]["suspensions"] == 1
     flagged = [r.interval_index for r in report.stat_rows if r.alarm]
     assert flagged == [alarm["tick"]]
+    _check_conservation(scn, report)
+
+
+def test_a_suspended_vm_can_be_revoked():
+    scn = _attack_scenario("suspend")
+    scn.events.append(ScenarioEvent(tick=8, op="vm_revoke", vm="vm-001"))
+    scn.validate()
+    sim = _Sim(scn)
+    report = sim.run()
+    assert report.alarms[0]["tick"] < 8
+    assert report.summary["counters"]["suspensions"] == 1
+    assert report.summary["counters"]["revocations"] == 1
+    assert report.summary["final"]["vms"]["vm-001"] == {
+        "class": "cpu-intensive", "state": "revoked", "host": None,
+    }
+    assert "vm-001" not in sim.records
+    assert not sim.fin_due[sim.vms["vm-001"].fin_row].any()
     _check_conservation(scn, report)
 
 
