@@ -41,12 +41,13 @@ servers = [
     ServerState("p2", usage=ResourceVector(28, 24, 24), threshold=ResourceVector(100, 100, 100),
                 vms={"v2"}),
 ]
+# restart estimates use each VM's own usage samples
 vms = {
-    "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(25, 20, 20), host="p1"),
-    "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(24, 20, 20), host="p2"),
+    "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(25, 20, 20)],
+                                observed=ResourceVector(25, 20, 20), host="p1"),
+    "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(24, 20, 20)],
+                                observed=ResourceVector(24, 20, 20), host="p2"),
 }
-for record in vms.values():
-    record.history.append(record.observed)  # restart estimates use own history
 
 low_watermark = ResourceVector(40, 40, 40)
 plans, sleeps = consolidate(servers, vms, low_watermark, class_defaults={})

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import logging
 import os
 import sys
@@ -28,8 +27,8 @@ from . import simulator, traffic
 from .ahp import (DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, _consistent_weights, derive_weights,
                   validate_pairwise_matrix)
 from .errors import ParseError, UnsortedTrace, ValidationError, VmShieldError
-from .resources import (ResourceVector, WeightVector, json_int, json_list, json_object, json_str, read_json_file,
-                        read_text_file, write_text_file)
+from .resources import (ResourceVector, WeightVector, json_int, json_list, json_object, json_str, json_text,
+                        read_json_file, read_text_file, write_text_file)
 
 log = logging.getLogger("vmshield")
 
@@ -107,7 +106,7 @@ def _setup_logging(verbosity: int) -> None:
 def _emit(payload, rows: list[dict], fmt: str, out) -> None:
     """payload is the full JSON object; rows its tabular projection."""
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json_text(payload))
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")

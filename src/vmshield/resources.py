@@ -7,7 +7,7 @@ plain dot products against a priority vector whose components sum to 1.
 
 Input files are read by read_text_file (JSON ones by read_json_file),
 each JSON object against a table of its keys by json_object, and output
-files are written by write_text_file.
+files are written by write_text_file, JSON ones as json_text lays them out.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -59,6 +61,58 @@ def write_text_file(path: str, text: str, what: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"writing {what} {path}: {exc}") from exc
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# json's C encoder for a value at each depth, its item separator holding
+# the line break and indent that json.dumps(indent=2) puts before an item
+_ENCODERS: dict[int, object] = {}
+
+
+def _encode(obj, depth: int) -> str:
+    if depth not in _ENCODERS:
+        _ENCODERS[depth] = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                                          ": ", ",\n" + "  " * (depth + 1), True, False, True)
+    return "".join(_ENCODERS[depth](obj, 0))
+
+
+def _json_block(obj, depth: int) -> str:
+    """obj laid out as json.dumps(indent=2, sort_keys=True) lays it out at depth.
+
+    Raises TypeError on what it leaves to json.dumps: a dict with non-str
+    keys that holds a container, or a value json cannot encode.
+    """
+    if type(obj) in _SCALARS:
+        return _encode(obj, depth)
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        raise TypeError(f"{type(obj).__name__} is not laid out here")
+    inner = "\n" + "  " * (depth + 1)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = _encode(obj, depth)  # one C-encoder call for the whole container
+        return text if len(text) == 2 else text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+    if is_dict:  # encode_basestring_ascii raises TypeError on a non-str key
+        items = [encode_basestring_ascii(key) + ": " + _json_block(obj[key], depth + 1) for key in sorted(obj)]
+    else:
+        items = [_json_block(value, depth + 1) for value in obj]
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + inner[:-2] + brackets[1]
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    indent makes json.dumps use its pure-Python encoder.  Here every list
+    or dict that holds only scalars goes through json's C encoder in one
+    call, and only the containers around them are laid out in Python.
+    Whatever that cannot lay out, or any error, is left to json.dumps.
+    """
+    if c_make_encoder is not None:
+        try:
+            return _json_block(obj, 0) + "\n"
+        except (TypeError, ValueError, RecursionError):
+            pass
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def json_object(obj, where: str, readers: dict, required=(), what: str = "") -> dict:
@@ -140,13 +194,13 @@ _VECTOR_KEYS = {"cpu": _component, "mem": _component, "bw": _component}
 _WEIGHT_KEYS = {"w_cpu": json_number, "w_mem": json_number, "w_bw": json_number}
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(NamedTuple):
     """A (cpu, mem, bw) triple in percent-of-capacity units.
 
     Stored states keep every component finite, non-negative and at most
     100; transient values (feasibility sums, demand estimates) may
-    exceed 100.
+    exceed 100.  A named tuple, so + adds componentwise rather than
+    concatenating, and a vector equals the plain tuple of its components.
     """
 
     cpu: float

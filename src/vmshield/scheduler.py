@@ -126,13 +126,28 @@ def validate_servers(servers: list[ServerState]) -> None:
 
 @dataclass
 class VmRecord:
-    """A VM's identity, hotspot class, usage history and current placement."""
+    """A VM's identity, hotspot class, observed usage, usage samples and current placement.
+
+    usage_sum adds up the VM's usage samples in order, starting from 0.0,
+    and samples counts them, so their mean is mean_usage of the samples
+    bit for bit (see from_samples).
+    """
 
     id: str
     hotspot_class: str
     observed: ResourceVector = ZERO
-    history: list[ResourceVector] = field(default_factory=list)
+    usage_sum: ResourceVector = ZERO
+    samples: int = 0
     host: str | None = None
+
+    @classmethod
+    def from_samples(cls, id: str, hotspot_class: str, samples: list[ResourceVector],
+                     **fields) -> "VmRecord":
+        """A record whose usage sum and sample count are those of samples, in order."""
+        total = ZERO
+        for sample in samples:
+            total = total + sample
+        return cls(id, hotspot_class, usage_sum=total, samples=len(samples), **fields)
 
 
 @dataclass
@@ -195,13 +210,14 @@ def estimate_demand_restart(
     records: dict[str, VmRecord],
     class_defaults: dict[str, ResourceVector],
 ) -> ResourceVector:
-    """Expected demand of a restarting VM: mean of its own history.
+    """Expected demand of a restarting VM: the mean of its own usage samples.
 
-    A VM with no history yet is estimated like a first start.
+    usage_sum scaled by 1 / samples, which is mean_usage of the samples
+    bit for bit.  A VM with no samples yet is estimated like a first start.
     """
-    if not vm.history:
+    if not vm.samples:
         return estimate_demand_first_start(vm.hotspot_class, records, class_defaults)
-    return mean_usage(vm.history)
+    return vm.usage_sum.scaled(1.0 / vm.samples)
 
 
 def _feasible(demand: ResourceVector, servers: list[ServerState]) -> list[ServerState]:

@@ -8,21 +8,31 @@ by default).  Each tick applies, in fixed order:
    attack toggles;
 2. usage sampling: one (running VMs x 3) block of +/-10% uniform
    jitter, drawn in sorted-VM order, scales each running VM's class
-   demand vector; server usage is recomputed as overhead plus the
-   hosted sum;
-3. traffic and detection: the run's traffic generator draws every
-   running VM's connection offsets and FIN delays in two calls, in
-   sorted-VM order, and one bincount adds each VM's FINs to its row of
-   pending-FIN columns (column k holds the FINs due k ticks from now);
-   the live VMs' column 0 and their SYN counts (0 for a suspended VM)
-   go to the run's CUSUM detector in one batched call, its rows join
-   the columnar statistic log, and the columns shift left by one.  The
-   response policy then acts, in sorted-VM order, on each VM whose
-   alarm episode starts this tick;
+   demand vector; the block lands in the observed-usage column and is
+   added to the usage-sum column, and every server's usage is its
+   overhead plus its hosted VMs' observed usage, added in sorted-VM
+   order by one np.add.at;
+3. traffic and detection: each live VM's traffic scale, attack
+   multiplier and state come from the columns.  The run's traffic
+   generator draws every running VM's connection offsets and FIN delays
+   in two calls, in sorted-VM order, and one bincount adds each VM's
+   FINs to its row of the pending-FIN column (entry k holds the FINs due
+   k ticks from now); the live VMs' entry 0 and their SYN counts (0 for
+   a suspended VM) go to the run's CUSUM detector in one batched call,
+   its rows join the columnar statistic log, and the entries shift left
+   by one.  The response policy then acts, in sorted-VM order, on each
+   VM whose alarm episode starts this tick;
 4. one migration pass off the hottest overloaded server, if any plan
    qualifies;
 5. a consolidation pass draining under-watermark servers to sleep;
-6. log emission.
+6. log emission: one utilization row per server, and one block of
+   columns (rows, observed usage, host) a tick to vm_samples.
+
+Per-VM state lives in _Sim.cols, one row per placed VM in placement
+order, and the VMs' rows in sorted-id order (vm-1000 sorts before
+vm-101) are kept as VMs are placed.  The scheduler reads one SimVm
+record per VM; _Sim._records copies the usage columns into the records
+sampled since it last ran, just before the scheduler reads them.
 
 Everything random comes from two generators per run, seeded by
 (scenario seed, stream index): stream 0 draws the usage jitter and
@@ -32,7 +42,7 @@ scenario and seed map to byte-identical reports.
 
 from __future__ import annotations
 
-import json
+import bisect
 import math
 import os
 import re
@@ -45,7 +55,7 @@ from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
 from .resources import (ZERO, ResourceVector, json_bool, json_int, json_list, json_number, json_object,
-                        json_str, read_json_file, weighted_score, write_text_file)
+                        json_str, json_text, read_json_file, weighted_score, write_text_file)
 from .scheduler import ServerState, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
@@ -53,6 +63,9 @@ RUNNING = "running"
 STOPPED = "stopped"
 SUSPENDED = "suspended"
 REVOKED = "revoked"
+# a VM's code in the state column is its state's index here: phase 3 observes
+# every code up to SUSPENDED's and phase 6 samples every code below REVOKED's
+_STATES = (RUNNING, SUSPENDED, STOPPED, REVOKED)
 # the counter _Sim._set_state bumps on entering each state, and the event op that enters it
 _STATE_COUNTER = {STOPPED: "shutdowns", REVOKED: "revocations", SUSPENDED: "suspensions"}
 _OP_STATE = {"vm_shutdown": STOPPED, "vm_revoke": REVOKED}
@@ -260,12 +273,41 @@ def load_scenario(path: str) -> Scenario:
 
 @dataclass
 class SimVm(VmRecord):
-    """Runtime state of one VM: its scheduler record plus traffic state."""
+    """One VM of a run: the record the scheduler reads, and its row of _Sim.cols."""
 
-    fin_row: int = 0  # this VM's row of _Sim.fin_due
-    state: str = RUNNING
-    traffic_scale: float = 1.0
-    attack_multiplier: float = 1.0
+    row: int = 0
+
+
+class SampleLog:
+    """SimReport.vm_samples as columns: one block of rows a tick.
+
+    A block holds a tick, the sampled VMs' rows in sorted-id order, their
+    observed usage and their host indices (-1: no host).  Iterating yields
+    one (tick, vm_id, observed, host) tuple per sample, block by block,
+    observed a ResourceVector and host a server id or None; append adds
+    one such tuple as a block of its own.
+    """
+
+    def __init__(self, vm_ids: list[str] | None = None, server_ids: tuple[str, ...] = ()):
+        self.vm_ids = [] if vm_ids is None else vm_ids  # by row; the run only appends to it
+        self.server_ids = server_ids
+        self.blocks: list = []
+
+    def add(self, tick: int, rows: np.ndarray, observed: np.ndarray, hosts: np.ndarray) -> None:
+        self.blocks.append((tick, rows, observed, hosts))
+
+    def append(self, sample: tuple) -> None:
+        self.blocks.append([sample])
+
+    def __iter__(self):
+        for block in self.blocks:
+            if isinstance(block, list):
+                yield from block
+                continue
+            tick, rows, observed, hosts = block
+            for row, obs, host in zip(rows.tolist(), observed.tolist(), hosts.tolist()):
+                yield (tick, self.vm_ids[row], ResourceVector._make(obs),
+                       self.server_ids[host] if host >= 0 else None)
 
 
 @dataclass
@@ -280,21 +322,22 @@ class SimReport:
     alarms: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     # in-memory only: per-tick (tick, vm, observed, host) samples for invariant checks
-    vm_samples: list[tuple] = field(default_factory=list)
+    vm_samples: SampleLog = field(default_factory=SampleLog)
 
 
 class _Sim:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
+        by_id = sorted(scenario.servers, key=lambda s: s.id)
         self.servers: dict[str, ServerState] = {  # in id order, for every pass
-            s.id: ServerState(s.id, threshold=s.threshold, power=s.power)
-            for s in sorted(scenario.servers, key=lambda s: s.id)
+            s.id: ServerState(s.id, threshold=s.threshold, power=s.power) for s in by_id
         }
-        self.overhead = {s.id: s.usage for s in scenario.servers}
+        self.server_index = {sid: i for i, sid in enumerate(self.servers)}
+        self.overhead = np.array([s.usage for s in by_id])  # by server index
         self.records: dict[str, VmRecord] = {}  # the scheduler's view: vms less the revoked ones
         self.vms: dict[str, SimVm] = {}
-        for sid in self.servers:
-            self._recompute_usage(sid)
+        self.class_index = {name: i for i, name in enumerate(scenario.vm_classes)}
+        self.class_demand = np.array(list(scenario.vm_classes.values())).reshape(-1, 3)
         self.jitter_rng = np.random.default_rng([scenario.seed, 0])
         self.traffic_rng = np.random.default_rng([scenario.seed, 1])
         self.detector = det.CusumDetector(scenario.detector.drift, scenario.detector.threshold)
@@ -303,7 +346,6 @@ class _Sim:
             self.events_at.setdefault(ev.tick, []).append(ev)
         self.next_vm = 0
         self.seq = 0
-        self.report = SimReport()
         self.counters = {
             "placements": 0,
             "rejections": 0,
@@ -321,8 +363,20 @@ class _Sim:
         self.fin_lo_us, self.fin_hi_us = _delay_bounds_us(scenario.fin_delay_range)
         # FIN slots a connection can land in: this tick's plus the ones ahead
         self.fin_slots = (iv_us - 1 + self.fin_hi_us) // iv_us + 1
-        # FINs due per VM row, k ticks from now in column k; grown as VMs are placed
-        self.fin_due = np.zeros((0, self.fin_slots), dtype=np.int64)
+        # The per-VM columns, one row per placed VM in placement order, grown
+        # as VMs are placed.  state holds an index into _STATES and host one
+        # into servers (-1: none); unsynced marks a row sampled since its
+        # record last copied it (see _records); fin_due[k] counts the FINs
+        # due k ticks from now.
+        self.cols = np.zeros(0, [("observed", float, 3), ("usage_sum", float, 3), ("samples", np.int64),
+                                 ("host", np.int64), ("state", np.int8), ("class_index", np.int64),
+                                 ("traffic_scale", float), ("attack_multiplier", float),
+                                 ("unsynced", bool), ("fin_due", np.int64, (self.fin_slots,))])
+        self.vm_ids: list[str] = []  # by row
+        self.rows_by_id: list[int] = []  # rows in sorted-id order
+        self.order: np.ndarray | None = None  # rows_by_id as an array, made on first use
+        self.report = SimReport(vm_samples=SampleLog(self.vm_ids, tuple(self.servers)))
+        self._recompute_usage(self.servers)
 
     def _next_seq(self) -> int:
         self.seq += 1
@@ -331,17 +385,46 @@ class _Sim:
     def _server_list(self) -> list[ServerState]:
         return list(self.servers.values())
 
-    def _recompute_usage(self, sid: str) -> None:
-        """The one writer of server usage, bar placement's provisional add."""
-        server = self.servers[sid]
-        if not server.active:
-            server.usage = ZERO
-            return
-        cpu, mem, bw = self.overhead[sid].as_tuple()
-        for vid in sorted(server.vms):
-            observed = self.records[vid].observed
-            cpu, mem, bw = cpu + observed.cpu, mem + observed.mem, bw + observed.bw
-        server.usage = ResourceVector(cpu, mem, bw)
+    def _order(self) -> np.ndarray:
+        """The placed VMs' rows in sorted-id order."""
+        if self.order is None:
+            self.order = np.array(self.rows_by_id, dtype=np.int64)
+        return self.order
+
+    def _records(self) -> dict[str, VmRecord]:
+        """The scheduler's view, each record's usage fields first copied from its row."""
+        rows = np.flatnonzero(self.cols["unsynced"])
+        if rows.size:
+            cols = self.cols[rows]
+            self.cols["unsynced"][rows] = False
+            vms = (self.vms[self.vm_ids[row]] for row in rows.tolist())
+            for vm, observed, total, samples in zip(vms, cols["observed"].tolist(), cols["usage_sum"].tolist(),
+                                                    cols["samples"].tolist()):
+                vm.observed = ResourceVector._make(observed)
+                vm.usage_sum = ResourceVector._make(total)
+                vm.samples = samples
+        return self.records
+
+    def _recompute_usage(self, sids) -> None:
+        """The one writer of server usage, bar placement's provisional add.
+
+        Each server of sids reads its overhead plus its hosted VMs'
+        observed usage, added in sorted-id order; a sleeping one reads 0.
+        """
+        index = [self.server_index[sid] for sid in sids]
+        picked = np.zeros(len(self.servers) + 1, dtype=bool)  # the last entry stands for host -1
+        picked[index] = True
+        order = self._order()
+        rows = order[picked[self.cols["host"][order]]]
+        usage = self.overhead.copy()
+        # np.add.at adds row after row, so each server sums its VMs in sorted-id order
+        np.add.at(usage, self.cols["host"][rows], self.cols["observed"][rows])
+        for sid, i in zip(sids, index):
+            server = self.servers[sid]
+            server.usage = ResourceVector._make(usage[i].tolist()) if server.active else ZERO
+
+    def _state(self, vm: SimVm) -> str:
+        return _STATES[self.cols["state"][vm.row]]
 
     def _rehost(self, vm: SimVm, target: str | None) -> None:
         """Move vm from its host, if any, to target (None: to no server)."""
@@ -351,22 +434,21 @@ class _Sim:
         if target is not None:
             self.servers[target].vms.add(vm.id)
         vm.host = target
-        for sid in (source, target):
-            if sid is not None:
-                self._recompute_usage(sid)
+        self.cols["host"][vm.row] = -1 if target is None else self.server_index[target]
+        self._recompute_usage([sid for sid in (source, target) if sid is not None])
 
     def _set_state(self, vm: SimVm, state: str) -> None:
         """Stop, revoke or suspend vm: it leaves its host and its pending FINs are dropped."""
         self._rehost(vm, None)
-        self.fin_due[vm.fin_row] = 0
-        vm.state = state
+        self.cols["fin_due"][vm.row] = 0
+        self.cols["state"][vm.row] = _STATES.index(state)
         self.counters[_STATE_COUNTER[state]] += 1
         if state == REVOKED:
             self.records.pop(vm.id)
 
     def _power_event(self, tick: int, sid: str, event: str) -> None:
         """Log a server's "wake" or "sleep", its power already set."""
-        self._recompute_usage(sid)
+        self._recompute_usage([sid])
         self.counters[f"{event}s"] += 1
         self.report.power_events.append(
             {"tick": tick, "seq": self._next_seq(), "server": sid, "event": event}
@@ -380,18 +462,19 @@ class _Sim:
                 for _ in range(ev.count):
                     self._request_vm(tick, ev.vm_class)
                 continue
-            vm = self._event_vm(ev.vm)
+            vm = self._event_vm(ev)
             if vm is None:
                 continue
             if ev.op in _OP_STATE:
                 self._set_state(vm, _OP_STATE[ev.op])
             else:  # attack_start, or attack_stop with its default multiplier of 1
-                vm.attack_multiplier = ev.multiplier
+                self.cols["attack_multiplier"][vm.row] = ev.multiplier
 
-    def _event_vm(self, vm_id: str) -> SimVm | None:
-        """The VM an event names; None, counted as ignored, if it was rejected or revoked."""
-        vm = self.vms.get(vm_id)
-        if vm is None or vm.state == REVOKED:
+    def _event_vm(self, ev: ScenarioEvent) -> SimVm | None:
+        """The VM an event names; None, counted as ignored, if it was rejected or
+        revoked, or if the event would put it in the state it is already in."""
+        vm = self.vms.get(ev.vm)
+        if vm is None or self._state(vm) in (REVOKED, _OP_STATE.get(ev.op)):
             self.counters["ignored_events"] += 1
             return None
         return vm
@@ -399,7 +482,7 @@ class _Sim:
     def _request_vm(self, tick: int, vm_class: str) -> None:
         self.next_vm += 1
         vm_id = _vm_name(self.next_vm)
-        demand = sched.estimate_demand_first_start(vm_class, self.records, self.sc.vm_classes)
+        demand = sched.estimate_demand_first_start(vm_class, self._records(), self.sc.vm_classes)
         weights = derive_weights(HotspotProfile(demand))
         decision = sched.place(demand, weights, self._server_list())
         woken = None
@@ -427,37 +510,48 @@ class _Sim:
         host = self.servers[decision.chosen]
         host.vms.add(vm_id)
         host.usage = host.usage + demand
-        row = len(self.vms)
-        if row == len(self.fin_due):
-            self.fin_due = np.vstack([self.fin_due, np.zeros((row + 8, self.fin_slots), np.int64)])
-        vm = SimVm(vm_id, vm_class, observed=demand, host=decision.chosen, fin_row=row)
+        row = len(self.vm_ids)
+        if row == len(self.cols):
+            self.cols = np.concatenate([self.cols, np.zeros(row + 8, self.cols.dtype)])
+        # the new row's zeros are no usage samples, state RUNNING and no pending FINs
+        new = self.cols[row:row + 1]
+        new["observed"] = demand
+        new["host"] = self.server_index[decision.chosen]
+        new["class_index"] = self.class_index[vm_class]
+        new["traffic_scale"] = new["attack_multiplier"] = 1.0
+        vm = SimVm(vm_id, vm_class, observed=demand, host=decision.chosen, row=row)
+        self.vm_ids.append(vm_id)
+        self.rows_by_id.insert(bisect.bisect(self.rows_by_id, vm_id, key=self.vm_ids.__getitem__), row)
+        self.order = None
         self.records[vm_id] = self.vms[vm_id] = vm
         self.counters["placements"] += 1
 
     # phase 2 -----------------------------------------------------------
 
     def _sample_usage(self) -> None:
-        running = [vm for vm in map(self.vms.get, sorted(self.vms)) if vm.state == RUNNING]
-        base = np.array([self.sc.vm_classes[vm.hotspot_class].as_tuple()
-                         for vm in running]).reshape(-1, 3)
+        cols = self.cols
+        order = self._order()
+        rows = order[cols["state"][order] == _STATES.index(RUNNING)]
+        base = self.class_demand[cols["class_index"][rows]]
         jitter = self.jitter_rng.uniform(-0.1, 0.1, base.shape)
-        for vm, (cpu, mem, bw) in zip(running, (base * (1.0 + jitter)).tolist()):
-            observed = ResourceVector(cpu, mem, bw)
-            vm.observed = observed
-            vm.history.append(observed)
-        for sid in self.servers:
-            self._recompute_usage(sid)
+        observed = base * (1.0 + jitter)
+        cols["observed"][rows] = observed
+        cols["usage_sum"][rows] += observed
+        cols["samples"][rows] += 1
+        cols["unsynced"][rows] = True
+        self._recompute_usage(self.servers)
 
     # phase 3 -----------------------------------------------------------
 
     def _traffic_and_detect(self, tick: int) -> None:
         rate = self.sc.base_rate
-        vm_ids = [vm_id for vm_id in sorted(self.vms)
-                  if self.vms[vm_id].state in (RUNNING, SUSPENDED)]
-        live = list(map(self.vms.__getitem__, vm_ids))
+        cols = self.cols
+        order = self._order()
+        live = order[cols["state"][order] <= _STATES.index(SUSPENDED)]
+        vm_ids = [self.vm_ids[row] for row in live.tolist()]
         # a suspended VM stays in the detector's batch but sends nothing
-        scale = np.array([vm.traffic_scale if vm.state == RUNNING else 0.0 for vm in live])
-        multiplier = np.array([vm.attack_multiplier for vm in live])
+        scale = np.where(cols["state"][live] == _STATES.index(RUNNING), cols["traffic_scale"][live], 0.0)
+        multiplier = cols["attack_multiplier"][live]
         # np.rint rounds half to even, as round() does
         n_pair = np.rint(rate * scale).astype(np.int64)
         syn = n_pair + np.rint(rate * (multiplier - 1.0) * scale).astype(np.int64)
@@ -469,20 +563,20 @@ class _Sim:
                  + (offsets + delays) // self.iv_us)
         fins = np.bincount(slots, minlength=len(live) * self.fin_slots).reshape(-1, self.fin_slots)
         # fins[:, k] is due k ticks from now, as is column k of fin_due
-        rows = [vm.fin_row for vm in live]
-        self.fin_due[rows] += fins
-        finrst = self.fin_due[rows, 0]
-        self.fin_due[:, :-1] = self.fin_due[:, 1:]
-        self.fin_due[:, -1] = 0
+        fin_due = cols["fin_due"]
+        fin_due[live] += fins
+        finrst = fin_due[live, 0]
+        fin_due[:, :-1] = fin_due[:, 1:]
+        fin_due[:, -1] = 0
         d, y, alarm = self.detector.observe(vm_ids, syn, finrst)
         self.report.stat_rows.append(tick, vm_ids, syn, finrst, d, y, alarm)
         policy = self.sc.detector.policy
         for k in np.flatnonzero(alarm).tolist():
-            vm = live[k]
+            vm = self.vms[vm_ids[k]]
             self.counters["alarms"] += 1
             if policy == "throttle":
-                vm.traffic_scale = self.sc.detector.throttle_factor
-                detail = f"traffic scaled to {vm.traffic_scale}"
+                cols["traffic_scale"][vm.row] = self.sc.detector.throttle_factor
+                detail = f"traffic scaled to {self.sc.detector.throttle_factor}"
             elif policy == "suspend":
                 self._set_state(vm, SUSPENDED)
                 detail = "detached from network"
@@ -496,7 +590,12 @@ class _Sim:
     # phase 4 -----------------------------------------------------------
 
     def _migrate(self, tick: int) -> None:
-        plan = sched.plan_migration(self._server_list(), self.records)
+        servers = self._server_list()
+        # plan_migration plans only off an overloaded server, so without one
+        # the records need no copying
+        if not any(s.active and sched.detect_overload(s) for s in servers):
+            return
+        plan = sched.plan_migration(servers, self._records())
         if plan is None:
             return
         self._rehost(self.vms[plan.victim], plan.target)
@@ -509,7 +608,7 @@ class _Sim:
         if self.sc.low_watermark is None:
             return
         plans, sleeps = sched.consolidate(
-            self._server_list(), self.records, self.sc.low_watermark, self.sc.vm_classes
+            self._server_list(), self._records(), self.sc.low_watermark, self.sc.vm_classes
         )
         for plan in plans:
             self._rehost(self.vms[plan.victim], plan.target)
@@ -530,12 +629,9 @@ class _Sim:
                 (completed_ticks, sid, s.usage.cpu, s.usage.mem, s.usage.bw, s.power, len(s.vms))
             )
         if sample_tick is not None:
-            for vm_id in sorted(self.vms):
-                vm = self.vms[vm_id]
-                if vm.state in (RUNNING, SUSPENDED, STOPPED):
-                    self.report.vm_samples.append(
-                        (sample_tick, vm_id, vm.observed, vm.host)
-                    )
+            order = self._order()
+            rows = order[self.cols["state"][order] != _STATES.index(REVOKED)]
+            self.report.vm_samples.add(sample_tick, rows, self.cols["observed"][rows], self.cols["host"][rows])
 
     # driver ------------------------------------------------------------
 
@@ -560,7 +656,7 @@ class _Sim:
             vm = self.vms[vm_id]
             states[vm_id] = {
                 "class": vm.hotspot_class,
-                "state": vm.state,
+                "state": self._state(vm),
                 "host": vm.host,
             }
         servers = {}
@@ -608,10 +704,6 @@ def run(scenario: Scenario) -> SimReport:
     return _Sim(scenario).run()
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def emit_reports(report: SimReport, outdir: str) -> list[str]:
     """Write the six report files; returns their paths.
 
@@ -625,11 +717,11 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
         util_lines.append(f"{tick},{sid},{cpu:.6f},{mem:.6f},{bw:.6f},{power},{nvms}")
     files = {
         "utilization.csv": "\n".join(util_lines) + "\n",
-        "placements.json": _json_text(report.placements),
-        "migrations.json": _json_text(report.migrations),
+        "placements.json": json_text(report.placements),
+        "migrations.json": json_text(report.migrations),
         "detector.csv": det.stat_rows_to_csv(report.stat_rows),
-        "alarms.json": _json_text(report.alarms),
-        "summary.json": _json_text(report.summary),
+        "alarms.json": json_text(report.alarms),
+        "summary.json": json_text(report.summary),
     }
     paths = []
     for name, text in files.items():

@@ -261,13 +261,13 @@ def _share_weights(demand):
     return (demand.cpu / total, demand.mem / total, demand.bw / total)
 
 
-def consolidate_oracle(servers, vms, low_watermark, class_defaults):
+def consolidate_oracle(servers, vms, samples, low_watermark, class_defaults):
     """Watermark consolidation re-derived on whole-cluster copies.
 
     Each pass ranks the active servers strictly below the watermark by
     uniform score, then id, and trial-drains them in that order on a deep
     copy of the cluster: every hosted VM, in id order, is sized as the
-    mean of its history (or, without history, the mean observed usage of
+    mean of its samples[vid] list (or, with none, the mean observed usage of
     its class, else the class default) and goes to the strictly feasible
     other active server of least share-weighted score.  The first drain
     that places every VM is kept and its source slept; a pass that keeps
@@ -295,8 +295,8 @@ def consolidate_oracle(servers, vms, low_watermark, class_defaults):
             trial_moves = []
             for vid in sorted(source.vms):
                 record = vms[vid]
-                if record.history:
-                    estimate = _mean_sorted(record.history)
+                if samples[vid]:
+                    estimate = _mean_sorted(samples[vid])
                 else:
                     peers = [r.observed for r in vms.values()
                              if r.hotspot_class == record.hotspot_class]
@@ -342,6 +342,35 @@ def consolidate_oracle(servers, vms, low_watermark, class_defaults):
                 break
         if drained is None:
             return moves, sleeps
+
+
+def exact_usage_oracle(scenario, report):
+    """Check every active server-tick's usage exactly; return how many were checked.
+
+    A server's usage at the end of tick t is its overhead plus the observed
+    usage of the VMs it hosts in the vm_samples of tick t, folded in
+    sorted-id order, compared with ==.  Past vm-999 sorted-id order is not
+    placement order (vm-1000 sorts before vm-101), and a different fold
+    order changes the unrounded sums in their last bits.
+    """
+    overhead = {s.id: s.usage for s in scenario.servers}
+    hosted = {}
+    for tick, vm, observed, host in report.vm_samples:
+        if host is not None:
+            hosted.setdefault((tick, host), []).append((vm, observed))
+    checked = 0
+    for tick, sid, cpu, mem, bw, power, nvms in report.utilization:
+        if tick == 0 or power == "asleep":
+            continue
+        members = sorted(hosted.get((tick - 1, sid), []), key=lambda m: m[0])
+        expect = overhead[sid]
+        for _, observed in members:
+            expect = ResourceVector(expect.cpu + observed.cpu, expect.mem + observed.mem,
+                                    expect.bw + observed.bw)
+        assert (cpu, mem, bw) == expect.as_tuple(), (tick, sid)
+        assert nvms == len(members), (tick, sid)
+        checked += 1
+    return checked
 
 
 def random_cluster(seed):

@@ -1,6 +1,6 @@
 """Each demo script runs to completion against the package source.
 
-The demos use the public API (VmRecord.history, DetectionReport.series, ...),
+The demos use the public API (VmRecord.from_samples, DetectionReport.series, ...),
 so a rename or deletion there shows up here rather than in a reader's
 terminal.
 """

@@ -19,6 +19,12 @@ multi-VM batches and on zero-filled grids of binned rows, detect prints
 the same output for an event trace as for its binned counts, the
 columnar statistic log equals csv.writer row by row, and placement
 without a vector per candidate equals the ResourceVector oracle, ties with the threshold included.
+
+On random small scenarios every active server-tick's usage is its
+overhead plus its hosted VMs' observed usage, added in sorted-id order,
+exactly.  The restart estimate from a record's running usage sum equals
+mean_usage of its samples bit for bit, and json_text equals
+json.dumps(indent=2, sort_keys=True) on random documents.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from conftest import (  # noqa: E402
     csv_row_oracle,
     cusum_oracle,
     events_to_csv_oracle,
+    exact_usage_oracle,
     format_timestamp,
     merge_oracle,
     place_oracle,
@@ -64,9 +71,9 @@ from vmshield.detector import (  # noqa: E402
     stat_rows_to_csv,
 )
 from vmshield.errors import ParseError, UnsortedTrace, ValidationError  # noqa: E402
-from vmshield.resources import ResourceVector, WeightVector  # noqa: E402
-from vmshield.scheduler import ServerState, place  # noqa: E402
-from vmshield.simulator import Scenario  # noqa: E402
+from vmshield.resources import ResourceVector, WeightVector, json_text  # noqa: E402
+from vmshield.scheduler import ServerState, VmRecord, estimate_demand_restart, mean_usage, place  # noqa: E402
+from vmshield.simulator import Scenario, run  # noqa: E402
 from vmshield.traffic import (  # noqa: E402
     TrafficSpec,
     events_to_csv,
@@ -648,3 +655,92 @@ def test_place_and_filter_candidates_equal_the_vector_oracle(case):
     assert decision.scores == scores
     assert list(decision.scores) == candidates
     assert decision.chosen == chosen
+
+
+@st.composite
+def _small_scenario(draw):
+    """A valid scenario of up to 4 servers and 8 ticks: requests, shutdowns,
+    revocations and attacks at random ticks, any policy, maybe a watermark."""
+    vec = lambda lo, hi: st.fixed_dictionaries(  # noqa: E731
+        {key: st.floats(lo, hi) for key in ("cpu", "mem", "bw")})
+    servers = [{"id": f"s{i}", "usage": draw(vec(0, 10)), "threshold": draw(vec(20, 100)),
+                "power": draw(st.sampled_from(["active", "active", "asleep"]))}
+               for i in range(draw(st.integers(1, 4)))]
+    duration = draw(st.integers(1, 8))
+    events, created, revoked = [], 0, set()
+    for tick in range(duration):
+        for op in draw(st.lists(st.sampled_from(["vm_request", "vm_request", "vm_shutdown",
+                                                 "vm_revoke", "attack_start", "attack_stop"]),
+                                max_size=3)):
+            if op == "vm_request":
+                count = draw(st.integers(1, 4))
+                events.append({"tick": tick, "op": op, "count": count,
+                               "class": draw(st.sampled_from(["cpu-intensive", "memory-intensive"]))})
+                created += count
+                continue
+            vm = f"vm-{draw(st.integers(1, max(created, 1))):03d}"
+            if not created or vm in revoked:
+                continue
+            events.append({"tick": tick, "op": op, "vm": vm})
+            if op == "attack_start":
+                events[-1]["multiplier"] = draw(st.floats(1, 5))
+            if op == "vm_revoke":
+                revoked.add(vm)
+    return Scenario.from_json({
+        "servers": servers,
+        "vm_classes": {"cpu-intensive": draw(vec(0, 30)), "memory-intensive": draw(vec(0, 30))},
+        "events": events,
+        "detector": {"policy": draw(st.sampled_from(["log", "throttle", "suspend"]))},
+        "low_watermark": draw(st.none() | vec(5, 60)),
+        "base_rate": draw(st.integers(0, 40)),
+        "duration": duration,
+        "seed": draw(st.integers(0, 2**16)),
+    })
+
+
+@settings(SETTINGS, max_examples=150)
+@given(_small_scenario())
+def test_usage_is_overhead_plus_hosted_vms_exactly(scenario):
+    exact_usage_oracle(scenario, run(scenario))
+
+
+SAMPLE = st.builds(ResourceVector, *[st.floats(0, 1e6) | st.sampled_from([0.0, 1e-300, 0.1, 1e15])] * 3)
+
+
+@SETTINGS
+@given(st.lists(SAMPLE, min_size=1, max_size=40))
+def test_restart_estimate_is_the_mean_of_the_samples_bit_for_bit(samples):
+    record = VmRecord.from_samples("v", "cpu-intensive", samples)
+    estimate = estimate_demand_restart(record, {}, {})
+    assert [c.hex() for c in estimate] == [c.hex() for c in mean_usage(samples)]
+
+
+JSON_KEY = st.text(max_size=4) | st.integers(-3, 3) | st.floats() | st.booleans() | st.none()
+JSON_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200) | st.floats()
+               | st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\n\u2028'),
+                         max_size=8))
+JSON_DOC = st.recursive(
+    JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(JSON_KEY, inner, max_size=3),
+    max_leaves=20,
+)
+
+
+def _text_or_error(fn, doc):
+    try:
+        return fn(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(JSON_DOC)
+@example({"b": [1, {"c": None}], "a": {}, "d": [[]], "e": {"x": float("nan"), "y": -float("inf")}})
+@example({1: [1], "a": 2})
+@example({1: [1], 2: {}})
+@example({1.5: 1, True: 2, None: 3})
+def test_json_text_equals_indented_json_dumps(doc):
+    expected = _text_or_error(lambda d: json.dumps(d, indent=2, sort_keys=True) + "\n", doc)
+    assert _text_or_error(json_text, doc) == expected

@@ -63,10 +63,10 @@ def test_first_start_estimate_averages_class_peers():
 
 
 def test_restart_estimate_prefers_own_history():
-    vm = VmRecord(
+    vm = VmRecord.from_samples(
         "a",
         "cpu-intensive",
-        history=[ResourceVector(10, 10, 10), ResourceVector(30, 20, 10)],
+        [ResourceVector(10, 10, 10), ResourceVector(30, 20, 10)],
     )
     d = estimate_demand_restart(vm, {}, CLASS_DEFAULTS)
     assert d == ResourceVector(20, 15, 10)
@@ -257,11 +257,11 @@ def test_plan_migration_matches_bruteforce_oracle_seeded():
 
 def test_consolidate_drains_and_sleeps_idle_server():
     vms = {
-        "v1": VmRecord(
+        "v1": VmRecord.from_samples(
             "v1",
             "cpu-intensive",
+            [ResourceVector(10, 5, 5)],
             observed=ResourceVector(10, 5, 5),
-            history=[ResourceVector(10, 5, 5)],
             host="b",
         ),
     }
@@ -281,10 +281,10 @@ def test_consolidate_drains_and_sleeps_idle_server():
 
 def test_consolidate_is_all_or_nothing():
     vms = {
-        "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(5, 5, 5),
-                       history=[ResourceVector(5, 5, 5)], host="b"),
-        "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(5, 5, 5),
-                       history=[ResourceVector(70, 70, 70)], host="b"),  # won't fit anywhere
+        "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(5, 5, 5)],
+                                    observed=ResourceVector(5, 5, 5), host="b"),
+        "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(70, 70, 70)],
+                                    observed=ResourceVector(5, 5, 5), host="b"),  # won't fit anywhere
     }
     servers = [
         _server("a", (50, 50, 50)),
@@ -304,10 +304,10 @@ def test_consolidate_empty_idle_server_sleeps_without_moves():
 
 def test_consolidate_drains_least_loaded_first():
     vms = {
-        "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(15, 15, 15),
-                       history=[ResourceVector(15, 15, 15)], host="a"),
-        "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(5, 5, 5),
-                       history=[ResourceVector(5, 5, 5)], host="b"),
+        "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(15, 15, 15)],
+                                    observed=ResourceVector(15, 15, 15), host="a"),
+        "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(5, 5, 5)],
+                                    observed=ResourceVector(5, 5, 5), host="b"),
     }
     servers = [
         _server("a", (15, 15, 15), vms=("v1",)),
@@ -324,10 +324,10 @@ def test_consolidate_drains_least_loaded_first():
 
 def test_consolidate_can_cascade():
     vms = {
-        "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(4, 4, 4),
-                       history=[ResourceVector(4, 4, 4)], host="a"),
-        "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(6, 6, 6),
-                       history=[ResourceVector(6, 6, 6)], host="b"),
+        "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(4, 4, 4)],
+                                    observed=ResourceVector(4, 4, 4), host="a"),
+        "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(6, 6, 6)],
+                                    observed=ResourceVector(6, 6, 6), host="b"),
     }
     servers = [
         _server("a", (4, 4, 4), vms=("v1",)),
@@ -346,31 +346,37 @@ def test_consolidate_can_cascade():
 
 def _consolidation_case(seed):
     """random_cluster with VMs shrunk to a quarter of their observed usage,
-    random classes and histories, and a random low watermark."""
+    random classes and usage samples, and a random low watermark.
+
+    Returns the samples of each VM too, for the oracle to average itself."""
     servers, vms = random_cluster(seed)
     by_id = {s.id: s for s in servers}
     rng = np.random.default_rng(10_000 + seed)
     classes = sorted(CLASS_DEFAULTS)
-    for record in vms.values():
+    samples = {}
+    for vid, record in vms.items():
         record.hotspot_class = classes[int(rng.integers(0, 3))]
         if record.host is not None:
             shrink = record.observed.scaled(0.75)
             by_id[record.host].usage = by_id[record.host].usage - shrink
             record.observed = record.observed - shrink
+        samples[vid] = []
         if rng.random() < 0.8:
-            record.history = [ResourceVector(*(float(x) for x in rng.uniform(0, 15, 3)))
-                              for _ in range(int(rng.integers(1, 5)))]
+            samples[vid] = [ResourceVector(*(float(x) for x in rng.uniform(0, 15, 3)))
+                            for _ in range(int(rng.integers(1, 5)))]
+        vms[vid] = VmRecord.from_samples(vid, record.hotspot_class, samples[vid],
+                                         observed=record.observed, host=record.host)
     low = ResourceVector(*(float(x) for x in rng.uniform(5, 90, 3)))
-    return servers, vms, low
+    return servers, vms, low, samples
 
 
 def test_consolidate_matches_deepcopy_oracle_and_never_mutates_inputs():
     drained_clusters = moves = 0
     for seed in range(300):
-        servers, vms, low = _consolidation_case(seed)
+        servers, vms, low, samples = _consolidation_case(seed)
         servers_before = copy.deepcopy(servers)
         vms_before = copy.deepcopy(vms)
-        expected_moves, expected_sleeps = consolidate_oracle(servers, vms, low, CLASS_DEFAULTS)
+        expected_moves, expected_sleeps = consolidate_oracle(servers, vms, samples, low, CLASS_DEFAULTS)
         plans, sleeps = consolidate(servers, vms, low, CLASS_DEFAULTS)
 
         assert sleeps == expected_sleeps, f"seed {seed}"

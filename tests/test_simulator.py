@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from conftest import exact_usage_oracle
 from vmshield.errors import ParseError, ValidationError
 from vmshield.resources import ResourceVector
 from vmshield.simulator import (
@@ -348,6 +350,19 @@ def test_events_against_missing_vms_are_ignored():
     assert report.summary["counters"]["shutdowns"] == 0
 
 
+def test_a_second_shutdown_of_a_stopped_vm_is_ignored():
+    events = [
+        {"tick": 0, "op": "vm_request", "class": "cpu-intensive"},
+        {"tick": 1, "op": "vm_shutdown", "vm": "vm-001"},
+        {"tick": 2, "op": "vm_shutdown", "vm": "vm-001"},
+    ]
+    report = run(Scenario.from_json(_scn(events=events, duration=4)))
+    counters = report.summary["counters"]
+    assert counters["shutdowns"] == 1
+    assert counters["ignored_events"] == 1
+    assert report.summary["final"]["vms"]["vm-001"]["state"] == "stopped"
+
+
 def test_events_naming_a_rejected_vm_are_ignored():
     # vm-001 is a valid reference (it was requested) but no server takes it
     events = [
@@ -420,7 +435,7 @@ def test_a_suspended_vm_can_be_revoked():
         "class": "cpu-intensive", "state": "revoked", "host": None,
     }
     assert "vm-001" not in sim.records
-    assert not sim.fin_due[sim.vms["vm-001"].fin_row].any()
+    assert not sim.cols["fin_due"][sim.vms["vm-001"].row].any()
     _check_conservation(scn, report)
 
 
@@ -593,7 +608,7 @@ def test_fin_ring_conserves_connections():
     for tick in range(scn.duration):
         sim.step(tick)
         if tick == 7:
-            assert not sim.fin_due[sim.vms["vm-002"].fin_row].any()
+            assert not sim.cols["fin_due"][sim.vms["vm-002"].row].any()
     rows = list(sim.report.stat_rows)
     assert (rows[-2].vm_id, rows[-2].syn) == ("vm-001", 20 + 40)
     for vm, ticks in (("vm-002", range(7)), ("vm-003", range(3, scn.duration))):
@@ -604,3 +619,40 @@ def test_fin_ring_conserves_connections():
             assert r.syn == 50
             in_flight += r.syn - r.finrst
             assert 50 <= in_flight <= 50 * (sim.fin_slots - 1), (vm, r.interval_index)
+
+
+def test_usage_is_exact_past_vm_999():
+    # 1,100 VMs: from vm-1000 on, sorted-id order (vm-1000 < vm-101) is no
+    # longer placement order, and each server must still add its VMs'
+    # observed usage in sorted-id order, to the last bit.
+    servers = [{"id": f"s{i:02d}", "threshold": {"cpu": 95, "mem": 95, "bw": 95},
+                "usage": {"cpu": 1 + i % 3, "mem": 2, "bw": 1}} for i in range(30)]
+    scn = Scenario.from_json(_scn(
+        servers=servers, duration=3, base_rate=2,
+        vm_classes={"cpu-intensive": {"cpu": 1.7, "mem": 0.9, "bw": 0.6}},
+        events=[{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 1100}]))
+    report = run(scn)
+    assert report.summary["counters"]["placements"] == 1100
+    assert exact_usage_oracle(scn, report) == 30 * 3
+
+
+def _usage_peak(duration):
+    """tracemalloc's peak while simulating 20 servers and 120 VMs for duration ticks."""
+    servers = [{"id": f"s{i:02d}", "threshold": {"cpu": 95, "mem": 95, "bw": 95}} for i in range(20)]
+    scn = Scenario.from_json(_scn(
+        servers=servers, duration=duration, seed=1,
+        vm_classes={"cpu-intensive": {"cpu": 4, "mem": 2, "bw": 1}},
+        events=[{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 120}]))
+    tracemalloc.start()
+    try:
+        run(scn)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_per_vm_tick_stays_small():
+    # what a run keeps per VM-tick: the statistic log, the utilization rows
+    # and the vm_samples columns
+    growth = (_usage_peak(500) - _usage_peak(250)) / (250 * 120)
+    assert growth <= 200, f"{growth:.0f} bytes per VM-tick"
