@@ -23,9 +23,9 @@ servers = [
     ServerState("p2", usage=ResourceVector(20, 20, 20), threshold=ResourceVector(200, 200, 200)),
 ]
 vms = {
-    "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(30, 20, 20), host="p1"),
-    "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(35, 15, 15), host="p1"),
-    "v3": VmRecord("v3", "memory-intensive", observed=ResourceVector(15, 20, 20), host="p1"),
+    "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(30, 20, 20)),
+    "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(35, 15, 15)),
+    "v3": VmRecord("v3", "memory-intensive", observed=ResourceVector(15, 20, 20)),
 }
 
 print("overloaded:", [s.id for s in servers if detect_overload(s)])
@@ -44,9 +44,9 @@ servers = [
 # restart estimates use each VM's own usage samples
 vms = {
     "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(25, 20, 20)],
-                                observed=ResourceVector(25, 20, 20), host="p1"),
+                                observed=ResourceVector(25, 20, 20)),
     "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(24, 20, 20)],
-                                observed=ResourceVector(24, 20, 20), host="p2"),
+                                observed=ResourceVector(24, 20, 20)),
 }
 
 low_watermark = ResourceVector(40, 40, 40)

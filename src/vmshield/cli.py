@@ -14,8 +14,6 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import os
 import sys
@@ -27,8 +25,8 @@ from . import simulator, traffic
 from .ahp import (DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, _consistent_weights, derive_weights,
                   validate_pairwise_matrix)
 from .errors import ParseError, UnsortedTrace, ValidationError, VmShieldError
-from .resources import (ResourceVector, WeightVector, json_int, json_list, json_object, json_str, json_text,
-                        read_json_file, read_text_file, write_text_file)
+from .resources import (ResourceVector, WeightVector, _csv_field, json_int, json_list, json_object, json_str,
+                        json_text, read_json_file, read_text_file, write_text_file)
 
 log = logging.getLogger("vmshield")
 
@@ -109,11 +107,9 @@ def _emit(payload, rows: list[dict], fmt: str, out) -> None:
         out.write(json_text(payload))
         return
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
         if rows:
-            writer.writerow(list(rows[0].keys()))
-            for row in rows:
-                writer.writerow(list(row.values()))
+            lines = [rows[0].keys(), *(row.values() for row in rows)]
+            out.write("".join(",".join(_csv_field(str(v)) for v in line) + "\n" for line in lines))
         return
     if not rows:
         out.write("(no rows)\n")
@@ -187,13 +183,14 @@ def _read_cluster(obj) -> tuple[list[sched.ServerState], dict[str, sched.VmRecor
         if vm.id in vms:
             raise ValidationError(f"duplicate vm id {vm.id!r}")
         vms[vm.id] = vm
+    host: dict[str, str] = {}
     for server in servers:
         for vm_id in sorted(server.vms):
             if vm_id not in vms:
                 raise ValidationError(f"server {server.id} hosts unknown vm {vm_id!r}")
-            if vms[vm_id].host is not None:
-                raise ValidationError(f"vm {vm_id!r} hosted by both {vms[vm_id].host} and {server.id}")
-            vms[vm_id].host = server.id
+            if vm_id in host:
+                raise ValidationError(f"vm {vm_id!r} hosted by both {host[vm_id]} and {server.id}")
+            host[vm_id] = server.id
     return servers, vms
 
 

@@ -14,18 +14,18 @@ and raises an alarm for a VM while y exceeds the threshold.  Each VM is
 tracked independently, which is what lets the hypervisor name the
 attacking guest rather than just noticing that the host is under load.
 
-One streaming detector, CusumDetector, holds every VM's y and its
-in-episode flag as arrays.  Its observe() advances a batch of distinct
-VMs by one interval each: the tick simulator makes one call per tick,
-and offline traces (process_trace) one call per interval, so
+One streaming detector, CusumDetector, holds every VM's y and in-episode
+flag in arrays by slot, the caller's number for the VM.  Its observe()
+advances a batch of distinct slots by one interval each: the simulator
+makes one call per tick and process_trace one per interval, so
 contiguous exceedances collapse to one alarm the same way in both.
 Offline counts are one dense grid, a Counts of VMs by intervals:
 bin_events, fill_gaps and traffic's binned generators return one.
 One function, _interval_to_us, makes every interval length whole
 microseconds, so offline and simulated time share one grid.
 The statistic log is columnar too: a StatLog holds blocks of arrays, one
-per tick in the simulator and one for a whole trace, and renders
-detector.csv in one formatting pass.
+per tick in the simulator and one for a whole trace, with slots in place
+of ids, and renders detector.csv in one formatting pass.
 
 Defaults: drift 0.08, threshold 1.43, 10 s sampling interval.
 """
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .errors import UnsortedTrace
+from .resources import _csv_field
 
 DEFAULT_DRIFT = 0.08
 DEFAULT_THRESHOLD = 1.43
@@ -133,10 +133,11 @@ def discrepancy(syn, finrst):
 
 
 class CusumDetector:
-    """Streaming per-VM detector: each VM's y and in-episode flag, in arrays.
+    """Streaming per-VM detector: each VM's y and in-episode flag, in arrays by slot.
 
-    A VM gets a slot, with y 0 and no episode, at its first observation.
-    observe() advances one batch of distinct VMs by one interval each;
+    Slots are the caller's non-negative VM numbers; the arrays grow to the
+    largest one, and a slot not yet observed reads y 0 and no episode.
+    observe() advances one batch of distinct slots by one interval each;
     the episode-start flag is set only on the first interval of a
     contiguous exceedance, so one long attack is one incident.
     """
@@ -148,24 +149,27 @@ class CusumDetector:
             raise ValueError(f"threshold {threshold} must exceed drift {drift}")
         self.drift = drift
         self.threshold = threshold
-        self.slot: dict[str, int] = {}
         self.y = np.zeros(0)
         self.exceeding = np.zeros(0, dtype=bool)
 
-    def observe(self, vm_ids, syn, finrst):
-        """One interval's (syn, finrst) counts for each VM of vm_ids.
+    def observe(self, slots, syn, finrst):
+        """One interval's (syn, finrst) counts for each VM slot of slots.
 
-        Returns the d, y and episode-start arrays, in vm_ids order.  A VM
-        named twice in one batch is a ValueError.
+        Returns the d, y and episode-start arrays, in slots order.  A slot
+        that is not a non-negative integer, or one named twice in one
+        batch, is a ValueError.
         """
-        if len(set(vm_ids)) != len(vm_ids):
-            raise ValueError("observe needs distinct vm_ids in one batch")
-        fresh = [vm_id for vm_id in vm_ids if vm_id not in self.slot]
-        if fresh:
-            self.slot.update(zip(fresh, range(len(self.slot), len(self.slot) + len(fresh))))
-            self.y = np.concatenate([self.y, np.zeros(len(fresh))])
-            self.exceeding = np.concatenate([self.exceeding, np.zeros(len(fresh), dtype=bool)])
-        slots = np.fromiter(map(self.slot.__getitem__, vm_ids), np.intp, len(vm_ids))
+        slots = np.asarray(slots)
+        if slots.size and (slots.dtype.kind not in "iu" or slots.min() < 0):
+            raise ValueError(f"observe needs non-negative integer slots, got {slots.dtype} {slots.min()}")
+        slots = slots.astype(np.intp, copy=False)
+        named = np.bincount(slots)  # times each slot is named
+        if named.size and named.max() > 1:
+            raise ValueError("observe needs distinct slots in one batch")
+        grow = named.size - self.y.size
+        if grow > 0:
+            self.y = np.concatenate([self.y, np.zeros(grow)])
+            self.exceeding = np.concatenate([self.exceeding, np.zeros(grow, dtype=bool)])
         d = discrepancy(np.asarray(syn, dtype=np.int64), np.asarray(finrst, dtype=np.int64))
         y = np.maximum(0.0, self.y[slots] + d - self.drift)
         over = y > self.threshold
@@ -175,26 +179,28 @@ class CusumDetector:
         return d, y, start
 
 
-_NO_ROWS = (np.empty(0, np.int64), [], np.empty(0, np.int64), np.empty(0, np.int64),
+_NO_ROWS = (np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64),
             np.empty(0), np.empty(0), np.empty(0, bool))
 
 
 class StatLog:
     """The statistic log as columns: one block of arrays per append.
 
-    A block holds interval indices, vm ids, syn and finrst counts, d, y
-    and alarm (episode-start) flags.  len counts rows, and iterating
-    yields one StatRow per row, block by block.
+    vm_ids, the id of each slot, is held by reference, so its owner may
+    append ids later.  A block holds interval indices, slots, syn and
+    finrst counts, d, y and alarm (episode-start) flags.  len counts rows,
+    and iterating yields one StatRow per row, block by block.
     """
 
-    def __init__(self):
+    def __init__(self, vm_ids=None):
+        self.vm_ids = [] if vm_ids is None else vm_ids
         self.blocks: list[tuple] = []
 
-    def append(self, interval_index, vm_ids, syn, finrst, d, y, alarm) -> None:
+    def append(self, interval_index, slots, syn, finrst, d, y, alarm) -> None:
         """Add a block; interval_index is one index for the block or a column."""
-        n = len(vm_ids)
-        self.blocks.append((np.broadcast_to(np.asarray(interval_index, dtype=np.int64), (n,)),
-                            list(vm_ids), np.asarray(syn, dtype=np.int64),
+        slots = np.asarray(slots, dtype=np.intp)
+        self.blocks.append((np.broadcast_to(np.asarray(interval_index, dtype=np.int64), slots.shape),
+                            slots, np.asarray(syn, dtype=np.int64),
                             np.asarray(finrst, dtype=np.int64), np.asarray(d, dtype=float),
                             np.asarray(y, dtype=float), np.asarray(alarm, dtype=bool)))
 
@@ -202,16 +208,14 @@ class StatLog:
         return sum(len(block[1]) for block in self.blocks)
 
     def __iter__(self):
-        for interval, vm_ids, syn, finrst, d, y, alarm in self.blocks:
-            yield from map(StatRow, interval.tolist(), vm_ids, syn.tolist(), finrst.tolist(),
-                           d.tolist(), y.tolist(), alarm.tolist())
+        for interval, slots, syn, finrst, d, y, alarm in self.blocks:
+            yield from map(StatRow, interval.tolist(), map(self.vm_ids.__getitem__, slots.tolist()),
+                           syn.tolist(), finrst.tolist(), d.tolist(), y.tolist(), alarm.tolist())
 
     def columns(self) -> tuple:
-        """Every block's columns joined: (interval, vm_ids, syn, finrst, d, y, alarm)."""
+        """Every block's columns joined: (interval, slots, syn, finrst, d, y, alarm)."""
         blocks = [_NO_ROWS, *self.blocks]  # the empty block fixes the dtypes
-        return (np.concatenate([b[0] for b in blocks]),
-                list(chain.from_iterable(b[1] for b in blocks)),
-                *(np.concatenate([b[k] for b in blocks]) for k in range(2, 7)))
+        return tuple(np.concatenate([b[k] for b in blocks]) for k in range(7))
 
 
 @dataclass
@@ -240,13 +244,13 @@ def process_trace(
     detector = CusumDetector(drift, threshold)
     vm_ids = counts.vm_ids
     n_vms, n = counts.syn.shape
+    slots = np.arange(n_vms)  # a VM's slot is its row of counts
     d, y = np.empty((n_vms, n)), np.empty((n_vms, n))
     alarm = np.empty((n_vms, n), dtype=bool)
     for j in range(n):
-        d[:, j], y[:, j], alarm[:, j] = detector.observe(
-            vm_ids, counts.syn[:, j], counts.finrst[:, j])
-    rows = StatLog()
-    rows.append(np.tile(np.arange(n), n_vms), [vm_id for vm_id in vm_ids for _ in range(n)],
+        d[:, j], y[:, j], alarm[:, j] = detector.observe(slots, counts.syn[:, j], counts.finrst[:, j])
+    rows = StatLog(vm_ids)
+    rows.append(np.tile(np.arange(n), n_vms), np.repeat(slots, n),
                 counts.syn.ravel(), counts.finrst.ravel(), d.ravel(), y.ravel(), alarm.ravel())
     ys = y.tolist()
     alarms = [Alarm(vm_ids[v], j, ys[v][j]) for v, j in np.argwhere(alarm).tolist()]
@@ -326,26 +330,16 @@ def fill_gaps(rows) -> Counts:
     return Counts(vm_ids, syn, finrst)
 
 
-def _csv_field(value: str) -> str:
-    """value as one field of a CSV row: quoted, quotes doubled, if it holds , " \\n or \\r.
-
-    This is csv.writer's minimal quoting with a CRLF line terminator,
-    so every field reads back through csv.reader whatever ends the line.
-    """
-    if any(c in value for c in ',"\n\r'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
 def stat_rows_to_csv(log: StatLog) -> str:
     """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm.
 
     The text equals csv.writer's row by row, with d and y to six
-    decimal places.
+    decimal places.  Each id is quoted once, and rows pick theirs by slot.
     """
-    interval, vm_ids, syn, finrst, d, y, alarm = log.columns()
-    quoted = {vm_id: _csv_field(vm_id) for vm_id in set(vm_ids)}
+    interval, slots, syn, finrst, d, y, alarm = log.columns()
+    vm_ids = np.array([_csv_field(vm_id) for vm_id in log.vm_ids], dtype=object)[slots]
+    del slots  # the quoted ids take its place while the text is built
     lines = map("%d,%s,%d,%d,%.6f,%.6f,%d\n".__mod__,
-                zip(interval.tolist(), map(quoted.__getitem__, vm_ids), syn.tolist(),
-                    finrst.tolist(), d.tolist(), y.tolist(), alarm.tolist()))
+                zip(interval.tolist(), vm_ids, syn.tolist(), finrst.tolist(), d.tolist(), y.tolist(),
+                    alarm.tolist()))
     return "interval,vm_id,syn,finrst,d,y,alarm\n" + "".join(lines)

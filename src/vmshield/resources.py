@@ -7,7 +7,8 @@ plain dot products against a priority vector whose components sum to 1.
 
 Input files are read by read_text_file (JSON ones by read_json_file),
 each JSON object against a table of its keys by json_object, and output
-files are written by write_text_file, JSON ones as json_text lays them out.
+files are written by write_text_file, JSON ones as json_text lays them out
+and every CSV field as _csv_field quotes it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ def write_text_file(path: str, text: str, what: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"writing {what} {path}: {exc}") from exc
+
+
+def _csv_field(value: str) -> str:
+    """value as one field of a CSV row: quoted, quotes doubled, if it holds , " \\n or \\r.
+
+    This is csv.writer's minimal quoting with a CRLF line terminator,
+    so every field reads back through csv.reader whatever ends the line.
+    """
+    if any(c in value for c in ',"\n\r'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))

@@ -1,11 +1,9 @@
 """Placement, overload migration, and low-load consolidation decisions.
 
 All operations here are pure: they read cluster snapshots and return
-decision values (``PlacementDecision``, ``MigrationPlan``, sleep lists)
-that the simulation harness applies.  Planning (``place``,
-``plan_migration``, ``consolidate``) never mutates its inputs.  The one
-exception is ``wake_server``, which flips the chosen server's power
-state in place.
+decision values (``PlacementDecision``, ``MigrationPlan``, sleep lists,
+the server to wake) that the simulation harness applies, and none of
+them mutates its inputs.
 Server JSON, in cluster and scenario files alike, is parsed and
 validated here only (``ServerState.from_json``, ``validate_servers``).
 
@@ -126,7 +124,7 @@ def validate_servers(servers: list[ServerState]) -> None:
 
 @dataclass
 class VmRecord:
-    """A VM's identity, hotspot class, observed usage, usage samples and current placement.
+    """A VM's identity, hotspot class, observed usage and usage samples.
 
     usage_sum adds up the VM's usage samples in order, starting from 0.0,
     and samples counts them, so their mean is mean_usage of the samples
@@ -138,7 +136,6 @@ class VmRecord:
     observed: ResourceVector = ZERO
     usage_sum: ResourceVector = ZERO
     samples: int = 0
-    host: str | None = None
 
     @classmethod
     def from_samples(cls, id: str, hotspot_class: str, samples: list[ResourceVector],
@@ -396,10 +393,5 @@ def consolidate(
 
 
 def wake_server(servers: list[ServerState]) -> str | None:
-    """Mark the smallest-id sleeping server active; None when all are awake."""
-    asleep = sorted(s.id for s in servers if s.power == ASLEEP)
-    if not asleep:
-        return None
-    target = next(s for s in servers if s.id == asleep[0])
-    target.power = ACTIVE
-    return target.id
+    """The smallest-id sleeping server, for the caller to wake; None when all are awake."""
+    return min((s.id for s in servers if s.power == ASLEEP), default=None)

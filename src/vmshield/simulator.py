@@ -28,11 +28,13 @@ by default).  Each tick applies, in fixed order:
 6. log emission: one utilization row per server, and one block of
    columns (rows, observed usage, host) a tick to vm_samples.
 
-Per-VM state lives in _Sim.cols, one row per placed VM in placement
-order, and the VMs' rows in sorted-id order (vm-1000 sorts before
-vm-101) are kept as VMs are placed.  The scheduler reads one SimVm
-record per VM; _Sim._records copies the usage columns into the records
-sampled since it last ran, just before the scheduler reads them.
+Inside a run a VM is its row of _Sim.cols, which holds its state and is
+its detector slot.  Rows follow placement order, and the rows in sorted-id
+order (vm-1000 sorts before vm-101) are kept as VMs are placed.  Ids are
+looked up only where an event or a plan names a VM (_Sim.row) and where a
+report is written.  The scheduler reads VmRecords; _Sim._records copies
+the usage columns into the records sampled since it last ran, just
+before the scheduler reads them.
 
 Everything random comes from two generators per run, seeded by
 (scenario seed, stream index): stream 0 draws the usage jitter and
@@ -54,8 +56,8 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
-from .resources import (ZERO, ResourceVector, json_bool, json_int, json_list, json_number, json_object,
-                        json_str, json_text, read_json_file, weighted_score, write_text_file)
+from .resources import (ZERO, ResourceVector, _csv_field, json_bool, json_int, json_list, json_number,
+                        json_object, json_str, json_text, read_json_file, weighted_score, write_text_file)
 from .scheduler import ServerState, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
@@ -271,13 +273,6 @@ def load_scenario(path: str) -> Scenario:
     return read_json_file(path, Scenario.from_json)
 
 
-@dataclass
-class SimVm(VmRecord):
-    """One VM of a run: the record the scheduler reads, and its row of _Sim.cols."""
-
-    row: int = 0
-
-
 class SampleLog:
     """SimReport.vm_samples as columns: one block of rows a tick.
 
@@ -332,11 +327,13 @@ class _Sim:
         self.servers: dict[str, ServerState] = {  # in id order, for every pass
             s.id: ServerState(s.id, threshold=s.threshold, power=s.power) for s in by_id
         }
+        self.server_ids = tuple(self.servers)
         self.server_index = {sid: i for i, sid in enumerate(self.servers)}
         self.overhead = np.array([s.usage for s in by_id])  # by server index
-        self.records: dict[str, VmRecord] = {}  # the scheduler's view: vms less the revoked ones
-        self.vms: dict[str, SimVm] = {}
-        self.class_index = {name: i for i, name in enumerate(scenario.vm_classes)}
+        self.records: dict[str, VmRecord] = {}  # the scheduler's view: placed VMs less the revoked ones
+        self.row: dict[str, int] = {}  # a placed VM's row of cols, by id
+        self.class_names = tuple(scenario.vm_classes)
+        self.class_index = {name: i for i, name in enumerate(self.class_names)}
         self.class_demand = np.array(list(scenario.vm_classes.values())).reshape(-1, 3)
         self.jitter_rng = np.random.default_rng([scenario.seed, 0])
         self.traffic_rng = np.random.default_rng([scenario.seed, 1])
@@ -375,7 +372,8 @@ class _Sim:
         self.vm_ids: list[str] = []  # by row
         self.rows_by_id: list[int] = []  # rows in sorted-id order
         self.order: np.ndarray | None = None  # rows_by_id as an array, made on first use
-        self.report = SimReport(vm_samples=SampleLog(self.vm_ids, tuple(self.servers)))
+        self.report = SimReport(stat_rows=det.StatLog(self.vm_ids),
+                                vm_samples=SampleLog(self.vm_ids, self.server_ids))
         self._recompute_usage(self.servers)
 
     def _next_seq(self) -> int:
@@ -397,7 +395,7 @@ class _Sim:
         if rows.size:
             cols = self.cols[rows]
             self.cols["unsynced"][rows] = False
-            vms = (self.vms[self.vm_ids[row]] for row in rows.tolist())
+            vms = (self.records[self.vm_ids[row]] for row in rows.tolist())
             for vm, observed, total, samples in zip(vms, cols["observed"].tolist(), cols["usage_sum"].tolist(),
                                                     cols["samples"].tolist()):
                 vm.observed = ResourceVector._make(observed)
@@ -423,31 +421,36 @@ class _Sim:
             server = self.servers[sid]
             server.usage = ResourceVector._make(usage[i].tolist()) if server.active else ZERO
 
-    def _state(self, vm: SimVm) -> str:
-        return _STATES[self.cols["state"][vm.row]]
+    def _state(self, row: int) -> str:
+        return _STATES[self.cols["state"][row]]
 
-    def _rehost(self, vm: SimVm, target: str | None) -> None:
-        """Move vm from its host, if any, to target (None: to no server)."""
-        source = vm.host
+    def _host(self, row: int) -> str | None:
+        host = int(self.cols["host"][row])
+        return self.server_ids[host] if host >= 0 else None
+
+    def _rehost(self, row: int, target: str | None) -> None:
+        """Move the VM of row from its host, if any, to target (None: to no server)."""
+        source = self._host(row)
         if source is not None:
-            self.servers[source].vms.discard(vm.id)
+            self.servers[source].vms.discard(self.vm_ids[row])
         if target is not None:
-            self.servers[target].vms.add(vm.id)
-        vm.host = target
-        self.cols["host"][vm.row] = -1 if target is None else self.server_index[target]
+            self.servers[target].vms.add(self.vm_ids[row])
+        self.cols["host"][row] = -1 if target is None else self.server_index[target]
         self._recompute_usage([sid for sid in (source, target) if sid is not None])
 
-    def _set_state(self, vm: SimVm, state: str) -> None:
-        """Stop, revoke or suspend vm: it leaves its host and its pending FINs are dropped."""
-        self._rehost(vm, None)
-        self.cols["fin_due"][vm.row] = 0
-        self.cols["state"][vm.row] = _STATES.index(state)
+    def _set_state(self, row: int, state: str) -> None:
+        """Stop, revoke or suspend the VM of row: it leaves its host and its pending FINs are dropped."""
+        self._rehost(row, None)
+        self.cols["fin_due"][row] = 0
+        self.cols["state"][row] = _STATES.index(state)
         self.counters[_STATE_COUNTER[state]] += 1
-        if state == REVOKED:
-            self.records.pop(vm.id)
+        if state == REVOKED:  # its record goes, so _records has nothing left to copy into
+            self.records.pop(self.vm_ids[row])
+            self.cols["unsynced"][row] = False
 
     def _power_event(self, tick: int, sid: str, event: str) -> None:
-        """Log a server's "wake" or "sleep", its power already set."""
+        """The one writer of server power: wake or sleep sid as event says, and log it."""
+        self.servers[sid].power = sched.ACTIVE if event == "wake" else sched.ASLEEP
         self._recompute_usage([sid])
         self.counters[f"{event}s"] += 1
         self.report.power_events.append(
@@ -462,22 +465,22 @@ class _Sim:
                 for _ in range(ev.count):
                     self._request_vm(tick, ev.vm_class)
                 continue
-            vm = self._event_vm(ev)
-            if vm is None:
+            row = self._event_row(ev)
+            if row is None:
                 continue
             if ev.op in _OP_STATE:
-                self._set_state(vm, _OP_STATE[ev.op])
+                self._set_state(row, _OP_STATE[ev.op])
             else:  # attack_start, or attack_stop with its default multiplier of 1
-                self.cols["attack_multiplier"][vm.row] = ev.multiplier
+                self.cols["attack_multiplier"][row] = ev.multiplier
 
-    def _event_vm(self, ev: ScenarioEvent) -> SimVm | None:
-        """The VM an event names; None, counted as ignored, if it was rejected or
-        revoked, or if the event would put it in the state it is already in."""
-        vm = self.vms.get(ev.vm)
-        if vm is None or self._state(vm) in (REVOKED, _OP_STATE.get(ev.op)):
+    def _event_row(self, ev: ScenarioEvent) -> int | None:
+        """The row of the VM an event names; None, counted as ignored, if the VM was
+        rejected or revoked, or if the event would put it in the state it is already in."""
+        row = self.row.get(ev.vm)
+        if row is None or self._state(row) in (REVOKED, _OP_STATE.get(ev.op)):
             self.counters["ignored_events"] += 1
             return None
-        return vm
+        return row
 
     def _request_vm(self, tick: int, vm_class: str) -> None:
         self.next_vm += 1
@@ -519,11 +522,11 @@ class _Sim:
         new["host"] = self.server_index[decision.chosen]
         new["class_index"] = self.class_index[vm_class]
         new["traffic_scale"] = new["attack_multiplier"] = 1.0
-        vm = SimVm(vm_id, vm_class, observed=demand, host=decision.chosen, row=row)
         self.vm_ids.append(vm_id)
         self.rows_by_id.insert(bisect.bisect(self.rows_by_id, vm_id, key=self.vm_ids.__getitem__), row)
         self.order = None
-        self.records[vm_id] = self.vms[vm_id] = vm
+        self.row[vm_id] = row
+        self.records[vm_id] = VmRecord(vm_id, vm_class, observed=demand)
         self.counters["placements"] += 1
 
     # phase 2 -----------------------------------------------------------
@@ -547,8 +550,7 @@ class _Sim:
         rate = self.sc.base_rate
         cols = self.cols
         order = self._order()
-        live = order[cols["state"][order] <= _STATES.index(SUSPENDED)]
-        vm_ids = [self.vm_ids[row] for row in live.tolist()]
+        live = order[cols["state"][order] <= _STATES.index(SUSPENDED)]  # rows, the detector's slots
         # a suspended VM stays in the detector's batch but sends nothing
         scale = np.where(cols["state"][live] == _STATES.index(RUNNING), cols["traffic_scale"][live], 0.0)
         multiplier = cols["attack_multiplier"][live]
@@ -568,22 +570,22 @@ class _Sim:
         finrst = fin_due[live, 0]
         fin_due[:, :-1] = fin_due[:, 1:]
         fin_due[:, -1] = 0
-        d, y, alarm = self.detector.observe(vm_ids, syn, finrst)
-        self.report.stat_rows.append(tick, vm_ids, syn, finrst, d, y, alarm)
+        d, y, alarm = self.detector.observe(live, syn, finrst)
+        self.report.stat_rows.append(tick, live, syn, finrst, d, y, alarm)
         policy = self.sc.detector.policy
         for k in np.flatnonzero(alarm).tolist():
-            vm = self.vms[vm_ids[k]]
+            row = int(live[k])
             self.counters["alarms"] += 1
             if policy == "throttle":
-                cols["traffic_scale"][vm.row] = self.sc.detector.throttle_factor
+                cols["traffic_scale"][row] = self.sc.detector.throttle_factor
                 detail = f"traffic scaled to {self.sc.detector.throttle_factor}"
             elif policy == "suspend":
-                self._set_state(vm, SUSPENDED)
+                self._set_state(row, SUSPENDED)
                 detail = "detached from network"
             else:
                 detail = "recorded"
             self.report.alarms.append({
-                "tick": tick, "seq": self._next_seq(), "vm": vm.id, "y": round(float(y[k]), 6),
+                "tick": tick, "seq": self._next_seq(), "vm": self.vm_ids[row], "y": round(float(y[k]), 6),
                 "action": policy, "detail": detail,
             })
 
@@ -598,7 +600,7 @@ class _Sim:
         plan = sched.plan_migration(servers, self._records())
         if plan is None:
             return
-        self._rehost(self.vms[plan.victim], plan.target)
+        self._rehost(self.row[plan.victim], plan.target)
         self.counters["migrations_overload"] += 1
         self.report.migrations.append(_migration_entry(tick, self._next_seq(), plan))
 
@@ -611,14 +613,13 @@ class _Sim:
             self._server_list(), self._records(), self.sc.low_watermark, self.sc.vm_classes
         )
         for plan in plans:
-            self._rehost(self.vms[plan.victim], plan.target)
+            self._rehost(self.row[plan.victim], plan.target)
             self.counters["migrations_consolidate"] += 1
             self.report.migrations.append(_migration_entry(tick, self._next_seq(), plan))
         for sid in sleeps:
             server = self.servers[sid]
             if server.vms:
                 raise AssertionError(f"cannot sleep {sid}: still hosts {sorted(server.vms)}")
-            server.power = sched.ASLEEP
             self._power_event(tick, sid, "sleep")
 
     # phase 6 -----------------------------------------------------------
@@ -651,14 +652,9 @@ class _Sim:
         return self.report
 
     def _summary(self) -> dict:
-        states = {}
-        for vm_id in sorted(self.vms):
-            vm = self.vms[vm_id]
-            states[vm_id] = {
-                "class": vm.hotspot_class,
-                "state": self._state(vm),
-                "host": vm.host,
-            }
+        states = {self.vm_ids[row]: {"class": self.class_names[self.cols["class_index"][row]],
+                                     "state": self._state(row), "host": self._host(row)}
+                  for row in self.rows_by_id}
         servers = {}
         for sid, s in self.servers.items():
             servers[sid] = {
@@ -713,8 +709,9 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
     """
     os.makedirs(outdir, exist_ok=True)
     util_lines = ["tick,server,cpu,mem,bw,power,vms"]
+    quoted = {sid: _csv_field(sid) for sid in {row[1] for row in report.utilization}}
     for tick, sid, cpu, mem, bw, power, nvms in report.utilization:
-        util_lines.append(f"{tick},{sid},{cpu:.6f},{mem:.6f},{bw:.6f},{power},{nvms}")
+        util_lines.append(f"{tick},{quoted[sid]},{cpu:.6f},{mem:.6f},{bw:.6f},{power},{nvms}")
     files = {
         "utilization.csv": "\n".join(util_lines) + "\n",
         "placements.json": json_text(report.placements),

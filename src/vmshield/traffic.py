@@ -35,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _csv_field, _interval_to_us, fill_gaps
+from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _interval_to_us, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import json_int, json_number, json_object, json_str
+from .resources import _csv_field, json_int, json_number, json_object, json_str
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1

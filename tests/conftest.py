@@ -390,7 +390,7 @@ def random_cluster(seed):
         vid = f"v{j + 1:02d}"
         observed = ResourceVector(*(float(x) for x in rng.uniform(0, 40, 3)))
         host = active[int(rng.integers(0, len(active)))] if active else None
-        record = VmRecord(vid, "cpu-intensive", observed=observed, host=host.id if host else None)
+        record = VmRecord(vid, "cpu-intensive", observed=observed)
         vms[vid] = record
         if host is not None:
             host.vms.add(vid)

@@ -262,7 +262,7 @@ def test_place_rejects_malformed_cluster_vms(tmp_path, capsys, vm, named):
     assert named in capsys.readouterr().err
 
 
-def test_place_rejects_double_hosting(tmp_path):
+def test_place_rejects_double_hosting(tmp_path, capsys):
     bad = {
         "servers": [
             {"id": "a", "vms": ["v1"]},
@@ -274,6 +274,19 @@ def test_place_rejects_double_hosting(tmp_path):
     demand = _write(tmp_path, "demand.json", {"cpu": 1, "mem": 1, "bw": 1})
     code, _ = _run(["place", "--cluster", cluster, "--demand", demand])
     assert code == EXIT_USAGE
+    assert "vm 'v1' hosted by both a and b" in capsys.readouterr().err
+
+
+def test_place_csv_reads_back_ids_with_commas_quotes_and_carriage_returns(tmp_path):
+    ids = ["a\rb", 'c,"d', "plain"]
+    cluster = _write(tmp_path, "cluster.json", {"servers": [{"id": sid} for sid in ids]})
+    demand = _write(tmp_path, "demand.json", {"cpu": 1, "mem": 1, "bw": 1})
+    code, out = _run(["--format", "csv", "place", "--cluster", cluster, "--demand", demand])
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert {len(row) for row in rows} == {3}
+    assert [row[0] for row in rows] == ["server", *sorted(ids)]
+    assert out.endswith("plain,0.000000,\n")  # a plain id prints as it did
 
 
 # --------------------------------------------------------------- detect

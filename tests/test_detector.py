@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from vmshield.detector import (
     DEFAULT_DRIFT,
     DEFAULT_THRESHOLD,
     CusumDetector,
+    StatLog,
     StatRow,
     TrafficInterval,
     bin_events,
@@ -26,10 +29,10 @@ def _episode_starts(flags):
     return [f and not (i and flags[i - 1]) for i, f in enumerate(flags)]
 
 
-def _observe(detector, interval_index, vm_id, syn, finrst):
-    """One VM's interval as a one-VM batch, returned as its StatRow."""
-    (d,), (y,), (alarm,) = (a.tolist() for a in detector.observe([vm_id], [syn], [finrst]))
-    return StatRow(interval_index, vm_id, syn, finrst, d, y, alarm)
+def _observe(detector, interval_index, slot, syn, finrst):
+    """The interval of the VM in slot as a one-VM batch, returned as its StatRow."""
+    (d,), (y,), (alarm,) = (a.tolist() for a in detector.observe([slot], [syn], [finrst]))
+    return StatRow(interval_index, f"vm-{slot}", syn, finrst, d, y, alarm)
 
 
 def test_discrepancy_basics():
@@ -59,16 +62,16 @@ def test_cusum_step_matches_recurrence_oracle():
         threshold = drift + float(rng.uniform(0.1, 2.0))
         expected_y, expected_flags = cusum_oracle(pairs, drift, threshold)
         detector = CusumDetector(drift, threshold)
-        rows = [_observe(detector, i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(pairs)]
+        rows = [_observe(detector, i, 0, syn, finrst) for i, (syn, finrst) in enumerate(pairs)]
         assert [r.y for r in rows] == pytest.approx(expected_y, abs=1e-12)
         assert [r.alarm for r in rows] == _episode_starts(expected_flags)
 
 
 def test_cusum_never_negative_and_never_resets():
     detector = CusumDetector(drift=0.08, threshold=1.43)
-    assert _observe(detector, 0, "vm", 0, 1000).y == 0.0  # clamped at zero on all-FIN traffic
+    assert _observe(detector, 0, 0, 0, 1000).y == 0.0  # clamped at zero on all-FIN traffic
     # a sustained flood keeps the statistic above threshold: one episode, one alarm
-    rows = [_observe(detector, i, "vm", 1000, 0) for i in range(1, 40)]
+    rows = [_observe(detector, i, 0, 1000, 0) for i in range(1, 40)]
     assert all(a.y < b.y for a, b in zip(rows, rows[1:]))
     assert sum(r.alarm for r in rows) == 1
 
@@ -82,9 +85,9 @@ def test_detector_keeps_one_statistic_per_vm():
     detector = CusumDetector(drift=0.05, threshold=0.6)
     ys = {"vm-a": [], "vm-b": []}
     for i in range(40):
-        ys["vm-a"].append(_observe(detector, i, "vm-a", *pairs["vm-a"][i]).y)
+        ys["vm-a"].append(_observe(detector, i, 0, *pairs["vm-a"][i]).y)
         if i >= 20:
-            ys["vm-b"].append(_observe(detector, i, "vm-b", *pairs["vm-b"][i - 20]).y)
+            ys["vm-b"].append(_observe(detector, i, 1, *pairs["vm-b"][i - 20]).y)
     for vm, vm_ys in ys.items():
         assert vm_ys == pytest.approx(cusum_oracle(pairs[vm], 0.05, 0.6)[0], abs=1e-12)
     assert ys["vm-a"][19] > 0.6
@@ -97,12 +100,42 @@ def test_cusum_state_requires_threshold_above_drift():
 
 def test_observe_needs_distinct_vms_and_finite_settings():
     detector = CusumDetector()
-    with pytest.raises(ValueError, match="distinct vm_ids"):
-        detector.observe(["a", "b", "a"], [1, 2, 3], [0, 0, 0])
+    with pytest.raises(ValueError, match="distinct slots"):
+        detector.observe([0, 1, 0], [1, 2, 3], [0, 0, 0])
     # a NaN drift used to clamp every y to 0, so detection was silently off
     for drift, threshold in ((float("nan"), 1.43), (0.08, float("nan")), (-math.inf, 1.43)):
         with pytest.raises(ValueError, match="must be finite"):
             CusumDetector(drift, threshold)
+
+
+def test_observe_grows_to_sparse_out_of_order_slots():
+    detector = CusumDetector(drift=0.08, threshold=1.43)
+    _, y1, _ = detector.observe([5, 2], [300, 40], [10, 60])
+    _, y2, _ = detector.observe([2, 7], [900, 800], [100, 0])
+    assert detector.y.size == detector.exceeding.size == 8
+    # slots never observed read y 0 and no episode
+    assert detector.y[[0, 1, 3, 4, 6]].tolist() == [0.0] * 5
+    assert not detector.exceeding[[0, 1, 3, 4, 6]].any()
+    # each slot follows the recurrence over its own intervals; slot 5 sat out the second
+    assert [y1[0]] == cusum_oracle([(300, 10)], 0.08, 1.43)[0] == [detector.y[5]]
+    assert [y1[1], y2[0]] == cusum_oracle([(40, 60), (900, 100)], 0.08, 1.43)[0]
+    assert [y2[1]] == cusum_oracle([(800, 0)], 0.08, 1.43)[0]
+    for bad in ([3, -1], [1.5], [True]):  # a float or bool slot is not truncated to an int
+        with pytest.raises(ValueError, match="non-negative integer slots"):
+            detector.observe(bad, [1] * len(bad), [0] * len(bad))
+
+
+def test_statlog_reads_ids_appended_after_its_first_block():
+    vm_ids = ["vm-b"]
+    log = StatLog(vm_ids)
+    log.append(0, [0], [10], [5], [1 / 3], [0.25], [False])
+    vm_ids.extend(["vm-a", "x,\"y\""])  # the owner appends, as the simulator does on placement
+    log.append(1, [2, 1, 0], [1, 2, 3], [0, 0, 0], [1.0, 1.0, 1.0], [0.5, 0.5, 1.5], [False, False, True])
+    assert [(r.interval_index, r.vm_id) for r in log] == [
+        (0, "vm-b"), (1, 'x,"y"'), (1, "vm-a"), (1, "vm-b")]
+    text = stat_rows_to_csv(log)
+    assert [row[1] for row in csv.reader(io.StringIO(text))] == [
+        "vm_id", "vm-b", 'x,"y"', "vm-a", "vm-b"]
 
 
 def test_published_two_interval_trace():
@@ -123,8 +156,8 @@ def test_streaming_detector_interleaves_vms_and_flags_episode_starts():
     detector = CusumDetector(drift=0.1, threshold=1.2)
     rows = {"a": [], "b": []}
     for i in range(30):  # feed the two VMs' intervals interleaved
-        for vm in ("b", "a"):
-            rows[vm].append(_observe(detector, i, vm, *pairs[vm][i]))
+        for slot, vm in ((1, "b"), (0, "a")):
+            rows[vm].append(_observe(detector, i, slot, *pairs[vm][i]))
     for vm, vm_rows in rows.items():
         ys, flags = cusum_oracle(pairs[vm], 0.1, 1.2)
         assert [r.y for r in vm_rows] == pytest.approx(ys, abs=1e-12)

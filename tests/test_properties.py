@@ -507,6 +507,8 @@ COUNT = st.integers(0, 2000)
 # one interval's batch: distinct VMs, each with its (syn, finrst) counts
 BATCH = st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]), st.tuples(COUNT, COUNT),
                         max_size=5)
+# each VM's detector slot: sparse, and in another order than the names
+SLOT = {"a": 3, "b": 0, "c": 9, "d": 1, "e": 4}
 DRIFT = st.floats(0.0, 0.5)
 
 
@@ -530,7 +532,7 @@ def test_batched_observe_equals_the_recurrence_oracle(batches, drift, gap):
     got, pairs_by_vm = {}, {}
     for batch in batches:
         vm_ids = list(batch)
-        d, y, start = detector.observe(vm_ids, [batch[v][0] for v in vm_ids],
+        d, y, start = detector.observe([SLOT[v] for v in vm_ids], [batch[v][0] for v in vm_ids],
                                        [batch[v][1] for v in vm_ids])
         assert len(d) == len(y) == len(start) == len(vm_ids)
         for vm, row in zip(vm_ids, zip(d.tolist(), y.tolist(), start.tolist())):
@@ -606,12 +608,18 @@ STAT_ROW = st.builds(StatRow, st.integers(0, 10**6), VM_ID, st.integers(0, 2**53
 @given(st.lists(STAT_ROW, max_size=30), st.lists(st.integers(0, 30), max_size=4))
 def test_stat_rows_to_csv_equals_the_row_oracle(rows, cuts):
     expected = stat_rows_to_csv_oracle(rows)
-    # the rows as a StatLog of several blocks
-    log = StatLog()
+    # the rows as a StatLog of several blocks, its id table growing as blocks name new ids
+    vm_ids = []
+    log = StatLog(vm_ids)
+    slot = {}
     bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
     for lo, hi in zip(bounds, bounds[1:]):
         block = rows[lo:hi]
-        log.append([r.interval_index for r in block], [r.vm_id for r in block],
+        for r in block:
+            if r.vm_id not in slot:
+                slot[r.vm_id] = len(vm_ids)
+                vm_ids.append(r.vm_id)
+        log.append([r.interval_index for r in block], [slot[r.vm_id] for r in block],
                    [r.syn for r in block], [r.finrst for r in block], [r.d for r in block],
                    [r.y for r in block], [r.alarm for r in block])
     assert len(log) == len(rows)

@@ -185,9 +185,9 @@ def test_select_victim_tie_breaks_by_id():
 
 def test_plan_migration_worked_example():
     vms = {
-        "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(30, 20, 10), host="P1"),
-        "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(40, 30, 20), host="P1"),
-        "v3": VmRecord("v3", "cpu-intensive", observed=ResourceVector(20, 10, 30), host="P1"),
+        "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(30, 20, 10)),
+        "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(40, 30, 20)),
+        "v3": VmRecord("v3", "cpu-intensive", observed=ResourceVector(20, 10, 30)),
     }
     servers = [
         _server("P1", (90, 60, 60), vms=("v1", "v2", "v3")),  # cpu over 80
@@ -210,7 +210,7 @@ def test_plan_migration_none_when_balanced():
 
 
 def test_plan_migration_none_when_no_target_improves():
-    vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(50, 50, 50), host="a")}
+    vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(50, 50, 50))}
     servers = [
         _server("a", (85, 60, 60), vms=("v1",)),
         _server("b", (84, 60, 60)),  # feasible would be 134 cpu: no
@@ -225,8 +225,8 @@ def test_plan_migration_empty_overloaded_server_is_skipped():
 
 def test_plan_migration_picks_hottest_source():
     vms = {
-        "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(10, 10, 10), host="a"),
-        "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(10, 10, 10), host="b"),
+        "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(10, 10, 10)),
+        "v2": VmRecord("v2", "cpu-intensive", observed=ResourceVector(10, 10, 10)),
     }
     servers = [
         _server("a", (85, 40, 40), vms=("v1",)),
@@ -262,7 +262,6 @@ def test_consolidate_drains_and_sleeps_idle_server():
             "cpu-intensive",
             [ResourceVector(10, 5, 5)],
             observed=ResourceVector(10, 5, 5),
-            host="b",
         ),
     }
     servers = [
@@ -282,9 +281,9 @@ def test_consolidate_drains_and_sleeps_idle_server():
 def test_consolidate_is_all_or_nothing():
     vms = {
         "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(5, 5, 5)],
-                                    observed=ResourceVector(5, 5, 5), host="b"),
+                                    observed=ResourceVector(5, 5, 5)),
         "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(70, 70, 70)],
-                                    observed=ResourceVector(5, 5, 5), host="b"),  # won't fit anywhere
+                                    observed=ResourceVector(5, 5, 5)),  # won't fit anywhere
     }
     servers = [
         _server("a", (50, 50, 50)),
@@ -305,9 +304,9 @@ def test_consolidate_empty_idle_server_sleeps_without_moves():
 def test_consolidate_drains_least_loaded_first():
     vms = {
         "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(15, 15, 15)],
-                                    observed=ResourceVector(15, 15, 15), host="a"),
+                                    observed=ResourceVector(15, 15, 15)),
         "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(5, 5, 5)],
-                                    observed=ResourceVector(5, 5, 5), host="b"),
+                                    observed=ResourceVector(5, 5, 5)),
     }
     servers = [
         _server("a", (15, 15, 15), vms=("v1",)),
@@ -325,9 +324,9 @@ def test_consolidate_drains_least_loaded_first():
 def test_consolidate_can_cascade():
     vms = {
         "v1": VmRecord.from_samples("v1", "cpu-intensive", [ResourceVector(4, 4, 4)],
-                                    observed=ResourceVector(4, 4, 4), host="a"),
+                                    observed=ResourceVector(4, 4, 4)),
         "v2": VmRecord.from_samples("v2", "cpu-intensive", [ResourceVector(6, 6, 6)],
-                                    observed=ResourceVector(6, 6, 6), host="b"),
+                                    observed=ResourceVector(6, 6, 6)),
     }
     servers = [
         _server("a", (4, 4, 4), vms=("v1",)),
@@ -350,22 +349,22 @@ def _consolidation_case(seed):
 
     Returns the samples of each VM too, for the oracle to average itself."""
     servers, vms = random_cluster(seed)
-    by_id = {s.id: s for s in servers}
     rng = np.random.default_rng(10_000 + seed)
     classes = sorted(CLASS_DEFAULTS)
+    host = {vid: s for s in servers for vid in s.vms}
     samples = {}
     for vid, record in vms.items():
         record.hotspot_class = classes[int(rng.integers(0, 3))]
-        if record.host is not None:
+        if vid in host:
             shrink = record.observed.scaled(0.75)
-            by_id[record.host].usage = by_id[record.host].usage - shrink
+            host[vid].usage = host[vid].usage - shrink
             record.observed = record.observed - shrink
         samples[vid] = []
         if rng.random() < 0.8:
             samples[vid] = [ResourceVector(*(float(x) for x in rng.uniform(0, 15, 3)))
                             for _ in range(int(rng.integers(1, 5)))]
         vms[vid] = VmRecord.from_samples(vid, record.hotspot_class, samples[vid],
-                                         observed=record.observed, host=record.host)
+                                         observed=record.observed)
     low = ResourceVector(*(float(x) for x in rng.uniform(5, 90, 3)))
     return servers, vms, low, samples
 
@@ -410,9 +409,18 @@ def test_wake_server_picks_smallest_sleeping_id():
         _server("b", (0, 0, 0), power="asleep"),
     ]
     assert wake_server(servers) == "b"
-    assert next(s for s in servers if s.id == "b").power == "active"
+    servers[2].power = "active"  # the caller wakes it
     assert wake_server(servers) == "c"
+    servers[0].power = "active"
     assert wake_server(servers) is None
+
+
+def test_wake_server_leaves_every_server_as_it_was():
+    servers = [_server("c", (0, 0, 0), power="asleep"), _server("a", (10, 10, 10)),
+               _server("b", (0, 0, 0), power="asleep")]
+    before = copy.deepcopy(servers)
+    assert wake_server(servers) == "b"
+    assert servers == before
 
 
 def test_uniform_score_used_for_source_ranking():
@@ -431,6 +439,6 @@ def test_zero_usage_cluster_places_on_smallest_id():
 
 
 def test_avg_usage_equals_zero_vector_edge():
-    vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ZERO, host="a")}
+    vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ZERO)}
     s = _server("a", (90, 90, 90), vms=("v1",))
     assert avg_vm_usage(s, vms) == ZERO

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -294,6 +295,16 @@ def test_determinism_and_seed_sensitivity(tmp_path):
     assert Path(a[0]).read_bytes() != Path(c[0]).read_bytes()
 
 
+def test_utilization_csv_reads_back_server_ids_with_commas_quotes_and_carriage_returns(tmp_path):
+    ids = ["p,1", 'p"2\r']
+    scenario = Scenario.from_json(_scn(servers=[{"id": sid} for sid in ids]))
+    emit_reports(run(scenario), str(tmp_path))
+    with open(tmp_path / "utilization.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {7}
+    assert [row[1] for row in rows[1:]] == sorted(ids) * (scenario.duration + 1)
+
+
 def test_emit_reports_writes_all_files_and_is_rerunnable(tmp_path):
     report = run(Scenario.from_json(_scn(duration=0, events=[])))
     outdir = tmp_path / "out"
@@ -435,7 +446,7 @@ def test_a_suspended_vm_can_be_revoked():
         "class": "cpu-intensive", "state": "revoked", "host": None,
     }
     assert "vm-001" not in sim.records
-    assert not sim.cols["fin_due"][sim.vms["vm-001"].row].any()
+    assert not sim.cols["fin_due"][sim.row["vm-001"]].any()
     _check_conservation(scn, report)
 
 
@@ -608,7 +619,7 @@ def test_fin_ring_conserves_connections():
     for tick in range(scn.duration):
         sim.step(tick)
         if tick == 7:
-            assert not sim.cols["fin_due"][sim.vms["vm-002"].row].any()
+            assert not sim.cols["fin_due"][sim.row["vm-002"]].any()
     rows = list(sim.report.stat_rows)
     assert (rows[-2].vm_id, rows[-2].syn) == ("vm-001", 20 + 40)
     for vm, ticks in (("vm-002", range(7)), ("vm-003", range(3, scn.duration))):
