@@ -5,6 +5,9 @@ reciprocal comparison matrix (criteria: cpu, mem, bw).  Matrices can be
 supplied directly (expert judgments on the 1-9 scale) or built from a
 demand profile, in which case entry (i, j) is the exact ratio of demand
 shares and the matrix is consistent by construction.
+
+The 3x3 arithmetic runs on Python floats, as numpy's per-call overhead
+costs more at that size; matrices still come in and go out as arrays.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ def validate_pairwise_matrix(m) -> np.ndarray:
         raise ValueError(f"pairwise matrix must be a 3x3 array of numbers: {exc}") from exc
     if a.shape != (3, 3):
         raise ValueError(f"pairwise matrix must be 3x3, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
+    rows = a.tolist()
+    if not all(0.0 < x < np.inf for row in rows for x in row):  # NaN fails both
         raise ValueError("pairwise matrix entries must be finite and > 0")
-    if not np.all(np.abs(np.diag(a) - 1.0) <= 1e-9):
+    if any(abs(rows[i][i] - 1.0) > 1e-9 for i in range(3)):
         raise ValueError("pairwise matrix diagonal must be all ones")
-    if not np.all(np.abs(a * a.T - 1.0) <= 1e-9):
+    if any(abs(rows[i][j] * rows[j][i] - 1.0) > 1e-9 for i in range(3) for j in range(i + 1)):
         raise ValueError("pairwise matrix must be reciprocal: a[j][i] = 1/a[i][j]")
     return a
 
@@ -61,12 +65,12 @@ def matrix_from_profile(profile: HotspotProfile | ResourceVector) -> np.ndarray:
     all-ones matrix, i.e. uniform priorities.
     """
     usage = profile.avg_usage if isinstance(profile, HotspotProfile) else profile
-    u = np.array(usage.as_tuple(), dtype=float)
-    total = u.sum()
+    cpu, mem, bw = map(float, usage.as_tuple())
+    total = cpu + mem + bw
     if total <= 0:
         return np.ones((3, 3))
-    shares = np.maximum(u / total, _SHARE_FLOOR)
-    return np.outer(shares, 1.0 / shares)
+    shares = [max(x / total, _SHARE_FLOOR) for x in (cpu, mem, bw)]
+    return np.array([[x * (1.0 / y) for y in shares] for x in shares])
 
 
 def principal_eigenvector(
@@ -81,30 +85,29 @@ def principal_eigenvector(
 
     Raises NonConvergence (carrying the last iterate) past max_iter.
     """
-    a = validate_pairwise_matrix(m)
+    rows = validate_pairwise_matrix(m).tolist()
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    w = np.full(3, 1.0 / 3.0)
-    for _ in range(max_iter):
-        v = a @ w
-        w_next = v / v.sum()
-        if np.max(np.abs(w_next - w)) < tol:
-            lam = float(np.mean((a @ w_next) / w_next))
-            return WeightVector(*(float(x) for x in w_next)), lam
-        w = w_next
+    w = prev = [1.0 / 3.0] * 3
+    for k in range(max_iter + 1):  # w is iterate k; rows @ w makes iterate k + 1, or lambda_max at the end
+        v = [r[0] * w[0] + r[1] * w[1] + r[2] * w[2] for r in rows]  # rows @ w, summed left to right
+        if k and max(abs(x - y) for x, y in zip(w, prev)) < tol:
+            ratios = [x / y for x, y in zip(v, w)]
+            return WeightVector(*w), (ratios[0] + ratios[1] + ratios[2]) / 3
+        total = v[0] + v[1] + v[2]
+        prev, w = w, [x / total for x in v]
     raise NonConvergence(
         f"power iteration did not converge in {max_iter} iterations",
-        last_iterate=w,
+        last_iterate=np.array(prev),
         iterations=max_iter,
     )
 
 
 def consistency_ratio(lambda_max: float) -> float:
     """CR = CI / RI with CI = (lambda_max - 3) / 2 for three criteria."""
-    ci = (lambda_max - 3.0) / 2.0
-    return ci / RANDOM_INDEX_3
+    return (lambda_max - 3.0) / 2.0 / RANDOM_INDEX_3
 
 
 def _consistent_weights(source, tol, cr_limit, max_iter) -> tuple[WeightVector, float, float]:

@@ -115,7 +115,8 @@ def _emit(payload, rows: list[dict], fmt: str, out) -> None:
         out.write("(no rows)\n")
         return
     headers = list(rows[0].keys())
-    cells = [[str(v) for v in row.values()] for row in rows]
+    # an unprintable character (a line feed, say) shows escaped, as in repr, so a row keeps to one line
+    cells = [[c if c.isprintable() else repr(c)[1:-1] for c in map(str, row.values())] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(headers)]
     out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
     for r in cells:

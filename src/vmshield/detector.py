@@ -310,7 +310,7 @@ def fill_gaps(rows) -> Counts:
     The grid runs from interval 0 to the largest index, for every VM,
     as bin_events emits it, so a quiet interval left out of a pre-binned
     trace still decays its VM's y.  A negative index or a repeated
-    (vm_id, interval_index) is a ValueError.
+    (vm_id, interval_index) is a ValueError, as is a grid too large to allocate.
     """
     rows = list(rows)
     indices = [0, *(iv.interval_index for iv in rows)]
@@ -318,8 +318,11 @@ def fill_gaps(rows) -> Counts:
         raise ValueError(f"negative interval_index {min(indices)}")
     vm_ids = sorted({iv.vm_id for iv in rows})
     slot = {vm_id: v for v, vm_id in enumerate(vm_ids)}
-    syn = np.zeros((len(vm_ids), max(indices) + 1 if rows else 0), dtype=np.int64)
-    finrst = np.zeros_like(syn)
+    try:
+        syn = np.zeros((len(vm_ids), max(indices) + 1 if rows else 0), dtype=np.int64)
+        finrst = np.zeros_like(syn)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"interval_index {max(indices)} makes a grid too large to allocate: {exc}") from exc
     seen = set()
     for iv in rows:
         cell = (slot[iv.vm_id], iv.interval_index)

@@ -34,7 +34,8 @@ order (vm-1000 sorts before vm-101) are kept as VMs are placed.  Ids are
 looked up only where an event or a plan names a VM (_Sim.row) and where a
 report is written.  The scheduler reads VmRecords; _Sim._records copies
 the usage columns into the records sampled since it last ran, just
-before the scheduler reads them.
+before the scheduler reads them; likewise _Sim._server_list, every usage
+read's way in, first recomputes the servers a move or power event left stale.
 
 Everything random comes from two generators per run, seeded by
 (scenario seed, stream index): stream 0 draws the usage jitter and
@@ -374,13 +375,16 @@ class _Sim:
         self.order: np.ndarray | None = None  # rows_by_id as an array, made on first use
         self.report = SimReport(stat_rows=det.StatLog(self.vm_ids),
                                 vm_samples=SampleLog(self.vm_ids, self.server_ids))
-        self._recompute_usage(self.servers)
+        self.stale = set(self.servers)  # servers whose usage _server_list recomputes before it is read
 
     def _next_seq(self) -> int:
         self.seq += 1
         return self.seq
 
     def _server_list(self) -> list[ServerState]:
+        """The servers in id order, their usage first brought up to date; every usage read goes here."""
+        if self.stale:
+            self._recompute_usage(sorted(self.stale))
         return list(self.servers.values())
 
     def _order(self) -> np.ndarray:
@@ -406,8 +410,8 @@ class _Sim:
     def _recompute_usage(self, sids) -> None:
         """The one writer of server usage, bar placement's provisional add.
 
-        Each server of sids reads its overhead plus its hosted VMs'
-        observed usage, added in sorted-id order; a sleeping one reads 0.
+        Each server of sids leaves the stale set and reads its overhead plus its
+        hosted VMs' observed usage, added in sorted-id order; a sleeping one reads 0.
         """
         index = [self.server_index[sid] for sid in sids]
         picked = np.zeros(len(self.servers) + 1, dtype=bool)  # the last entry stands for host -1
@@ -420,6 +424,7 @@ class _Sim:
         for sid, i in zip(sids, index):
             server = self.servers[sid]
             server.usage = ResourceVector._make(usage[i].tolist()) if server.active else ZERO
+        self.stale.difference_update(sids)
 
     def _state(self, row: int) -> str:
         return _STATES[self.cols["state"][row]]
@@ -436,7 +441,7 @@ class _Sim:
         if target is not None:
             self.servers[target].vms.add(self.vm_ids[row])
         self.cols["host"][row] = -1 if target is None else self.server_index[target]
-        self._recompute_usage([sid for sid in (source, target) if sid is not None])
+        self.stale.update(sid for sid in (source, target) if sid is not None)
 
     def _set_state(self, row: int, state: str) -> None:
         """Stop, revoke or suspend the VM of row: it leaves its host and its pending FINs are dropped."""
@@ -451,7 +456,7 @@ class _Sim:
     def _power_event(self, tick: int, sid: str, event: str) -> None:
         """The one writer of server power: wake or sleep sid as event says, and log it."""
         self.servers[sid].power = sched.ACTIVE if event == "wake" else sched.ASLEEP
-        self._recompute_usage([sid])
+        self.stale.add(sid)
         self.counters[f"{event}s"] += 1
         self.report.power_events.append(
             {"tick": tick, "seq": self._next_seq(), "server": sid, "event": event}
@@ -625,9 +630,9 @@ class _Sim:
     # phase 6 -----------------------------------------------------------
 
     def _emit_logs(self, completed_ticks: int, sample_tick: int | None) -> None:
-        for sid, s in self.servers.items():
+        for s in self._server_list():
             self.report.utilization.append(
-                (completed_ticks, sid, s.usage.cpu, s.usage.mem, s.usage.bw, s.power, len(s.vms))
+                (completed_ticks, s.id, s.usage.cpu, s.usage.mem, s.usage.bw, s.power, len(s.vms))
             )
         if sample_tick is not None:
             order = self._order()
@@ -656,8 +661,8 @@ class _Sim:
                                      "state": self._state(row), "host": self._host(row)}
                   for row in self.rows_by_id}
         servers = {}
-        for sid, s in self.servers.items():
-            servers[sid] = {
+        for s in self._server_list():
+            servers[s.id] = {
                 "power": s.power,
                 "vms": len(s.vms),
                 "usage": _round_rv(s.usage),

@@ -411,7 +411,7 @@ def _read_events(reader) -> Trace:
 def _read_binned(reader) -> Counts:
     """The binned rows of a trace file, checked row by row, then zero-filled by fill_gaps."""
     intervals = []
-    seen: set[tuple[str, int]] = set()
+    seen: dict[tuple[str, int], int] = {}  # each (vm_id, interval_index) read, and its line
     for row in reader:
         if not row:
             continue
@@ -429,9 +429,12 @@ def _read_binned(reader) -> Counts:
         if (vm_id, iv.interval_index) in seen:
             raise ParseError(f"trace line {lineno}: duplicate row for vm {vm_id!r} "
                              f"interval {iv.interval_index}")
-        seen.add((vm_id, iv.interval_index))
+        seen[vm_id, iv.interval_index] = lineno
         intervals.append(iv)
-    return fill_gaps(intervals)
+    try:
+        return fill_gaps(intervals)
+    except ValueError as exc:  # each row is checked, so only the grid's size is left to fail
+        raise ParseError(f"trace line {max((i, line) for (_, i), line in seen.items())[1]}: {exc}") from exc
 
 
 def read_trace_csv(text: str):

@@ -37,6 +37,28 @@ def cusum_oracle(pairs, drift, threshold, y0=0.0):
     return ys, flags
 
 
+# the classic fully inconsistent cyclic judgment: a >> b >> c >> a
+CYCLIC = [[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]]
+
+
+def power_iteration_oracle(m, tol=1e-10, max_iter=10_000):
+    """Power iteration in numpy array arithmetic, from the uniform start.
+
+    Returns (weights, lambda_max, iterations) once successive iterates
+    agree within tol in max-norm, or (last iterate, None, max_iter) if
+    they never do.
+    """
+    a = np.asarray(m, dtype=float)
+    w = np.full(3, 1.0 / 3.0)
+    for k in range(1, max_iter + 1):
+        v = a @ w
+        w_next = v / v.sum()
+        if np.max(np.abs(w_next - w)) < tol:
+            return w_next, float(np.mean((a @ w_next) / w_next)), k
+        w = w_next
+    return w, None, max_iter
+
+
 def format_timestamp(t_us):
     return f"{t_us // 1_000_000}.{t_us % 1_000_000:06d}"
 

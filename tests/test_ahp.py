@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import CYCLIC
 from vmshield.ahp import (
     DEFAULT_CR_LIMIT,
     HotspotProfile,
@@ -14,9 +15,6 @@ from vmshield.ahp import (
 )
 from vmshield.errors import InconsistentMatrix, NonConvergence
 from vmshield.resources import ResourceVector
-
-# the classic fully inconsistent cyclic judgment: a >> b >> c >> a
-CYCLIC = [[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]]
 
 
 def test_profile_matrix_is_exact_share_ratios():
@@ -62,6 +60,12 @@ def test_validate_rejects_malformed_matrices():
         validate_pairwise_matrix([[1, -2, 3], [-0.5, 1, 2], [1 / 3, 0.5, 1]])  # sign
     with pytest.raises(ValueError):
         validate_pairwise_matrix(np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="finite and > 0"):
+        validate_pairwise_matrix([[1, np.inf, 3], [0.5, 1, 2], [1 / 3, 0.5, 1]])
+    with pytest.raises(ValueError, match=r"3x3, got shape \(2, 3\)"):
+        validate_pairwise_matrix([[1, 2, 3], [0.5, 1, 2]])
+    with pytest.raises(ValueError, match="3x3"):
+        validate_pairwise_matrix([[1, 2, 3], [0.5, 1], [1 / 3, 0.5, 1]])  # ragged
 
 
 def test_eigenvector_on_consistent_matrix_gives_lambda_3():

@@ -289,6 +289,18 @@ def test_place_csv_reads_back_ids_with_commas_quotes_and_carriage_returns(tmp_pa
     assert out.endswith("plain,0.000000,\n")  # a plain id prints as it did
 
 
+def test_place_table_keeps_a_line_feed_id_on_its_row(tmp_path):
+    cluster = _write(tmp_path, "cluster.json", {"servers": [{"id": "a\nb"}, {"id": "c"}]})
+    demand = _write(tmp_path, "demand.json", {"cpu": 4, "mem": 12, "bw": 4})
+    code, out = _run(["--format", "table", "place", "--cluster", cluster, "--demand", demand])
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "server  score     chosen",
+        "a\\nb    0.000000  *",
+        "c       0.000000",
+    ]
+
+
 # --------------------------------------------------------------- detect
 
 
@@ -338,6 +350,17 @@ def test_detect_rejects_bad_binned_rows(tmp_path, capsys):
     negative = _write(tmp_path, "neg.csv", "interval_index,vm_id,syn,finrst\n0,vm1,-3,0\n")
     assert _run(["detect", "--trace", negative])[0] == EXIT_USAGE
     assert "trace line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [10**15, 10**30])
+def test_detect_names_the_row_whose_index_makes_the_grid_too_large(tmp_path, capsys, index):
+    # both grids fail to allocate at once; one that fits would be allocated, so none is tried
+    trace = _write(tmp_path, "far.csv",
+                   f"interval_index,vm_id,syn,finrst\n0,v,1,1\n{index},v,1,1\n3,w,1,1\n")
+    code, out = _run(["detect", "--trace", trace])
+    assert (code, out) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert f"error: trace line 3: interval_index {index} makes a grid too large to allocate" in err
 
 
 def test_detect_rejects_negative_timestamps(tmp_path, capsys):

@@ -25,6 +25,11 @@ overhead plus its hosted VMs' observed usage, added in sorted-id order,
 exactly.  The restart estimate from a record's running usage sum equals
 mean_usage of its samples bit for bit, and json_text equals
 json.dumps(indent=2, sort_keys=True) on random documents.
+
+principal_eigenvector's power iteration on Python floats equals the
+numpy power iteration of conftest on random profile matrices (zero
+components included) and Saaty-scale judgments: weights within 1e-12,
+lambda_max within 1e-9, and NonConvergence one iteration short.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import os
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -44,6 +50,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    CYCLIC,
     bin_events_oracle,
     csv_row_oracle,
     cusum_oracle,
@@ -52,11 +59,12 @@ from conftest import (  # noqa: E402
     format_timestamp,
     merge_oracle,
     place_oracle,
+    power_iteration_oracle,
     read_events_oracle,
     stat_rows_to_csv_oracle,
     traffic_oracle,
 )
-from vmshield import traffic  # noqa: E402
+from vmshield import ahp, traffic  # noqa: E402
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
 from vmshield.detector import (  # noqa: E402
     PKT_TYPES,
@@ -70,7 +78,7 @@ from vmshield.detector import (  # noqa: E402
     process_trace,
     stat_rows_to_csv,
 )
-from vmshield.errors import ParseError, UnsortedTrace, ValidationError  # noqa: E402
+from vmshield.errors import NonConvergence, ParseError, UnsortedTrace, ValidationError  # noqa: E402
 from vmshield.resources import ResourceVector, WeightVector, json_text  # noqa: E402
 from vmshield.scheduler import ServerState, VmRecord, estimate_demand_restart, mean_usage, place  # noqa: E402
 from vmshield.simulator import Scenario, run  # noqa: E402
@@ -752,3 +760,35 @@ def _text_or_error(fn, doc):
 def test_json_text_equals_indented_json_dumps(doc):
     expected = _text_or_error(lambda d: json.dumps(d, indent=2, sort_keys=True) + "\n", doc)
     assert _text_or_error(json_text, doc) == expected
+
+
+SAATY_SCALE = [1 / 9, 1 / 8, 1 / 7, 1 / 6, 1 / 5, 1 / 4, 1 / 3, 1 / 2, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+PROFILE_PART = st.just(0.0) | st.floats(1e-6, 1e6)
+PROFILE_MATRICES = st.tuples(PROFILE_PART, PROFILE_PART, PROFILE_PART).map(
+    lambda u: ahp.matrix_from_profile(ResourceVector(*u)))
+
+
+@st.composite
+def _saaty_matrices(draw):
+    """A reciprocal matrix of judgments on Saaty's 1-9 scale."""
+    ab, ac, bc = (draw(st.sampled_from(SAATY_SCALE)) for _ in range(3))
+    return [[1, ab, ac], [1 / ab, 1, bc], [1 / ac, 1 / bc, 1]]
+
+
+@settings(SETTINGS, max_examples=300)
+@given(PROFILE_MATRICES | _saaty_matrices())
+@example(ahp.matrix_from_profile(ResourceVector(0.0, 0.0, 0.0)))
+@example(ahp.matrix_from_profile(ResourceVector(0.0, 5.0, 0.0)))
+@example(CYCLIC)
+def test_principal_eigenvector_equals_the_numpy_power_iteration(m):
+    weights, lambda_max, iterations = power_iteration_oracle(m)
+    w, lam = ahp.principal_eigenvector(m)
+    assert np.max(np.abs(np.array(w.as_tuple()) - weights)) <= 1e-12
+    assert abs(lam - lambda_max) <= 1e-9
+    assert ahp.principal_eigenvector(m, max_iter=iterations) == (w, lam)
+    if iterations > 1:  # one iteration short, both stop with the same iterate
+        last, _, _ = power_iteration_oracle(m, max_iter=iterations - 1)
+        with pytest.raises(NonConvergence) as exc:
+            ahp.principal_eigenvector(m, max_iter=iterations - 1)
+        assert exc.value.iterations == iterations - 1
+        assert np.max(np.abs(exc.value.last_iterate - last)) <= 1e-12

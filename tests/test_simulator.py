@@ -517,6 +517,49 @@ def test_rejection_wakes_a_sleeping_server():
     assert report.summary["final"]["vms"] == {}
 
 
+# Two ticks of two VMs, then at tick 2 a move whose first reader is the
+# placement of vm-003: a shutdown frees part of s2, or a rejection wakes s2.
+_SAME_TICK_MOVES = {
+    "shutdown": ({}, [{"tick": 2, "op": "vm_shutdown", "vm": "vm-001"}]),
+    "wake": ({"s1": {"threshold": {"cpu": 80, "mem": 300, "bw": 300}}, "s2": {"power": "asleep"}}, []),
+}
+
+
+@pytest.mark.parametrize("move", sorted(_SAME_TICK_MOVES))
+def test_placement_scores_the_usage_left_by_a_same_tick_move(tmp_path, move):
+    servers, events = _SAME_TICK_MOVES[move]
+    base = _scn()
+    spec = _scn(
+        servers=[{**s, **servers.get(s["id"], {})} for s in base["servers"]],
+        events=[{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2}, *events,
+                {"tick": 2, "op": "vm_request", "class": "cpu-intensive"}],
+    )
+    scn = Scenario.from_json(spec)
+    report = run(scn)
+    emit_reports(report, str(tmp_path))
+    entry = json.loads((tmp_path / "placements.json").read_text())[-1]
+    assert (entry["tick"], entry["vm"], entry["woke"]) == (2, "vm-003", "s2" if move == "wake" else None)
+    # at that moment a server hosts what it hosted after tick 1, less the VM just shut down
+    gone = {"vm-001"} if move == "shutdown" else set()
+    hosted = {s.id: [] for s in scn.servers}
+    for tick, vm, observed, host in report.vm_samples:
+        if tick == 1 and host is not None and vm not in gone:
+            hosted[host].append(observed)
+    assert sum(map(len, hosted.values())) == 2 - len(gone)
+    weights = entry["weights"]
+    expected = {}
+    for s in scn.servers:
+        usage = s.usage
+        for observed in hosted[s.id]:
+            usage = usage + observed
+        if usage.cpu + entry["demand"]["cpu"] < s.threshold.cpu:  # the feasible servers
+            expected[s.id] = (weights["w_cpu"] * usage.cpu + weights["w_mem"] * usage.mem
+                              + weights["w_bw"] * usage.bw)
+    assert entry["scores"].keys() == expected.keys() and "s2" in expected
+    assert entry["scores"] == pytest.approx(expected, abs=2e-6)
+    assert entry["chosen"] == "s2"
+
+
 def test_overload_triggers_one_migration():
     # two 30-cpu VMs against a 66-cpu threshold: sampling jitter pushes the
     # host over the line within a few ticks, and s2 (woken for the third VM)
