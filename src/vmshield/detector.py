@@ -274,7 +274,8 @@ def bin_events(
 
     trace is a traffic.Trace (hand-built events go through
     Trace.from_events), ordered by non-negative timestamp; a backwards
-    jump raises UnsortedTrace and a negative timestamp ValueError.
+    jump raises UnsortedTrace, and a negative timestamp or a grid too
+    large to allocate ValueError.
     """
     interval_us = _interval_to_us(interval_seconds)
     t_us = trace.t_us
@@ -296,11 +297,14 @@ def bin_events(
     vms = sorted(present.union(vm_ids or ()))
     row = {vm_id: r for r, vm_id in enumerate(vms)}
     keep = index < n
-    cell = np.array([row.get(v, 0) for v in trace.vm_ids], dtype=np.int64)[trace.vm[keep]] * n
-    cell += index[keep]
     kind = trace.kind[keep]
-    syn = np.bincount(cell[kind == _SYN], minlength=len(vms) * n)
-    finrst = np.bincount(cell[(kind == _FIN) | (kind == _RST)], minlength=len(vms) * n)
+    try:
+        cell = np.array([row.get(v, 0) for v in trace.vm_ids], dtype=np.int64)[trace.vm[keep]] * n
+        cell += index[keep]
+        syn = np.bincount(cell[kind == _SYN], minlength=len(vms) * n)
+        finrst = np.bincount(cell[(kind == _FIN) | (kind == _RST)], minlength=len(vms) * n)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ValueError(f"timestamp {t_us[-1]} us makes a {len(vms)} x {n} grid too large to allocate: {exc}") from exc
     return Counts(vms, syn.reshape(len(vms), n), finrst.reshape(len(vms), n))
 
 

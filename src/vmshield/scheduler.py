@@ -25,6 +25,7 @@ Decision rules, in brief:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import ahp
@@ -122,13 +123,13 @@ def validate_servers(servers: list[ServerState]) -> None:
             raise ValidationError(f"server {s.id}: threshold components must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VmRecord:
     """A VM's identity, hotspot class, observed usage and usage samples.
 
     usage_sum adds up the VM's usage samples in order, starting from 0.0,
     and samples counts them, so their mean is mean_usage of the samples
-    bit for bit (see from_samples).
+    bit for bit (see from_samples).  Frozen: a simulation's records are throwaway copies of its columns.
     """
 
     id: str
@@ -174,46 +175,33 @@ class MigrationPlan:
     kind: str = "overload"
 
 
-def mean_usage(vectors: list[ResourceVector]) -> ResourceVector:
-    """Componentwise mean, summed left to right from 0.0 as repeated + would."""
+def mean_usage(vectors: list) -> ResourceVector:
+    """Componentwise mean of (cpu, mem, bw) triples, summed left to right from 0.0 as repeated + would."""
     cpu = mem = bw = 0.0
-    for v in vectors:
-        cpu += v.cpu
-        mem += v.mem
-        bw += v.bw
+    for c, m, b in vectors:
+        cpu += c
+        mem += m
+        bw += b
     inv = 1.0 / len(vectors)
     return ResourceVector(cpu * inv, mem * inv, bw * inv)
 
 
-def estimate_demand_first_start(
-    hotspot_class: str,
-    records: dict[str, VmRecord],
-    class_defaults: dict[str, ResourceVector],
-) -> ResourceVector:
-    """Expected demand of a brand-new VM: mean observed usage of its class.
-
-    Falls back to the configured class default when no VM of that class
-    has ever been seen.
-    """
-    hotspot_class = normalize_class(hotspot_class)
-    peers = [r.observed for r in records.values() if r.hotspot_class == hotspot_class]
-    if not peers:
-        return class_defaults[hotspot_class]
-    return mean_usage(peers)
+def estimate_demand_first_start(peers: list, default: ResourceVector) -> ResourceVector:
+    """Expected demand of a brand-new VM: mean_usage of peers, the observed (cpu, mem, bw)
+    of its class's VMs in the order they are summed; with none, its class default."""
+    return mean_usage(peers) if peers else default
 
 
-def estimate_demand_restart(
-    vm: VmRecord,
-    records: dict[str, VmRecord],
-    class_defaults: dict[str, ResourceVector],
-) -> ResourceVector:
+def estimate_demand_restart(vm: VmRecord, vms: Mapping[str, VmRecord],
+                            class_defaults: dict[str, ResourceVector]) -> ResourceVector:
     """Expected demand of a restarting VM: the mean of its own usage samples.
 
-    usage_sum scaled by 1 / samples, which is mean_usage of the samples
-    bit for bit.  A VM with no samples yet is estimated like a first start.
+    usage_sum scaled by 1 / samples, which is mean_usage of the samples bit for
+    bit.  A VM with no samples yet is estimated like a first start, from vms.
     """
     if not vm.samples:
-        return estimate_demand_first_start(vm.hotspot_class, records, class_defaults)
+        peers = [r.observed for r in vms.values() if r.hotspot_class == vm.hotspot_class]
+        return estimate_demand_first_start(peers, class_defaults[vm.hotspot_class])
     return vm.usage_sum.scaled(1.0 / vm.samples)
 
 
@@ -260,7 +248,7 @@ def detect_overload(server: ServerState) -> bool:
     )
 
 
-def avg_vm_usage(server: ServerState, vms: dict[str, VmRecord]) -> ResourceVector:
+def avg_vm_usage(server: ServerState, vms: Mapping[str, VmRecord]) -> ResourceVector:
     """Mean observed usage over the server's hosted VMs (the migrant estimate)."""
     if not server.vms:
         raise EmptyServer(f"server {server.id} hosts no VMs")
@@ -272,7 +260,7 @@ def _dist2(a: ResourceVector, b: ResourceVector) -> float:
     return (a.cpu - b.cpu) ** 2 + (a.mem - b.mem) ** 2 + (a.bw - b.bw) ** 2
 
 
-def select_victim(server: ServerState, m3: ResourceVector, vms: dict[str, VmRecord]) -> str:
+def select_victim(server: ServerState, m3: ResourceVector, vms: Mapping[str, VmRecord]) -> str:
     """Hosted VM whose observed usage is nearest (Euclidean) to the average m3."""
     if not server.vms:
         raise EmptyServer(f"server {server.id} hosts no VMs")
@@ -280,7 +268,7 @@ def select_victim(server: ServerState, m3: ResourceVector, vms: dict[str, VmReco
 
 
 def plan_migration(
-    servers: list[ServerState], vms: dict[str, VmRecord]
+    servers: list[ServerState], vms: Mapping[str, VmRecord]
 ) -> MigrationPlan | None:
     """One rebalancing move off the hottest overloaded server, or None.
 
@@ -310,7 +298,7 @@ def plan_migration(
 
 def consolidate(
     servers: list[ServerState],
-    vms: dict[str, VmRecord],
+    vms: Mapping[str, VmRecord],
     low_watermark: ResourceVector,
     class_defaults: dict[str, ResourceVector],
 ) -> tuple[list[MigrationPlan], list[str]]:

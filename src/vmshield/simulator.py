@@ -32,10 +32,10 @@ Inside a run a VM is its row of _Sim.cols, which holds its state and is
 its detector slot.  Rows follow placement order, and the rows in sorted-id
 order (vm-1000 sorts before vm-101) are kept as VMs are placed.  Ids are
 looked up only where an event or a plan names a VM (_Sim.row) and where a
-report is written.  The scheduler reads VmRecords; _Sim._records copies
-the usage columns into the records sampled since it last ran, just
-before the scheduler reads them; likewise _Sim._server_list, every usage
-read's way in, first recomputes the servers a move or power event left stale.
+report is written.  The scheduler reads VMs through _Vms, a read-only mapping
+that builds a VmRecord from the VM's row on each lookup; _Sim._server_list,
+every server usage read's way in, first recomputes the servers a move or
+power event left stale.
 
 Everything random comes from two generators per run, seeded by
 (scenario seed, stream index): stream 0 draws the usage jitter and
@@ -49,6 +49,7 @@ import bisect
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -321,6 +322,30 @@ class SimReport:
     vm_samples: SampleLog = field(default_factory=SampleLog)
 
 
+class _Vms(Mapping):
+    """A run's placed, unrevoked VMs in placement order, each lookup a VmRecord built from the VM's row.
+
+    Make one per scheduler call: a _Sim that kept one would be a reference cycle, left to the garbage collector."""
+
+    def __init__(self, sim: "_Sim"):
+        self.sim = sim
+
+    def __getitem__(self, vm_id: str) -> VmRecord:
+        cols = self.sim.cols
+        row = self.sim.row.get(vm_id)
+        if row is None or cols["state"][row] == _STATES.index(REVOKED):
+            raise KeyError(vm_id)
+        return VmRecord(vm_id, self.sim.class_names[cols["class_index"][row]],
+                        ResourceVector._make(cols["observed"][row].tolist()),
+                        ResourceVector._make(cols["usage_sum"][row].tolist()), int(cols["samples"][row]))
+
+    def __iter__(self):
+        return map(self.sim.vm_ids.__getitem__, self.sim._placed().tolist())
+
+    def __len__(self) -> int:
+        return len(self.sim._placed())
+
+
 class _Sim:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
@@ -331,7 +356,6 @@ class _Sim:
         self.server_ids = tuple(self.servers)
         self.server_index = {sid: i for i, sid in enumerate(self.servers)}
         self.overhead = np.array([s.usage for s in by_id])  # by server index
-        self.records: dict[str, VmRecord] = {}  # the scheduler's view: placed VMs less the revoked ones
         self.row: dict[str, int] = {}  # a placed VM's row of cols, by id
         self.class_names = tuple(scenario.vm_classes)
         self.class_index = {name: i for i, name in enumerate(self.class_names)}
@@ -363,13 +387,12 @@ class _Sim:
         self.fin_slots = (iv_us - 1 + self.fin_hi_us) // iv_us + 1
         # The per-VM columns, one row per placed VM in placement order, grown
         # as VMs are placed.  state holds an index into _STATES and host one
-        # into servers (-1: none); unsynced marks a row sampled since its
-        # record last copied it (see _records); fin_due[k] counts the FINs
-        # due k ticks from now.
+        # into servers (-1: none); fin_due[k] counts the FINs due k ticks
+        # from now.  Rows past len(vm_ids) are spare zeros.
         self.cols = np.zeros(0, [("observed", float, 3), ("usage_sum", float, 3), ("samples", np.int64),
                                  ("host", np.int64), ("state", np.int8), ("class_index", np.int64),
                                  ("traffic_scale", float), ("attack_multiplier", float),
-                                 ("unsynced", bool), ("fin_due", np.int64, (self.fin_slots,))])
+                                 ("fin_due", np.int64, (self.fin_slots,))])
         self.vm_ids: list[str] = []  # by row
         self.rows_by_id: list[int] = []  # rows in sorted-id order
         self.order: np.ndarray | None = None  # rows_by_id as an array, made on first use
@@ -393,19 +416,15 @@ class _Sim:
             self.order = np.array(self.rows_by_id, dtype=np.int64)
         return self.order
 
-    def _records(self) -> dict[str, VmRecord]:
-        """The scheduler's view, each record's usage fields first copied from its row."""
-        rows = np.flatnonzero(self.cols["unsynced"])
-        if rows.size:
-            cols = self.cols[rows]
-            self.cols["unsynced"][rows] = False
-            vms = (self.records[self.vm_ids[row]] for row in rows.tolist())
-            for vm, observed, total, samples in zip(vms, cols["observed"].tolist(), cols["usage_sum"].tolist(),
-                                                    cols["samples"].tolist()):
-                vm.observed = ResourceVector._make(observed)
-                vm.usage_sum = ResourceVector._make(total)
-                vm.samples = samples
-        return self.records
+    def _placed(self) -> np.ndarray:
+        """The rows of the placed VMs less the revoked ones, in placement order (spare rows read as RUNNING)."""
+        return np.flatnonzero(self.cols["state"][:len(self.vm_ids)] != _STATES.index(REVOKED))
+
+    def _peers(self, vm_class: str) -> list:
+        """The observed usage of vm_class's placed, unrevoked VMs, as (cpu, mem, bw) lists in placement order."""
+        rows = self._placed()
+        rows = rows[self.cols["class_index"][rows] == self.class_index[vm_class]]
+        return self.cols["observed"][rows].tolist()
 
     def _recompute_usage(self, sids) -> None:
         """The one writer of server usage, bar placement's provisional add.
@@ -449,9 +468,6 @@ class _Sim:
         self.cols["fin_due"][row] = 0
         self.cols["state"][row] = _STATES.index(state)
         self.counters[_STATE_COUNTER[state]] += 1
-        if state == REVOKED:  # its record goes, so _records has nothing left to copy into
-            self.records.pop(self.vm_ids[row])
-            self.cols["unsynced"][row] = False
 
     def _power_event(self, tick: int, sid: str, event: str) -> None:
         """The one writer of server power: wake or sleep sid as event says, and log it."""
@@ -490,7 +506,7 @@ class _Sim:
     def _request_vm(self, tick: int, vm_class: str) -> None:
         self.next_vm += 1
         vm_id = _vm_name(self.next_vm)
-        demand = sched.estimate_demand_first_start(vm_class, self._records(), self.sc.vm_classes)
+        demand = sched.estimate_demand_first_start(self._peers(vm_class), self.sc.vm_classes[vm_class])
         weights = derive_weights(HotspotProfile(demand))
         decision = sched.place(demand, weights, self._server_list())
         woken = None
@@ -531,7 +547,6 @@ class _Sim:
         self.rows_by_id.insert(bisect.bisect(self.rows_by_id, vm_id, key=self.vm_ids.__getitem__), row)
         self.order = None
         self.row[vm_id] = row
-        self.records[vm_id] = VmRecord(vm_id, vm_class, observed=demand)
         self.counters["placements"] += 1
 
     # phase 2 -----------------------------------------------------------
@@ -546,7 +561,6 @@ class _Sim:
         cols["observed"][rows] = observed
         cols["usage_sum"][rows] += observed
         cols["samples"][rows] += 1
-        cols["unsynced"][rows] = True
         self._recompute_usage(self.servers)
 
     # phase 3 -----------------------------------------------------------
@@ -597,12 +611,7 @@ class _Sim:
     # phase 4 -----------------------------------------------------------
 
     def _migrate(self, tick: int) -> None:
-        servers = self._server_list()
-        # plan_migration plans only off an overloaded server, so without one
-        # the records need no copying
-        if not any(s.active and sched.detect_overload(s) for s in servers):
-            return
-        plan = sched.plan_migration(servers, self._records())
+        plan = sched.plan_migration(self._server_list(), _Vms(self))
         if plan is None:
             return
         self._rehost(self.row[plan.victim], plan.target)
@@ -614,9 +623,7 @@ class _Sim:
     def _consolidate(self, tick: int) -> None:
         if self.sc.low_watermark is None:
             return
-        plans, sleeps = sched.consolidate(
-            self._server_list(), self._records(), self.sc.low_watermark, self.sc.vm_classes
-        )
+        plans, sleeps = sched.consolidate(self._server_list(), _Vms(self), self.sc.low_watermark, self.sc.vm_classes)
         for plan in plans:
             self._rehost(self.row[plan.victim], plan.target)
             self.counters["migrations_consolidate"] += 1

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -361,6 +362,31 @@ def test_detect_names_the_row_whose_index_makes_the_grid_too_large(tmp_path, cap
     assert (code, out) == (EXIT_USAGE, "")
     err = capsys.readouterr().err
     assert f"error: trace line 3: interval_index {index} makes a grid too large to allocate" in err
+
+
+def _detect_in_capped_child(argv):
+    """vmshield detect in a child process whose address space is capped at 4 GiB, so a
+    grid larger than that fails to allocate whatever the host's overcommit policy."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+    env = dict(os.environ, PYTHONPATH=str(Path(vmshield.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "vmshield.cli", "detect", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("interval, vms, grid", [
+    ("10", 1, "1 x 900000000001"),  # 6.55 TiB of SYN counts
+    ("0.001", 1, "1 x 9000000000000001"),  # 63.9 PiB
+    ("0.000001", 2, "2 x 9000000000000000001"),  # more cells than an int64 holds
+])
+def test_detect_names_the_timestamp_whose_event_grid_is_too_large(tmp_path, interval, vms, grid):
+    events = "".join(f"0.5,v{k},SYN\n" for k in range(2, vms + 1))
+    trace = _write(tmp_path, "far.csv", f"timestamp_s,vm_id,pkt_type\n0.000000,v1,SYN\n{events}"
+                                        "9000000000000.000000,v1,FIN\n")
+    proc = _detect_in_capped_child(["--trace", trace, "--interval", interval])
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.startswith(f"error: timestamp 9000000000000000000 us makes a {grid} grid "
+                                  "too large to allocate: "), proc.stderr
 
 
 def test_detect_rejects_negative_timestamps(tmp_path, capsys):

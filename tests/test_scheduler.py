@@ -48,18 +48,15 @@ def test_normalize_class_aliases_and_rejects():
 
 
 def test_first_start_estimate_without_peers_uses_class_default():
-    d = estimate_demand_first_start("cpu-intensive", {}, CLASS_DEFAULTS)
+    d = estimate_demand_first_start([], CLASS_DEFAULTS["cpu-intensive"])
     assert d == CLASS_DEFAULTS["cpu-intensive"]
 
 
 def test_first_start_estimate_averages_class_peers():
-    records = {
-        "a": VmRecord("a", "cpu-intensive", observed=ResourceVector(30, 10, 10)),
-        "b": VmRecord("b", "cpu-intensive", observed=ResourceVector(50, 20, 10)),
-        "c": VmRecord("c", "memory-intensive", observed=ResourceVector(0, 99, 0)),
-    }
-    d = estimate_demand_first_start("cpu-intensive", records, CLASS_DEFAULTS)
-    assert d == ResourceVector(40, 15, 10)  # peer mean, other classes excluded
+    # peers come as observed-usage triples, ResourceVectors or plain lists alike
+    peers = [ResourceVector(30, 10, 10), [50.0, 20.0, 10.0]]
+    d = estimate_demand_first_start(peers, CLASS_DEFAULTS["cpu-intensive"])
+    assert d == ResourceVector(40, 15, 10)
 
 
 def test_restart_estimate_prefers_own_history():
@@ -354,17 +351,17 @@ def _consolidation_case(seed):
     host = {vid: s for s in servers for vid in s.vms}
     samples = {}
     for vid, record in vms.items():
-        record.hotspot_class = classes[int(rng.integers(0, 3))]
+        hotspot_class = classes[int(rng.integers(0, 3))]
+        observed = record.observed
         if vid in host:
-            shrink = record.observed.scaled(0.75)
+            shrink = observed.scaled(0.75)
             host[vid].usage = host[vid].usage - shrink
-            record.observed = record.observed - shrink
+            observed = observed - shrink
         samples[vid] = []
         if rng.random() < 0.8:
             samples[vid] = [ResourceVector(*(float(x) for x in rng.uniform(0, 15, 3)))
                             for _ in range(int(rng.integers(1, 5)))]
-        vms[vid] = VmRecord.from_samples(vid, record.hotspot_class, samples[vid],
-                                         observed=record.observed)
+        vms[vid] = VmRecord.from_samples(vid, hotspot_class, samples[vid], observed=observed)
     low = ResourceVector(*(float(x) for x in rng.uniform(5, 90, 3)))
     return servers, vms, low, samples
 

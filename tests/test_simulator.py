@@ -8,14 +8,17 @@ from pathlib import Path
 import pytest
 
 from conftest import exact_usage_oracle
+from vmshield import scheduler as sched
 from vmshield.errors import ParseError, ValidationError
 from vmshield.resources import ResourceVector
+from vmshield.scheduler import VmRecord, mean_usage
 from vmshield.simulator import (
     REPORT_FILES,
     DetectorConfig,
     Scenario,
     ScenarioEvent,
     _Sim,
+    _Vms,
     emit_reports,
     load_scenario,
     run,
@@ -445,9 +448,55 @@ def test_a_suspended_vm_can_be_revoked():
     assert report.summary["final"]["vms"]["vm-001"] == {
         "class": "cpu-intensive", "state": "revoked", "host": None,
     }
-    assert "vm-001" not in sim.records
+    assert "vm-001" not in _Vms(sim)
     assert not sim.cols["fin_due"][sim.row["vm-001"]].any()
     _check_conservation(scn, report)
+
+
+def _lifecycle_scenario():
+    """Under the log policy: an attack, a shutdown, a revocation and a request no server can take."""
+    events = [
+        {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 3},
+        {"tick": 0, "op": "vm_request", "class": "memory-intensive", "count": 2},
+        {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": 3.0},
+        {"tick": 1, "op": "vm_request", "class": "bandwidth-intensive"},
+        {"tick": 2, "op": "vm_shutdown", "vm": "vm-002"},
+        {"tick": 3, "op": "vm_revoke", "vm": "vm-004"},
+        {"tick": 4, "op": "vm_request", "class": "memory-intensive"},
+    ]
+    vm_classes = {"cpu-intensive": {"cpu": 30, "mem": 5, "bw": 5}, "memory-intensive": {"cpu": 5, "mem": 30, "bw": 5},
+                  "bandwidth-intensive": {"cpu": 5, "mem": 5, "bw": 400}}
+    return Scenario.from_json(_scn(events=events, vm_classes=vm_classes, duration=7, detector={"policy": "log"}))
+
+
+@pytest.mark.parametrize("make, states, rejections", [
+    (_lifecycle_scenario, {"running", "stopped", "revoked"}, 1),
+    (lambda: _attack_scenario("suspend"), {"suspended"}, 0),
+], ids=["lifecycle", "suspend"])
+def test_the_scheduler_view_reads_the_runs_own_samples(make, states, rejections):
+    sim = _Sim(make())
+    report = sim.run()
+    vms = _Vms(sim)
+    final = report.summary["final"]["vms"]
+    assert {vm["state"] for vm in final.values()} == states
+    assert report.summary["counters"]["rejections"] == rejections
+    placed = [p["vm"] for p in report.placements if p["chosen"] is not None]
+    live = [vm for vm in placed if final[vm]["state"] != "revoked"]
+    assert (list(vms), len(vms)) == (live, len(live))
+    suspended_at = {a["vm"]: a["tick"] for a in report.alarms if a["action"] == "suspend"}
+    history = {}
+    for tick, vm, observed, host in report.vm_samples:
+        history.setdefault(vm, []).append((tick, observed, host))
+    for vm in live:
+        # a VM is sampled in phase 2 of each tick it runs: those it ends with a host,
+        # and the tick whose phase 3 suspends it
+        ran = [obs for tick, obs, host in history[vm] if host is not None or tick == suspended_at.get(vm)]
+        assert vms[vm] == VmRecord.from_samples(vm, final[vm]["class"], ran, observed=history[vm][-1][1])
+    gone = [p["vm"] for p in report.placements if p["vm"] not in live] + ["vm-404"]
+    for vm in gone:
+        assert vm not in vms
+        with pytest.raises(KeyError):
+            vms[vm]
 
 
 def test_throttle_policy_scales_traffic_down():
@@ -688,6 +737,60 @@ def test_usage_is_exact_past_vm_999():
     report = run(scn)
     assert report.summary["counters"]["placements"] == 1100
     assert exact_usage_oracle(scn, report) == 30 * 3
+
+
+def test_first_start_demand_averages_the_class_in_placement_order_past_vm_999(monkeypatch):
+    # A request's demand is mean_usage over the observed usage of its class's placed,
+    # unrevoked VMs in placement order, stopped and suspended ones included; from
+    # vm-1000 on, sorted-id order is another order, and another float.
+    servers = [{"id": f"s{i:02d}", "threshold": {"cpu": 58, "mem": 58, "bw": 58},
+                "usage": {"cpu": 1 + i % 3, "mem": 2, "bw": 1}} for i in range(30)]
+    classes = ("cpu-intensive", "memory-intensive")
+    events = [{"tick": tick, "op": "vm_request", "class": cls, "count": count}
+              for tick, count in ((0, 500), (1, 100), *((t, 1) for t in range(2, 8))) for cls in classes]
+    # each tick's requests come before its lifecycle events
+    events += [{"tick": 1, "op": "attack_start", "vm": "vm-1150", "multiplier": 3.0},
+               {"tick": 2, "op": "vm_shutdown", "vm": "vm-005"},
+               {"tick": 3, "op": "vm_revoke", "vm": "vm-1120"}]
+    scn = Scenario.from_json(_scn(
+        servers=servers, duration=8, seed=4, wake_on_reject=False, detector={"policy": "suspend"}, events=events,
+        vm_classes={"cpu-intensive": {"cpu": 1.7, "mem": 0.9, "bw": 0.6},
+                    "memory-intensive": {"cpu": 0.8, "mem": 1.9, "bw": 0.5}}))
+    sim = _Sim(scn)
+    demands = {}  # by the index of the VM requested
+    place = sched.place
+
+    def spy(demand, weights, servers):
+        # a request's placement is the first place call after the request counts its VM
+        demands.setdefault(sim.next_vm, demand)
+        return place(demand, weights, servers)
+
+    monkeypatch.setattr(sched, "place", spy)
+    report = sim.run()
+    requests = report.placements
+    counters = report.summary["counters"]
+    assert counters["placements"] > 1000
+    # a same-class request follows each rejection, shutdown, suspension and revocation
+    last = {cls: max(p["tick"] for p in requests if p["class"] == cls) for cls in classes}
+    [alarm] = report.alarms
+    assert counters["suspensions"] == 1 and alarm["tick"] < last["memory-intensive"]
+    assert counters["shutdowns"] == counters["revocations"] == 1
+    assert any(p["chosen"] is None and p["tick"] < last[p["class"]] for p in requests)
+    index = {p["vm"]: k for k, p in enumerate(requests, 1)}
+    revoked_at = {ev.vm: ev.tick for ev in scn.events if ev.op == "vm_revoke"}
+    observed = {(tick, vm): obs for tick, vm, obs, _ in report.vm_samples}
+    tick_of = {p["vm"]: p["tick"] for p in requests}
+    other_order = 0
+    for k, request in enumerate(requests, 1):
+        tick = request["tick"]
+        peers = [p["vm"] for p in requests[:k - 1] if p["chosen"] is not None and p["class"] == request["class"]
+                 and revoked_at.get(p["vm"], math.inf) >= tick]
+        # a VM placed earlier in this tick is not sampled yet: it reads its own demand
+        usage = [demands[index[vm]] if tick_of[vm] == tick else observed[tick - 1, vm] for vm in peers]
+        expect = mean_usage(usage) if usage else scn.vm_classes[request["class"]]
+        assert demands[k] == expect, request["vm"]
+        other_order += bool(usage) and mean_usage([u for _, u in sorted(zip(peers, usage))]) != expect
+    assert other_order
 
 
 def _usage_peak(duration):
