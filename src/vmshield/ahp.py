@@ -86,8 +86,8 @@ def principal_eigenvector(
     Raises NonConvergence (carrying the last iterate) past max_iter.
     """
     rows = validate_pairwise_matrix(m).tolist()
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < np.inf:  # NaN fails both
+        raise ValueError("tol must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     w = prev = [1.0 / 3.0] * 3
@@ -115,8 +115,8 @@ def _consistent_weights(source, tol, cr_limit, max_iter) -> tuple[WeightVector, 
 
     The one consistency gate, for derive_weights and the ahp command.
     """
-    if cr_limit <= 0:
-        raise ValueError("cr_limit must be > 0")
+    if not 0 < cr_limit < np.inf:  # NaN fails both
+        raise ValueError("cr_limit must be finite and > 0")
     if isinstance(source, (HotspotProfile, ResourceVector)):
         source = matrix_from_profile(source)
     weights, lambda_max = principal_eigenvector(source, tol=tol, max_iter=max_iter)

@@ -48,6 +48,7 @@ class GlobalConfig:
 
 
 _CONFIG_KEYS = {"format": json_str, "seed": json_int, "verbosity": json_int}
+_ENV_KEYS = (("format", str), ("seed", int), ("verbosity", int))  # read from VMSHIELD_<NAME>
 
 
 def resolve_config(args: argparse.Namespace, env: dict | None = None) -> GlobalConfig:
@@ -60,21 +61,13 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> GlobalC
         cfg = replace(cfg, **read_json_file(
             config_path, lambda obj: json_object(obj, "", _CONFIG_KEYS, what="config")))
 
-    def env_get(name):
-        return env.get(ENV_PREFIX + name)
-
-    if env_get("FORMAT") is not None:
-        cfg = replace(cfg, format=env_get("FORMAT"))
-    if env_get("SEED") is not None:
-        try:
-            cfg = replace(cfg, seed=int(env_get("SEED")))
-        except ValueError as exc:
-            raise ParseError(f"{ENV_PREFIX}SEED must be an integer: {exc}") from exc
-    if env_get("VERBOSITY") is not None:
-        try:
-            cfg = replace(cfg, verbosity=int(env_get("VERBOSITY")))
-        except ValueError as exc:
-            raise ParseError(f"{ENV_PREFIX}VERBOSITY must be an integer: {exc}") from exc
+    for name, parse in _ENV_KEYS:
+        value = env.get(ENV_PREFIX + name.upper())
+        if value is not None:
+            try:
+                cfg = replace(cfg, **{name: parse(value)})
+            except ValueError as exc:  # only int raises
+                raise ParseError(f"{ENV_PREFIX}{name.upper()} must be an integer: {exc}") from exc
 
     if args.format is not None:
         cfg = replace(cfg, format=args.format)

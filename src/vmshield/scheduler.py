@@ -285,13 +285,14 @@ def plan_migration(
     source = min(overloaded, key=lambda s: (-weighted_score(UNIFORM_WEIGHTS, s.usage), s.id))
     if not source.vms:
         return None
-    m3 = avg_vm_usage(source, vms)
+    hosted = {vid: vms[vid] for vid in source.vms}  # each VM read once
+    m3 = avg_vm_usage(source, hosted)
     weights = ahp.derive_weights(ahp.HotspotProfile(m3))
     source_post_score = weighted_score(weights, source.usage - m3)
     target = place(m3, weights, [s for s in servers if s.id != source.id])
     if target.rejected or not target.scores[target.chosen] < source_post_score:
         return None
-    victim = select_victim(source, m3, vms)
+    victim = select_victim(source, m3, hosted)
     return MigrationPlan(source.id, victim, target.chosen, source_post_score,
                          target.scores[target.chosen])
 
@@ -309,49 +310,25 @@ def consolidate(
     estimate) somewhere else; the least-loaded such server is drained
     first.  Draining is all-or-nothing per server, so a server is never
     slept while it still hosts a VM.  Returns the planned moves plus
-    the ids to sleep; the caller applies both.  Planning never mutates
-    its inputs: it works on shallow server copies (own ``vms`` sets, the
-    frozen vectors shared), and a trial drain only records the usage of
-    the targets it has loaded and its moves, committed when every VM of
-    the source found a place.
+    the ids to sleep; the caller applies both.  Planning replaces servers
+    and never mutates them: a trial drain maps each other server's id to
+    its state and replaces a target's entry with a new ``ServerState``
+    for each VM it places there.  A trial that places every VM of the
+    source becomes the call's state, with the source an empty, sleeping
+    server; the input objects themselves are never written.
     """
-    work = {s.id: ServerState(s.id, s.usage, s.threshold, s.power, set(s.vms)) for s in servers}
-    sizing: dict[str, tuple[ResourceVector, WeightVector]] = {}
+    work = {s.id: s for s in servers}
+    sizing: dict[str, tuple[ResourceVector, WeightVector, ResourceVector]] = {}
     plans: list[MigrationPlan] = []
     sleeps: list[str] = []
 
-    def size(vid: str) -> tuple[ResourceVector, WeightVector]:
-        # Records and class defaults are fixed for the whole call.
+    def size(vid: str) -> tuple[ResourceVector, WeightVector, ResourceVector]:
+        # Records and class defaults are fixed for the whole call, so each VM is read once.
         if vid not in sizing:
-            estimate = estimate_demand_restart(vms[vid], vms, class_defaults)
-            sizing[vid] = estimate, ahp.derive_weights(ahp.HotspotProfile(estimate))
+            vm = vms[vid]
+            estimate = estimate_demand_restart(vm, vms, class_defaults)
+            sizing[vid] = estimate, ahp.derive_weights(ahp.HotspotProfile(estimate)), vm.observed
         return sizing[vid]
-
-    def trial_drain(source: ServerState) -> tuple[dict[str, ResourceVector], list[MigrationPlan]] | None:
-        loaded: dict[str, ResourceVector] = {}
-        trial_plans = []
-        for vid in sorted(source.vms):
-            estimate, weights = size(vid)
-            others = [
-                ServerState(s.id, loaded[s.id], s.threshold, s.power) if s.id in loaded else s
-                for s in work.values()
-                if s.id != source.id
-            ]
-            decision = place(estimate, weights, others)
-            if decision.rejected:
-                return None
-            loaded[decision.chosen] = loaded.get(decision.chosen, work[decision.chosen].usage) + estimate
-            trial_plans.append(
-                MigrationPlan(
-                    source=source.id,
-                    victim=vid,
-                    target=decision.chosen,
-                    source_post_score=weighted_score(weights, source.usage - vms[vid].observed),
-                    target_score=decision.scores[decision.chosen],
-                    kind="consolidate",
-                )
-            )
-        return loaded, trial_plans
 
     while True:
         drainable = sorted(
@@ -363,19 +340,31 @@ def consolidate(
             key=lambda s: (weighted_score(UNIFORM_WEIGHTS, s.usage), s.id),
         )
         for source in drainable:
-            trial = trial_drain(source)
-            if trial is not None:
-                break
+            trial = {sid: s for sid, s in work.items() if sid != source.id}
+            trial_plans = []
+            for vid in sorted(source.vms):
+                estimate, weights, observed = size(vid)
+                decision = place(estimate, weights, list(trial.values()))
+                if decision.rejected:
+                    break
+                t = trial[decision.chosen]
+                trial[t.id] = ServerState(t.id, t.usage + estimate, t.threshold, t.power, t.vms | {vid})
+                trial_plans.append(
+                    MigrationPlan(
+                        source=source.id,
+                        victim=vid,
+                        target=decision.chosen,
+                        source_post_score=weighted_score(weights, source.usage - observed),
+                        target_score=decision.scores[decision.chosen],
+                        kind="consolidate",
+                    )
+                )
+            else:
+                break  # every VM of source found a place
         else:
             return plans, sleeps
-        loaded, trial_plans = trial
-        for sid, usage in loaded.items():
-            work[sid].usage = usage
-        for plan in trial_plans:
-            work[plan.target].vms.add(plan.victim)
-        source.vms.clear()
-        source.usage = ZERO
-        source.power = ASLEEP
+        work.update(trial)
+        work[source.id] = ServerState(source.id, ZERO, source.threshold, ASLEEP)
         plans.extend(trial_plans)
         sleeps.append(source.id)
 

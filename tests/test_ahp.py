@@ -146,6 +146,12 @@ def test_bad_parameters_rejected():
         principal_eigenvector(m, max_iter=0)
     with pytest.raises(ValueError):
         derive_weights(m, cr_limit=0.0)
+    # NaN passes a plain "<= 0" test, and an infinite bound gates nothing
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            principal_eigenvector(m, tol=bad)
+        with pytest.raises(ValueError, match="cr_limit must be finite"):
+            derive_weights(m, cr_limit=bad)
 
 
 def test_weights_are_plain_floats():

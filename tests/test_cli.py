@@ -177,6 +177,10 @@ def test_ahp_input_validation(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, named", [
     ("--cr-limit", "0", "cr_limit"),
     ("--cr-limit", "-1", "cr_limit"),
+    ("--cr-limit", "nan", "cr_limit"),
+    ("--cr-limit", "inf", "cr_limit"),
+    ("--tol", "nan", "tol must be"),
+    ("--tol", "inf", "tol must be"),
     ("--max-iter", "0", "max_iter"),
 ])
 def test_ahp_parameter_errors_are_usage_errors(tmp_path, capsys, flag, value, named):
@@ -798,6 +802,9 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     monkeypatch.setenv("VMSHIELD_SEED", "many")
     assert _run(["detect", "--trace", trace])[0] == EXIT_USAGE
     monkeypatch.delenv("VMSHIELD_SEED")
+    monkeypatch.setenv("VMSHIELD_VERBOSITY", "many")
+    assert _run(["detect", "--trace", trace])[0] == EXIT_USAGE
+    monkeypatch.delenv("VMSHIELD_VERBOSITY")
     monkeypatch.setenv("VMSHIELD_FORMAT", "yaml")
     assert _run(["detect", "--trace", trace])[0] == EXIT_USAGE
     monkeypatch.delenv("VMSHIELD_FORMAT")
@@ -805,11 +812,20 @@ def test_config_validation_errors(tmp_path, monkeypatch):
     assert _run(["--config", bad_cfg, "detect", "--trace", trace])[0] == EXIT_USAGE
 
 
-def test_verbose_logging_goes_to_stderr(tmp_path, capsys):
+def test_verbose_logging_goes_to_stderr(tmp_path, capsys, monkeypatch):
     spec = _write(tmp_path, "spec.json",
                   {"vm_id": "v", "mode": "normal", "base_rate": 2,
                    "start": 0, "end": 1, "seed": 1})
     code, out = _run(["-v", "gen", "--spec", spec, "--out", "-"])
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert "generated" in err
+    assert "generated" not in out
+    # without the flag there is no info line; the environment sets the same level
+    assert _run(["gen", "--spec", spec, "--out", "-"])[0] == EXIT_OK
+    assert "generated" not in capsys.readouterr().err
+    monkeypatch.setenv("VMSHIELD_VERBOSITY", "1")
+    code, out = _run(["gen", "--spec", spec, "--out", "-"])
     assert code == EXIT_OK
     err = capsys.readouterr().err
     assert "generated" in err

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -397,6 +399,60 @@ def test_consolidate_matches_deepcopy_oracle_and_never_mutates_inputs():
         moves += len(plans)
     # the random watermarks exercise both outcomes, and drains move VMs
     assert 100 < drained_clusters < 250 and moves > 300, (drained_clusters, moves)
+
+
+class _CountingVms(Mapping):
+    """A read-only id -> VmRecord map that counts the lookups of each id."""
+
+    def __init__(self, records):
+        self.records = records
+        self.reads = Counter()
+
+    def __getitem__(self, vid):
+        self.reads[vid] += 1
+        return self.records[vid]
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __len__(self):
+        return len(self.records)
+
+
+def _sampled(vid, sample, observed):
+    # one sample each, so no restart estimate falls back to walking every VM
+    return VmRecord.from_samples(vid, "cpu-intensive", [ResourceVector(*sample)],
+                                 observed=ResourceVector(*observed))
+
+
+def test_planning_reads_each_vm_once_per_call():
+    vms = _CountingVms({vid: _sampled(vid, obs, obs) for vid, obs in
+                        (("v1", (20, 10, 10)), ("v2", (30, 10, 10)), ("v3", (35, 10, 10)))})
+    servers = [_server("a", (85, 30, 30), vms=("v1", "v2", "v3")), _server("b", (10, 10, 10))]
+    plan = plan_migration(servers, vms)
+    assert (plan.source, plan.victim, plan.target) == ("a", "v2", "b")
+    assert vms.reads == {"v1": 1, "v2": 1, "v3": 1}
+
+    # a fails to drain (v2 fits nowhere) after placing v1; b then drains onto
+    # a; a fails again, and v1 has been placed in both of a's trials
+    vms = _CountingVms({"v1": _sampled("v1", (3, 3, 3), (3, 3, 3)),
+                        "v2": _sampled("v2", (75, 75, 75), (1, 1, 1)),
+                        "v3": _sampled("v3", (6, 6, 6), (6, 6, 6))})
+    servers = [_server("a", (3, 3, 3), vms=("v1", "v2")), _server("b", (6, 6, 6), vms=("v3",)),
+               _server("c", (40, 40, 40))]
+    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    assert sleeps == ["b"]
+    assert [(p.victim, p.source, p.target) for p in plans] == [("v3", "b", "a")]
+    assert vms.reads == {"v1": 1, "v2": 1, "v3": 1}
+
+    # test_consolidate_can_cascade's cluster: v1 moves twice, but is read once
+    vms = _CountingVms({"v1": _sampled("v1", (4, 4, 4), (4, 4, 4)),
+                        "v2": _sampled("v2", (6, 6, 6), (6, 6, 6))})
+    servers = [_server("a", (4, 4, 4), vms=("v1",)), _server("b", (6, 6, 6), vms=("v2",)),
+               _server("c", (40, 40, 40))]
+    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    assert sleeps == ["a", "b"] and len(plans) == 3
+    assert vms.reads == {"v1": 1, "v2": 1}
 
 
 def test_wake_server_picks_smallest_sleeping_id():
