@@ -224,6 +224,10 @@ def _cmd_place(args, cfg: GlobalConfig, out) -> int:
 
 
 def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
+    try:  # for binned traces too, which never use it, and before the trace is read
+        det._interval_to_us(args.interval)
+    except ValueError as exc:
+        raise ValueError(f"--interval: {exc}") from None
     kind, data = traffic.read_trace_csv(read_text_file(args.trace))
     if kind == "events":
         data = det.bin_events(data, interval_seconds=args.interval)

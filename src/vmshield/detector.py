@@ -25,7 +25,8 @@ One function, _interval_to_us, makes every interval length whole
 microseconds, so offline and simulated time share one grid.
 The statistic log is columnar too: a StatLog holds blocks of arrays, one
 per tick in the simulator and one for a whole trace, with slots in place
-of ids, and renders detector.csv in one formatting pass.
+of ids, and renders detector.csv through resources._csv_rows, the
+byte kernel that also writes trace files.
 
 Defaults: drift 0.08, threshold 1.43, 10 s sampling interval.
 """
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsortedTrace
-from .resources import _csv_field
+from .resources import _csv_field, _csv_rows, _six_places
 
 DEFAULT_DRIFT = 0.08
 DEFAULT_THRESHOLD = 1.43
@@ -340,13 +341,19 @@ def fill_gaps(rows) -> Counts:
 def stat_rows_to_csv(log: StatLog) -> str:
     """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm.
 
-    The text equals csv.writer's row by row, with d and y to six
-    decimal places.  Each id is quoted once, and rows pick theirs by slot.
+    The text equals csv.writer's row by row, with d and y as %.6f writes
+    them.  resources._csv_rows writes the lines, each id quoted once and
+    picked by slot; a row with a negative count, or a d or y that
+    _six_places cannot write exactly, is a line formatted with % instead.
     """
     interval, slots, syn, finrst, d, y, alarm = log.columns()
-    vm_ids = np.array([_csv_field(vm_id) for vm_id in log.vm_ids], dtype=object)[slots]
-    del slots  # the quoted ids take its place while the text is built
-    lines = map("%d,%s,%d,%d,%.6f,%.6f,%d\n".__mod__,
-                zip(interval.tolist(), vm_ids, syn.tolist(), finrst.tolist(), d.tolist(), y.tolist(),
-                    alarm.tolist()))
-    return "interval,vm_id,syn,finrst,d,y,alarm\n" + "".join(lines)
+    ids = [_csv_field(vm_id) for vm_id in log.vm_ids]
+    (d6, exact_d), (y6, exact_y) = _six_places(d), _six_places(y)
+    odd = ~(exact_d & exact_y) | (np.minimum(np.minimum(interval, syn), finrst) < 0)
+    line = np.cumsum(odd) * odd  # an odd row's line in lines
+    lines = [b"", *(("%d,%s,%d,%d,%.6f,%.6f,%d\n" % (interval[i], ids[slots[i]], syn[i], finrst[i], d[i], y[i],
+                                                     alarm[i])).encode(errors="surrogatepass")
+                    for i in np.flatnonzero(odd))]
+    fields = [interval, b",", ([(f + ",").encode(errors="surrogatepass") for f in ids], slots), syn, b",",
+              finrst, b",", *d6, b",", *y6, b",", alarm.astype(np.int64), b"\n", (lines, line)]
+    return "interval,vm_id,syn,finrst,d,y,alarm\n" + _csv_rows(fields, len(slots), odd)

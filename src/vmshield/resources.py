@@ -8,7 +8,8 @@ plain dot products against a priority vector whose components sum to 1.
 Input files are read by read_text_file (JSON ones by read_json_file),
 each JSON object against a table of its keys by json_object, and output
 files are written by write_text_file, JSON ones as json_text lays them out
-and every CSV field as _csv_field quotes it.
+and every CSV field as _csv_field quotes it; _csv_rows writes CSV lines
+in bulk, with _six_places' exact %.6f digits for floats.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -73,6 +76,82 @@ def _csv_field(value: str) -> str:
     if any(c in value for c in ',"\n\r'):
         return '"' + value.replace('"', '""') + '"'
     return value
+
+
+CSV_CHUNK_ROWS = 2048  # lines per matrix: 4096 raised peak RSS on 3,000-line logs, 1024 cost speed
+_DIGITS = np.array([b"%03d" % i for i in range(1000)]).view(np.uint8).reshape(1000, 3).T.copy()  # row j: digit j
+
+
+def _put_digits(rows, end: int, values, width: int) -> None:
+    """Write the last width digits of the non-negative int64 values into rows[:, end - width:end]."""
+    for right in range(end, end - width, -3):
+        high = values // 1000
+        group = values - high * 1000
+        for col in range(max(end - width, right - 3), right):
+            rows[:, col] = _DIGITS[col - right + 3][group]
+        values = high
+
+
+def _six_places(x):
+    """The floats x as _csv_rows fields, a sign and a (whole, frac) number, and where they are %.6f's.
+
+    rint(fl(|x| * 1e6)) rounds as %.6f does, half to even, unless |x| is
+    not below 1e9 or fl(|x| * 1e6), within 2**-53 of the product relative
+    to it, lies within about that of a half.
+    """
+    exact = np.abs(x) < 1e9
+    scaled = np.where(exact, np.abs(x), 0.0) * 1e6
+    exact &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2**-51
+    return [([b"", b"-"], np.signbit(x)), np.divmod(np.rint(scaled).astype(np.int64), 10**6)], exact
+
+
+def _csv_rows(fields, n: int, alone=None) -> str:
+    """n CSV lines, written field by field into a uint8 matrix of CSV_CHUNK_ROWS lines at a time.
+
+    A field is bytes, written on every line; a (table, index) pair, line i
+    writing the bytes table[index[i]]; or a (whole, frac) number: the int64
+    whole (not negative on lines kept) in decimal and, unless frac is None,
+    '.' and frac's six digits (a bare int64 array is a whole).  A mask drops
+    leading zeros, the pad after table entries and, on lines where the bool
+    array alone is true, every field but the last.
+    """
+    fields = [(f, None) if isinstance(f, np.ndarray) else f for f in fields]
+    tables, widths, span = {}, [], 0
+    for k, field in enumerate(fields):
+        if isinstance(field, bytes):
+            widths.append(len(field))
+        elif isinstance(field[0], list):  # entries padded to the longest, and a mask of their lengths
+            widths.append(max(map(len, field[0]), default=0) or 1)
+            tables[k] = (np.array(field[0], dtype=f"S{widths[-1]}").view(np.uint8).reshape(-1, widths[-1]),
+                         np.arange(widths[-1]) < np.array(list(map(len, field[0])))[:, None])
+        else:  # the whole's digits; a fraction adds seven columns
+            widths.append(len(str(field[0].max() if n else 0)))
+            span += 7 * (field[1] is not None)
+    span += sum(widths)
+    text = []
+    for lo in range(0, n, CSV_CHUNK_ROWS):
+        hi = min(n, lo + CSV_CHUNK_ROWS)
+        rows, keep, col = np.empty((hi - lo, span), dtype=np.uint8), np.ones((hi - lo, span), dtype=bool), 0
+        for k, (field, width) in enumerate(zip(fields, widths)):
+            if alone is not None and k == len(fields) - 1:
+                keep[alone[lo:hi]] = False
+            if isinstance(field, bytes):
+                rows[:, col:col + width] = np.frombuffer(field, np.uint8)
+            elif k in tables:
+                rows[:, col:col + width] = np.take(tables[k][0], field[1][lo:hi], axis=0)
+                keep[:, col:col + width] = np.take(tables[k][1], field[1][lo:hi], axis=0)
+            else:
+                whole, frac = field[0][lo:hi], field[1]
+                for digit in range(width - 1):  # leading zeros
+                    keep[:, col + digit] = whole >= 10 ** (width - 1 - digit)
+                _put_digits(rows, col + width, whole, width)
+                if frac is not None:
+                    rows[:, col + width] = ord(".")
+                    _put_digits(rows, col + width + 7, frac[lo:hi], 6)
+                    col += 7
+            col += width
+        text.append(rows[keep].tobytes().decode(errors="surrogatepass"))
+    return "".join(text)
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))

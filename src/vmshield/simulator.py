@@ -716,8 +716,9 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
     """Write the six report files; returns their paths.
 
     CSV files are comma-separated with a header row and LF endings;
-    floats use 6 decimal places.  Identical reports produce identical
-    bytes, so reruns into the same directory are no-ops content-wise.
+    floats are exactly %.6f's text, detector.csv's written in bulk by
+    resources._csv_rows.  Identical reports produce identical bytes, so
+    reruns into the same directory are no-ops content-wise.
     """
     os.makedirs(outdir, exist_ok=True)
     util_lines = ["tick,server,cpu,mem,bw,power,vms"]

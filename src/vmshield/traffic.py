@@ -12,7 +12,7 @@ rows.  merge_traces, events_to_csv and detector.bin_events take only
 Traces: hand-built (t_us, vm_id, pkt_type) triples go through
 Trace.from_events.
 
-The event trace file is written as one uint8 matrix, and read by a
+The event trace file is written by resources._csv_rows, and read by a
 numpy byte kernel if it is plain (_read_plain_events), else by
 csv.reader, the one path that reports errors: both give the same Trace.
 A binned trace file reads into a detector.Counts grid.
@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _interval_to_us, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import _csv_field, json_int, json_number, json_object, json_str
+from .resources import _csv_field, _csv_rows, json_int, json_number, json_object, json_str
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -294,29 +294,15 @@ def events_to_csv(trace: Trace) -> str:
 
     The text equals csv.writer's with timestamps as seconds.micros, and
     a vm_id holding a carriage return is quoted so that it reads back.
-    A uint8 row holds a sign, the seconds right-aligned, a dot, six micro
-    digits and a ",vm_id,pkt_type\n" suffix; a mask drops pad and tail.
+    resources._csv_rows writes each line: a sign, the floor seconds and
+    micros as a number, then a ",vm_id,pkt_type\n" suffix from a table.
     """
     seconds, micros = np.divmod(trace.t_us, 1_000_000)
-    magnitude = np.abs(seconds)
-    width = len(str(magnitude.max())) if len(magnitude) else 1
     suffixes = [f",{_csv_field(v)},{p}\n".encode(errors="surrogatepass")
                 for v in trace.vm_ids for p in PKT_TYPES]
-    tail = max(map(len, suffixes), default=1)
-    table = np.array(suffixes, dtype=f"S{tail}").view(np.uint8).reshape(len(suffixes), tail)
     suffix = trace.vm.astype(np.intp) * len(PKT_TYPES) + trace.kind
-    rows = np.empty((len(suffix), width + 8 + tail), dtype=np.uint8)
-    ends = width + 8 + np.array(list(map(len, suffixes)), dtype=np.intp)[suffix]
-    keep = np.arange(rows.shape[1]) < ends[:, None]
-    rows[:, 0], keep[:, 0] = ord("-"), seconds < 0
-    keep[:, 1:width] = magnitude[:, None] >= 10 ** np.arange(width - 1, 0, -1)
-    for col in range(width):
-        rows[:, 1 + col] = magnitude // 10 ** (width - 1 - col) % 10 + ord("0")
-    rows[:, width + 1] = ord(".")
-    for col in range(6):
-        rows[:, width + 2 + col] = micros // 10 ** (5 - col) % 10 + ord("0")
-    rows[:, width + 8:] = table[suffix]
-    return _TRACE_HEADER_LINE + rows[keep].tobytes().decode(errors="surrogatepass")
+    fields = [([b"", b"-"], seconds < 0), (np.abs(seconds), micros), (suffixes, suffix)]
+    return _TRACE_HEADER_LINE + _csv_rows(fields, len(suffix))
 
 
 def _read_plain_events(data: bytes) -> Trace | None:

@@ -436,6 +436,17 @@ def test_detect_rejects_intervals_below_one_microsecond(tmp_path, capsys, interv
     assert "interval_seconds must be finite and at least 1 microsecond" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("interval", ["0", "nan", "-5", "1e-9"])
+@pytest.mark.parametrize("trace", [ALARM_TRACE, "timestamp_s,vm_id,pkt_type\n0.5,vm1,SYN\n", None])
+def test_detect_checks_the_interval_flag_for_every_trace(tmp_path, capsys, interval, trace):
+    # a binned trace never uses the interval, and a bad one used to exit 0 there;
+    # the flag is checked before the trace (None: a missing file) is read
+    path = _write(tmp_path, "t.csv", trace) if trace else str(tmp_path / "none.csv")
+    assert _run(["detect", "--trace", path, "--interval", interval]) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --interval: interval_seconds must be finite and at least 1 microsecond")
+
+
 def test_detect_missing_trace(tmp_path):
     code, _ = _run(["detect", "--trace", str(tmp_path / "none.csv")])
     assert code == EXIT_USAGE

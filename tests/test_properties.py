@@ -38,6 +38,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -79,7 +80,7 @@ from vmshield.detector import (  # noqa: E402
     stat_rows_to_csv,
 )
 from vmshield.errors import NonConvergence, ParseError, UnsortedTrace, ValidationError  # noqa: E402
-from vmshield.resources import ResourceVector, WeightVector, json_text  # noqa: E402
+from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, json_text  # noqa: E402
 from vmshield.scheduler import ServerState, VmRecord, estimate_demand_restart, mean_usage, place  # noqa: E402
 from vmshield.simulator import Scenario, run  # noqa: E402
 from vmshield.traffic import (  # noqa: E402
@@ -612,8 +613,20 @@ STAT_ROW = st.builds(StatRow, st.integers(0, 10**6), VM_ID, st.integers(0, 2**53
                      st.floats(allow_nan=False), st.booleans())
 
 
+# Floats at the edges of the %.6f byte kernel: exact ties (to even); values next to
+# a half millionth, where 2.5e-6 and 1.0000015 scale to exactly 2.5 and 1000001.5
+# though they lie above and below the half; values that print as -0.000000; one the
+# kernel leaves to %; and infinities.
+EDGE_FLOATS = [0.0078125, 0.0234375, 1.0000005, math.nextafter(5e-7, 0), math.nextafter(5e-7, 1),
+               2.5e-6, 1.0000015, -1e-9, -0.0, 1e15, math.inf, -math.inf]
+
+
 @SETTINGS
 @given(st.lists(STAT_ROW, max_size=30), st.lists(st.integers(0, 30), max_size=4))
+@example([StatRow(i, "v", 2**53 - 1, 0, x, 0.25, True) for i, x in enumerate(EDGE_FLOATS)], [4])
+@example([StatRow(i, "w,1", 0, 2**53 - 1, -0.5, x, False) for i, x in enumerate(EDGE_FLOATS)], [])
+@example([StatRow(0, "v", 1, 2, 0.5, 0.5, False), StatRow(1, "v", 3, 4, 1e15, 0.5, True),
+          StatRow(2, "v", 5, 6, 0.5, 0.5, False)], [])
 def test_stat_rows_to_csv_equals_the_row_oracle(rows, cuts):
     expected = stat_rows_to_csv_oracle(rows)
     # the rows as a StatLog of several blocks, its id table growing as blocks name new ids
@@ -633,6 +646,27 @@ def test_stat_rows_to_csv_equals_the_row_oracle(rows, cuts):
     assert len(log) == len(rows)
     assert list(log) == rows
     assert stat_rows_to_csv(log) == expected
+
+
+def test_stat_rows_to_csv_of_more_than_two_chunks_equals_the_row_oracle():
+    # 10,000 rows in four blocks, whose ends need not meet the byte kernel's chunks,
+    # with rows it leaves to % in each chunk, the last chunk's last row among them
+    rng = np.random.default_rng(23)
+    n = 10_000
+    assert n > 2 * CSV_CHUNK_ROWS
+    interval, slots = rng.integers(0, 2000, n), rng.integers(0, 6, n)
+    syn, finrst = rng.integers(0, 300, n), rng.integers(0, 300, n)
+    d = (syn - finrst) / np.maximum(syn + finrst, 1)  # small denominators give exact ties
+    y = np.cumsum(rng.exponential(0.5, n)) % 40
+    edges = np.append(rng.choice(n, 40, replace=False), n - 1)
+    d[edges[::2]] = rng.choice(EDGE_FLOATS, len(edges[::2]))
+    y[edges[1::2]] = rng.choice(EDGE_FLOATS, len(edges[1::2]))
+    syn[rng.choice(n, 5)] = 2**53 - 1
+    alarm = rng.random(n) < 0.01
+    log = StatLog(["vm-1", "db,primary", 'q"x', "\ud800", "é", "vm-10"])
+    for block in np.split(np.arange(n), [3000, 4096, 8191]):
+        log.append(interval[block], slots[block], syn[block], finrst[block], d[block], y[block], alarm[block])
+    assert stat_rows_to_csv(log) == stat_rows_to_csv_oracle(list(log))
 
 
 # ------------------------------------------------------------- placement

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import exact_usage_oracle
+from conftest import exact_usage_oracle, stat_rows_to_csv_oracle
 from vmshield import scheduler as sched
 from vmshield.errors import ParseError, ValidationError
-from vmshield.resources import ResourceVector
+from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector
 from vmshield.scheduler import VmRecord, mean_usage
 from vmshield.simulator import (
     REPORT_FILES,
@@ -306,6 +306,20 @@ def test_utilization_csv_reads_back_server_ids_with_commas_quotes_and_carriage_r
         rows = list(csv.reader(fh))
     assert {len(row) for row in rows} == {7}
     assert [row[1] for row in rows[1:]] == sorted(ids) * (scenario.duration + 1)
+
+
+def test_detector_csv_across_chunks_equals_the_row_oracle(tmp_path):
+    # 60 VMs for 101 ticks, one flooding under throttle: 6,060 rows, so the byte
+    # kernel writes detector.csv in more than one chunk
+    servers = [{"id": f"s{i}", "threshold": {"cpu": 300, "mem": 300, "bw": 300}} for i in range(8)]
+    events = [{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 60},
+              {"tick": 10, "op": "attack_start", "vm": "vm-007", "multiplier": 4.0}]
+    report = run(Scenario.from_json(_scn(servers=servers, events=events, duration=101, base_rate=20,
+                                         detector={"policy": "throttle"})))
+    assert len(report.stat_rows) == 6060 > CSV_CHUNK_ROWS
+    assert {(a["vm"], a["action"]) for a in report.alarms} >= {("vm-007", "throttle")}
+    emit_reports(report, str(tmp_path))
+    assert (tmp_path / "detector.csv").read_bytes() == stat_rows_to_csv_oracle(list(report.stat_rows)).encode()
 
 
 def test_emit_reports_writes_all_files_and_is_rerunnable(tmp_path):
