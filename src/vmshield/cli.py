@@ -298,8 +298,7 @@ def _cmd_simulate(args, cfg: GlobalConfig, out) -> int:
     for path in args.scenario:
         scenario = simulator.load_scenario(path)
         if cfg.seed is not None:
-            scenario.seed = cfg.seed
-            scenario.validate()
+            scenario = replace(scenario, seed=cfg.seed)
         name = os.path.splitext(os.path.basename(path))[0]
         if name in scenarios:
             raise ValidationError(f"scenario basename {name!r} repeats; outputs would collide")
@@ -401,18 +400,12 @@ def dispatch(argv: list[str] | None = None, out=None) -> int:
         cfg = resolve_config(args)
         _setup_logging(cfg.verbosity)
         return args.func(args, cfg, out)
-    except (ParseError, ValidationError, UnsortedTrace) as exc:
+    except (ParseError, ValidationError, UnsortedTrace, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VmShieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main() -> None:

@@ -144,8 +144,9 @@ class CusumDetector:
     """
 
     def __init__(self, drift: float = DEFAULT_DRIFT, threshold: float = DEFAULT_THRESHOLD):
-        if not (math.isfinite(drift) and math.isfinite(threshold)):
-            raise ValueError(f"drift {drift} and threshold {threshold} must be finite")
+        for name, value in (("drift", drift), ("threshold", threshold)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if threshold <= drift:
             raise ValueError(f"threshold {threshold} must exceed drift {drift}")
         self.drift = drift

@@ -25,6 +25,7 @@ Decision rules, in brief:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -111,7 +112,7 @@ _SERVER_KEYS = {"id": json_str, "usage": ResourceVector.from_json,
 
 
 def validate_servers(servers: list[ServerState]) -> None:
-    """Server ids are non-empty and unique; threshold components are > 0."""
+    """Server ids are non-empty and unique; threshold components are finite and > 0, usage ones finite and >= 0."""
     seen = set()
     for s in servers:
         if not s.id:
@@ -119,8 +120,10 @@ def validate_servers(servers: list[ServerState]) -> None:
         if s.id in seen:
             raise ValidationError(f"duplicate server id {s.id!r}")
         seen.add(s.id)
-        if min(s.threshold.as_tuple()) <= 0:
-            raise ValidationError(f"server {s.id}: threshold components must be > 0")
+        if not all(0 < c < math.inf for c in s.threshold):
+            raise ValidationError(f"server {s.id}: threshold components must be > 0 and finite, got {s.threshold}")
+        if not all(0 <= c < math.inf for c in s.usage):
+            raise ValidationError(f"server {s.id}: usage components must be >= 0 and finite, got {s.usage}")
 
 
 @dataclass(frozen=True)

@@ -96,24 +96,20 @@ class DetectorConfig:
     policy: str = "log"
     throttle_factor: float = det.DEFAULT_THROTTLE_FACTOR
 
-    @classmethod
-    def from_json(cls, obj: dict, where: str = "detector") -> "DetectorConfig":
-        cfg = cls(**json_object(obj, where, _DETECTOR_KEYS))
-        for key in ("drift", "threshold", "interval_seconds", "throttle_factor"):
-            if not math.isfinite(getattr(cfg, key)):
-                raise ValidationError(f"detector {key} must be finite, got {getattr(cfg, key)}")
-        if cfg.policy not in det.POLICIES:
-            raise ValidationError(
-                f"detector policy must be one of {det.POLICIES}, got {cfg.policy!r}"
-            )
+    def __post_init__(self):
+        if self.policy not in det.POLICIES:
+            raise ValidationError(f"detector policy must be one of {det.POLICIES}, got {self.policy!r}")
         try:
-            det.CusumDetector(cfg.drift, cfg.threshold)
-            det._interval_to_us(cfg.interval_seconds)
+            det.CusumDetector(self.drift, self.threshold)
+            det._interval_to_us(self.interval_seconds)
         except ValueError as exc:
             raise ValidationError(f"detector {exc}") from exc
-        if not 0 <= cfg.throttle_factor <= 1:
-            raise ValidationError("throttle_factor must lie in [0, 1]")
-        return cfg
+        if not 0 <= self.throttle_factor <= 1:
+            raise ValidationError(f"detector throttle_factor must be finite and lie in [0, 1], got {self.throttle_factor}")
+
+    @classmethod
+    def from_json(cls, obj: dict, where: str = "detector") -> "DetectorConfig":
+        return cls(**json_object(obj, where, _DETECTOR_KEYS))
 
 
 @dataclass(frozen=True)
@@ -124,6 +120,19 @@ class ScenarioEvent:
     count: int = 1
     vm: str | None = None
     multiplier: float = 1.0
+
+    def __post_init__(self):  # the fields of the op's _EVENT_KEYS table, vm and class iff required
+        if self.op not in EVENT_OPS:
+            raise ValidationError(f"event op must be one of {EVENT_OPS}, got {self.op!r}")
+        readers, required = _EVENT_KEYS[self.op]
+        for key, value in (("vm", self.vm), ("class", self.vm_class)):
+            if (value is None) == (key in required):
+                raise ValidationError(f"{self.op} event {'needs a' if value is None else 'takes no'} {key}")
+        for key, value in (("count", self.count), ("multiplier", self.multiplier)):  # each defaults to 1
+            if value != 1 and key not in readers:
+                raise ValidationError(f"{self.op} event takes no {key}, got {value}")
+            if not 1 <= value < math.inf:
+                raise ValidationError(f"{self.op} {key} must be finite and >= 1, got {value}")
 
 
 _VM_EVENT = {"tick": json_int, "op": json_str, "vm": json_str}
@@ -167,17 +176,8 @@ def _read_vm_classes(value, name: str) -> dict[str, ResourceVector]:
     return vm_classes
 
 
-def _read_scenario_servers(value, name: str) -> list[ServerState]:
-    servers = json_list(value, name, ServerState.from_json)
-    for i, s in enumerate(servers):
-        if s.vms:
-            raise ParseError(f"{name}[{i}].vms: scenario servers start empty; "
-                             "VMs come only from vm_request events")
-    return servers
-
-
 _SCENARIO_KEYS = {
-    "servers": _read_scenario_servers,
+    "servers": lambda value, name: json_list(value, name, ServerState.from_json),
     "vm_classes": _read_vm_classes,
     "events": lambda value, name: json_list(value, name, _read_event),
     "detector": DetectorConfig.from_json,
@@ -204,11 +204,10 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scenario":
-        scenario = cls(**json_object(obj, "", _SCENARIO_KEYS, ("servers",), "scenario"))
-        scenario.validate()
-        return scenario
+        return cls(**json_object(obj, "", _SCENARIO_KEYS, ("servers",), "scenario"))
 
     def validate(self) -> None:
+        """The checks across fields, which construction runs; call it again after changing a list."""
         if self.duration < 0:
             raise ValidationError("duration must be >= 0")
         if self.seed < 0:
@@ -222,20 +221,21 @@ class Scenario:
         if not self.servers:
             raise ValidationError("scenario needs at least one server")
         sched.validate_servers(self.servers)
+        for i, s in enumerate(self.servers):
+            if s.vms:
+                raise ValidationError(f"servers[{i}].vms: scenario servers start empty; "
+                                      "VMs come only from vm_request events")
+        vectors = [(f"vm_classes.{name}", vec) for name, vec in self.vm_classes.items()]
+        for name, vec in [*vectors, ("low_watermark", self.low_watermark or ZERO)]:
+            if not all(0 <= c < math.inf for c in vec):  # ResourceVector.from_json's rule
+                raise ValidationError(f"{name} components must be finite and >= 0, got {vec}")
         for ev in self.events:
             if not 0 <= ev.tick < self.duration:
                 raise ValidationError(
                     f"event tick {ev.tick} outside [0, {self.duration})"
                 )
-            if ev.op == "vm_request":
-                if ev.vm_class not in self.vm_classes:
-                    raise ValidationError(
-                        f"vm_request class {ev.vm_class!r} has no entry in vm_classes"
-                    )
-                if ev.count < 1:
-                    raise ValidationError("vm_request count must be >= 1")
-            if ev.op == "attack_start" and not 1.0 <= ev.multiplier < math.inf:
-                raise ValidationError(f"attack multiplier must be finite and >= 1, got {ev.multiplier}")
+            if ev.op == "vm_request" and ev.vm_class not in self.vm_classes:
+                raise ValidationError(f"vm_request class {ev.vm_class!r} has no entry in vm_classes")
             if ev.op == "attack_start" and not self.base_rate * ev.multiplier < det.MAX_COUNT:
                 raise ValidationError(f"attack multiplier {ev.multiplier} times base_rate "
                                       f"{self.base_rate} must stay below {det.MAX_COUNT} SYNs a tick")
@@ -258,6 +258,8 @@ class Scenario:
                 )
             if ev.op == "vm_revoke":
                 revoked.add(ev.vm)
+
+    __post_init__ = validate
 
 
 def _vm_name(index: int) -> str:

@@ -103,8 +103,9 @@ def test_observe_needs_distinct_vms_and_finite_settings():
     with pytest.raises(ValueError, match="distinct slots"):
         detector.observe([0, 1, 0], [1, 2, 3], [0, 0, 0])
     # a NaN drift used to clamp every y to 0, so detection was silently off
-    for drift, threshold in ((float("nan"), 1.43), (0.08, float("nan")), (-math.inf, 1.43)):
-        with pytest.raises(ValueError, match="must be finite"):
+    for drift, threshold, named in ((float("nan"), 1.43, "drift"), (0.08, float("nan"), "threshold"),
+                                    (-math.inf, 1.43, "drift")):
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
             CusumDetector(drift, threshold)
 
 

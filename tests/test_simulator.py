@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from conftest import exact_usage_oracle, stat_rows_to_csv_oracle
 from vmshield import scheduler as sched
 from vmshield.errors import ParseError, ValidationError
 from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector
-from vmshield.scheduler import VmRecord, mean_usage
+from vmshield.scheduler import ServerState, VmRecord, mean_usage
 from vmshield.simulator import (
     REPORT_FILES,
     DetectorConfig,
@@ -172,6 +173,48 @@ def test_detector_config_rejects_non_finite_values(field):
 def test_detector_config_must_be_an_object():
     with pytest.raises(ParseError, match="detector must be a JSON object"):
         Scenario.from_json(_scn(detector=[]))
+
+
+def _py_scn(*events, **over):
+    """A scenario built in Python: one server, one class, one VM requested at tick 0, then events."""
+    fields = {"servers": [ServerState("a")], "vm_classes": {"cpu-intensive": ResourceVector(30, 5, 5)},
+              "events": [ScenarioEvent(0, "vm_request", "cpu-intensive"), *events], "duration": 3}
+    return Scenario(**{**fields, **over})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: _py_scn(detector=DetectorConfig(policy="bogus")), "detector policy"),
+    (lambda: _py_scn(detector=DetectorConfig(throttle_factor=5.0)), "detector throttle_factor"),
+    (lambda: _py_scn(detector=DetectorConfig(throttle_factor=NAN)), "detector throttle_factor"),
+    (lambda: _py_scn(servers=[ServerState("a", vms={"vm-009"})]), r"servers\[0\].vms"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_reboot", vm="vm-001")), "event op"),
+    (lambda: _py_scn(ScenarioEvent(1, "attack_stop", vm="vm-001", multiplier=7.0)), "no multiplier"),
+    (lambda: _py_scn(ScenarioEvent(1, "attack_start", vm="vm-001", multiplier=NAN)), "multiplier must"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_shutdown")), "needs a vm"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_request", "cpu-intensive", vm="vm-001")), "takes no vm"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_request")), "needs a class"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_revoke", "cpu-intensive", vm="vm-001")), "takes no class"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_shutdown", count=3, vm="vm-001")), "takes no count"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_request", "cpu-intensive", count=0)), "count must be finite and >= 1"),
+    (lambda: _py_scn(servers=[ServerState("a", threshold=ResourceVector(80, NAN, 80))]), "threshold"),
+    (lambda: _py_scn(servers=[ServerState("a", threshold=ResourceVector(80, 80, INF))]), "threshold"),
+    (lambda: _py_scn(servers=[ServerState("a", usage=ResourceVector(NAN, 0, 0))]), "usage"),
+    (lambda: _py_scn(servers=[ServerState("a", usage=ResourceVector(0, -1, 0))]), "usage"),
+    (lambda: _py_scn(vm_classes={"cpu-intensive": ResourceVector(NAN, 5, 5)}), "vm_classes.cpu-intensive components"),
+    (lambda: _py_scn(vm_classes={"cpu-intensive": ResourceVector(30, -5, 5)}), "vm_classes.cpu-intensive components"),
+    (lambda: _py_scn(low_watermark=ResourceVector(20, 20, INF)), "low_watermark components"),
+    (lambda: replace(_py_scn(), seed=-1), "seed"),
+], ids=["policy", "throttle-5", "throttle-nan", "server-vms", "op", "attack_stop-multiplier",
+        "attack_start-multiplier-nan", "shutdown-no-vm", "request-vm", "request-no-class", "revoke-class",
+        "shutdown-count", "request-count-0", "threshold-nan", "threshold-inf", "usage-nan", "usage-negative",
+        "class-nan", "class-negative", "watermark-inf", "seed-replace"])
+def test_a_scenario_built_in_python_is_checked_as_its_file_would_be(build, named):
+    _py_scn()  # the base scenario is valid
+    with pytest.raises(ValidationError, match=named):
+        build()
 
 
 @pytest.mark.parametrize("fields, named", [
