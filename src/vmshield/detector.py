@@ -21,6 +21,8 @@ makes one call per tick and process_trace one per interval, so
 contiguous exceedances collapse to one alarm the same way in both.
 Offline counts are one dense grid, a Counts of VMs by intervals:
 bin_events, fill_gaps and traffic's binned generators return one.
+fill_gaps checks binned rows, read from a file or built in Python alike,
+so that each d stays in [-1, 1].
 One function, _interval_to_us, makes every interval length whole
 microseconds, so offline and simulated time share one grid.
 The statistic log is columnar too: a StatLog holds blocks of arrays, one
@@ -311,31 +313,35 @@ def bin_events(
 
 
 def fill_gaps(rows) -> Counts:
-    """The Counts grid of hand-built TrafficInterval rows, zero where a row is missing.
+    """The Counts grid of TrafficInterval rows, zero where a row is missing.
 
     The grid runs from interval 0 to the largest index, for every VM,
     as bin_events emits it, so a quiet interval left out of a pre-binned
-    trace still decays its VM's y.  A negative index or a repeated
-    (vm_id, interval_index) is a ValueError, as is a grid too large to allocate.
+    trace still decays its VM's y.  Each row is checked as it is taken
+    from rows, so a reader handing rows over one at a time knows the
+    failing one: a negative index, a count outside [0, MAX_COUNT) or a
+    repeated (vm_id, interval_index) is a ValueError, as is, after the
+    last row, a grid too large to allocate.
     """
-    rows = list(rows)
-    indices = [0, *(iv.interval_index for iv in rows)]
-    if min(indices) < 0:
-        raise ValueError(f"negative interval_index {min(indices)}")
-    vm_ids = sorted({iv.vm_id for iv in rows})
+    cells: dict[tuple[str, int], tuple[int, int]] = {}  # (vm_id, index) -> (syn, finrst)
+    for iv in rows:
+        if iv.interval_index < 0:
+            raise ValueError(f"interval_index must be >= 0, got {iv.interval_index}")
+        if not (0 <= iv.syn < MAX_COUNT and 0 <= iv.finrst < MAX_COUNT):
+            raise ValueError(f"syn and finrst must be >= 0 and below {MAX_COUNT}")
+        if (iv.vm_id, iv.interval_index) in cells:
+            raise ValueError(f"duplicate row for vm {iv.vm_id!r} interval {iv.interval_index}")
+        cells[iv.vm_id, iv.interval_index] = iv.syn, iv.finrst
+    vm_ids = sorted({vm_id for vm_id, _ in cells})
     slot = {vm_id: v for v, vm_id in enumerate(vm_ids)}
+    last = max((index for _, index in cells), default=-1)
     try:
-        syn = np.zeros((len(vm_ids), max(indices) + 1 if rows else 0), dtype=np.int64)
+        syn = np.zeros((len(vm_ids), last + 1), dtype=np.int64)
         finrst = np.zeros_like(syn)
     except (MemoryError, ValueError) as exc:
-        raise ValueError(f"interval_index {max(indices)} makes a grid too large to allocate: {exc}") from exc
-    seen = set()
-    for iv in rows:
-        cell = (slot[iv.vm_id], iv.interval_index)
-        if cell in seen:
-            raise ValueError(f"duplicate row for vm {iv.vm_id!r} interval {iv.interval_index}")
-        seen.add(cell)
-        syn[cell], finrst[cell] = iv.syn, iv.finrst
+        raise ValueError(f"interval_index {last} makes a grid too large to allocate: {exc}") from exc
+    for (vm_id, index), counts in cells.items():
+        syn[slot[vm_id], index], finrst[slot[vm_id], index] = counts
     return Counts(vm_ids, syn, finrst)
 
 

@@ -253,9 +253,14 @@ def json_number(value, name: str) -> float:
         raise ParseError(f"{name} is too large for a float") from None
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool: a JSON integer, as json_int reads it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def json_int(value, name: str) -> int:
     """value, if it is a JSON integer (a bool is not); else a ParseError naming name."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise ParseError(f"{name} must be a JSON integer, got {value!r}")
     return value
 

@@ -58,7 +58,7 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
-from .resources import (ZERO, ResourceVector, _csv_field, json_bool, json_int, json_list, json_number,
+from .resources import (ZERO, ResourceVector, _csv_field, is_int, json_bool, json_int, json_list, json_number,
                         json_object, json_str, json_text, read_json_file, weighted_score, write_text_file)
 from .scheduler import ServerState, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
@@ -125,6 +125,9 @@ class ScenarioEvent:
         if self.op not in EVENT_OPS:
             raise ValidationError(f"event op must be one of {EVENT_OPS}, got {self.op!r}")
         readers, required = _EVENT_KEYS[self.op]
+        for key, value in (("tick", self.tick), ("count", self.count)):
+            if not is_int(value):
+                raise ValidationError(f"{self.op} {key} must be an integer, got {value!r}")
         for key, value in (("vm", self.vm), ("class", self.vm_class)):
             if (value is None) == (key in required):
                 raise ValidationError(f"{self.op} event {'needs a' if value is None else 'takes no'} {key}")
@@ -159,7 +162,10 @@ def _read_event(obj, where: str) -> ScenarioEvent:
     fields = json_object(obj, where, *_EVENT_KEYS[op])
     if "class" in fields:
         fields["vm_class"] = fields.pop("class")
-    return ScenarioEvent(**fields)
+    try:
+        return ScenarioEvent(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _read_vm_classes(value, name: str) -> dict[str, ResourceVector]:
@@ -208,12 +214,12 @@ class Scenario:
 
     def validate(self) -> None:
         """The checks across fields, which construction runs; call it again after changing a list."""
-        if self.duration < 0:
-            raise ValidationError("duration must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
-        if self.base_rate < 0:
-            raise ValidationError("base_rate must be >= 0")
+        for name in ("duration", "seed", "base_rate"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValidationError(f"{name} must be >= 0")
         try:
             _delay_bounds_us(self.fin_delay_range)
         except ValueError as exc:
@@ -225,6 +231,10 @@ class Scenario:
             if s.vms:
                 raise ValidationError(f"servers[{i}].vms: scenario servers start empty; "
                                       "VMs come only from vm_request events")
+        for name in self.vm_classes:  # a file's aliases are read as the canonical names
+            if name not in sched.HOTSPOT_CLASSES:
+                raise ValidationError(f"vm_classes: unknown hotspot class {name!r}; "
+                                      f"expected one of {sched.HOTSPOT_CLASSES}")
         vectors = [(f"vm_classes.{name}", vec) for name, vec in self.vm_classes.items()]
         for name, vec in [*vectors, ("low_watermark", self.low_watermark or ZERO)]:
             if not all(0 <= c < math.inf for c in vec):  # ResourceVector.from_json's rule

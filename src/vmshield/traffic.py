@@ -14,8 +14,9 @@ Trace.from_events.
 
 The event trace file is written by resources._csv_rows, and read by a
 numpy byte kernel if it is plain (_read_plain_events), else by
-csv.reader, the one path that reports errors: both give the same Trace.
-A binned trace file reads into a detector.Counts grid.
+csv.reader (_read_csv), the one path that reports errors: both give the
+same Trace.  A binned trace file reads into a detector.Counts grid.  The
+row rules belong to the table builders, Trace.from_events and fill_gaps.
 
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
 directly as a one-VM Counts with gen_normal_binned / gen_attack_binned;
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _interval_to_us, fill_gaps
+from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, fill_gaps
 from .errors import ParseError, UnsortedTrace
 from .resources import _csv_field, _csv_rows, json_int, json_number, json_object, json_str
 
@@ -372,55 +373,15 @@ def _read_plain_events(data: bytes) -> Trace | None:
     return _sorted_ids(t_us, vm, kind, ids)
 
 
-def _event_row(row: list[str], lineno: int) -> tuple[int, str, str]:
-    """One event row, parsed and checked; a bad field is a ParseError naming the line."""
-    try:
-        ts, vm_id, pkt_type = row
-        t_us = parse_timestamp(ts)
-    except (ValueError, OverflowError) as exc:  # OverflowError: inf, -inf, 1e400
-        raise ParseError(f"trace line {lineno}: {exc}") from exc
+def _event_row(row: list[str]) -> tuple[int, str, str]:
+    """One event row's fields, its timestamp_s text in whole microseconds within [0, T_US_LIMIT)."""
+    ts, vm_id, pkt_type = row
+    t_us = parse_timestamp(ts)
     if t_us < 0:
-        raise ParseError(f"trace line {lineno}: timestamp_s must be >= 0, got {ts}")
+        raise ValueError(f"timestamp_s must be >= 0, got {ts}")
     if t_us >= T_US_LIMIT:
-        raise ParseError(f"trace line {lineno}: timestamp_s must be below "
-                         f"{T_US_LIMIT} microseconds, got {ts}")
-    if pkt_type not in PKT_TYPES:
-        raise ParseError(f"trace line {lineno}: pkt_type {pkt_type!r} not in {PKT_TYPES}")
+        raise ValueError(f"timestamp_s must be below {T_US_LIMIT} microseconds, got {ts}")
     return t_us, vm_id, pkt_type
-
-
-def _read_events(reader) -> Trace:
-    """The event rows of a trace file; the first bad row is a ParseError naming its line."""
-    return Trace.from_events(_event_row(row, reader.line_num) for row in reader if row)
-
-
-def _read_binned(reader) -> Counts:
-    """The binned rows of a trace file, checked row by row, then zero-filled by fill_gaps."""
-    intervals = []
-    seen: dict[tuple[str, int], int] = {}  # each (vm_id, interval_index) read, and its line
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num
-        try:
-            idx, vm_id, syn, finrst = row
-            iv = TrafficInterval(int(idx), vm_id, int(syn), int(finrst))
-        except ValueError as exc:
-            raise ParseError(f"trace line {lineno}: {exc}") from exc
-        if iv.interval_index < 0:
-            raise ParseError(f"trace line {lineno}: interval_index must be >= 0, got {idx}")
-        if not (0 <= iv.syn < MAX_COUNT and 0 <= iv.finrst < MAX_COUNT):
-            raise ParseError(f"trace line {lineno}: syn and finrst must be >= 0 "
-                             f"and below {MAX_COUNT}")
-        if (vm_id, iv.interval_index) in seen:
-            raise ParseError(f"trace line {lineno}: duplicate row for vm {vm_id!r} "
-                             f"interval {iv.interval_index}")
-        seen[vm_id, iv.interval_index] = lineno
-        intervals.append(iv)
-    try:
-        return fill_gaps(intervals)
-    except ValueError as exc:  # each row is checked, so only the grid's size is left to fail
-        raise ParseError(f"trace line {max((i, line) for (_, i), line in seen.items())[1]}: {exc}") from exc
 
 
 def read_trace_csv(text: str):
@@ -429,22 +390,48 @@ def read_trace_csv(text: str):
     The two trace forms are told apart by their header row.  Rows may
     end in \\n, \\r\\n or \\r; a quoted field keeps its own line breaks.
     A plain event file is read by _read_plain_events, any other by
-    csv.reader.  Its own errors (an over-long field, or a NUL before
-    Python 3.11) and bad rows are ParseErrors naming the physical line
-    (reader.line_num) where the row ends.
+    _read_csv.  Its errors are ParseErrors naming the physical line
+    (reader.line_num) where the bad row ends.
     """
     trace = _read_plain_events(text.encode(errors="surrogatepass"))
-    if trace is not None:
-        return "events", trace
+    return ("events", trace) if trace is not None else _read_csv(text)
+
+
+def _read_csv(text: str):
+    """read_trace_csv by csv.reader, which reads any trace file.
+
+    The readers only parse fields: the rows go to the owner of the row
+    rules, Trace.from_events or fill_gaps, one at a time, so a row's
+    error comes while reader.line_num is its line.  Here alone an error
+    becomes a ParseError naming the line: a bad row's, or csv.reader's
+    own (an over-long field, or a NUL before Python 3.11).  fill_gaps's
+    grid too large to allocate, raised once every row is read, names
+    the last line holding the largest interval_index.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
+    top = (0, 0)  # the largest interval_index read, and the last line holding it
+    read_all = False
+
+    def rows(parse):
+        nonlocal read_all
+        yield from (parse(row) for row in reader if row)
+        read_all = True
+
+    def binned_row(row: list[str]) -> TrafficInterval:
+        nonlocal top
+        idx, vm_id, syn, finrst = row
+        iv = TrafficInterval(int(idx), vm_id, int(syn), int(finrst))
+        top = max(top, (iv.interval_index, reader.line_num))
+        return iv
+
     try:
         header = next(reader, None)
         if header == TRACE_HEADER:
-            return "events", _read_events(reader)
+            return "events", Trace.from_events(rows(_event_row))
         if header == BINNED_HEADER:
-            return "binned", _read_binned(reader)
-    except csv.Error as exc:
-        raise ParseError(f"trace line {reader.line_num}: {exc}") from exc
+            return "binned", fill_gaps(rows(binned_row))
+    except (ValueError, OverflowError, csv.Error) as exc:  # OverflowError: inf, -inf, 1e400
+        raise ParseError(f"trace line {top[1] if read_all else reader.line_num}: {exc}") from exc
     if header is None:
         raise ParseError("empty trace file")
     raise ParseError(

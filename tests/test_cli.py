@@ -706,6 +706,16 @@ def test_simulate_rejects_attack_counts_beyond_exact_floats(tmp_path, capsys):
     assert "must stay below 9007199254740992 SYNs a tick" in capsys.readouterr().err
 
 
+def test_simulate_event_error_names_the_event(tmp_path, capsys):
+    demo = json.loads(DEMO.read_text())
+    demo["events"][0]["count"] = 0
+    scenario = _write(tmp_path, "zero.json", demo)
+    code, out = _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert (f"error: {scenario}: events[0]: vm_request count must be finite and >= 1, got 0"
+            in capsys.readouterr().err)
+
+
 def test_simulate_error_names_the_bad_file(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json", dict(SCENARIO, servers=5))
     code, out = _run(["simulate", "--scenario", str(DEMO), bad, "--out", str(tmp_path / "o")])

@@ -21,8 +21,8 @@ from vmshield.detector import (
     process_trace,
     stat_rows_to_csv,
 )
-from vmshield.errors import UnsortedTrace
-from vmshield.traffic import Trace
+from vmshield.errors import ParseError, UnsortedTrace
+from vmshield.traffic import Trace, read_trace_csv
 
 
 def _episode_starts(flags):
@@ -288,11 +288,36 @@ def test_fill_gaps_spans_from_interval_zero():
     assert [(iv.vm_id, iv.interval_index, iv.syn) for iv in out] == [
         ("a", 0, 3), ("a", 1, 0), ("a", 2, 0), ("b", 0, 0), ("b", 1, 0), ("b", 2, 5),
     ]
-    with pytest.raises(ValueError, match="negative interval_index -3"):
+    with pytest.raises(ValueError, match="interval_index must be >= 0, got -3"):
         fill_gaps([TrafficInterval(-3, "v", 100, 0), TrafficInterval(0, "v", 100, 0)])
     # a repeated row used to replace the first without a word
     with pytest.raises(ValueError, match="duplicate row for vm 'v' interval 0"):
         fill_gaps([TrafficInterval(0, "v", 1, 0), TrafficInterval(0, "v", 9, 0)])
+
+
+@pytest.mark.parametrize("count", [-5, 2**53])
+def test_fill_gaps_checks_counts_of_rows_built_in_python(count):
+    # a syn of -5 used to log d = -5.0, outside discrepancy's [-1, 1]
+    for row in (TrafficInterval(0, "v", count, 0), TrafficInterval(0, "v", 0, count)):
+        with pytest.raises(ValueError, match=rf"^syn and finrst must be >= 0 and below {2**53}$"):
+            fill_gaps([row])
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["0,v,1,1", "-2,v,1,1"], "interval_index must be >= 0, got -2"),
+    (["0,v,1,1", f"1,v,0,{2**53}"], f"syn and finrst must be >= 0 and below {2**53}"),
+    (["0,v,1,1", "1,w,1,1", "0,v,5,5"], "duplicate row for vm 'v' interval 0"),
+], ids=["negative-index", "count-range", "repeated-cell"])
+def test_a_binned_row_fault_reads_the_same_from_a_file_and_from_python(lines, message):
+    # fill_gaps owns the rule; the file reader only adds the line of the failing row
+    with pytest.raises(ParseError) as from_file:
+        read_trace_csv("interval_index,vm_id,syn,finrst\n" + "\n".join(lines) + "\n")
+    assert str(from_file.value) == f"trace line {len(lines) + 1}: {message}"
+    rows = [TrafficInterval(int(i), vm_id, int(syn), int(finrst))
+            for i, vm_id, syn, finrst in (line.split(",") for line in lines)]
+    with pytest.raises(ValueError) as from_python:
+        fill_gaps(rows)
+    assert str(from_python.value) == message
 
 
 def test_counts_grid_reads_as_rows():

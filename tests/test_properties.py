@@ -420,7 +420,7 @@ def test_read_trace_csv_round_trips_the_oracle_text(events, blanks):
 @given(st.lists(PLAIN_EVENT, max_size=30), BLANKS)
 def test_plain_trace_never_reaches_the_general_reader(events, blanks):
     text = _trace_text(events, blanks)
-    with mock.patch.object(traffic, "_read_events", side_effect=AssertionError("general reader")):
+    with mock.patch.object(traffic, "_read_csv", side_effect=AssertionError("general reader")):
         kind, trace = read_trace_csv(text)
     # below 10**15 us the plain kernel's exact digits equal the oracle's float parse
     assert list(trace) == read_events_oracle(text) == events

@@ -207,10 +207,24 @@ NAN, INF = float("nan"), float("inf")
     (lambda: _py_scn(vm_classes={"cpu-intensive": ResourceVector(30, -5, 5)}), "vm_classes.cpu-intensive components"),
     (lambda: _py_scn(low_watermark=ResourceVector(20, 20, INF)), "low_watermark components"),
     (lambda: replace(_py_scn(), seed=-1), "seed"),
+    (lambda: _py_scn(vm_classes={"webby": ResourceVector(3, 3, 3)},
+                     events=[ScenarioEvent(0, "vm_request", "webby")]), "unknown hotspot class 'webby'"),
+    # the file reader maps the alias; a Python-built scenario names the class itself
+    (lambda: _py_scn(vm_classes={"mem-intensive": ResourceVector(3, 3, 3)},
+                     events=[ScenarioEvent(0, "vm_request", "mem-intensive")]),
+     "unknown hotspot class 'mem-intensive'"),
+    (lambda: _py_scn(ScenarioEvent(0.5, "vm_request", "cpu-intensive")), "vm_request tick must be an integer"),
+    (lambda: _py_scn(ScenarioEvent(1, "vm_request", "cpu-intensive", count=2.5)),
+     "vm_request count must be an integer"),
+    (lambda: _py_scn(duration=2.5), "duration must be an integer"),
+    (lambda: _py_scn(seed=1.5), "seed must be an integer"),
+    (lambda: _py_scn(base_rate=2.5), "base_rate must be an integer"),
+    (lambda: _py_scn(base_rate=True), "base_rate must be an integer"),
 ], ids=["policy", "throttle-5", "throttle-nan", "server-vms", "op", "attack_stop-multiplier",
         "attack_start-multiplier-nan", "shutdown-no-vm", "request-vm", "request-no-class", "revoke-class",
         "shutdown-count", "request-count-0", "threshold-nan", "threshold-inf", "usage-nan", "usage-negative",
-        "class-nan", "class-negative", "watermark-inf", "seed-replace"])
+        "class-nan", "class-negative", "watermark-inf", "seed-replace", "class-unknown", "class-alias",
+        "tick-float", "count-float", "duration-float", "seed-float", "base_rate-float", "base_rate-bool"])
 def test_a_scenario_built_in_python_is_checked_as_its_file_would_be(build, named):
     _py_scn()  # the base scenario is valid
     with pytest.raises(ValidationError, match=named):
