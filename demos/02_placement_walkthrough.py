@@ -3,14 +3,14 @@ Scoring servers for a new VM
 ============================
 """
 
-from vmshield import ResourceVector, ServerState, WeightVector, place
+from vmshield import ResourceVector, ServerState, ServerTable, WeightVector, place
 
 # three servers with identical capacity ceilings but different load
-servers = [
+servers = ServerTable.from_servers([
     ServerState("A", usage=ResourceVector(70.4, 40, 60), threshold=ResourceVector(100, 100, 100)),
     ServerState("B", usage=ResourceVector(50.61, 30, 40), threshold=ResourceVector(100, 100, 100)),
     ServerState("C", usage=ResourceVector(71.44, 30, 50), threshold=ResourceVector(100, 100, 100)),
-]
+])
 
 # the incoming VM is memory-heavy, so memory dominates the weights
 demand = ResourceVector(cpu=4, mem=12, bw=4)

@@ -53,6 +53,7 @@ from .scheduler import (
     MigrationPlan,
     PlacementDecision,
     ServerState,
+    ServerTable,
     VmRecord,
     avg_vm_usage,
     consolidate,
@@ -98,6 +99,7 @@ __all__ = [
     "ResourceVector",
     "Scenario",
     "ServerState",
+    "ServerTable",
     "SimReport",
     "StatLog",
     "StatRow",

@@ -173,9 +173,9 @@ def _read_cluster(obj) -> tuple[list[sched.ServerState], dict[str, sched.VmRecor
     servers = fields["servers"]
     sched.validate_servers(servers)
     vms: dict[str, sched.VmRecord] = {}
-    for vm in fields.get("vms", []):
+    for i, vm in enumerate(fields.get("vms", [])):
         if vm.id in vms:
-            raise ValidationError(f"duplicate vm id {vm.id!r}")
+            raise ValidationError(f"vms[{i}]: duplicate vm id {vm.id!r}")
         vms[vm.id] = vm
     host: dict[str, str] = {}
     for server in servers:
@@ -195,7 +195,7 @@ def _cmd_place(args, cfg: GlobalConfig, out) -> int:
         weights = read_json_file(args.weights, WeightVector.from_json)
     else:
         weights = derive_weights(HotspotProfile(demand))
-    decision = sched.place(demand, weights, servers)
+    decision = sched.place(demand, weights, sched.ServerTable.from_servers(servers))
     payload = {
         "demand": demand.to_json(),
         "weights": weights.to_json(),

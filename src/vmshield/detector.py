@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsortedTrace
-from .resources import _csv_field, _csv_rows, _six_places
+from .resources import _csv_field, _csv_rows, _six_places, is_int
 
 DEFAULT_DRIFT = 0.08
 DEFAULT_THRESHOLD = 1.43
@@ -319,12 +319,16 @@ def fill_gaps(rows) -> Counts:
     as bin_events emits it, so a quiet interval left out of a pre-binned
     trace still decays its VM's y.  Each row is checked as it is taken
     from rows, so a reader handing rows over one at a time knows the
-    failing one: a negative index, a count outside [0, MAX_COUNT) or a
-    repeated (vm_id, interval_index) is a ValueError, as is, after the
-    last row, a grid too large to allocate.
+    failing one: an index or count that is not an int (a bool is not), a
+    negative index, a count outside [0, MAX_COUNT) or a repeated
+    (vm_id, interval_index) is a ValueError, as is, after the last row, a
+    grid too large to allocate.
     """
     cells: dict[tuple[str, int], tuple[int, int]] = {}  # (vm_id, index) -> (syn, finrst)
     for iv in rows:
+        for name in ("interval_index", "syn", "finrst"):
+            if not is_int(getattr(iv, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(iv, name)!r}")
         if iv.interval_index < 0:
             raise ValueError(f"interval_index must be >= 0, got {iv.interval_index}")
         if not (0 <= iv.syn < MAX_COUNT and 0 <= iv.finrst < MAX_COUNT):

@@ -1,16 +1,18 @@
 """Placement, overload migration, and low-load consolidation decisions.
 
-All operations here are pure: they read cluster snapshots and return
-decision values (``PlacementDecision``, ``MigrationPlan``, sleep lists,
-the server to wake) that the simulation harness applies, and none of
-them mutates its inputs.
+Every decision reads a ServerTable, a cluster's servers in id order
+(``ServerTable.from_servers`` builds one from parsed ``ServerState``s).
+All operations here are pure: they return decision values
+(``PlacementDecision``, ``MigrationPlan``, sleep lists, the server to
+wake) that the caller applies, and none of them writes its inputs.
 Server JSON, in cluster and scenario files alike, is parsed and
 validated here only (``ServerState.from_json``, ``validate_servers``).
 
-Decision rules, in brief:
+Decision rules, in brief, each an array expression over the table's
+rows with the float adds and compares of the scalar rule:
 
-* A candidate server is feasible for a demand vector iff
-  usage + demand is strictly below its threshold, componentwise.
+* A candidate server is feasible for a demand vector iff it is active
+  and usage + demand is strictly below its threshold, componentwise.
 * Candidates are scored by the weighted sum of their *current* usage;
   the incoming demand enters feasibility only.  The minimum score wins,
   ties broken by smallest server id.
@@ -25,9 +27,12 @@ Decision rules, in brief:
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import ahp
 from .errors import EmptyServer, ParseError, ValidationError
@@ -39,7 +44,6 @@ from .resources import (
     json_list,
     json_object,
     json_str,
-    rv_strictly_less,
     weighted_score,
 )
 
@@ -78,10 +82,6 @@ class ServerState:
     threshold: ResourceVector = ResourceVector(80.0, 80.0, 80.0)
     power: str = ACTIVE
     vms: set[str] = field(default_factory=set)
-
-    @property
-    def active(self) -> bool:
-        return self.power == ACTIVE
 
     @classmethod
     def from_json(cls, obj, where: str = "server") -> "ServerState":
@@ -124,6 +124,41 @@ def validate_servers(servers: list[ServerState]) -> None:
             raise ValidationError(f"server {s.id}: threshold components must be > 0 and finite, got {s.threshold}")
         if not all(0 <= c < math.inf for c in s.usage):
             raise ValidationError(f"server {s.id}: usage components must be >= 0 and finite, got {s.usage}")
+
+
+class ServerTable:
+    """A cluster's servers, a row each in id order: (n, 3) float arrays of usage and threshold,
+    an active mask (False: asleep) and the hosted-id sets.  The scheduler never writes a
+    table it is given; a simulation writes its own table's rows as its state changes.
+    A plain class: a dataclass would add about half a millisecond to every import."""
+
+    def __init__(self, ids: tuple[str, ...], usage: np.ndarray, threshold: np.ndarray, active: np.ndarray,
+                 vms: list[set[str]]):
+        self.ids, self.usage, self.threshold, self.active, self.vms = ids, usage, threshold, active, vms
+
+    @classmethod
+    def from_servers(cls, servers: list[ServerState]) -> "ServerTable":
+        """The table of parsed servers, sorted by id; their usage, power and vms sets are copied."""
+        by_id = sorted(servers, key=lambda s: s.id)
+        return cls(tuple(s.id for s in by_id), np.array([s.usage for s in by_id], dtype=float).reshape(-1, 3),
+                   np.array([s.threshold for s in by_id], dtype=float).reshape(-1, 3),
+                   np.array([s.power == ACTIVE for s in by_id], dtype=bool), [set(s.vms) for s in by_id])
+
+    def row(self, sid: str) -> int:
+        """The row of server id sid, which must be one of ids."""
+        return bisect.bisect_left(self.ids, sid)
+
+    def server(self, row: int) -> ServerState:
+        """The server of row as a ServerState, sharing the row's hosted-id set."""
+        return ServerState(self.ids[row], ResourceVector._make(self.usage[row].tolist()),
+                           ResourceVector._make(self.threshold[row].tolist()),
+                           ACTIVE if self.active[row] else ASLEEP, self.vms[row])
+
+    def without(self, row: int) -> "ServerTable":
+        """This table with the server of row asleep; it shares every array but the active mask."""
+        active = self.active.copy()
+        active[row] = False
+        return ServerTable(self.ids, self.usage, self.threshold, active, self.vms)
 
 
 @dataclass(frozen=True)
@@ -208,47 +243,32 @@ def estimate_demand_restart(vm: VmRecord, vms: Mapping[str, VmRecord],
     return vm.usage_sum.scaled(1.0 / vm.samples)
 
 
-def _feasible(demand: ResourceVector, servers: list[ServerState]) -> list[ServerState]:
-    """Active servers where usage + demand stays strictly below the threshold.
-
-    The same float sums and comparisons as
-    rv_strictly_less(s.usage + demand, s.threshold), without a vector
-    per candidate.
-    """
-    cpu, mem, bw = demand.cpu, demand.mem, demand.bw
-    return [s for s in servers
-            if s.power == ACTIVE
-            and (u := s.usage).cpu + cpu < (t := s.threshold).cpu
-            and u.mem + mem < t.mem and u.bw + bw < t.bw]
+def _weighted(weights: WeightVector, usage: np.ndarray) -> np.ndarray:
+    """weighted_score of every row of an (n, 3) usage array, with its float products and adds."""
+    wc, wm, wb = weights.as_tuple()
+    return wc * usage[:, 0] + wm * usage[:, 1] + wb * usage[:, 2]
 
 
-def place(
-    vm_demand: ResourceVector,
-    weights: WeightVector,
-    servers: list[ServerState],
-) -> PlacementDecision:
+def place(vm_demand: ResourceVector, weights: WeightVector, table: ServerTable) -> PlacementDecision:
     """Score feasible servers on current usage and pick the minimum.
 
     Rejection ("no feasible server") is a value, not an error; callers
-    may wake a sleeping server and retry.  Scores are weighted_score's
-    dot product, from the float components.
+    may wake a sleeping server and retry.  Scores map the feasible ids,
+    in id order, to weighted_score's dot product of their usage.
     """
-    wc, wm, wb = weights.as_tuple()
-    scores = {s.id: wc * (u := s.usage).cpu + wm * u.mem + wb * u.bw
-              for s in _feasible(vm_demand, servers)}
-    if not scores:
-        return PlacementDecision(vm_demand, weights, scores, None, NO_FEASIBLE_SERVER)
-    _, chosen = min(zip(scores.values(), scores))  # least score, then least id
-    return PlacementDecision(vm_demand, weights, scores, chosen)
+    fits = table.usage + np.asarray(vm_demand) < table.threshold  # by column: cheaper than all(axis=1)
+    rows = (table.active & fits[:, 0] & fits[:, 1] & fits[:, 2]).nonzero()[0]
+    if not len(rows):
+        return PlacementDecision(vm_demand, weights, {}, None, NO_FEASIBLE_SERVER)
+    score = _weighted(weights, table.usage)[rows].tolist()
+    scores = dict(zip(map(table.ids.__getitem__, rows.tolist()), score))
+    # the first least score in id order: least score, then least id
+    return PlacementDecision(vm_demand, weights, scores, table.ids[rows[score.index(min(score))]])
 
 
-def detect_overload(server: ServerState) -> bool:
-    """Any usage component at or above its threshold component."""
-    return (
-        server.usage.cpu >= server.threshold.cpu
-        or server.usage.mem >= server.threshold.mem
-        or server.usage.bw >= server.threshold.bw
-    )
+def detect_overload(table: ServerTable) -> np.ndarray:
+    """By row: any usage component at or above its threshold component."""
+    return (table.usage >= table.threshold).any(axis=1)
 
 
 def avg_vm_usage(server: ServerState, vms: Mapping[str, VmRecord]) -> ResourceVector:
@@ -270,29 +290,30 @@ def select_victim(server: ServerState, m3: ResourceVector, vms: Mapping[str, VmR
     return min(sorted(server.vms), key=lambda vid: (_dist2(vms[vid].observed, m3), vid))
 
 
-def plan_migration(
-    servers: list[ServerState], vms: Mapping[str, VmRecord]
-) -> MigrationPlan | None:
+def plan_migration(table: ServerTable, vms: Mapping[str, VmRecord]) -> MigrationPlan | None:
     """One rebalancing move off the hottest overloaded server, or None.
 
-    The migrant demand estimate m3 is the source's average hosted VM;
-    weights derive from m3's own demand profile.  The source's
+    The hottest server has the greatest uniform score, ties to the least
+    id.  The migrant demand estimate m3 is the source's average hosted
+    VM; weights derive from m3's own demand profile.  The source's
     post-move score is weighted(usage - m3); the cheapest feasible
     other server wins iff its score is strictly below that.  Returns
     None when nothing is overloaded, the overloaded server is empty, or
     no candidate qualifies.
     """
-    overloaded = [s for s in servers if s.active and detect_overload(s)]
-    if not overloaded:
+    hot = (table.active & detect_overload(table)).nonzero()[0]
+    if not len(hot):
         return None
-    source = min(overloaded, key=lambda s: (-weighted_score(UNIFORM_WEIGHTS, s.usage), s.id))
+    heat = _weighted(UNIFORM_WEIGHTS, table.usage)[hot].tolist()
+    row = int(hot[heat.index(max(heat))])  # the first greatest in id order
+    source = table.server(row)
     if not source.vms:
         return None
     hosted = {vid: vms[vid] for vid in source.vms}  # each VM read once
     m3 = avg_vm_usage(source, hosted)
     weights = ahp.derive_weights(ahp.HotspotProfile(m3))
     source_post_score = weighted_score(weights, source.usage - m3)
-    target = place(m3, weights, [s for s in servers if s.id != source.id])
+    target = place(m3, weights, table.without(row))
     if target.rejected or not target.scores[target.chosen] < source_post_score:
         return None
     victim = select_victim(source, m3, hosted)
@@ -300,27 +321,21 @@ def plan_migration(
                          target.scores[target.chosen])
 
 
-def consolidate(
-    servers: list[ServerState],
-    vms: Mapping[str, VmRecord],
-    low_watermark: ResourceVector,
-    class_defaults: dict[str, ResourceVector],
-) -> tuple[list[MigrationPlan], list[str]]:
+def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: ResourceVector,
+                class_defaults: dict[str, ResourceVector]) -> tuple[list[MigrationPlan], list[str]]:
     """Drain under-utilized servers onto the rest and put them to sleep.
 
     Repeatedly looks for an active server whose usage sits strictly
     below the watermark and whose every hosted VM fits (by its restart
-    estimate) somewhere else; the least-loaded such server is drained
-    first.  Draining is all-or-nothing per server, so a server is never
-    slept while it still hosts a VM.  Returns the planned moves plus
-    the ids to sleep; the caller applies both.  Planning replaces servers
-    and never mutates them: a trial drain maps each other server's id to
-    its state and replaces a target's entry with a new ``ServerState``
-    for each VM it places there.  A trial that places every VM of the
-    source becomes the call's state, with the source an empty, sleeping
-    server; the input objects themselves are never written.
+    estimate) somewhere else; the least-loaded such server (by uniform
+    score, then id) is drained first.  Draining is all-or-nothing per
+    server, so a server is never slept while it still hosts a VM.
+    Returns the planned moves plus the ids to sleep; the caller applies
+    both.  A trial drain is the table without the source and with a copy
+    of its usage, where each placed VM adds its estimate to its target's
+    row; one that places every VM becomes the call's table, hosted-id
+    sets replaced, never changed.  The input table is never written.
     """
-    work = {s.id: s for s in servers}
     sizing: dict[str, tuple[ResourceVector, WeightVector, ResourceVector]] = {}
     plans: list[MigrationPlan] = []
     sleeps: list[str] = []
@@ -334,44 +349,38 @@ def consolidate(
         return sizing[vid]
 
     while True:
-        drainable = sorted(
-            (
-                s
-                for s in work.values()
-                if s.active and rv_strictly_less(s.usage, low_watermark)
-            ),
-            key=lambda s: (weighted_score(UNIFORM_WEIGHTS, s.usage), s.id),
-        )
-        for source in drainable:
-            trial = {sid: s for sid, s in work.items() if sid != source.id}
+        low = table.usage < np.asarray(low_watermark)
+        drainable = (table.active & low[:, 0] & low[:, 1] & low[:, 2]).nonzero()[0]
+        # least uniform score, then least id, which is least row
+        for _, row in sorted(zip(_weighted(UNIFORM_WEIGHTS, table.usage)[drainable].tolist(), drainable.tolist())):
+            source = table.server(row)
+            trial = table.without(row)
+            trial.usage = trial.usage.copy()
             trial_plans = []
             for vid in sorted(source.vms):
                 estimate, weights, observed = size(vid)
-                decision = place(estimate, weights, list(trial.values()))
+                decision = place(estimate, weights, trial)
                 if decision.rejected:
                     break
-                t = trial[decision.chosen]
-                trial[t.id] = ServerState(t.id, t.usage + estimate, t.threshold, t.power, t.vms | {vid})
-                trial_plans.append(
-                    MigrationPlan(
-                        source=source.id,
-                        victim=vid,
-                        target=decision.chosen,
-                        source_post_score=weighted_score(weights, source.usage - observed),
-                        target_score=decision.scores[decision.chosen],
-                        kind="consolidate",
-                    )
-                )
+                trial.usage[trial.row(decision.chosen)] += estimate
+                trial_plans.append(MigrationPlan(source.id, vid, decision.chosen,
+                                                 weighted_score(weights, source.usage - observed),
+                                                 decision.scores[decision.chosen], "consolidate"))
             else:
                 break  # every VM of source found a place
         else:
             return plans, sleeps
-        work.update(trial)
-        work[source.id] = ServerState(source.id, ZERO, source.threshold, ASLEEP)
+        trial.vms = list(trial.vms)
+        trial.vms[row] = set()
+        for plan in trial_plans:
+            target = trial.row(plan.target)
+            trial.vms[target] = trial.vms[target] | {plan.victim}
+        table = trial  # the source stays inactive: asleep
         plans.extend(trial_plans)
         sleeps.append(source.id)
 
 
-def wake_server(servers: list[ServerState]) -> str | None:
+def wake_server(table: ServerTable) -> str | None:
     """The smallest-id sleeping server, for the caller to wake; None when all are awake."""
-    return min((s.id for s in servers if s.power == ASLEEP), default=None)
+    asleep = (~table.active).nonzero()[0]
+    return table.ids[asleep[0]] if len(asleep) else None

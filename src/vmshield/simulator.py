@@ -33,9 +33,12 @@ its detector slot.  Rows follow placement order, and the rows in sorted-id
 order (vm-1000 sorts before vm-101) are kept as VMs are placed.  Ids are
 looked up only where an event or a plan names a VM (_Sim.row) and where a
 report is written.  The scheduler reads VMs through _Vms, a read-only mapping
-that builds a VmRecord from the VM's row on each lookup; _Sim._server_list,
-every server usage read's way in, first recomputes the servers a move or
-power event left stale.
+that builds a VmRecord from the VM's row on each lookup.  A server is its
+row of the run's scheduler.ServerTable, the one home of its usage, power
+and hosted ids; _Sim._table, the way in of every read, first recomputes
+the rows that a move or power event marked in the stale mask.  A new VM's
+demand is its class's running usage sum over its count, the mean_usage of
+the class's placed, unrevoked VMs in placement order to the bit.
 
 Everything random comes from two generators per run, seeded by
 (scenario seed, stream index): stream 0 draws the usage jitter and
@@ -59,8 +62,9 @@ from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
 from .resources import (ZERO, ResourceVector, _csv_field, is_int, json_bool, json_int, json_list, json_number,
-                        json_object, json_str, json_text, read_json_file, weighted_score, write_text_file)
-from .scheduler import ServerState, VmRecord, read_class
+                        json_object, json_str, json_text, read_json_file, round_six, weighted_score,
+                        write_text_file)
+from .scheduler import ACTIVE, ASLEEP, ServerState, ServerTable, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
 RUNNING = "running"
@@ -239,33 +243,27 @@ class Scenario:
         for name, vec in [*vectors, ("low_watermark", self.low_watermark or ZERO)]:
             if not all(0 <= c < math.inf for c in vec):  # ResourceVector.from_json's rule
                 raise ValidationError(f"{name} components must be finite and >= 0, got {vec}")
-        for ev in self.events:
+        for i, ev in enumerate(self.events):
             if not 0 <= ev.tick < self.duration:
-                raise ValidationError(
-                    f"event tick {ev.tick} outside [0, {self.duration})"
-                )
+                raise ValidationError(f"events[{i}]: event tick {ev.tick} outside [0, {self.duration})")
             if ev.op == "vm_request" and ev.vm_class not in self.vm_classes:
-                raise ValidationError(f"vm_request class {ev.vm_class!r} has no entry in vm_classes")
+                raise ValidationError(f"events[{i}]: vm_request class {ev.vm_class!r} has no entry in vm_classes")
             if ev.op == "attack_start" and not self.base_rate * ev.multiplier < det.MAX_COUNT:
-                raise ValidationError(f"attack multiplier {ev.multiplier} times base_rate "
+                raise ValidationError(f"events[{i}]: attack multiplier {ev.multiplier} times base_rate "
                                       f"{self.base_rate} must stay below {det.MAX_COUNT} SYNs a tick")
         # Walk events in execution order so every reference names a VM id
         # that has been requested by then and not yet revoked.  Ids are
         # matched by index, so a huge count costs nothing here.
         created = 0
         revoked: set[str] = set()
-        for ev in sorted(self.events, key=lambda e: e.tick):
+        for i, ev in sorted(enumerate(self.events), key=lambda item: item[1].tick):
             if ev.op == "vm_request":
                 created += ev.count
                 continue
             if not 1 <= _vm_index(ev.vm) <= created:
-                raise ValidationError(
-                    f"event at tick {ev.tick} references unknown vm {ev.vm!r}"
-                )
+                raise ValidationError(f"events[{i}]: event at tick {ev.tick} references unknown vm {ev.vm!r}")
             if ev.vm in revoked:
-                raise ValidationError(
-                    f"event at tick {ev.tick} references revoked vm {ev.vm!r}"
-                )
+                raise ValidationError(f"events[{i}]: event at tick {ev.tick} references revoked vm {ev.vm!r}")
             if ev.op == "vm_revoke":
                 revoked.add(ev.vm)
 
@@ -361,17 +359,16 @@ class _Vms(Mapping):
 class _Sim:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
-        by_id = sorted(scenario.servers, key=lambda s: s.id)
-        self.servers: dict[str, ServerState] = {  # in id order, for every pass
-            s.id: ServerState(s.id, threshold=s.threshold, power=s.power) for s in by_id
-        }
-        self.server_ids = tuple(self.servers)
-        self.server_index = {sid: i for i, sid in enumerate(self.servers)}
-        self.overhead = np.array([s.usage for s in by_id])  # by server index
+        self.table = ServerTable.from_servers(scenario.servers)  # every server fact, by server index
+        self.overhead = self.table.usage.copy()
+        self.stale = np.ones(len(self.table.ids), dtype=bool)  # rows _table recomputes before they are read
         self.row: dict[str, int] = {}  # a placed VM's row of cols, by id
         self.class_names = tuple(scenario.vm_classes)
         self.class_index = {name: i for i, name in enumerate(self.class_names)}
         self.class_demand = np.array(list(scenario.vm_classes.values())).reshape(-1, 3)
+        # by class: its placed, unrevoked VMs' observed usage summed in placement order, and their
+        # count; None when phase 2 or a revocation has changed them, until the next request
+        self.class_sums: list[tuple[ResourceVector, int]] | None = None
         self.jitter_rng = np.random.default_rng([scenario.seed, 0])
         self.traffic_rng = np.random.default_rng([scenario.seed, 1])
         self.detector = det.CusumDetector(scenario.detector.drift, scenario.detector.threshold)
@@ -409,18 +406,17 @@ class _Sim:
         self.rows_by_id: list[int] = []  # rows in sorted-id order
         self.order: np.ndarray | None = None  # rows_by_id as an array, made on first use
         self.report = SimReport(stat_rows=det.StatLog(self.vm_ids),
-                                vm_samples=SampleLog(self.vm_ids, self.server_ids))
-        self.stale = set(self.servers)  # servers whose usage _server_list recomputes before it is read
+                                vm_samples=SampleLog(self.vm_ids, self.table.ids))
 
     def _next_seq(self) -> int:
         self.seq += 1
         return self.seq
 
-    def _server_list(self) -> list[ServerState]:
-        """The servers in id order, their usage first brought up to date; every usage read goes here."""
-        if self.stale:
-            self._recompute_usage(sorted(self.stale))
-        return list(self.servers.values())
+    def _table(self) -> ServerTable:
+        """The server table, its stale rows first brought up to date; every server read goes here."""
+        if np.count_nonzero(self.stale):
+            self._recompute_usage(self.stale)
+        return self.table
 
     def _order(self) -> np.ndarray:
         """The placed VMs' rows in sorted-id order."""
@@ -432,47 +428,50 @@ class _Sim:
         """The rows of the placed VMs less the revoked ones, in placement order (spare rows read as RUNNING)."""
         return np.flatnonzero(self.cols["state"][:len(self.vm_ids)] != _STATES.index(REVOKED))
 
-    def _peers(self, vm_class: str) -> list:
-        """The observed usage of vm_class's placed, unrevoked VMs, as (cpu, mem, bw) lists in placement order."""
+    def _sum_classes(self) -> list[tuple[ResourceVector, int]]:
+        """Each class's usage sum and count, from the placed, unrevoked VMs' rows: cumsum adds row
+        after row, as mean_usage does from 0.0 (+ 0.0 turns a sum of -0.0s into its 0.0)."""
         rows = self._placed()
-        rows = rows[self.cols["class_index"][rows] == self.class_index[vm_class]]
-        return self.cols["observed"][rows].tolist()
+        classes = self.cols["class_index"][rows]
+        observed = self.cols["observed"][rows]
+        peers = [observed[classes == c] for c in range(len(self.class_names))]
+        return [(ResourceVector._make((mine.cumsum(axis=0)[-1] + 0.0).tolist()) if len(mine) else ZERO, len(mine))
+                for mine in peers]
 
-    def _recompute_usage(self, sids) -> None:
+    def _recompute_usage(self, picked: np.ndarray) -> None:
         """The one writer of server usage, bar placement's provisional add.
 
-        Each server of sids leaves the stale set and reads its overhead plus its
-        hosted VMs' observed usage, added in sorted-id order; a sleeping one reads 0.
+        Each row picked marks leaves the stale mask and reads its overhead plus its hosted
+        VMs' observed usage, added in sorted-id order; a sleeping one reads 0.
         """
-        index = [self.server_index[sid] for sid in sids]
-        picked = np.zeros(len(self.servers) + 1, dtype=bool)  # the last entry stands for host -1
-        picked[index] = True
         order = self._order()
-        rows = order[picked[self.cols["host"][order]]]
+        hosts = self.cols["host"][order]
+        rows = order[np.append(picked, False)[hosts]]  # the last entry stands for host -1
         usage = self.overhead.copy()
         # np.add.at adds row after row, so each server sums its VMs in sorted-id order
         np.add.at(usage, self.cols["host"][rows], self.cols["observed"][rows])
-        for sid, i in zip(sids, index):
-            server = self.servers[sid]
-            server.usage = ResourceVector._make(usage[i].tolist()) if server.active else ZERO
-        self.stale.difference_update(sids)
+        table = self.table
+        table.usage[picked] = np.where(table.active[picked, None], usage[picked], 0.0)
+        self.stale &= ~picked
 
     def _state(self, row: int) -> str:
         return _STATES[self.cols["state"][row]]
 
     def _host(self, row: int) -> str | None:
         host = int(self.cols["host"][row])
-        return self.server_ids[host] if host >= 0 else None
+        return self.table.ids[host] if host >= 0 else None
 
     def _rehost(self, row: int, target: str | None) -> None:
         """Move the VM of row from its host, if any, to target (None: to no server)."""
-        source = self._host(row)
-        if source is not None:
-            self.servers[source].vms.discard(self.vm_ids[row])
-        if target is not None:
-            self.servers[target].vms.add(self.vm_ids[row])
-        self.cols["host"][row] = -1 if target is None else self.server_index[target]
-        self.stale.update(sid for sid in (source, target) if sid is not None)
+        source = int(self.cols["host"][row])
+        host = -1 if target is None else self.table.row(target)
+        if source >= 0:
+            self.table.vms[source].discard(self.vm_ids[row])
+            self.stale[source] = True
+        if host >= 0:
+            self.table.vms[host].add(self.vm_ids[row])
+            self.stale[host] = True
+        self.cols["host"][row] = host
 
     def _set_state(self, row: int, state: str) -> None:
         """Stop, revoke or suspend the VM of row: it leaves its host and its pending FINs are dropped."""
@@ -480,11 +479,14 @@ class _Sim:
         self.cols["fin_due"][row] = 0
         self.cols["state"][row] = _STATES.index(state)
         self.counters[_STATE_COUNTER[state]] += 1
+        if state == REVOKED:  # it leaves its class's peers
+            self.class_sums = None
 
     def _power_event(self, tick: int, sid: str, event: str) -> None:
         """The one writer of server power: wake or sleep sid as event says, and log it."""
-        self.servers[sid].power = sched.ACTIVE if event == "wake" else sched.ASLEEP
-        self.stale.add(sid)
+        row = self.table.row(sid)
+        self.table.active[row] = event == "wake"
+        self.stale[row] = True
         self.counters[f"{event}s"] += 1
         self.report.power_events.append(
             {"tick": tick, "seq": self._next_seq(), "server": sid, "event": event}
@@ -518,15 +520,19 @@ class _Sim:
     def _request_vm(self, tick: int, vm_class: str) -> None:
         self.next_vm += 1
         vm_id = _vm_name(self.next_vm)
-        demand = sched.estimate_demand_first_start(self._peers(vm_class), self.sc.vm_classes[vm_class])
+        if self.class_sums is None:
+            self.class_sums = self._sum_classes()
+        c = self.class_index[vm_class]
+        total, n = self.class_sums[c]
+        demand = total.scaled(1.0 / n) if n else self.sc.vm_classes[vm_class]
         weights = derive_weights(HotspotProfile(demand))
-        decision = sched.place(demand, weights, self._server_list())
+        decision = sched.place(demand, weights, self._table())
         woken = None
         if decision.rejected and self.sc.wake_on_reject:
-            woken = sched.wake_server(self._server_list())
+            woken = sched.wake_server(self._table())
             if woken is not None:
                 self._power_event(tick, woken, "wake")
-                decision = sched.place(demand, weights, self._server_list())
+                decision = sched.place(demand, weights, self._table())
         entry = {
             "tick": tick,
             "seq": self._next_seq(),
@@ -534,7 +540,7 @@ class _Sim:
             "class": vm_class,
             "demand": _round_rv(demand),
             "weights": _round_map(weights.to_json()),
-            "scores": {sid: round(v, 6) for sid, v in sorted(decision.scores.items())},
+            "scores": dict(zip(decision.scores, round_six(list(decision.scores.values())))),
             "chosen": decision.chosen,
             "reason": decision.reason,
             "woke": woken,
@@ -543,17 +549,18 @@ class _Sim:
         if decision.rejected:
             self.counters["rejections"] += 1
             return
-        host = self.servers[decision.chosen]
-        host.vms.add(vm_id)
-        host.usage = host.usage + demand
+        host = self.table.row(decision.chosen)
+        self.table.vms[host].add(vm_id)
+        self.table.usage[host] += demand
+        self.class_sums[c] = total + demand, n + 1
         row = len(self.vm_ids)
         if row == len(self.cols):
             self.cols = np.concatenate([self.cols, np.zeros(row + 8, self.cols.dtype)])
         # the new row's zeros are no usage samples, state RUNNING and no pending FINs
         new = self.cols[row:row + 1]
         new["observed"] = demand
-        new["host"] = self.server_index[decision.chosen]
-        new["class_index"] = self.class_index[vm_class]
+        new["host"] = host
+        new["class_index"] = c
         new["traffic_scale"] = new["attack_multiplier"] = 1.0
         self.vm_ids.append(vm_id)
         self.rows_by_id.insert(bisect.bisect(self.rows_by_id, vm_id, key=self.vm_ids.__getitem__), row)
@@ -573,7 +580,8 @@ class _Sim:
         cols["observed"][rows] = observed
         cols["usage_sum"][rows] += observed
         cols["samples"][rows] += 1
-        self._recompute_usage(self.servers)
+        self._recompute_usage(np.ones_like(self.stale))
+        self.class_sums = None
 
     # phase 3 -----------------------------------------------------------
 
@@ -623,7 +631,7 @@ class _Sim:
     # phase 4 -----------------------------------------------------------
 
     def _migrate(self, tick: int) -> None:
-        plan = sched.plan_migration(self._server_list(), _Vms(self))
+        plan = sched.plan_migration(self._table(), _Vms(self))
         if plan is None:
             return
         self._rehost(self.row[plan.victim], plan.target)
@@ -635,24 +643,25 @@ class _Sim:
     def _consolidate(self, tick: int) -> None:
         if self.sc.low_watermark is None:
             return
-        plans, sleeps = sched.consolidate(self._server_list(), _Vms(self), self.sc.low_watermark, self.sc.vm_classes)
+        plans, sleeps = sched.consolidate(self._table(), _Vms(self), self.sc.low_watermark, self.sc.vm_classes)
         for plan in plans:
             self._rehost(self.row[plan.victim], plan.target)
             self.counters["migrations_consolidate"] += 1
             self.report.migrations.append(_migration_entry(tick, self._next_seq(), plan))
         for sid in sleeps:
-            server = self.servers[sid]
-            if server.vms:
-                raise AssertionError(f"cannot sleep {sid}: still hosts {sorted(server.vms)}")
+            hosted = self.table.vms[self.table.row(sid)]
+            if hosted:
+                raise AssertionError(f"cannot sleep {sid}: still hosts {sorted(hosted)}")
             self._power_event(tick, sid, "sleep")
 
     # phase 6 -----------------------------------------------------------
 
     def _emit_logs(self, completed_ticks: int, sample_tick: int | None) -> None:
-        for s in self._server_list():
-            self.report.utilization.append(
-                (completed_ticks, s.id, s.usage.cpu, s.usage.mem, s.usage.bw, s.power, len(s.vms))
-            )
+        table = self._table()
+        append = self.report.utilization.append
+        for sid, usage, active, hosted in zip(table.ids, table.usage.tolist(), table.active.tolist(), table.vms):
+            cpu, mem, bw = usage if active else ZERO  # a sleeping server's row shares ZERO's floats
+            append((completed_ticks, sid, cpu, mem, bw, ACTIVE if active else ASLEEP, len(hosted)))
         if sample_tick is not None:
             order = self._order()
             rows = order[self.cols["state"][order] != _STATES.index(REVOKED)]
@@ -680,8 +689,9 @@ class _Sim:
                                      "state": self._state(row), "host": self._host(row)}
                   for row in self.rows_by_id}
         servers = {}
-        for s in self._server_list():
-            servers[s.id] = {
+        for row, sid in enumerate(self._table().ids):
+            s = self.table.server(row)
+            servers[sid] = {
                 "power": s.power,
                 "vms": len(s.vms),
                 "usage": _round_rv(s.usage),

@@ -15,7 +15,7 @@ from vmshield.ahp import consistency_ratio, derive_weights, principal_eigenvecto
 from vmshield.detector import TrafficInterval, fill_gaps, process_trace
 from vmshield.errors import InconsistentMatrix
 from vmshield.resources import ResourceVector, WeightVector
-from vmshield.scheduler import ServerState, avg_vm_usage, place, plan_migration
+from vmshield.scheduler import ServerState, ServerTable, avg_vm_usage, place, plan_migration
 from vmshield.simulator import emit_reports, load_scenario, run
 from vmshield.traffic import TrafficSpec, gen_normal_binned
 
@@ -64,7 +64,7 @@ def test_criterion_2_placement_reproduces_published_scores():
         ServerState("B", usage=ResourceVector(50.61, 30, 40), threshold=ResourceVector(100, 100, 100)),
         ServerState("C", usage=ResourceVector(71.44, 30, 50), threshold=ResourceVector(100, 100, 100)),
     ]
-    decision = place(ResourceVector(4, 12, 4), weights, servers)
+    decision = place(ResourceVector(4, 12, 4), weights, ServerTable.from_servers(servers))
     assert decision.scores["A"] == pytest.approx(50.08, abs=1e-9)
     assert decision.scores["B"] == pytest.approx(36.122, abs=1e-9)
     assert decision.scores["C"] == pytest.approx(42.288, abs=1e-9)
@@ -134,7 +134,7 @@ def test_criterion_6_migration_matches_bruteforce_oracle():
     for seed in range(500):
         servers, vms = random_cluster(seed)
         expected = migration_oracle(servers, vms)
-        plan = plan_migration(servers, vms)
+        plan = plan_migration(ServerTable.from_servers(servers), vms)
         if expected is None:
             assert plan is None, f"seed {seed}: unexpected plan {plan}"
             continue

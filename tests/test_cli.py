@@ -267,6 +267,14 @@ def test_place_rejects_malformed_cluster_vms(tmp_path, capsys, vm, named):
     assert named in capsys.readouterr().err
 
 
+def test_place_names_a_vm_listed_twice(tmp_path, capsys):
+    vms = [{"id": vid, "class": "cpu-intensive"} for vid in ("v1", "v2", "v1")]
+    path = _write(tmp_path, "cluster.json", dict(CLUSTER, vms=vms))
+    demand = _write(tmp_path, "demand.json", {"cpu": 1, "mem": 1, "bw": 1})
+    assert _run(["place", "--cluster", path, "--demand", demand])[0] == EXIT_USAGE
+    assert f"error: {path}: vms[2]: duplicate vm id 'v1'" in capsys.readouterr().err
+
+
 def test_place_rejects_double_hosting(tmp_path, capsys):
     bad = {
         "servers": [

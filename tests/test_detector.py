@@ -349,3 +349,16 @@ def test_default_parameters():
     detector = CusumDetector()
     assert detector.drift == 0.08
     assert detector.threshold == 1.43
+
+
+@pytest.mark.parametrize("field, row", [
+    ("interval_index", TrafficInterval(1.0, "v", 3, 0)),
+    ("syn", TrafficInterval(0, "v", 2.5, 0)),
+    ("syn", TrafficInterval(0, "v", True, 0)),
+    ("finrst", TrafficInterval(0, "v", 3, 0.5)),
+    ("finrst", TrafficInterval(0, "v", 3, "1")),
+], ids=["float-index", "float-syn", "bool-syn", "float-finrst", "str-finrst"])
+def test_fill_gaps_takes_only_int_indices_and_counts(field, row):
+    # syn 2.5 and True used to become 2 and 1, and an index of 1.0 a TypeError from np.zeros
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        fill_gaps([TrafficInterval(0, "w", 1, 1), row])

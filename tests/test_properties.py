@@ -80,8 +80,9 @@ from vmshield.detector import (  # noqa: E402
     stat_rows_to_csv,
 )
 from vmshield.errors import NonConvergence, ParseError, UnsortedTrace, ValidationError  # noqa: E402
-from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, json_text  # noqa: E402
-from vmshield.scheduler import ServerState, VmRecord, estimate_demand_restart, mean_usage, place  # noqa: E402
+from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, json_text, round_six  # noqa: E402
+from vmshield.scheduler import (ServerState, ServerTable, VmRecord, estimate_demand_restart,  # noqa: E402
+                               mean_usage, place)
 from vmshield.simulator import Scenario, run  # noqa: E402
 from vmshield.traffic import (  # noqa: E402
     TrafficSpec,
@@ -701,10 +702,16 @@ def _placement(draw):
 def test_place_and_filter_candidates_equal_the_vector_oracle(case):
     demand, weights, servers = case
     candidates, scores, chosen = place_oracle(demand, weights.as_tuple(), servers)
-    decision = place(demand, weights, servers)
+    decision = place(demand, weights, ServerTable.from_servers(servers))
     assert decision.scores == scores
-    assert list(decision.scores) == candidates
+    assert list(decision.scores) == sorted(candidates)  # the table holds servers in id order
     assert decision.chosen == chosen
+
+
+@SETTINGS
+@given(st.lists(st.floats(0, 1e12), max_size=40))
+def test_round_six_equals_round_on_any_floats(values):
+    assert [v.hex() for v in round_six(values)] == [round(v, 6).hex() for v in values]
 
 
 @st.composite

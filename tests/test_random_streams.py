@@ -1,0 +1,75 @@
+"""Canary for numpy's random streams, pinned by sha256.
+
+Report bytes rest on the streams of np.random.Generator, which numpy does
+not promise to keep across releases (only the bit generators are).  Each
+case here makes, straight on numpy, the calls one part of the program
+makes, in its shapes and from the same default_rng seeding (PCG64 through
+SeedSequence).  A numpy that changes a stream fails the case that names
+it, before tests/test_golden.py fails with no named cause.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+INTERVAL_US = 10_000_000  # the default 10 s interval
+FIN_DELAY_US = (12_000_000, 19_000_000)  # the default fin_delay_range
+
+
+def _simulator_jitter():
+    # phase 2: one (running VMs, 3) block of +/-10% jitter a tick, stream 0 of the scenario seed
+    rng = np.random.default_rng([7, 0])
+    return [rng.uniform(-0.1, 0.1, (vms, 3)) for vms in (0, 1, 5, 400, 3)]
+
+
+def _simulator_traffic():
+    # phase 3: every sending VM's connection offsets, then their FIN delays, stream 1
+    rng = np.random.default_rng([7, 1])
+    draws = []
+    for total in (0, 3, 4000, 250):
+        draws.append(rng.integers(0, INTERVAL_US, total))
+        draws.append(rng.integers(*FIN_DELAY_US, total, endpoint=True))
+    return draws
+
+
+def _gen_normal():
+    # traffic._normal_draws: per interval, offsets and delays in one call with array bounds, then RST flags
+    rng = np.random.default_rng(3)
+    n = 25
+    low, high = np.repeat([0, FIN_DELAY_US[0]], n), np.repeat([INTERVAL_US - 1, FIN_DELAY_US[1]], n)
+    draws = []
+    for _ in range(4):
+        draws.append(rng.integers(low, high, endpoint=True))
+        draws.append(rng.random(n))
+    return draws
+
+
+def _gen_attack():
+    # traffic.gen_attack: every interval's SYN offsets in one (intervals, SYNs a interval) call
+    return [np.random.default_rng(5).integers(0, INTERVAL_US, (6, 75))]
+
+
+STREAMS = {
+    "simulator-jitter": (_simulator_jitter, "770fe2d87d998397169c6d6e162802cf98e6fbbb8d0f431844e251fdc7ac8920"),
+    "simulator-traffic": (_simulator_traffic, "4f9dc976ed6b759423bef62407d913bf18b14fa8431fe9c500639d2e92c5b7bc"),
+    "gen-normal": (_gen_normal, "49ce76d462868fed4cfc1022d7dd0d3d9389db6f602dab0b0477ee289e0d4eef"),
+    "gen-attack": (_gen_attack, "831456041e198a3d2acf1dadf6b9fbd9588c4b74c79e3c769439c045b85b8d02"),
+}
+
+
+def _digest(arrays) -> str:
+    """sha256 over each array's shape and little-endian bytes, floats as float64 and ints as int64."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(a.astype("<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_numpy_random_stream_is_the_one_the_reports_were_pinned_with(name):
+    draw, pinned = STREAMS[name]
+    assert _digest(draw()) == pinned, f"numpy's {name} stream changed: report bytes will change"

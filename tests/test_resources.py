@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from vmshield.resources import (
     ZERO,
     ResourceVector,
     WeightVector,
+    round_six,
     rv_strictly_less,
     weighted_score,
 )
@@ -135,3 +137,21 @@ def test_vectors_are_hashable_values():
     assert ResourceVector(1, 2, 3) in {ResourceVector(1, 2, 3)}
     with pytest.raises(Exception):
         ResourceVector(1, 2, 3).cpu = 5  # frozen
+
+
+def _round_six_cases():
+    """Floats within a few ulps of a half millionth, at and above 1e9, and zeros."""
+    halves = [(k + 0.5) / 1e6 for k in [*range(2000), *(10**e + 7 for e in range(3, 15))]]
+    near = [x for h in halves for x in (h, math.nextafter(h, 0), math.nextafter(h, math.inf),
+                                         math.nextafter(math.nextafter(h, 0), 0),
+                                         math.nextafter(math.nextafter(h, math.inf), math.inf))]
+    large = [1e9, math.nextafter(1e9, 0), math.nextafter(1e9, math.inf), 1e9 + 0.0000005, 123456789.0000005,
+             999999999.9999995, 1e12 + 0.5e-3, 2.0**53, 1e300]
+    exact_halves = [2.0**-k for k in range(1, 30)]  # 2**-7 * 1e6 is 7812.5 to the bit
+    return [0.0, -0.0, *near, *large, *exact_halves, *(-x for x in near[:50])]
+
+
+def test_round_six_equals_round_bit_for_bit():
+    values = _round_six_cases()
+    assert [v.hex() for v in round_six(values)] == [round(v, 6).hex() for v in values]
+    assert round_six([]) == []

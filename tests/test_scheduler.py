@@ -12,6 +12,7 @@ from vmshield.errors import EmptyServer
 from vmshield.resources import UNIFORM_WEIGHTS, ZERO, ResourceVector, WeightVector, rv_strictly_less, weighted_score
 from vmshield.scheduler import (
     ServerState,
+    ServerTable,
     VmRecord,
     avg_vm_usage,
     consolidate,
@@ -40,6 +41,12 @@ def _server(sid, usage, threshold=(80, 80, 80), power="active", vms=()):
         power=power,
         vms=set(vms),
     )
+
+
+def _table_state(table):
+    """Everything a ServerTable holds, as plain values that compare with ==."""
+    return (table.ids, table.usage.tolist(), table.threshold.tolist(), table.active.tolist(),
+            [set(vms) for vms in table.vms])
 
 
 def test_normalize_class_aliases_and_rejects():
@@ -80,12 +87,12 @@ def test_feasibility_is_strict():
         _server("ok", (69.9, 60, 60)),
         _server("hot", (75, 75, 75)),
     ]
-    assert list(place(demand, UNIFORM_WEIGHTS, servers).scores) == ["ok"]
+    assert list(place(demand, UNIFORM_WEIGHTS, ServerTable.from_servers(servers)).scores) == ["ok"]
 
 
 def test_filter_skips_sleeping_servers():
     servers = [_server("a", (0, 0, 0), power="asleep"), _server("b", (0, 0, 0))]
-    assert list(place(ResourceVector(1, 1, 1), UNIFORM_WEIGHTS, servers).scores) == ["b"]
+    assert list(place(ResourceVector(1, 1, 1), UNIFORM_WEIGHTS, ServerTable.from_servers(servers)).scores) == ["b"]
 
 
 def test_place_reproduces_published_example():
@@ -95,7 +102,7 @@ def test_place_reproduces_published_example():
         _server("B", (50.61, 30, 40), threshold=(100, 100, 100)),
         _server("C", (71.44, 30, 50), threshold=(100, 100, 100)),
     ]
-    decision = place(ResourceVector(4, 12, 4), w, servers)
+    decision = place(ResourceVector(4, 12, 4), w, ServerTable.from_servers(servers))
     assert decision.scores["A"] == pytest.approx(50.08, abs=1e-9)
     assert decision.scores["B"] == pytest.approx(36.122, abs=1e-9)
     assert decision.scores["C"] == pytest.approx(42.288, abs=1e-9)
@@ -105,7 +112,7 @@ def test_place_reproduces_published_example():
 
 def test_place_ties_break_to_smaller_id():
     servers = [_server("b", (10, 10, 10)), _server("a", (10, 10, 10))]
-    decision = place(ResourceVector(1, 1, 1), UNIFORM_WEIGHTS, servers)
+    decision = place(ResourceVector(1, 1, 1), UNIFORM_WEIGHTS, ServerTable.from_servers(servers))
     assert decision.chosen == "a"
 
 
@@ -113,14 +120,14 @@ def test_place_scores_current_usage_not_projected():
     # the demand influences feasibility only; scores rank current load
     w = UNIFORM_WEIGHTS
     servers = [_server("a", (30, 30, 30)), _server("b", (29, 29, 29))]
-    decision = place(ResourceVector(45, 45, 45), w, servers)
+    decision = place(ResourceVector(45, 45, 45), w, ServerTable.from_servers(servers))
     assert decision.scores["a"] == pytest.approx(30.0)
     assert decision.chosen == "b"
 
 
 def test_place_rejection_is_a_value():
     servers = [_server("a", (79, 79, 79)), _server("b", (50, 50, 50), power="asleep")]
-    decision = place(ResourceVector(5, 5, 5), UNIFORM_WEIGHTS, servers)
+    decision = place(ResourceVector(5, 5, 5), UNIFORM_WEIGHTS, ServerTable.from_servers(servers))
     assert decision.rejected
     assert decision.chosen is None
     assert decision.reason == "no feasible server"
@@ -128,11 +135,10 @@ def test_place_rejection_is_a_value():
 
 
 def test_place_does_not_mutate_servers():
-    servers = [_server("a", (10, 10, 10))]
-    before = copy.deepcopy(servers)
-    place(ResourceVector(5, 5, 5), UNIFORM_WEIGHTS, servers)
-    assert servers[0].usage == before[0].usage
-    assert servers[0].vms == before[0].vms
+    table = ServerTable.from_servers([_server("a", (10, 10, 10), vms=("v1",))])
+    before = _table_state(table)
+    place(ResourceVector(5, 5, 5), UNIFORM_WEIGHTS, table)
+    assert _table_state(table) == before
 
 
 def test_overload_is_complement_of_strict_feasibility():
@@ -141,12 +147,12 @@ def test_overload_is_complement_of_strict_feasibility():
         usage = ResourceVector(*(float(x) for x in rng.uniform(0, 100, 3)))
         threshold = ResourceVector(*(float(x) for x in rng.uniform(1, 100, 3)))
         s = ServerState("x", usage=usage, threshold=threshold)
-        assert detect_overload(s) == (not rv_strictly_less(usage, threshold))
+        assert detect_overload(ServerTable.from_servers([s]))[0] == (not rv_strictly_less(usage, threshold))
 
 
 def test_overload_on_exact_threshold():
-    assert detect_overload(_server("a", (80, 0, 0)))
-    assert not detect_overload(_server("a", (79.999, 79.999, 79.999)))
+    table = ServerTable.from_servers([_server("a", (80, 0, 0)), _server("b", (79.999, 79.999, 79.999))])
+    assert detect_overload(table).tolist() == [True, False]
 
 
 def test_avg_vm_usage_and_empty_server():
@@ -193,7 +199,7 @@ def test_plan_migration_worked_example():
         _server("P2", (20, 20, 20)),
         _server("P3", (60, 70, 50)),  # mem would land on 90: infeasible
     ]
-    plan = plan_migration(servers, vms)
+    plan = plan_migration(ServerTable.from_servers(servers), vms)
     assert plan is not None
     assert (plan.source, plan.victim, plan.target) == ("P1", "v1", "P2")
     # m3 = (30,20,20), shares (3/7, 2/7, 2/7):
@@ -205,7 +211,7 @@ def test_plan_migration_worked_example():
 
 def test_plan_migration_none_when_balanced():
     servers = [_server("a", (40, 40, 40)), _server("b", (50, 50, 50))]
-    assert plan_migration(servers, {}) is None
+    assert plan_migration(ServerTable.from_servers(servers), {}) is None
 
 
 def test_plan_migration_none_when_no_target_improves():
@@ -214,12 +220,12 @@ def test_plan_migration_none_when_no_target_improves():
         _server("a", (85, 60, 60), vms=("v1",)),
         _server("b", (84, 60, 60)),  # feasible would be 134 cpu: no
     ]
-    assert plan_migration(servers, vms) is None
+    assert plan_migration(ServerTable.from_servers(servers), vms) is None
 
 
 def test_plan_migration_empty_overloaded_server_is_skipped():
     servers = [_server("a", (90, 90, 90)), _server("b", (10, 10, 10))]
-    assert plan_migration(servers, {}) is None
+    assert plan_migration(ServerTable.from_servers(servers), {}) is None
 
 
 def test_plan_migration_picks_hottest_source():
@@ -232,7 +238,7 @@ def test_plan_migration_picks_hottest_source():
         _server("b", (95, 70, 70), vms=("v2",)),  # higher uniform score
         _server("c", (10, 10, 10)),
     ]
-    plan = plan_migration(servers, vms)
+    plan = plan_migration(ServerTable.from_servers(servers), vms)
     assert plan is not None
     assert plan.source == "b"
     assert plan.target == "c"
@@ -242,7 +248,7 @@ def test_plan_migration_matches_bruteforce_oracle_seeded():
     for seed in range(150):
         servers, vms = random_cluster(seed)
         expected = migration_oracle(servers, vms)
-        plan = plan_migration(servers, vms)
+        plan = plan_migration(ServerTable.from_servers(servers), vms)
         if expected is None:
             assert plan is None, f"seed {seed}: library planned, oracle declined"
         else:
@@ -267,7 +273,7 @@ def test_consolidate_drains_and_sleeps_idle_server():
         _server("a", (40, 40, 40)),
         _server("b", (12, 7, 7), vms=("v1",)),
     ]
-    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    plans, sleeps = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     assert sleeps == ["b"]
     assert len(plans) == 1
     assert (plans[0].victim, plans[0].source, plans[0].target) == ("v1", "b", "a")
@@ -288,14 +294,14 @@ def test_consolidate_is_all_or_nothing():
         _server("a", (50, 50, 50)),
         _server("b", (10, 10, 10), vms=("v1", "v2")),
     ]
-    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    plans, sleeps = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     assert plans == []
     assert sleeps == []
 
 
 def test_consolidate_empty_idle_server_sleeps_without_moves():
     servers = [_server("a", (40, 40, 40)), _server("b", (3, 3, 3))]
-    plans, sleeps = consolidate(servers, {}, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    plans, sleeps = consolidate(ServerTable.from_servers(servers), {}, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     assert plans == []
     assert sleeps == ["b"]
 
@@ -313,7 +319,7 @@ def test_consolidate_drains_least_loaded_first():
         # c has room for one small VM only
         _server("c", (73, 73, 73)),
     ]
-    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    plans, sleeps = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     # lighter server drains first onto a, which then sits exactly at the
     # watermark and stops being drainable
     assert sleeps == ["b"]
@@ -332,7 +338,7 @@ def test_consolidate_can_cascade():
         _server("b", (6, 6, 6), vms=("v2",)),
         _server("c", (40, 40, 40)),
     ]
-    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    plans, sleeps = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     # a drains onto b first (b scores lower than c), then b itself drains
     assert sleeps == ["a", "b"]
     assert [(p.victim, p.source, p.target) for p in plans] == [
@@ -372,10 +378,11 @@ def test_consolidate_matches_deepcopy_oracle_and_never_mutates_inputs():
     drained_clusters = moves = 0
     for seed in range(300):
         servers, vms, low, samples = _consolidation_case(seed)
-        servers_before = copy.deepcopy(servers)
+        table = ServerTable.from_servers(servers)
+        table_before = _table_state(table)
         vms_before = copy.deepcopy(vms)
         expected_moves, expected_sleeps = consolidate_oracle(servers, vms, samples, low, CLASS_DEFAULTS)
-        plans, sleeps = consolidate(servers, vms, low, CLASS_DEFAULTS)
+        plans, sleeps = consolidate(table, vms, low, CLASS_DEFAULTS)
 
         assert sleeps == expected_sleeps, f"seed {seed}"
         got = [(p.source, p.victim, p.target) for p in plans]
@@ -393,7 +400,7 @@ def test_consolidate_matches_deepcopy_oracle_and_never_mutates_inputs():
         assert all(not hosted[sid] for sid in sleeps), f"seed {seed}"
 
         # planning never mutates its inputs
-        assert servers == servers_before, f"seed {seed}"
+        assert _table_state(table) == table_before, f"seed {seed}"
         assert vms == vms_before, f"seed {seed}"
         drained_clusters += bool(sleeps)
         moves += len(plans)
@@ -429,7 +436,7 @@ def test_planning_reads_each_vm_once_per_call():
     vms = _CountingVms({vid: _sampled(vid, obs, obs) for vid, obs in
                         (("v1", (20, 10, 10)), ("v2", (30, 10, 10)), ("v3", (35, 10, 10)))})
     servers = [_server("a", (85, 30, 30), vms=("v1", "v2", "v3")), _server("b", (10, 10, 10))]
-    plan = plan_migration(servers, vms)
+    plan = plan_migration(ServerTable.from_servers(servers), vms)
     assert (plan.source, plan.victim, plan.target) == ("a", "v2", "b")
     assert vms.reads == {"v1": 1, "v2": 1, "v3": 1}
 
@@ -440,7 +447,7 @@ def test_planning_reads_each_vm_once_per_call():
                         "v3": _sampled("v3", (6, 6, 6), (6, 6, 6))})
     servers = [_server("a", (3, 3, 3), vms=("v1", "v2")), _server("b", (6, 6, 6), vms=("v3",)),
                _server("c", (40, 40, 40))]
-    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    plans, sleeps = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     assert sleeps == ["b"]
     assert [(p.victim, p.source, p.target) for p in plans] == [("v3", "b", "a")]
     assert vms.reads == {"v1": 1, "v2": 1, "v3": 1}
@@ -450,7 +457,7 @@ def test_planning_reads_each_vm_once_per_call():
                         "v2": _sampled("v2", (6, 6, 6), (6, 6, 6))})
     servers = [_server("a", (4, 4, 4), vms=("v1",)), _server("b", (6, 6, 6), vms=("v2",)),
                _server("c", (40, 40, 40))]
-    plans, sleeps = consolidate(servers, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    plans, sleeps = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     assert sleeps == ["a", "b"] and len(plans) == 3
     assert vms.reads == {"v1": 1, "v2": 1}
 
@@ -461,19 +468,20 @@ def test_wake_server_picks_smallest_sleeping_id():
         _server("a", (10, 10, 10)),
         _server("b", (0, 0, 0), power="asleep"),
     ]
-    assert wake_server(servers) == "b"
+    assert wake_server(ServerTable.from_servers(servers)) == "b"
     servers[2].power = "active"  # the caller wakes it
-    assert wake_server(servers) == "c"
+    assert wake_server(ServerTable.from_servers(servers)) == "c"
     servers[0].power = "active"
-    assert wake_server(servers) is None
+    assert wake_server(ServerTable.from_servers(servers)) is None
 
 
 def test_wake_server_leaves_every_server_as_it_was():
     servers = [_server("c", (0, 0, 0), power="asleep"), _server("a", (10, 10, 10)),
                _server("b", (0, 0, 0), power="asleep")]
-    before = copy.deepcopy(servers)
-    assert wake_server(servers) == "b"
-    assert servers == before
+    table = ServerTable.from_servers(servers)
+    before = _table_state(table)
+    assert wake_server(table) == "b"
+    assert _table_state(table) == before
 
 
 def test_uniform_score_used_for_source_ranking():
@@ -485,7 +493,7 @@ def test_uniform_score_used_for_source_ranking():
 
 def test_zero_usage_cluster_places_on_smallest_id():
     servers = [_server(sid, (0, 0, 0)) for sid in ("s2", "s1", "s3")]
-    decision = place(ResourceVector(10, 10, 10), UNIFORM_WEIGHTS, servers)
+    decision = place(ResourceVector(10, 10, 10), UNIFORM_WEIGHTS, ServerTable.from_servers(servers))
     assert decision.chosen == "s1"
     assert decision.demand_estimate == ResourceVector(10, 10, 10)
     assert decision.weights == UNIFORM_WEIGHTS
@@ -495,3 +503,62 @@ def test_avg_usage_equals_zero_vector_edge():
     vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ZERO)}
     s = _server("a", (90, 90, 90), vms=("v1",))
     assert avg_vm_usage(s, vms) == ZERO
+
+
+def test_the_table_holds_servers_in_id_order_and_copies_them():
+    servers = [_server("b", (1, 2, 3), vms=("v2",)), _server("a", (4, 5, 6), (90, 90, 90), "asleep", ("v1",))]
+    table = ServerTable.from_servers(servers)
+    assert _table_state(table) == (("a", "b"), [[4, 5, 6], [1, 2, 3]], [[90, 90, 90], [80, 80, 80]],
+                                   [False, True], [{"v1"}, {"v2"}])
+    assert table.row("b") == 1 and table.server(0) == servers[1]
+    table.vms[0].add("v3")
+    assert servers[1].vms == {"v1"}
+
+
+def test_an_asleep_server_is_never_a_candidate_a_source_or_drained():
+    vms = {"v1": _sampled("v1", (5, 5, 5), (5, 5, 5))}
+    # the asleep server is the emptiest, overloaded and under the watermark, and hosts v1
+    table = ServerTable.from_servers([_server("a", (90, 90, 90), (50, 50, 50), "asleep", ("v1",)),
+                                      _server("b", (30, 30, 30)), _server("c", (10, 10, 10))])
+    decision = place(ResourceVector(1, 1, 1), UNIFORM_WEIGHTS, table)
+    assert (list(decision.scores), decision.chosen) == (["b", "c"], "c")
+    assert plan_migration(table, vms) is None
+    plans, sleeps = consolidate(table, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    assert (plans, sleeps) == ([], ["c"])
+    assert wake_server(table) == "a"
+
+
+def test_a_score_tie_goes_to_the_least_id_in_any_input_order():
+    servers = [_server(sid, (10, 20, 30)) for sid in ("s3", "s10", "s2")]
+    decision = place(ResourceVector(1, 1, 1), WeightVector(0.2, 0.5, 0.3), ServerTable.from_servers(servers))
+    assert len(set(decision.scores.values())) == 1
+    assert decision.chosen == "s10"
+    # the hottest of two equally hot overloaded servers is the least id too
+    vms = {vid: _sampled(vid, (5, 5, 5), (5, 5, 5)) for vid in ("v1", "v2")}
+    servers = [_server("q", (85, 10, 10), vms=("v2",)), _server("p", (85, 10, 10), vms=("v1",)),
+               _server("z", (0, 0, 0))]
+    plan = plan_migration(ServerTable.from_servers(servers), vms)
+    assert (plan.source, plan.victim, plan.target) == ("p", "v1", "z")
+
+
+def test_usage_exactly_at_threshold_is_infeasible_and_overloaded():
+    demand = ResourceVector(0.5, 0.25, 0.125)
+    servers = [_server("at", (79.5, 10, 10)), _server("over", (80, 10, 10), (80, 90, 90)),
+               _server("below", (10, 79.75 - 1e-12, 10))]
+    table = ServerTable.from_servers(servers)
+    # usage + demand lands exactly on the threshold for "at", just below it for "below"
+    assert list(place(demand, UNIFORM_WEIGHTS, table).scores) == ["below"]
+    assert detect_overload(table).tolist() == [False, False, True]
+
+
+def test_consolidate_leaves_its_input_table_as_it_was():
+    vms = {"v1": _sampled("v1", (4, 4, 4), (4, 4, 4)), "v2": _sampled("v2", (6, 6, 6), (6, 6, 6))}
+    # test_consolidate_can_cascade's cluster: two drains, three moves
+    table = ServerTable.from_servers([_server("a", (4, 4, 4), vms=("v1",)), _server("b", (6, 6, 6), vms=("v2",)),
+                                      _server("c", (40, 40, 40))])
+    vms_sets = list(table.vms)
+    before = _table_state(table)
+    plans, sleeps = consolidate(table, vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    assert sleeps == ["a", "b"] and len(plans) == 3
+    assert _table_state(table) == before
+    assert all(now is then for now, then in zip(table.vms, vms_sets))

@@ -146,6 +146,26 @@ def test_scenario_event_reference_checks():
         Scenario.from_json(_scn(events=bad))
 
 
+_REQUEST = {"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2}
+
+
+@pytest.mark.parametrize("events, named", [
+    ([_REQUEST, {"tick": 9, "op": "vm_shutdown", "vm": "vm-001"}], r"events\[1\]: event tick 9 outside \[0, 5\)"),
+    ([_REQUEST, {"tick": 1, "op": "vm_request", "class": "memory-intensive"}],
+     r"events\[1\]: vm_request class 'memory-intensive' has no entry"),
+    ([_REQUEST, {"tick": 1, "op": "attack_start", "vm": "vm-001", "multiplier": 1e300}],
+     r"events\[1\]: attack multiplier"),
+    # the walk in tick order meets events[2] before events[0]
+    ([{"tick": 3, "op": "vm_shutdown", "vm": "vm-002"}, _REQUEST, {"tick": 1, "op": "vm_shutdown", "vm": "vm-007"}],
+     r"events\[2\]: event at tick 1 references unknown vm 'vm-007'"),
+    ([{"tick": 3, "op": "vm_shutdown", "vm": "vm-001"}, _REQUEST, {"tick": 2, "op": "vm_revoke", "vm": "vm-001"}],
+     r"events\[0\]: event at tick 3 references revoked vm 'vm-001'"),
+], ids=["tick-range", "unknown-class", "attack-multiplier", "unknown-vm", "revoked-vm"])
+def test_errors_across_events_name_the_event_by_its_place_in_the_list(events, named):
+    with pytest.raises(ValidationError, match=f"^{named}"):
+        Scenario.from_json(_scn(events=events))
+
+
 def test_detector_config_validation():
     with pytest.raises(ValidationError, match="policy"):
         DetectorConfig.from_json({"policy": "reboot"})
