@@ -45,7 +45,6 @@ from .resources import (
     ZERO,
     ResourceVector,
     WeightVector,
-    rv_strictly_less,
     weighted_score,
 )
 from .scheduler import (
@@ -139,7 +138,6 @@ __all__ = [
     "process_trace",
     "read_trace_csv",
     "run",
-    "rv_strictly_less",
     "select_victim",
     "stat_rows_to_csv",
     "validate_pairwise_matrix",

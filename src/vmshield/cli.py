@@ -167,35 +167,30 @@ _CLUSTER_KEYS = {
 }
 
 
-def _read_cluster(obj) -> tuple[list[sched.ServerState], dict[str, sched.VmRecord]]:
-    """The servers and the id -> VM map of a cluster object; every hosted id names one VM."""
+def _read_cluster(obj) -> tuple[sched.ServerTable, dict[str, sched.VmRecord]]:
+    """The server table and the id -> VM map of a cluster object; every hosted id names one VM."""
     fields = json_object(obj, "", _CLUSTER_KEYS, ("servers",), "cluster")
-    servers = fields["servers"]
-    sched.validate_servers(servers)
+    table = sched.ServerTable.from_servers(fields["servers"])
     vms: dict[str, sched.VmRecord] = {}
     for i, vm in enumerate(fields.get("vms", [])):
         if vm.id in vms:
             raise ValidationError(f"vms[{i}]: duplicate vm id {vm.id!r}")
         vms[vm.id] = vm
-    host: dict[str, str] = {}
-    for server in servers:
-        for vm_id in sorted(server.vms):
+    for sid, hosted in zip(table.ids, table.vms):
+        for vm_id in sorted(hosted):
             if vm_id not in vms:
-                raise ValidationError(f"server {server.id} hosts unknown vm {vm_id!r}")
-            if vm_id in host:
-                raise ValidationError(f"vm {vm_id!r} hosted by both {host[vm_id]} and {server.id}")
-            host[vm_id] = server.id
-    return servers, vms
+                raise ValidationError(f"server {sid} hosts unknown vm {vm_id!r}")
+    return table, vms
 
 
 def _cmd_place(args, cfg: GlobalConfig, out) -> int:
-    servers, _vms = read_json_file(args.cluster, _read_cluster)
+    table, _vms = read_json_file(args.cluster, _read_cluster)
     demand = read_json_file(args.demand, ResourceVector.from_json)
     if args.weights:
         weights = read_json_file(args.weights, WeightVector.from_json)
     else:
         weights = derive_weights(HotspotProfile(demand))
-    decision = sched.place(demand, weights, sched.ServerTable.from_servers(servers))
+    decision = sched.place(demand, weights, table)
     payload = {
         "demand": demand.to_json(),
         "weights": weights.to_json(),

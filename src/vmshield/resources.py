@@ -299,7 +299,7 @@ def _component(value, name: str) -> float:
     return c
 
 
-_VECTOR_KEYS = {"cpu": _component, "mem": _component, "bw": _component}
+_VECTOR_KEYS = ("cpu", "mem", "bw")
 _WEIGHT_KEYS = {"w_cpu": json_number, "w_mem": json_number, "w_bw": json_number}
 
 
@@ -332,13 +332,13 @@ class ResourceVector(NamedTuple):
         return {"cpu": self.cpu, "mem": self.mem, "bw": self.bw}
 
     @classmethod
-    def from_json(cls, obj: dict, where: str = "") -> "ResourceVector":
-        """A vector from exactly the keys cpu, mem and bw, each finite and >= 0.
+    def from_json(cls, obj: dict, where: str = "", read=_component) -> "ResourceVector":
+        """A vector from exactly the keys cpu, mem and bw, each read by read: finite and >= 0 by default.
 
         Errors name the component bare (``cpu``), behind ``where: `` if where is given.
         """
         try:
-            return cls(**json_object(obj, "", _VECTOR_KEYS, _VECTOR_KEYS, "resource vector"))
+            return cls(**json_object(obj, "", dict.fromkeys(_VECTOR_KEYS, read), _VECTOR_KEYS, "resource vector"))
         except ParseError as exc:
             if not where:
                 raise
@@ -380,11 +380,6 @@ class WeightVector:
 
 
 UNIFORM_WEIGHTS = WeightVector(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-
-
-def rv_strictly_less(a: ResourceVector, b: ResourceVector) -> bool:
-    """True iff every component of a is strictly below b's; equality fails."""
-    return a.cpu < b.cpu and a.mem < b.mem and a.bw < b.bw
 
 
 def weighted_score(w: WeightVector, m: ResourceVector) -> float:

@@ -5,8 +5,10 @@ Every decision reads a ServerTable, a cluster's servers in id order
 All operations here are pure: they return decision values
 (``PlacementDecision``, ``MigrationPlan``, sleep lists, the server to
 wake) that the caller applies, and none of them writes its inputs.
-Server JSON, in cluster and scenario files alike, is parsed and
-validated here only (``ServerState.from_json``, ``validate_servers``).
+Server JSON, in cluster and scenario files alike, is parsed here only
+(``ServerState.from_json``, which only reads), and every server rule
+lives in ``ServerTable.from_servers``, so a list built in Python is
+checked as its file would be.
 
 Decision rules, in brief, each an array expression over the table's
 rows with the float adds and compares of the scalar rule:
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +44,7 @@ from .resources import (
     ResourceVector,
     WeightVector,
     json_list,
+    json_number,
     json_object,
     json_str,
     weighted_score,
@@ -75,55 +78,31 @@ def read_class(value, name: str) -> str:
 
 @dataclass
 class ServerState:
-    """A physical server: usage, per-server threshold, power state, hosted VMs."""
+    """A physical server as given (ServerTable.from_servers checks a list): usage, threshold, power, VM ids."""
 
     id: str
     usage: ResourceVector = ZERO
     threshold: ResourceVector = ResourceVector(80.0, 80.0, 80.0)
     power: str = ACTIVE
-    vms: set[str] = field(default_factory=set)
+    vms: Collection[str] = field(default_factory=set)
 
     @classmethod
     def from_json(cls, obj, where: str = "server") -> "ServerState":
         """Parse one server entry; errors name the field as ``where.<key>``.
 
         Only the string ``id`` is required: the other _SERVER_KEYS take the
-        dataclass defaults (``vms`` is an array of vm ids).  Unknown keys
-        are rejected.
+        dataclass defaults (``vms`` lists the vm ids as written).  Unknown
+        keys are rejected; the rest is read, never checked.
         """
         return cls(**json_object(obj, where, _SERVER_KEYS, ("id",)))
 
 
-def _power(value, name: str) -> str:
-    if value not in (ACTIVE, ASLEEP):
-        raise ParseError(f"{name} must be {ACTIVE!r} or {ASLEEP!r}")
-    return value
+def _numbers(value, name: str) -> ResourceVector:
+    return ResourceVector.from_json(value, name, json_number)
 
 
-def _vm_ids(value, name: str) -> set[str]:
-    vms = json_list(value, name, json_str)
-    if len(set(vms)) != len(vms):
-        raise ParseError(f"{name} names a vm twice")
-    return set(vms)
-
-
-_SERVER_KEYS = {"id": json_str, "usage": ResourceVector.from_json,
-                "threshold": ResourceVector.from_json, "power": _power, "vms": _vm_ids}
-
-
-def validate_servers(servers: list[ServerState]) -> None:
-    """Server ids are non-empty and unique; threshold components are finite and > 0, usage ones finite and >= 0."""
-    seen = set()
-    for s in servers:
-        if not s.id:
-            raise ValidationError("server id must be non-empty")
-        if s.id in seen:
-            raise ValidationError(f"duplicate server id {s.id!r}")
-        seen.add(s.id)
-        if not all(0 < c < math.inf for c in s.threshold):
-            raise ValidationError(f"server {s.id}: threshold components must be > 0 and finite, got {s.threshold}")
-        if not all(0 <= c < math.inf for c in s.usage):
-            raise ValidationError(f"server {s.id}: usage components must be >= 0 and finite, got {s.usage}")
+_SERVER_KEYS = {"id": json_str, "usage": _numbers, "threshold": _numbers, "power": json_str,
+                "vms": lambda value, name: json_list(value, name, json_str)}
 
 
 class ServerTable:
@@ -138,8 +117,29 @@ class ServerTable:
 
     @classmethod
     def from_servers(cls, servers: list[ServerState]) -> "ServerTable":
-        """The table of parsed servers, sorted by id; their usage, power and vms sets are copied."""
+        """The table of servers, sorted by id; their usage, power and vms are copied.
+
+        The one check of a server list: ids non-empty and unique, power 'active' or 'asleep',
+        threshold components finite and > 0, usage ones finite and >= 0, no vm id hosted twice.
+        The first fault in id order, hosted ids sorted, is a ValidationError naming its server."""
         by_id = sorted(servers, key=lambda s: s.id)
+        host: dict[str, str] = {}
+        for i, s in enumerate(by_id):
+            if not s.id:
+                raise ValidationError("server id must be non-empty")
+            if i and s.id == by_id[i - 1].id:
+                raise ValidationError(f"duplicate server id {s.id!r}")
+            if s.power not in (ACTIVE, ASLEEP):
+                raise ValidationError(f"server {s.id}: power must be {ACTIVE!r} or {ASLEEP!r}, got {s.power!r}")
+            if not all(0 < c < math.inf for c in s.threshold):
+                raise ValidationError(f"server {s.id}: threshold components must be > 0 and finite, got {s.threshold}")
+            if not all(0 <= c < math.inf for c in s.usage):
+                raise ValidationError(f"server {s.id}: usage components must be >= 0 and finite, got {s.usage}")
+            for vid in sorted(s.vms):
+                if vid in host:
+                    raise ValidationError(f"server {s.id}: hosts vm {vid!r} twice" if host[vid] == s.id
+                                          else f"vm {vid!r} hosted by both {host[vid]} and {s.id}")
+                host[vid] = s.id
         return cls(tuple(s.id for s in by_id), np.array([s.usage for s in by_id], dtype=float).reshape(-1, 3),
                    np.array([s.threshold for s in by_id], dtype=float).reshape(-1, 3),
                    np.array([s.power == ACTIVE for s in by_id], dtype=bool), [set(s.vms) for s in by_id])
@@ -147,12 +147,6 @@ class ServerTable:
     def row(self, sid: str) -> int:
         """The row of server id sid, which must be one of ids."""
         return bisect.bisect_left(self.ids, sid)
-
-    def server(self, row: int) -> ServerState:
-        """The server of row as a ServerState, sharing the row's hosted-id set."""
-        return ServerState(self.ids[row], ResourceVector._make(self.usage[row].tolist()),
-                           ResourceVector._make(self.threshold[row].tolist()),
-                           ACTIVE if self.active[row] else ASLEEP, self.vms[row])
 
     def without(self, row: int) -> "ServerTable":
         """This table with the server of row asleep; it shares every array but the active mask."""
@@ -271,23 +265,22 @@ def detect_overload(table: ServerTable) -> np.ndarray:
     return (table.usage >= table.threshold).any(axis=1)
 
 
-def avg_vm_usage(server: ServerState, vms: Mapping[str, VmRecord]) -> ResourceVector:
-    """Mean observed usage over the server's hosted VMs (the migrant estimate)."""
-    if not server.vms:
-        raise EmptyServer(f"server {server.id} hosts no VMs")
-    hosted = [vms[vid].observed for vid in sorted(server.vms)]
-    return mean_usage(hosted)
+def avg_vm_usage(hosted: Collection[str], vms: Mapping[str, VmRecord]) -> ResourceVector:
+    """Mean observed usage over a server's hosted VM ids (the migrant estimate)."""
+    if not hosted:
+        raise EmptyServer("the server hosts no VMs")
+    return mean_usage([vms[vid].observed for vid in sorted(hosted)])
 
 
 def _dist2(a: ResourceVector, b: ResourceVector) -> float:
     return (a.cpu - b.cpu) ** 2 + (a.mem - b.mem) ** 2 + (a.bw - b.bw) ** 2
 
 
-def select_victim(server: ServerState, m3: ResourceVector, vms: Mapping[str, VmRecord]) -> str:
-    """Hosted VM whose observed usage is nearest (Euclidean) to the average m3."""
-    if not server.vms:
-        raise EmptyServer(f"server {server.id} hosts no VMs")
-    return min(sorted(server.vms), key=lambda vid: (_dist2(vms[vid].observed, m3), vid))
+def select_victim(hosted: Collection[str], m3: ResourceVector, vms: Mapping[str, VmRecord]) -> str:
+    """Hosted VM id whose observed usage is nearest (Euclidean) to the average m3."""
+    if not hosted:
+        raise EmptyServer("the server hosts no VMs")
+    return min(sorted(hosted), key=lambda vid: (_dist2(vms[vid].observed, m3), vid))
 
 
 def plan_migration(table: ServerTable, vms: Mapping[str, VmRecord]) -> MigrationPlan | None:
@@ -306,19 +299,18 @@ def plan_migration(table: ServerTable, vms: Mapping[str, VmRecord]) -> Migration
         return None
     heat = _weighted(UNIFORM_WEIGHTS, table.usage)[hot].tolist()
     row = int(hot[heat.index(max(heat))])  # the first greatest in id order
-    source = table.server(row)
-    if not source.vms:
+    hosted = table.vms[row]
+    if not hosted:
         return None
-    hosted = {vid: vms[vid] for vid in source.vms}  # each VM read once
-    m3 = avg_vm_usage(source, hosted)
+    records = {vid: vms[vid] for vid in hosted}  # each VM read once
+    m3 = avg_vm_usage(hosted, records)
     weights = ahp.derive_weights(ahp.HotspotProfile(m3))
-    source_post_score = weighted_score(weights, source.usage - m3)
+    source_post_score = weighted_score(weights, ResourceVector._make(table.usage[row].tolist()) - m3)
     target = place(m3, weights, table.without(row))
     if target.rejected or not target.scores[target.chosen] < source_post_score:
         return None
-    victim = select_victim(source, m3, hosted)
-    return MigrationPlan(source.id, victim, target.chosen, source_post_score,
-                         target.scores[target.chosen])
+    victim = select_victim(hosted, m3, records)
+    return MigrationPlan(table.ids[row], victim, target.chosen, source_post_score, target.scores[target.chosen])
 
 
 def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: ResourceVector,
@@ -353,18 +345,17 @@ def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: 
         drainable = (table.active & low[:, 0] & low[:, 1] & low[:, 2]).nonzero()[0]
         # least uniform score, then least id, which is least row
         for _, row in sorted(zip(_weighted(UNIFORM_WEIGHTS, table.usage)[drainable].tolist(), drainable.tolist())):
-            source = table.server(row)
+            source, usage = table.ids[row], ResourceVector._make(table.usage[row].tolist())
             trial = table.without(row)
             trial.usage = trial.usage.copy()
             trial_plans = []
-            for vid in sorted(source.vms):
+            for vid in sorted(table.vms[row]):
                 estimate, weights, observed = size(vid)
                 decision = place(estimate, weights, trial)
                 if decision.rejected:
                     break
                 trial.usage[trial.row(decision.chosen)] += estimate
-                trial_plans.append(MigrationPlan(source.id, vid, decision.chosen,
-                                                 weighted_score(weights, source.usage - observed),
+                trial_plans.append(MigrationPlan(source, vid, decision.chosen, weighted_score(weights, usage - observed),
                                                  decision.scores[decision.chosen], "consolidate"))
             else:
                 break  # every VM of source found a place
@@ -377,7 +368,7 @@ def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: 
             trial.vms[target] = trial.vms[target] | {plan.victim}
         table = trial  # the source stays inactive: asleep
         plans.extend(trial_plans)
-        sleeps.append(source.id)
+        sleeps.append(source)
 
 
 def wake_server(table: ServerTable) -> str | None:

@@ -230,7 +230,7 @@ class Scenario:
             raise ValidationError(str(exc)) from exc
         if not self.servers:
             raise ValidationError("scenario needs at least one server")
-        sched.validate_servers(self.servers)
+        ServerTable.from_servers(self.servers)  # the server rules; the run builds its own table
         for i, s in enumerate(self.servers):
             if s.vms:
                 raise ValidationError(f"servers[{i}].vms: scenario servers start empty; "
@@ -688,15 +688,12 @@ class _Sim:
         states = {self.vm_ids[row]: {"class": self.class_names[self.cols["class_index"][row]],
                                      "state": self._state(row), "host": self._host(row)}
                   for row in self.rows_by_id}
+        table = self._table()
         servers = {}
-        for row, sid in enumerate(self._table().ids):
-            s = self.table.server(row)
-            servers[sid] = {
-                "power": s.power,
-                "vms": len(s.vms),
-                "usage": _round_rv(s.usage),
-                "score_uniform": round(weighted_score(sched.UNIFORM_WEIGHTS, s.usage), 6),
-            }
+        for sid, active, hosted, usage in zip(table.ids, table.active.tolist(), table.vms, table.usage.tolist()):
+            usage = ResourceVector._make(usage)
+            servers[sid] = {"power": ACTIVE if active else ASLEEP, "vms": len(hosted), "usage": _round_rv(usage),
+                            "score_uniform": round(weighted_score(sched.UNIFORM_WEIGHTS, usage), 6)}
         return {
             "duration": self.sc.duration,
             "seed": self.sc.seed,

@@ -147,7 +147,7 @@ def test_criterion_6_migration_matches_bruteforce_oracle():
         # target feasible for the migrant estimate (its mean hosted usage)
         assert plan.target_score < plan.source_post_score
         src_server = next(s for s in servers if s.id == plan.source)
-        estimate = avg_vm_usage(src_server, vms)
+        estimate = avg_vm_usage(src_server.vms, vms)
         tgt = next(s for s in servers if s.id == plan.target)
         projected = tgt.usage + estimate
         assert all(p < t for p, t in zip(projected.as_tuple(), tgt.threshold.as_tuple()))

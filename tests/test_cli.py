@@ -14,6 +14,9 @@ import pytest
 
 import vmshield
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch
+from vmshield.errors import ValidationError
+from vmshield.resources import ResourceVector
+from vmshield.scheduler import ServerState, ServerTable
 
 ALARM_TRACE = "interval_index,vm_id,syn,finrst\n0,vm1,106242,3\n1,vm1,107762,3\n"
 
@@ -158,9 +161,11 @@ def test_ahp_rejects_inconsistent_matrix(tmp_path, capsys):
 
 
 def test_ahp_input_validation(tmp_path, capsys):
-    both = _write(tmp_path, "both.json",
-                  {"profile": {"cpu": 1, "mem": 1, "bw": 1}, "matrix": [[1]]})
-    assert _run(["ahp", "--input", both])[0] == EXIT_USAGE
+    for name, source in [("both", {"profile": {"cpu": 1, "mem": 1, "bw": 1}, "matrix": [[1, 1, 1]] * 3}),
+                         ("neither", {})]:
+        path = _write(tmp_path, name + ".json", source)
+        assert _run(["ahp", "--input", path]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {path}: expected exactly one of 'profile' or 'matrix'\n"
     assert _run(["ahp", "--input", str(tmp_path / "nope.json")])[0] == EXIT_USAGE
     capsys.readouterr()
     lopsided = _write(tmp_path, "bad.json", {"matrix": [[1, 2, 3], [1, 1, 1], [1, 1, 1]]})
@@ -288,6 +293,39 @@ def test_place_rejects_double_hosting(tmp_path, capsys):
     code, _ = _run(["place", "--cluster", cluster, "--demand", demand])
     assert code == EXIT_USAGE
     assert "vm 'v1' hosted by both a and b" in capsys.readouterr().err
+
+
+def _python_server(entry):
+    """The ServerState a Python caller builds for a server entry of a file."""
+    fields = dict(entry)
+    for key in ("usage", "threshold"):
+        if key in fields:
+            fields[key] = ResourceVector(**fields[key])
+    if "vms" in fields:
+        fields["vms"] = set(fields["vms"])
+    return ServerState(**fields)
+
+
+@pytest.mark.parametrize("servers, message", [
+    ([{"id": ""}], "server id must be non-empty"),
+    ([{"id": "a"}, {"id": "a"}], "duplicate server id 'a'"),
+    ([{"id": "a", "power": "on"}], "server a: power must be 'active' or 'asleep', got 'on'"),
+    ([{"id": "a", "threshold": {"cpu": 80.0, "mem": float("nan"), "bw": 80.0}}],
+     "server a: threshold components must be > 0 and finite, got ResourceVector(cpu=80.0, mem=nan, bw=80.0)"),
+    ([{"id": "a", "vms": ["v1"]}, {"id": "b", "vms": ["v1"]}], "vm 'v1' hosted by both a and b"),
+], ids=["empty-id", "duplicate-id", "power-on", "threshold-nan", "vm-on-two"])
+def test_a_server_fault_reads_the_same_from_either_file_and_from_python(tmp_path, capsys, servers, message):
+    # ServerTable.from_servers owns every server rule; the file readers only read and name the file
+    scenario = _write(tmp_path, "scenario.json", dict(SCENARIO, servers=servers))
+    assert _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+    cluster = _write(tmp_path, "cluster.json", {"servers": servers, "vms": [{"id": "v1", "class": "cpu-intensive"}]})
+    demand = _write(tmp_path, "demand.json", {"cpu": 1, "mem": 1, "bw": 1})
+    assert _run(["place", "--cluster", cluster, "--demand", demand]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {cluster}: {message}\n"
+    with pytest.raises(ValidationError) as from_python:
+        ServerTable.from_servers([_python_server(entry) for entry in servers])
+    assert str(from_python.value) == message
 
 
 def test_place_csv_reads_back_ids_with_commas_quotes_and_carriage_returns(tmp_path):
@@ -548,6 +586,12 @@ def test_gen_rejects_intervals_below_one_microsecond(tmp_path, capsys, interval)
     assert _run(["gen", "--spec", path, "--out", "-"]) == (EXIT_USAGE, "")
     assert "interval_seconds must be finite and at least 1 microsecond" in capsys.readouterr().err
 
+
+
+def test_gen_rejects_an_empty_specs_list(tmp_path, capsys):
+    path = _write(tmp_path, "specs.json", {"specs": []})
+    assert _run(["gen", "--spec", path, "--out", "-"]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {path}: specs must be a non-empty JSON array\n"
 
 
 def test_gen_to_stdout_and_seed_override(tmp_path):

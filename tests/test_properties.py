@@ -41,6 +41,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -678,34 +679,43 @@ COMPONENT = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 10.0, 20.5, 33.3, 50.
 VECTOR = st.builds(ResourceVector, COMPONENT, COMPONENT, COMPONENT)
 
 
+# threshold component offsets from usage + demand: a tie (which fails), just above, far above, below
+OFFSETS = (0.0, 0.0, 0.1, 10.0, -0.1)
+
+
 @st.composite
 def _placement(draw):
+    """demand, weights, servers and the servers' rejects: each with one threshold component at
+    usage + demand + an offset that leaves it <= 0, which no drawn threshold is."""
     demand = draw(VECTOR)
-    servers = []
+    servers, rejects = [], []
     for i in range(draw(st.integers(0, 6))):
         usage = draw(VECTOR)
-        # each threshold component: exactly usage + demand (a tie, which
-        # fails), just above it, far above it, or below it
-        threshold = ResourceVector(*(
-            total + draw(st.sampled_from([0.0, 0.0, 0.1, 10.0, -0.1]))
-            for total in (usage + demand).as_tuple()))
-        servers.append(ServerState(draw(st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5"]))
-                                   + str(i), usage, threshold,
-                                   draw(st.sampled_from(["active", "active", "asleep"]))))
+        totals = (usage + demand).as_tuple()
+        threshold = ResourceVector(*(total + draw(st.sampled_from([o for o in OFFSETS if total + o > 0]))
+                                     for total in totals))
+        server = ServerState(draw(st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5"])) + str(i), usage,
+                             threshold, draw(st.sampled_from(["active", "active", "asleep"])))
+        servers.append(server)
+        rejects += [replace(server, threshold=threshold._replace(**{name: total + o}))
+                    for name, total in zip(ResourceVector._fields, totals) for o in set(OFFSETS) if total + o <= 0]
     weights = draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25), (0.2, 0.7, 0.1),
                                     (1.0, 0.0, 0.0)]))
-    return demand, WeightVector(*weights), servers
+    return demand, WeightVector(*weights), servers, rejects
 
 
 @SETTINGS
 @given(_placement())
 def test_place_and_filter_candidates_equal_the_vector_oracle(case):
-    demand, weights, servers = case
+    demand, weights, servers, rejects = case
     candidates, scores, chosen = place_oracle(demand, weights.as_tuple(), servers)
     decision = place(demand, weights, ServerTable.from_servers(servers))
     assert decision.scores == scores
     assert list(decision.scores) == sorted(candidates)  # the table holds servers in id order
     assert decision.chosen == chosen
+    for server in rejects:
+        with pytest.raises(ValidationError, match=f"^server {server.id}: threshold components must be > 0"):
+            ServerTable.from_servers([server])
 
 
 @SETTINGS

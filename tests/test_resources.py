@@ -12,7 +12,6 @@ from vmshield.resources import (
     ResourceVector,
     WeightVector,
     round_six,
-    rv_strictly_less,
     weighted_score,
 )
 
@@ -42,14 +41,6 @@ def test_sub_may_go_negative():
 def test_scaled():
     v = ResourceVector(10.0, 20.0, 40.0).scaled(0.5)
     assert v == ResourceVector(5.0, 10.0, 20.0)
-
-
-def test_strictly_less_requires_every_component():
-    t = ResourceVector(80.0, 80.0, 80.0)
-    assert rv_strictly_less(ResourceVector(79.9, 0.0, 79.9), t)
-    assert not rv_strictly_less(ResourceVector(80.0, 79.0, 79.0), t)  # equality fails
-    assert not rv_strictly_less(ResourceVector(79.0, 80.1, 79.0), t)
-    assert not rv_strictly_less(t, t)
 
 
 def test_weighted_score_is_dot_product():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import consolidate_oracle, migration_oracle, random_cluster
-from vmshield.errors import EmptyServer
-from vmshield.resources import UNIFORM_WEIGHTS, ZERO, ResourceVector, WeightVector, rv_strictly_less, weighted_score
+from vmshield.errors import EmptyServer, ValidationError
+from vmshield.resources import UNIFORM_WEIGHTS, ZERO, ResourceVector, WeightVector, weighted_score
 from vmshield.scheduler import (
     ServerState,
     ServerTable,
@@ -147,7 +147,8 @@ def test_overload_is_complement_of_strict_feasibility():
         usage = ResourceVector(*(float(x) for x in rng.uniform(0, 100, 3)))
         threshold = ResourceVector(*(float(x) for x in rng.uniform(1, 100, 3)))
         s = ServerState("x", usage=usage, threshold=threshold)
-        assert detect_overload(ServerTable.from_servers([s]))[0] == (not rv_strictly_less(usage, threshold))
+        strictly_below = all(u < t for u, t in zip(usage, threshold))
+        assert detect_overload(ServerTable.from_servers([s]))[0] == (not strictly_below)
 
 
 def test_overload_on_exact_threshold():
@@ -162,9 +163,9 @@ def test_avg_vm_usage_and_empty_server():
         "v3": VmRecord("v3", "cpu-intensive", observed=ResourceVector(20, 10, 30)),
     }
     s = _server("p1", (90, 60, 60), vms=("v1", "v2", "v3"))
-    assert avg_vm_usage(s, vms) == ResourceVector(30, 20, 20)
+    assert avg_vm_usage(s.vms, vms) == ResourceVector(30, 20, 20)
     with pytest.raises(EmptyServer):
-        avg_vm_usage(_server("p2", (0, 0, 0)), vms)
+        avg_vm_usage(_server("p2", (0, 0, 0)).vms, vms)
 
 
 def test_select_victim_nearest_to_average():
@@ -174,9 +175,9 @@ def test_select_victim_nearest_to_average():
         "v3": VmRecord("v3", "cpu-intensive", observed=ResourceVector(20, 10, 30)),
     }
     s = _server("p1", (90, 60, 60), vms=vms.keys())
-    m3 = avg_vm_usage(s, vms)
+    m3 = avg_vm_usage(s.vms, vms)
     # distances to (30,20,20): v1 -> 10, v2 -> sqrt(200), v3 -> sqrt(300)
-    assert select_victim(s, m3, vms) == "v1"
+    assert select_victim(s.vms, m3, vms) == "v1"
 
 
 def test_select_victim_tie_breaks_by_id():
@@ -185,7 +186,7 @@ def test_select_victim_tie_breaks_by_id():
         "v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(10, 10, 8)),
     }
     s = _server("p1", (90, 90, 90), vms=("v1", "v2"))
-    assert select_victim(s, ResourceVector(10, 10, 10), vms) == "v1"
+    assert select_victim(s.vms, ResourceVector(10, 10, 10), vms) == "v1"
 
 
 def test_plan_migration_worked_example():
@@ -502,7 +503,7 @@ def test_zero_usage_cluster_places_on_smallest_id():
 def test_avg_usage_equals_zero_vector_edge():
     vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ZERO)}
     s = _server("a", (90, 90, 90), vms=("v1",))
-    assert avg_vm_usage(s, vms) == ZERO
+    assert avg_vm_usage(s.vms, vms) == ZERO
 
 
 def test_the_table_holds_servers_in_id_order_and_copies_them():
@@ -510,9 +511,33 @@ def test_the_table_holds_servers_in_id_order_and_copies_them():
     table = ServerTable.from_servers(servers)
     assert _table_state(table) == (("a", "b"), [[4, 5, 6], [1, 2, 3]], [[90, 90, 90], [80, 80, 80]],
                                    [False, True], [{"v1"}, {"v2"}])
-    assert table.row("b") == 1 and table.server(0) == servers[1]
+    assert table.row("b") == 1
     table.vms[0].add("v3")
     assert servers[1].vms == {"v1"}
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("servers, message", [
+    ([_server("", (0, 0, 0))], "^server id must be non-empty$"),
+    ([_server("a", (0, 0, 0)), _server("b", (0, 0, 0)), _server("a", (1, 1, 1))], "^duplicate server id 'a'$"),
+    ([_server("a", (0, 0, 0), power="on")], "^server a: power must be 'active' or 'asleep', got 'on'$"),
+    ([_server("a", (0, 0, 0), (80, NAN, 80))], "^server a: threshold components must be > 0 and finite"),
+    ([_server("a", (0, 0, 0), (80, 0, 80))], "^server a: threshold components must be > 0 and finite"),
+    ([_server("a", (-50, 0, 0))], "^server a: usage components must be >= 0 and finite"),
+    ([_server("a", (0, 0, float("inf")))], "^server a: usage components must be >= 0 and finite"),
+    ([ServerState("a", vms=["v2", "v1", "v2"])], "^server a: hosts vm 'v2' twice$"),
+    # hosted ids are walked sorted, so the message names v1 whatever order a set iterates in
+    ([_server("b", (0, 0, 0), vms=("v2", "v1")), _server("a", (0, 0, 0), vms=("v1", "v2"))],
+     "^vm 'v1' hosted by both a and b$"),
+], ids=["empty-id", "duplicate-id", "power-on", "threshold-nan", "threshold-0", "usage-negative", "usage-inf",
+        "vm-twice-on-one", "vm-on-two"])
+def test_the_table_checks_every_server_list_it_is_built_from(servers, message):
+    # these used to build a table: a NaN threshold left no feasible server, usage -50
+    # scored -16.67, power "on" ran asleep and a VM on two servers could be migrated
+    with pytest.raises(ValidationError, match=message):
+        ServerTable.from_servers(servers)
 
 
 def test_an_asleep_server_is_never_a_candidate_a_source_or_drained():

@@ -106,12 +106,18 @@ def test_scenario_rejects_bad_values():
         Scenario.from_json(_scn(events=[{"tick": 0, "op": "vm_explode", "vm": "vm-001"}]))
     with pytest.raises(ParseError):
         Scenario.from_json(_scn(events=[{"tick": 0, "op": "vm_request"}]))  # class missing
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="server s1: power must be 'active' or 'asleep', got 'off'"):
         Scenario.from_json(_scn(servers=[{"id": "s1", "power": "off"}]))
     with pytest.raises(ValidationError):
         Scenario.from_json(_scn(fin_delay_range=[0, 5]))
     with pytest.raises(ParseError, match="unknown hotspot class"):
         Scenario.from_json(_scn(vm_classes={"webby": {"cpu": 1, "mem": 1, "bw": 1}}))
+
+
+def test_a_class_given_twice_through_its_alias_is_rejected():
+    classes = {"mem-intensive": {"cpu": 1, "mem": 9, "bw": 1}, "memory-intensive": {"cpu": 1, "mem": 8, "bw": 1}}
+    with pytest.raises(ParseError, match=r"^vm_classes\.memory-intensive: class 'memory-intensive' is given twice$"):
+        Scenario.from_json(_scn(vm_classes=classes))
 
 
 def test_wake_on_reject_must_be_a_json_bool():
@@ -223,6 +229,7 @@ NAN, INF = float("nan"), float("inf")
     (lambda: _py_scn(servers=[ServerState("a", threshold=ResourceVector(80, 80, INF))]), "threshold"),
     (lambda: _py_scn(servers=[ServerState("a", usage=ResourceVector(NAN, 0, 0))]), "usage"),
     (lambda: _py_scn(servers=[ServerState("a", usage=ResourceVector(0, -1, 0))]), "usage"),
+    (lambda: _py_scn(servers=[ServerState("a", power="on")]), "^server a: power must be 'active' or 'asleep'"),
     (lambda: _py_scn(vm_classes={"cpu-intensive": ResourceVector(NAN, 5, 5)}), "vm_classes.cpu-intensive components"),
     (lambda: _py_scn(vm_classes={"cpu-intensive": ResourceVector(30, -5, 5)}), "vm_classes.cpu-intensive components"),
     (lambda: _py_scn(low_watermark=ResourceVector(20, 20, INF)), "low_watermark components"),
@@ -243,7 +250,7 @@ NAN, INF = float("nan"), float("inf")
 ], ids=["policy", "throttle-5", "throttle-nan", "server-vms", "op", "attack_stop-multiplier",
         "attack_start-multiplier-nan", "shutdown-no-vm", "request-vm", "request-no-class", "revoke-class",
         "shutdown-count", "request-count-0", "threshold-nan", "threshold-inf", "usage-nan", "usage-negative",
-        "class-nan", "class-negative", "watermark-inf", "seed-replace", "class-unknown", "class-alias",
+        "power-on", "class-nan", "class-negative", "watermark-inf", "seed-replace", "class-unknown", "class-alias",
         "tick-float", "count-float", "duration-float", "seed-float", "base_rate-float", "base_rate-bool"])
 def test_a_scenario_built_in_python_is_checked_as_its_file_would_be(build, named):
     _py_scn()  # the base scenario is valid

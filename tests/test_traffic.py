@@ -256,6 +256,19 @@ def test_read_trace_csv_errors():
         read_trace_csv("timestamp_s,vm_id,pkt_type\n0.5,vm1,SYN\n-0.000001,vm1,SYN\n")
 
 
+@pytest.mark.parametrize("stamp", [1.5, "3"])
+def test_events_from_python_need_int64_timestamps(stamp):
+    with pytest.raises(ValueError, match=f"^timestamp {re.escape(repr(stamp))} is not an int64 count of microseconds$"):
+        Trace.from_events([(0, "vm1", "SYN"), (stamp, "vm1", "FIN")])
+
+
+def test_binned_generators_need_a_spec_of_their_mode():
+    with pytest.raises(ValueError, match="^gen_normal_binned needs a spec with mode='normal'$"):
+        gen_normal_binned(_attack(), 5)
+    with pytest.raises(ValueError, match="^gen_attack_binned needs a spec with mode='attack'$"):
+        gen_attack_binned(_normal(), 5)
+
+
 def test_binned_trace_rejects_negative_counts():
     header = "interval_index,vm_id,syn,finrst\n"
     with pytest.raises(ParseError, match="line 3: syn and finrst must be >= 0"):
