@@ -9,7 +9,7 @@ Input files are read by read_text_file (JSON ones by read_json_file),
 each JSON object against a table of its keys by json_object, and output
 files are written by write_text_file, JSON ones as json_text lays them out
 and every CSV field as _csv_field quotes it; _csv_rows writes CSV lines
-in bulk with _six_places' exact %.6f digits; round_six is round(x, 6) in bulk.
+in bulk with _six_places' exact %.6f digits.
 """
 
 from __future__ import annotations
@@ -92,30 +92,13 @@ def _put_digits(rows, end: int, values, width: int) -> None:
         values = high
 
 
-def _millionths(x):
-    """fl(|x| * 1e6) of the floats x (0 where |x| >= 1e9), and where its rint rounds as %.6f and
-    round(x, 6) do, half to even: unless |x| is not below 1e9 or fl(|x| * 1e6), within 2**-53 of
-    the product relative to it, lies within about that of a half."""
+def _six_places(x):
+    """The floats x as _csv_rows fields, a sign and a (whole, frac) number, rint(fl(|x| * 1e6)), and where those
+    are %.6f's, half to even: unless |x| >= 1e9 (0 then) or fl(|x| * 1e6) is within about 2**-53 of a half."""
     exact = np.abs(x) < 1e9
     scaled = np.where(exact, np.abs(x), 0.0) * 1e6
     exact &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2**-51
-    return scaled, exact
-
-
-def _six_places(x):
-    """The floats x as _csv_rows fields, a sign and a (whole, frac) number, and where they are %.6f's."""
-    scaled, exact = _millionths(x)
     return [([b"", b"-"], np.signbit(x)), np.divmod(np.rint(scaled).astype(np.int64), 10**6)], exact
-
-
-def round_six(values) -> list[float]:
-    """[round(v, 6) for v in values] to the bit: rint(v * 1e6) / 1e6 where v >= +0.0 and _millionths is exact."""
-    x = np.asarray(values, dtype=float)
-    scaled, exact = _millionths(x)
-    rounded = (np.rint(scaled) / 1e6).tolist()
-    for i in (~exact | np.signbit(x)).nonzero()[0].tolist():
-        rounded[i] = round(float(x[i]), 6)
-    return rounded
 
 
 def _csv_rows(fields, n: int, alone=None) -> str:

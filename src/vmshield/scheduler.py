@@ -119,9 +119,12 @@ class ServerTable:
     def from_servers(cls, servers: list[ServerState]) -> "ServerTable":
         """The table of servers, sorted by id; their usage, power and vms are copied.
 
-        The one check of a server list: ids non-empty and unique, power 'active' or 'asleep',
-        threshold components finite and > 0, usage ones finite and >= 0, no vm id hosted twice.
-        The first fault in id order, hosted ids sorted, is a ValidationError naming its server."""
+        The one check of a server list: ids non-empty unique strings, power 'active' or 'asleep', threshold
+        and usage three finite numbers, > 0 and >= 0, vms a collection of id strings, none hosted twice.  A
+        ValidationError names a non-string id's list index, else the server of the first fault in id order."""
+        for i, s in enumerate(servers):
+            if not isinstance(s.id, str):
+                raise ValidationError(f"servers[{i}]: id must be a string, got {s.id!r}")
         by_id = sorted(servers, key=lambda s: s.id)
         host: dict[str, str] = {}
         for i, s in enumerate(by_id):
@@ -131,10 +134,16 @@ class ServerTable:
                 raise ValidationError(f"duplicate server id {s.id!r}")
             if s.power not in (ACTIVE, ASLEEP):
                 raise ValidationError(f"server {s.id}: power must be {ACTIVE!r} or {ASLEEP!r}, got {s.power!r}")
+            for name, vector in (("threshold", s.threshold), ("usage", s.usage)):
+                if not (isinstance(vector, (tuple, list, np.ndarray)) and len(vector) == 3  # a bool is no number
+                        and all(type(c) in (float, int) or isinstance(c, (np.floating, np.integer)) for c in vector)):
+                    raise ValidationError(f"server {s.id}: {name} must be three numbers, got {vector!r}")
             if not all(0 < c < math.inf for c in s.threshold):
                 raise ValidationError(f"server {s.id}: threshold components must be > 0 and finite, got {s.threshold}")
             if not all(0 <= c < math.inf for c in s.usage):
                 raise ValidationError(f"server {s.id}: usage components must be >= 0 and finite, got {s.usage}")
+            if isinstance(s.vms, str) or not (isinstance(s.vms, Collection) and all(isinstance(v, str) for v in s.vms)):
+                raise ValidationError(f"server {s.id}: vms must be a collection of vm id strings, got {s.vms!r}")
             for vid in sorted(s.vms):
                 if vid in host:
                     raise ValidationError(f"server {s.id}: hosts vm {vid!r} twice" if host[vid] == s.id
@@ -180,19 +189,30 @@ class VmRecord:
         return cls(id, hotspot_class, usage_sum=total, samples=len(samples), **fields)
 
 
-@dataclass
+@dataclass(eq=False)
 class PlacementDecision:
-    """Outcome of one placement pass: the scored candidate set and the pick."""
+    """Outcome of one placement pass: the feasible rows of the table whose ids are ids, in id order,
+    their float64 row_scores, the pick (chosen and its score, the least (score, id)) and runner_up,
+    the next (id, score): None with fewer than two feasible servers.  == is identity, as it holds arrays."""
 
     demand_estimate: ResourceVector
     weights: WeightVector
-    scores: dict[str, float]
-    chosen: str | None
+    ids: tuple[str, ...]
+    rows: np.ndarray
+    row_scores: np.ndarray
+    chosen: str | None = None
+    score: float | None = None
+    runner_up: tuple[str, float] | None = None
     reason: str | None = None
 
     @property
     def rejected(self) -> bool:
         return self.chosen is None
+
+    @property
+    def scores(self) -> dict[str, float]:
+        """The feasible ids, in id order, mapped to their scores; built on each read."""
+        return dict(zip(map(self.ids.__getitem__, self.rows.tolist()), self.row_scores.tolist()))
 
 
 @dataclass
@@ -244,20 +264,23 @@ def _weighted(weights: WeightVector, usage: np.ndarray) -> np.ndarray:
 
 
 def place(vm_demand: ResourceVector, weights: WeightVector, table: ServerTable) -> PlacementDecision:
-    """Score feasible servers on current usage and pick the minimum.
+    """Score feasible servers by weighted_score of their current usage; pick the least, then the runner-up.
 
-    Rejection ("no feasible server") is a value, not an error; callers
-    may wake a sleeping server and retry.  Scores map the feasible ids,
-    in id order, to weighted_score's dot product of their usage.
-    """
+    Each is a first-occurrence argmin over the scores in id order, so a tie goes to the least id.
+    Rejection ("no feasible server") is a value, not an error; callers may wake a sleeping server and retry."""
     fits = table.usage + np.asarray(vm_demand) < table.threshold  # by column: cheaper than all(axis=1)
     rows = (table.active & fits[:, 0] & fits[:, 1] & fits[:, 2]).nonzero()[0]
+    score = _weighted(weights, table.usage[rows])
     if not len(rows):
-        return PlacementDecision(vm_demand, weights, {}, None, NO_FEASIBLE_SERVER)
-    score = _weighted(weights, table.usage)[rows].tolist()
-    scores = dict(zip(map(table.ids.__getitem__, rows.tolist()), score))
-    # the first least score in id order: least score, then least id
-    return PlacementDecision(vm_demand, weights, scores, table.ids[rows[score.index(min(score))]])
+        return PlacementDecision(vm_demand, weights, table.ids, rows, score, reason=NO_FEASIBLE_SERVER)
+    first = int(score.argmin())
+    runner_up = None
+    if len(rows) > 1:
+        second = int(np.concatenate((score[:first], score[first + 1:])).argmin())  # among the others
+        second += second >= first
+        runner_up = table.ids[rows[second]], float(score[second])
+    return PlacementDecision(vm_demand, weights, table.ids, rows, score, table.ids[rows[first]], float(score[first]),
+                             runner_up)
 
 
 def detect_overload(table: ServerTable) -> np.ndarray:
@@ -297,8 +320,7 @@ def plan_migration(table: ServerTable, vms: Mapping[str, VmRecord]) -> Migration
     hot = (table.active & detect_overload(table)).nonzero()[0]
     if not len(hot):
         return None
-    heat = _weighted(UNIFORM_WEIGHTS, table.usage)[hot].tolist()
-    row = int(hot[heat.index(max(heat))])  # the first greatest in id order
+    row = int(hot[_weighted(UNIFORM_WEIGHTS, table.usage[hot]).argmax()])  # the first greatest in id order
     hosted = table.vms[row]
     if not hosted:
         return None
@@ -307,10 +329,10 @@ def plan_migration(table: ServerTable, vms: Mapping[str, VmRecord]) -> Migration
     weights = ahp.derive_weights(ahp.HotspotProfile(m3))
     source_post_score = weighted_score(weights, ResourceVector._make(table.usage[row].tolist()) - m3)
     target = place(m3, weights, table.without(row))
-    if target.rejected or not target.scores[target.chosen] < source_post_score:
+    if target.rejected or not target.score < source_post_score:
         return None
     victim = select_victim(hosted, m3, records)
-    return MigrationPlan(table.ids[row], victim, target.chosen, source_post_score, target.scores[target.chosen])
+    return MigrationPlan(table.ids[row], victim, target.chosen, source_post_score, target.score)
 
 
 def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: ResourceVector,
@@ -343,8 +365,8 @@ def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: 
     while True:
         low = table.usage < np.asarray(low_watermark)
         drainable = (table.active & low[:, 0] & low[:, 1] & low[:, 2]).nonzero()[0]
-        # least uniform score, then least id, which is least row
-        for _, row in sorted(zip(_weighted(UNIFORM_WEIGHTS, table.usage)[drainable].tolist(), drainable.tolist())):
+        # least uniform score, then least id, which is least row: a stable sort of rows in id order
+        for row in drainable[_weighted(UNIFORM_WEIGHTS, table.usage[drainable]).argsort(kind="stable")].tolist():
             source, usage = table.ids[row], ResourceVector._make(table.usage[row].tolist())
             trial = table.without(row)
             trial.usage = trial.usage.copy()
@@ -356,7 +378,7 @@ def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: 
                     break
                 trial.usage[trial.row(decision.chosen)] += estimate
                 trial_plans.append(MigrationPlan(source, vid, decision.chosen, weighted_score(weights, usage - observed),
-                                                 decision.scores[decision.chosen], "consolidate"))
+                                                 decision.score, "consolidate"))
             else:
                 break  # every VM of source found a place
         else:

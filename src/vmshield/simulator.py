@@ -62,8 +62,7 @@ from . import scheduler as sched
 from .ahp import HotspotProfile, derive_weights
 from .errors import ParseError, ValidationError
 from .resources import (ZERO, ResourceVector, _csv_field, is_int, json_bool, json_int, json_list, json_number,
-                        json_object, json_str, json_text, read_json_file, round_six, weighted_score,
-                        write_text_file)
+                        json_object, json_str, json_text, read_json_file, weighted_score, write_text_file)
 from .scheduler import ACTIVE, ASLEEP, ServerState, ServerTable, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
@@ -540,7 +539,10 @@ class _Sim:
             "class": vm_class,
             "demand": _round_rv(demand),
             "weights": _round_map(weights.to_json()),
-            "scores": dict(zip(decision.scores, round_six(list(decision.scores.values())))),
+            "score": None if decision.rejected else round(decision.score, 6),
+            "runner_up": decision.runner_up and {"server": decision.runner_up[0],
+                                                 "score": round(decision.runner_up[1], 6)},
+            "feasible": len(decision.rows),
             "chosen": decision.chosen,
             "reason": decision.reason,
             "woke": woken,

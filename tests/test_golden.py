@@ -21,7 +21,7 @@ DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "small_datace
 
 DEMO_DIGESTS = {
     "utilization.csv": "735bffc2c933c066895b9198692f545d47fe66837fc7698bc838563af0887652",
-    "placements.json": "102a7cf5607207e625574c1ebd1d7a6474f1e71c3076a27da7b7aa8c7e147ae8",
+    "placements.json": "5d0541b9285e915615872c3369286c2a48fea3ef2a5f547b8e3d83fe67601e08",
     "migrations.json": "c0dea3f197daf006db33c88287fe64a969ebcdcced73b823c4e25b341c91b55f",
     "detector.csv": "681294382a08af7569143b81527900a219e97f6e634fdd917d5613e60ff26d1a",
     "alarms.json": "74ce7ac83f81caa530fb97a460cb0ac29d490578a79f8502fe399cb1905f9807",
@@ -59,7 +59,7 @@ SMALL = {
 SMALL_DIGESTS = {
     "log": {
         "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
-        "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
+        "placements.json": "8cfc983828b0a4dc5a8916f15691eb4ecb4f95536e97238e8f3d72b328d17591",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
         "detector.csv": "8da854457c5667547efe36af2e5ee5cc2aba1da9b9b72ca5745bb5729b299bb7",
         "alarms.json": "1bf5ac14a2ee3423d2bb918d18b6c2728162bf7605363031f56e60ea52304e50",
@@ -67,7 +67,7 @@ SMALL_DIGESTS = {
     },
     "throttle": {
         "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
-        "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
+        "placements.json": "8cfc983828b0a4dc5a8916f15691eb4ecb4f95536e97238e8f3d72b328d17591",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
         "detector.csv": "aac2a991214671e184f17fbe29d7b0950b8851036c6a45831ae4a14e7e60bc18",
         "alarms.json": "a37c8001eb4be47954115624a81768d776a2e7c3c6d011e6906716b75f7ed1a3",
@@ -75,7 +75,7 @@ SMALL_DIGESTS = {
     },
     "suspend": {
         "utilization.csv": "5cffbf3928ccb0d23198666acf0b17e2668d5033809bf3afb6d6e7e578efb1d9",
-        "placements.json": "34c9fb419b3e858f280c768d9b021a53ec5e14081f8ae35ca4d9ff0143b424c3",
+        "placements.json": "8cfc983828b0a4dc5a8916f15691eb4ecb4f95536e97238e8f3d72b328d17591",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
         "detector.csv": "6891a3d223b9c79efa226b26cf43beeb5900a31387bc1d4a602e029fe98e1a20",
         "alarms.json": "061c20de2fe709130640da8bfb7c2d6594e3c581a7a30d2b56746c4cfad0bcaf",
@@ -157,7 +157,7 @@ def test_small_scenario_reports_are_byte_identical(policy, tmp_path):
 
 MID_DIGESTS = {
     "utilization.csv": "844f61357cdf2baf35927d9f4a55923245d9ba8d7384fda60bddaa7c7d7417a8",
-    "placements.json": "a9343370ed739746f567303e0fb7f7259dd510a47e30baea901f124018c3f16a",
+    "placements.json": "e81f61c02228647321e56e186175c0ab2d81a03894f0f06131f727e0496632ff",
     "migrations.json": "5194a25ebc2905ccbac3b9266cb63ea01130729783bfd6faa8d2cbc0f311dbc6",
     "detector.csv": "cede3b2a48f1e0b6b714a9031caa5abf9d36ff97015098274975d9c608ac7fe8",
     "alarms.json": "783b4fa118e80148cb7a2e1b8444c68e845054211aac4e02e9e1d61db97471d9",

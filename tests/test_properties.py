@@ -81,7 +81,7 @@ from vmshield.detector import (  # noqa: E402
     stat_rows_to_csv,
 )
 from vmshield.errors import NonConvergence, ParseError, UnsortedTrace, ValidationError  # noqa: E402
-from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, json_text, round_six  # noqa: E402
+from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, json_text  # noqa: E402
 from vmshield.scheduler import (ServerState, ServerTable, VmRecord, estimate_demand_restart,  # noqa: E402
                                mean_usage, place)
 from vmshield.simulator import Scenario, run  # noqa: E402
@@ -718,10 +718,35 @@ def test_place_and_filter_candidates_equal_the_vector_oracle(case):
             ServerTable.from_servers([server])
 
 
+THRESHOLD = st.sampled_from([10.0, 20.6, 50.0, 100.0])
+
+
+@st.composite
+def _tied_table(draw):
+    """demand, weights and up to 10 servers, any power, whose usage comes from at most three
+    vectors, so that scores often tie; ids in an order that is not id order."""
+    usages = draw(st.lists(VECTOR, min_size=1, max_size=3))
+    ids = draw(st.permutations(["a", "b", "s1", "s10", "s2", "s3", "z", "A", "\u00e9", "s20"]))
+    servers = [ServerState(sid, draw(st.sampled_from(usages)),
+                           draw(st.builds(ResourceVector, THRESHOLD, THRESHOLD, THRESHOLD)),
+                           draw(st.sampled_from(["active", "active", "asleep"])))
+               for sid in ids[:draw(st.integers(0, len(ids)))]]
+    weights = draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25), (0.2, 0.7, 0.1), (1.0, 0.0, 0.0)]))
+    return draw(VECTOR), WeightVector(*weights), servers
+
+
 @SETTINGS
-@given(st.lists(st.floats(0, 1e12), max_size=40))
-def test_round_six_equals_round_on_any_floats(values):
-    assert [v.hex() for v in round_six(values)] == [round(v, 6).hex() for v in values]
+@given(_tied_table())
+def test_place_picks_the_least_two_scores_of_the_vector_oracle(case):
+    demand, weights, servers = case
+    candidates, scores, chosen = place_oracle(demand, weights.as_tuple(), servers)
+    ranked = sorted((score, sid) for sid, score in scores.items())  # least (score, id) first
+    decision = place(demand, weights, ServerTable.from_servers(servers))
+    assert (decision.chosen, decision.score) == ((chosen, ranked[0][0]) if ranked else (None, None))
+    assert decision.runner_up == (ranked[1][::-1] if len(ranked) > 1 else None)
+    assert len(decision.rows) == len(candidates)
+    assert decision.scores == scores
+    assert list(decision.scores) == sorted(candidates)
 
 
 @st.composite

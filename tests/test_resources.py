@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from vmshield.errors import ParseError
@@ -11,7 +12,7 @@ from vmshield.resources import (
     ZERO,
     ResourceVector,
     WeightVector,
-    round_six,
+    _six_places,
     weighted_score,
 )
 
@@ -130,7 +131,7 @@ def test_vectors_are_hashable_values():
         ResourceVector(1, 2, 3).cpu = 5  # frozen
 
 
-def _round_six_cases():
+def _near_half_millionths():
     """Floats within a few ulps of a half millionth, at and above 1e9, and zeros."""
     halves = [(k + 0.5) / 1e6 for k in [*range(2000), *(10**e + 7 for e in range(3, 15))]]
     near = [x for h in halves for x in (h, math.nextafter(h, 0), math.nextafter(h, math.inf),
@@ -142,7 +143,10 @@ def _round_six_cases():
     return [0.0, -0.0, *near, *large, *exact_halves, *(-x for x in near[:50])]
 
 
-def test_round_six_equals_round_bit_for_bit():
-    values = _round_six_cases()
-    assert [v.hex() for v in round_six(values)] == [round(v, 6).hex() for v in values]
-    assert round_six([]) == []
+def test_six_places_writes_percent_six_f_digits_wherever_it_claims_to():
+    values = _near_half_millionths()
+    [(signs, negative), (whole, frac)], exact = _six_places(np.array(values))
+    written = [f"{signs[n].decode()}{w}.{f:06d}" for n, w, f in zip(negative.tolist(), whole.tolist(), frac.tolist())]
+    claimed = [(text, "%.6f" % v) for text, v, ok in zip(written, values, exact.tolist()) if ok]
+    assert all(text == wanted for text, wanted in claimed)
+    assert 200 < len(claimed) < len(values)  # most of these lie too near a half for the digit table

@@ -702,9 +702,36 @@ def test_placement_scores_the_usage_left_by_a_same_tick_move(tmp_path, move):
         if usage.cpu + entry["demand"]["cpu"] < s.threshold.cpu:  # the feasible servers
             expected[s.id] = (weights["w_cpu"] * usage.cpu + weights["w_mem"] * usage.mem
                               + weights["w_bw"] * usage.bw)
-    assert entry["scores"].keys() == expected.keys() and "s2" in expected
-    assert entry["scores"] == pytest.approx(expected, abs=2e-6)
-    assert entry["chosen"] == "s2"
+    # s1 has room after the shutdown only; the entry's pick and runner-up carry every feasible score
+    assert len(expected) == (2 if move == "shutdown" else 1)
+    ranked = sorted(expected, key=lambda sid: (expected[sid], sid))
+    assert (entry["chosen"], entry["feasible"]) == (ranked[0], len(expected)) and ranked[0] == "s2"
+    assert entry["score"] == pytest.approx(expected["s2"], abs=2e-6)
+    assert entry["runner_up"] == ({"server": ranked[1], "score": pytest.approx(expected[ranked[1]], abs=2e-6)}
+                                  if len(ranked) > 1 else None)
+
+
+# (server id, usage in every component, cpu threshold) a server, and the first entry's
+# (chosen, score, runner_up, feasible) for one cpu-intensive request (cpu 30)
+_PICKS = {
+    # s3 and s10 tie behind s2, and the tie goes to the least id: "s10" < "s2" < "s3"
+    "runner-up-tie": ([("s3", 5, 300), ("s2", 1, 300), ("s10", 5, 300)], ("s2", 1.0, {"server": "s10", "score": 5.0}, 3)),
+    "one-feasible": ([("s1", 5, 300), ("s2", 1, 20)], ("s1", 5.0, None, 1)),
+    "rejected": ([("s1", 5, 20), ("s2", 1, 20)], (None, None, None, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PICKS))
+def test_a_placement_entry_names_its_pick_the_runner_up_and_the_feasible_count(tmp_path, case):
+    servers, expected = _PICKS[case]
+    spec = _scn(servers=[{"id": sid, "threshold": {"cpu": cpu, "mem": 300, "bw": 300},
+                          "usage": {"cpu": u, "mem": u, "bw": u}} for sid, u, cpu in servers],
+                events=[{"tick": 0, "op": "vm_request", "class": "cpu-intensive"}])
+    emit_reports(run(Scenario.from_json(spec)), str(tmp_path))
+    [entry] = json.loads((tmp_path / "placements.json").read_text())
+    assert (entry["chosen"], entry["score"], entry["runner_up"], entry["feasible"]) == expected
+    assert sorted(entry) == ["chosen", "class", "demand", "feasible", "reason", "runner_up", "score", "seq", "tick",
+                             "vm", "weights", "woke"]
 
 
 def test_overload_triggers_one_migration():
