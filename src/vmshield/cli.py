@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 from . import detector as det
 from . import scheduler as sched
 from . import simulator, traffic
-from .ahp import (DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, HotspotProfile, _consistent_weights, derive_weights,
+from .ahp import (DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, _consistent_weights, derive_weights,
                   validate_pairwise_matrix)
 from .errors import ParseError, UnsortedTrace, ValidationError, VmShieldError
-from .resources import (ResourceVector, WeightVector, _csv_field, json_int, json_list, json_object, json_str,
-                        json_text, read_json_file, read_text_file, write_text_file)
+from .resources import (ResourceVector, WeightVector, _csv_field, check_vector, json_int, json_list, json_object,
+                        json_str, json_text, read_json_file, read_text_file, write_text_file)
 
 log = logging.getLogger("vmshield")
 
@@ -119,6 +119,10 @@ def _emit(payload, rows: list[dict], fmt: str, out) -> None:
 # ahp -----------------------------------------------------------------
 
 
+def _read_vector(value, name: str) -> ResourceVector:
+    return check_vector(ResourceVector.from_json(value, name), name)
+
+
 def _read_matrix(value, name: str):
     try:
         return validate_pairwise_matrix(value)
@@ -127,7 +131,7 @@ def _read_matrix(value, name: str):
 
 
 _AHP_KEYS = {
-    "profile": lambda value, name: HotspotProfile(ResourceVector.from_json(value, name)),
+    "profile": _read_vector,
     "matrix": _read_matrix,
 }
 
@@ -152,7 +156,7 @@ def _cmd_ahp(args, cfg: GlobalConfig, out) -> int:
 # place ---------------------------------------------------------------
 
 
-_CLUSTER_VM_KEYS = {"id": json_str, "class": sched.read_class, "observed": ResourceVector.from_json}
+_CLUSTER_VM_KEYS = {"id": json_str, "class": sched.read_class, "observed": _read_vector}
 
 
 def _read_cluster_vm(obj, where: str) -> sched.VmRecord:
@@ -185,11 +189,11 @@ def _read_cluster(obj) -> tuple[sched.ServerTable, dict[str, sched.VmRecord]]:
 
 def _cmd_place(args, cfg: GlobalConfig, out) -> int:
     table, _vms = read_json_file(args.cluster, _read_cluster)
-    demand = read_json_file(args.demand, ResourceVector.from_json)
+    demand = read_json_file(args.demand, lambda obj: _read_vector(obj, "demand"))
     if args.weights:
         weights = read_json_file(args.weights, WeightVector.from_json)
     else:
-        weights = derive_weights(HotspotProfile(demand))
+        weights = derive_weights(demand)
     decision = sched.place(demand, weights, table)
     payload = {
         "demand": demand.to_json(),

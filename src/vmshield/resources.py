@@ -4,6 +4,7 @@ Every quantity in the placement and migration pipeline is a
 (cpu, mem, bw) triple expressed in percent of a server's capacity, so
 vectors from different servers compare directly.  Weighted scores are
 plain dot products against a priority vector whose components sum to 1.
+check_vector is the one rule of a resource vector, which its owners call.
 
 Input files are read by read_text_file (JSON ones by read_json_file),
 each JSON object against a table of its keys by json_object, and output
@@ -275,14 +276,22 @@ def json_bool(value, name: str) -> bool:
     return value
 
 
-def _component(value, name: str) -> float:
-    c = json_number(value, name)
-    if not math.isfinite(c) or c < 0:
-        raise ParseError(f"{name} must be finite and >= 0, got {c}")
-    return c
+def is_number(value) -> bool:
+    """Whether value is an int or a float, numpy's included, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-_VECTOR_KEYS = ("cpu", "mem", "bw")
+def check_vector(vec, name: str, positive: bool = False):
+    """vec, if three numbers (a tuple, list or 1-d array), finite and >= 0 (> 0 if positive); else a ValidationError."""
+    shaped = isinstance(vec, (tuple, list)) or isinstance(vec, np.ndarray) and vec.ndim == 1
+    if not (shaped and len(vec) == 3 and all(map(is_number, vec))):
+        raise ValidationError(f"{name} must be three numbers, got {vec!r}")
+    if not all((0 < c if positive else 0 <= c) and c < math.inf for c in vec):
+        raise ValidationError(f"{name} components must be {'> 0' if positive else '>= 0'} and finite, got {vec}")
+    return vec
+
+
+_VECTOR_KEYS = {"cpu": json_number, "mem": json_number, "bw": json_number}
 _WEIGHT_KEYS = {"w_cpu": json_number, "w_mem": json_number, "w_bw": json_number}
 
 
@@ -315,13 +324,13 @@ class ResourceVector(NamedTuple):
         return {"cpu": self.cpu, "mem": self.mem, "bw": self.bw}
 
     @classmethod
-    def from_json(cls, obj: dict, where: str = "", read=_component) -> "ResourceVector":
-        """A vector from exactly the keys cpu, mem and bw, each read by read: finite and >= 0 by default.
+    def from_json(cls, obj: dict, where: str = "") -> "ResourceVector":
+        """A vector from exactly the keys cpu, mem and bw, each a JSON number; read, not checked (see check_vector).
 
         Errors name the component bare (``cpu``), behind ``where: `` if where is given.
         """
         try:
-            return cls(**json_object(obj, "", dict.fromkeys(_VECTOR_KEYS, read), _VECTOR_KEYS, "resource vector"))
+            return cls(**json_object(obj, "", _VECTOR_KEYS, _VECTOR_KEYS, "resource vector"))
         except ParseError as exc:
             if not where:
                 raise

@@ -30,7 +30,6 @@ rows with the float adds and compares of the scalar rule:
 from __future__ import annotations
 
 import bisect
-import math
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
@@ -43,8 +42,8 @@ from .resources import (
     ZERO,
     ResourceVector,
     WeightVector,
+    check_vector,
     json_list,
-    json_number,
     json_object,
     json_str,
     weighted_score,
@@ -97,12 +96,8 @@ class ServerState:
         return cls(**json_object(obj, where, _SERVER_KEYS, ("id",)))
 
 
-def _numbers(value, name: str) -> ResourceVector:
-    return ResourceVector.from_json(value, name, json_number)
-
-
-_SERVER_KEYS = {"id": json_str, "usage": _numbers, "threshold": _numbers, "power": json_str,
-                "vms": lambda value, name: json_list(value, name, json_str)}
+_SERVER_KEYS = {"id": json_str, "usage": ResourceVector.from_json, "threshold": ResourceVector.from_json,
+                "power": json_str, "vms": lambda value, name: json_list(value, name, json_str)}
 
 
 class ServerTable:
@@ -120,7 +115,7 @@ class ServerTable:
         """The table of servers, sorted by id; their usage, power and vms are copied.
 
         The one check of a server list: ids non-empty unique strings, power 'active' or 'asleep', threshold
-        and usage three finite numbers, > 0 and >= 0, vms a collection of id strings, none hosted twice.  A
+        and usage vectors by check_vector, > 0 and >= 0, vms a collection of id strings, none hosted twice.  A
         ValidationError names a non-string id's list index, else the server of the first fault in id order."""
         for i, s in enumerate(servers):
             if not isinstance(s.id, str):
@@ -134,14 +129,8 @@ class ServerTable:
                 raise ValidationError(f"duplicate server id {s.id!r}")
             if s.power not in (ACTIVE, ASLEEP):
                 raise ValidationError(f"server {s.id}: power must be {ACTIVE!r} or {ASLEEP!r}, got {s.power!r}")
-            for name, vector in (("threshold", s.threshold), ("usage", s.usage)):
-                if not (isinstance(vector, (tuple, list, np.ndarray)) and len(vector) == 3  # a bool is no number
-                        and all(type(c) in (float, int) or isinstance(c, (np.floating, np.integer)) for c in vector)):
-                    raise ValidationError(f"server {s.id}: {name} must be three numbers, got {vector!r}")
-            if not all(0 < c < math.inf for c in s.threshold):
-                raise ValidationError(f"server {s.id}: threshold components must be > 0 and finite, got {s.threshold}")
-            if not all(0 <= c < math.inf for c in s.usage):
-                raise ValidationError(f"server {s.id}: usage components must be >= 0 and finite, got {s.usage}")
+            check_vector(s.threshold, f"server {s.id}: threshold", positive=True)
+            check_vector(s.usage, f"server {s.id}: usage")
             if isinstance(s.vms, str) or not (isinstance(s.vms, Collection) and all(isinstance(v, str) for v in s.vms)):
                 raise ValidationError(f"server {s.id}: vms must be a collection of vm id strings, got {s.vms!r}")
             for vid in sorted(s.vms):
@@ -326,7 +315,7 @@ def plan_migration(table: ServerTable, vms: Mapping[str, VmRecord]) -> Migration
         return None
     records = {vid: vms[vid] for vid in hosted}  # each VM read once
     m3 = avg_vm_usage(hosted, records)
-    weights = ahp.derive_weights(ahp.HotspotProfile(m3))
+    weights = ahp.derive_weights(m3)
     source_post_score = weighted_score(weights, ResourceVector._make(table.usage[row].tolist()) - m3)
     target = place(m3, weights, table.without(row))
     if target.rejected or not target.score < source_post_score:
@@ -359,7 +348,7 @@ def consolidate(table: ServerTable, vms: Mapping[str, VmRecord], low_watermark: 
         if vid not in sizing:
             vm = vms[vid]
             estimate = estimate_demand_restart(vm, vms, class_defaults)
-            sizing[vid] = estimate, ahp.derive_weights(ahp.HotspotProfile(estimate)), vm.observed
+            sizing[vid] = estimate, ahp.derive_weights(estimate), vm.observed
         return sizing[vid]
 
     while True:

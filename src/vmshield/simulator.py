@@ -59,10 +59,10 @@ import numpy as np
 
 from . import detector as det
 from . import scheduler as sched
-from .ahp import HotspotProfile, derive_weights
+from .ahp import derive_weights
 from .errors import ParseError, ValidationError
-from .resources import (ZERO, ResourceVector, _csv_field, is_int, json_bool, json_int, json_list, json_number,
-                        json_object, json_str, json_text, read_json_file, weighted_score, write_text_file)
+from .resources import (ZERO, ResourceVector, _csv_field, check_vector, is_int, json_bool, json_int, json_list,
+                        json_number, json_object, json_str, json_text, read_json_file, weighted_score, write_text_file)
 from .scheduler import ACTIVE, ASLEEP, ServerState, ServerTable, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
@@ -238,10 +238,10 @@ class Scenario:
             if name not in sched.HOTSPOT_CLASSES:
                 raise ValidationError(f"vm_classes: unknown hotspot class {name!r}; "
                                       f"expected one of {sched.HOTSPOT_CLASSES}")
-        vectors = [(f"vm_classes.{name}", vec) for name, vec in self.vm_classes.items()]
-        for name, vec in [*vectors, ("low_watermark", self.low_watermark or ZERO)]:
-            if not all(0 <= c < math.inf for c in vec):  # ResourceVector.from_json's rule
-                raise ValidationError(f"{name} components must be finite and >= 0, got {vec}")
+        for name, vec in self.vm_classes.items():
+            check_vector(vec, f"vm_classes.{name}")
+        if self.low_watermark is not None:
+            check_vector(self.low_watermark, "low_watermark")
         for i, ev in enumerate(self.events):
             if not 0 <= ev.tick < self.duration:
                 raise ValidationError(f"events[{i}]: event tick {ev.tick} outside [0, {self.duration})")
@@ -291,7 +291,7 @@ class SampleLog:
     observed usage and their host indices (-1: no host).  Iterating yields
     one (tick, vm_id, observed, host) tuple per sample, block by block,
     observed a ResourceVector and host a server id or None; append adds
-    one such tuple as a block of its own.
+    one such tuple as a one-row block, its VM and host looked up by id.
     """
 
     def __init__(self, vm_ids: list[str] | None = None, server_ids: tuple[str, ...] = ()):
@@ -303,14 +303,12 @@ class SampleLog:
         self.blocks.append((tick, rows, observed, hosts))
 
     def append(self, sample: tuple) -> None:
-        self.blocks.append([sample])
+        tick, vm_id, observed, host = sample
+        self.add(tick, np.array([self.vm_ids.index(vm_id)]), np.array([observed], dtype=float),
+                 np.array([-1 if host is None else self.server_ids.index(host)]))
 
     def __iter__(self):
-        for block in self.blocks:
-            if isinstance(block, list):
-                yield from block
-                continue
-            tick, rows, observed, hosts = block
+        for tick, rows, observed, hosts in self.blocks:
             for row, obs, host in zip(rows.tolist(), observed.tolist(), hosts.tolist()):
                 yield (tick, self.vm_ids[row], ResourceVector._make(obs),
                        self.server_ids[host] if host >= 0 else None)
@@ -362,9 +360,10 @@ class _Sim:
         self.overhead = self.table.usage.copy()
         self.stale = np.ones(len(self.table.ids), dtype=bool)  # rows _table recomputes before they are read
         self.row: dict[str, int] = {}  # a placed VM's row of cols, by id
-        self.class_names = tuple(scenario.vm_classes)
+        self.vm_classes = {name: ResourceVector._make(map(float, vec)) for name, vec in scenario.vm_classes.items()}
+        self.class_names = tuple(self.vm_classes)
         self.class_index = {name: i for i, name in enumerate(self.class_names)}
-        self.class_demand = np.array(list(scenario.vm_classes.values())).reshape(-1, 3)
+        self.class_demand = np.array(list(self.vm_classes.values())).reshape(-1, 3)
         # by class: its placed, unrevoked VMs' observed usage summed in placement order, and their
         # count; None when phase 2 or a revocation has changed them, until the next request
         self.class_sums: list[tuple[ResourceVector, int]] | None = None
@@ -523,8 +522,8 @@ class _Sim:
             self.class_sums = self._sum_classes()
         c = self.class_index[vm_class]
         total, n = self.class_sums[c]
-        demand = total.scaled(1.0 / n) if n else self.sc.vm_classes[vm_class]
-        weights = derive_weights(HotspotProfile(demand))
+        demand = total.scaled(1.0 / n) if n else self.vm_classes[vm_class]
+        weights = derive_weights(demand)
         decision = sched.place(demand, weights, self._table())
         woken = None
         if decision.rejected and self.sc.wake_on_reject:
@@ -645,7 +644,7 @@ class _Sim:
     def _consolidate(self, tick: int) -> None:
         if self.sc.low_watermark is None:
             return
-        plans, sleeps = sched.consolidate(self._table(), _Vms(self), self.sc.low_watermark, self.sc.vm_classes)
+        plans, sleeps = sched.consolidate(self._table(), _Vms(self), self.sc.low_watermark, self.vm_classes)
         for plan in plans:
             self._rehost(self.row[plan.victim], plan.target)
             self.counters["migrations_consolidate"] += 1

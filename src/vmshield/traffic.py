@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import _csv_field, _csv_rows, json_int, json_number, json_object, json_str
+from .resources import _csv_field, _csv_rows, is_int, is_number, json_int, json_number, json_object, json_str
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -134,8 +134,16 @@ class TrafficSpec:
     interval_seconds: float = 10.0
 
     def __post_init__(self):
+        if not isinstance(self.vm_id, str):
+            raise ValueError(f"vm_id must be a string, got {self.vm_id!r}")
         if self.mode not in ("normal", "attack"):
             raise ValueError(f"mode must be 'normal' or 'attack', got {self.mode!r}")
+        for name in ("base_rate", "start", "end", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("attack_multiplier", "interval_seconds"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.base_rate < 0:
             raise ValueError("base_rate must be >= 0")
         if self.seed < 0:
@@ -168,7 +176,10 @@ def read_delay_range(value, name: str) -> tuple[float, float]:
 
 
 def _delay_bounds_us(fin_delay_range) -> tuple[int, int]:
-    """(low, high) FIN delays in whole microseconds, if 0 < low <= high < inf; else a ValueError."""
+    """(low, high) FIN delays in whole microseconds, if two numbers with 0 < low <= high < inf; else a ValueError."""
+    if not (isinstance(fin_delay_range, (tuple, list)) and len(fin_delay_range) == 2
+            and all(map(is_number, fin_delay_range))):
+        raise ValueError(f"fin_delay_range must be a (low, high) pair of numbers, got {fin_delay_range!r}")
     low, high = fin_delay_range
     if not 0 < low <= high < math.inf:
         raise ValueError(f"fin_delay_range must satisfy 0 < low <= high < inf: {fin_delay_range}")

@@ -17,6 +17,7 @@ from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch
 from vmshield.errors import ValidationError
 from vmshield.resources import ResourceVector
 from vmshield.scheduler import ServerState, ServerTable
+from vmshield.simulator import Scenario, ScenarioEvent
 
 ALARM_TRACE = "interval_index,vm_id,syn,finrst\n0,vm1,106242,3\n1,vm1,107762,3\n"
 
@@ -827,6 +828,60 @@ def test_an_unknown_key_in_an_input_file_is_a_usage_error(tmp_path, capsys, argv
         argv += ["--out", str(tmp_path / "out")]
     assert _run(argv) == (EXIT_USAGE, "")
     assert named in capsys.readouterr().err
+
+
+NEGATIVE = {"cpu": -1, "mem": 1, "bw": 1}
+NEGATIVE_TEXT = "components must be >= 0 and finite, got ResourceVector(cpu=-1.0, mem=1.0, bw=1.0)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["place", "--cluster", CLUSTER, "--demand", NEGATIVE], f"demand {NEGATIVE_TEXT}"),
+    (["ahp", "--input", {"profile": NEGATIVE}], f"profile {NEGATIVE_TEXT}"),
+    (["ahp", "--input", {"profile": {"cpu": 1, "mem": float("inf"), "bw": 1}}],
+     "profile components must be >= 0 and finite, got ResourceVector(cpu=1.0, mem=inf, bw=1.0)"),
+    (["place", "--demand", DEMAND, "--cluster",
+      dict(CLUSTER, vms=[{"id": "v1", "class": "cpu-intensive", "observed": NEGATIVE}])],
+     f"vms[0].observed {NEGATIVE_TEXT}"),
+    (["place", "--demand", DEMAND, "--cluster", {"servers": [{"id": "a", "usage": NEGATIVE}]}],
+     f"server a: usage {NEGATIVE_TEXT}"),
+    (["simulate", "--scenario", dict(SCENARIO, low_watermark=NEGATIVE)], f"low_watermark {NEGATIVE_TEXT}"),
+    (["simulate", "--scenario", dict(SCENARIO, vm_classes={"cpu-intensive": {"cpu": 1, "mem": 1, "bw": float("inf")}})],
+     "vm_classes.cpu-intensive components must be >= 0 and finite, got ResourceVector(cpu=1.0, mem=1.0, bw=inf)"),
+], ids=["demand", "profile-negative", "profile-inf", "observed", "server-usage", "watermark", "class-inf"])
+def test_every_vector_of_an_input_file_is_checked_by_its_owner(tmp_path, capsys, argv, message):
+    # the vector reader only reads; the command, the scenario or the server table checks the vector.
+    # The last file given holds the bad vector.
+    argv = [_write(tmp_path, f"in{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(argv)]
+    bad = argv[-1]
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert _run(argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"vm_classes": {"cpu-intensive": {"cpu": float("nan"), "mem": 5.0, "bw": 5.0}}},
+     "vm_classes.cpu-intensive components must be >= 0 and finite, got ResourceVector(cpu=nan, mem=5.0, bw=5.0)"),
+    ({"vm_classes": {"cpu-intensive": {"cpu": 30.0, "mem": -5.0, "bw": 5.0}}},
+     "vm_classes.cpu-intensive components must be >= 0 and finite, got ResourceVector(cpu=30.0, mem=-5.0, bw=5.0)"),
+    ({"low_watermark": {"cpu": 20.0, "mem": 20.0, "bw": float("inf")}},
+     "low_watermark components must be >= 0 and finite, got ResourceVector(cpu=20.0, mem=20.0, bw=inf)"),
+], ids=["class-nan", "class-negative", "watermark-inf"])
+def test_a_class_or_watermark_fault_reads_the_same_from_a_file_and_from_python(tmp_path, capsys, fields, message):
+    # Scenario.validate owns the class and watermark rule, as ServerTable.from_servers owns the server ones
+    scenario = _write(tmp_path, "scenario.json", dict(SCENARIO, **fields))
+    assert _run(["simulate", "--scenario", scenario, "--out", str(tmp_path / "o")]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+    python = {"servers": [_python_server(entry) for entry in SCENARIO["servers"]],
+              "vm_classes": {"cpu-intensive": ResourceVector(30.0, 5.0, 5.0)},
+              "events": [ScenarioEvent(0, "vm_request", "cpu-intensive")], "duration": 3, "seed": 4}
+    for key, value in fields.items():
+        python[key] = ({name: ResourceVector(**vec) for name, vec in value.items()} if key == "vm_classes"
+                       else ResourceVector(**value))
+    with pytest.raises(ValidationError) as from_python:
+        Scenario(**python)
+    assert str(from_python.value) == message
 
 
 @pytest.mark.parametrize("command", [["ahp", "--input"], ["detect", "--trace"]])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,19 @@ def test_bin_events_rejects_negative_timestamps():
     events = [(-5_000_000, "vm1", "SYN"), (-4_000_000, "vm1", "SYN"), (1_000_000, "vm1", "FIN")]
     with pytest.raises(ValueError, match="negative timestamp"):
         bin_events(Trace.from_events(events), interval_seconds=10)
+
+
+def test_bin_events_names_a_grid_too_large_without_allocating_it():
+    # 2**62 + 1 one-microsecond intervals: numpy refuses the size before it allocates
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^timestamp 4611686018427387904 us makes a 1 x 4611686018427387905 grid "
+                                             "too large to allocate: "):
+            bin_events(Trace.from_events([(2**62, "v", "SYN")]), 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_bin_events_multiple_vms_share_the_grid():

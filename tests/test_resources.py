@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from vmshield.errors import ParseError
+from vmshield.errors import ParseError, ValidationError
 from vmshield.resources import (
     UNIFORM_WEIGHTS,
     ZERO,
     ResourceVector,
     WeightVector,
     _six_places,
+    check_vector,
     weighted_score,
 )
 
@@ -96,10 +98,42 @@ def test_resource_vector_from_json_rejects_bad_input():
         ResourceVector.from_json({"cpu": 1, "mem": 2})  # bw missing
     with pytest.raises(ParseError):
         ResourceVector.from_json({"cpu": "high", "mem": 2, "bw": 3})
-    with pytest.raises(ParseError):
-        ResourceVector.from_json({"cpu": -1, "mem": 2, "bw": 3})
-    with pytest.raises(ParseError):
-        ResourceVector.from_json({"cpu": float("inf"), "mem": 2, "bw": 3})
+
+
+@pytest.mark.parametrize("bad", [-1, float("inf")], ids=["negative", "inf"])
+def test_from_json_only_reads_and_check_vector_rejects_the_range(bad):
+    # a JSON number reads; the range is check_vector's, which every owner of a vector calls
+    vec = ResourceVector.from_json({"cpu": bad, "mem": 2, "bw": 3})
+    assert vec == (bad, 2.0, 3.0)
+    with pytest.raises(ValidationError, match=rf"^v components must be >= 0 and finite, got ResourceVector\(cpu={bad}"):
+        check_vector(vec, "v")
+
+
+@pytest.mark.parametrize("vec", [ResourceVector(1, 2.5, 4), (1, 2, 3), [0.5, 1, 7], np.array([1.0, 2.0, 3.0]),
+                                 (np.float64(1), np.int64(2), np.float32(3))],
+                         ids=["resource-vector", "tuple", "list", "array", "numpy-scalars"])
+def test_check_vector_returns_three_numbers_as_given(vec):
+    assert check_vector(vec, "v") is vec
+    assert check_vector(vec, "v", positive=True) is vec
+
+
+@pytest.mark.parametrize("vec", [("x", 1, 1), (1, 1), (1, 1, 1, 1), (True, 0, 0), (np.bool_(True), 0, 0),
+                                 "abc", None, 5, {"cpu": 1, "mem": 1, "bw": 1}, np.zeros((3, 1)), np.array(1.0),
+                                 ((1,), 2, 3)],
+                         ids=["string", "two", "four", "bool", "numpy-bool", "str", "none", "int", "dict",
+                              "column", "0-d-array", "nested"])
+def test_check_vector_wants_three_numbers(vec):
+    with pytest.raises(ValidationError, match=rf"^v must be three numbers, got {re.escape(repr(vec))}$"):
+        check_vector(vec, "v")
+
+
+@pytest.mark.parametrize("vec, positive, rule", [
+    ((0, -1e-300, 0), False, ">= 0"), ((math.nan, 0, 0), False, ">= 0"), ((0, 0, -math.inf), False, ">= 0"),
+    ((1, 0, 1), True, "> 0"), ((1, 1, math.inf), True, "> 0"), ((1, math.nan, 1), True, "> 0"),
+])
+def test_check_vector_wants_finite_components_in_range(vec, positive, rule):
+    with pytest.raises(ValidationError, match=rf"^v components must be {rule} and finite, got {re.escape(str(vec))}$"):
+        check_vector(vec, "v", positive=positive)
 
 
 def test_resource_vector_from_json_rejects_non_objects_and_unknown_keys():

@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import exact_usage_oracle, stat_rows_to_csv_oracle
@@ -233,6 +234,13 @@ NAN, INF = float("nan"), float("inf")
     (lambda: _py_scn(vm_classes={"cpu-intensive": ResourceVector(NAN, 5, 5)}), "vm_classes.cpu-intensive components"),
     (lambda: _py_scn(vm_classes={"cpu-intensive": ResourceVector(30, -5, 5)}), "vm_classes.cpu-intensive components"),
     (lambda: _py_scn(low_watermark=ResourceVector(20, 20, INF)), "low_watermark components"),
+    # these used to build, then end in a bare TypeError, numpy's reshape or broadcast error, or run
+    (lambda: _py_scn(vm_classes={"cpu-intensive": ("x", 1, 1)}),
+     r"^vm_classes.cpu-intensive must be three numbers, got \('x', 1, 1\)$"),
+    (lambda: _py_scn(vm_classes={"cpu-intensive": (1, 1)}), r"^vm_classes.cpu-intensive must be three numbers"),
+    (lambda: _py_scn(low_watermark=(1, 2)), r"^low_watermark must be three numbers, got \(1, 2\)$"),
+    (lambda: _py_scn(low_watermark=ResourceVector(True, 0, 0)),
+     r"^low_watermark must be three numbers, got ResourceVector\(cpu=True, mem=0, bw=0\)$"),
     (lambda: replace(_py_scn(), seed=-1), "seed"),
     (lambda: _py_scn(vm_classes={"webby": ResourceVector(3, 3, 3)},
                      events=[ScenarioEvent(0, "vm_request", "webby")]), "unknown hotspot class 'webby'"),
@@ -247,15 +255,40 @@ NAN, INF = float("nan"), float("inf")
     (lambda: _py_scn(seed=1.5), "seed must be an integer"),
     (lambda: _py_scn(base_rate=2.5), "base_rate must be an integer"),
     (lambda: _py_scn(base_rate=True), "base_rate must be an integer"),
+    (lambda: _py_scn(fin_delay_range=("12", 19)), r"^fin_delay_range must be a \(low, high\) pair of numbers"),
 ], ids=["policy", "throttle-5", "throttle-nan", "server-vms", "op", "attack_stop-multiplier",
         "attack_start-multiplier-nan", "shutdown-no-vm", "request-vm", "request-no-class", "revoke-class",
         "shutdown-count", "request-count-0", "threshold-nan", "threshold-inf", "usage-nan", "usage-negative",
-        "power-on", "class-nan", "class-negative", "watermark-inf", "seed-replace", "class-unknown", "class-alias",
-        "tick-float", "count-float", "duration-float", "seed-float", "base_rate-float", "base_rate-bool"])
+        "power-on", "class-nan", "class-negative", "watermark-inf", "class-string", "class-two", "watermark-two",
+        "watermark-bool", "seed-replace", "class-unknown", "class-alias",
+        "tick-float", "count-float", "duration-float", "seed-float", "base_rate-float", "base_rate-bool",
+        "delay-string"])
 def test_a_scenario_built_in_python_is_checked_as_its_file_would_be(build, named):
     _py_scn()  # the base scenario is valid
     with pytest.raises(ValidationError, match=named):
         build()
+
+
+def test_class_vectors_and_a_watermark_built_in_python_run_as_resource_vectors(tmp_path):
+    # the run reads each class vector once; a tuple used to end in AttributeError
+    def scenario(vector):
+        return Scenario(servers=[ServerState(sid, threshold=ResourceVector(90, 90, 90)) for sid in "abc"],
+                        vm_classes={"cpu-intensive": vector(30.0, 5, 5), "memory-intensive": vector(4, 20.5, 2)},
+                        events=[ScenarioEvent(0, "vm_request", "cpu-intensive", count=2),
+                                ScenarioEvent(0, "vm_request", "memory-intensive", count=3),
+                                ScenarioEvent(3, "vm_shutdown", vm="vm-002")],
+                        low_watermark=vector(40, 40, 40), duration=6, seed=3)
+
+    texts = {}
+    for name, vector in [("resource-vector", ResourceVector), ("tuple", lambda *c: c), ("list", lambda *c: list(c)),
+                         ("array", lambda *c: np.array(c))]:
+        report = run(scenario(vector))
+        assert report.summary["counters"]["sleeps"] > 0  # consolidation read the watermark and the classes
+        texts[name] = [Path(path).read_bytes() for path in emit_reports(report, str(tmp_path / name))]
+    assert texts["tuple"] == texts["list"] == texts["array"] == texts["resource-vector"]
+    # an int component writes as the float a file reads it as
+    assert json.loads(texts["tuple"][1])[0]["demand"] == {"cpu": 30.0, "mem": 5.0, "bw": 5.0}
+    assert b'"cpu": 30.0' in texts["tuple"][1]
 
 
 @pytest.mark.parametrize("fields, named", [
@@ -931,6 +964,18 @@ def _usage_peak(duration):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_sample_appended_to_the_log_iterates_as_the_runs_own():
+    report = run(_py_scn(duration=2))
+    log = report.vm_samples
+    samples = list(log)
+    log.append(samples[0])
+    log.append((7, "vm-001", ResourceVector(1.5, 2.0, 0.25), None))
+    assert list(log) == [*samples, samples[0], (7, "vm-001", (1.5, 2.0, 0.25), None)]
+    assert all(type(block[1]) is np.ndarray for block in log.blocks)  # one block form
+    with pytest.raises(ValueError):
+        log.append((7, "vm-999", ResourceVector(1, 1, 1), None))
 
 
 def test_memory_per_vm_tick_stays_small():

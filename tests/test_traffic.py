@@ -79,6 +79,31 @@ def test_spec_from_json_rejects_wrong_json_types(field, value):
         TrafficSpec.from_json(obj)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("base_rate", 2.5, "base_rate must be an integer, got 2.5"),
+    ("base_rate", True, "base_rate must be an integer, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("start", 0.5, "start must be an integer, got 0.5"),
+    ("end", 2.5, "end must be an integer, got 2.5"),
+    ("attack_multiplier", "3", "attack_multiplier must be a number, got '3'"),
+    ("attack_multiplier", True, "attack_multiplier must be a number, got True"),
+    ("interval_seconds", "10", "interval_seconds must be a number, got '10'"),
+    ("interval_seconds", True, "interval_seconds must be a number, got True"),
+    ("fin_delay_range", ("12", 19), "fin_delay_range must be a (low, high) pair of numbers, got ('12', 19)"),
+    ("fin_delay_range", [12, "19"], "fin_delay_range must be a (low, high) pair of numbers, got [12, '19']"),
+    ("fin_delay_range", (12, 15, 19), "fin_delay_range must be a (low, high) pair of numbers, got (12, 15, 19)"),
+    ("fin_delay_range", 15, "fin_delay_range must be a (low, high) pair of numbers, got 15"),
+    ("vm_id", 5, "vm_id must be a string, got 5"),
+], ids=["base_rate-float", "base_rate-bool", "seed-float", "start-float", "end-float", "multiplier-string",
+        "multiplier-bool", "interval-string", "interval-bool", "delay-low-string", "delay-high-string",
+        "delay-three", "delay-number", "vm_id-int"])
+def test_a_spec_built_in_python_checks_its_field_types(field, value, message):
+    # these used to end in numpy's or the stdlib's TypeError naming no field, or, for a
+    # bool or an int vm_id, to build a spec (the trace of vm_id 5 could not be written)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrafficSpec(**{"vm_id": "v", "end": 3, field: value})
+
+
 @pytest.mark.parametrize("obj", [[], "spec", None])
 def test_spec_from_json_needs_an_object(obj):
     with pytest.raises(ParseError, match="JSON object"):
