@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentMatrix, NonConvergence
-from .resources import ResourceVector, WeightVector
+from .resources import ResourceVector, WeightVector, is_vector
 
 # Saaty random index for a 3x3 matrix; CI / RANDOM_INDEX gives the
 # consistency ratio, conventionally acceptable below 0.1.
@@ -61,11 +61,11 @@ def validate_pairwise_matrix(m) -> np.ndarray:
 def matrix_from_profile(profile: HotspotProfile | ResourceVector) -> np.ndarray:
     """Consistent comparison matrix whose entries are demand-share ratios.
 
-    A zero-demand profile (no history at all) degenerates to the
-    all-ones matrix, i.e. uniform priorities.
+    A profile is a HotspotProfile or any three numbers (is_vector); zero
+    demand (no history at all) gives the all-ones matrix, uniform weights.
     """
     usage = profile.avg_usage if isinstance(profile, HotspotProfile) else profile
-    cpu, mem, bw = map(float, usage.as_tuple())
+    cpu, mem, bw = map(float, usage)
     total = cpu + mem + bw
     if total <= 0:
         return np.ones((3, 3))
@@ -117,7 +117,7 @@ def _consistent_weights(source, tol, cr_limit, max_iter) -> tuple[WeightVector, 
     """
     if not 0 < cr_limit < np.inf:  # NaN fails both
         raise ValueError("cr_limit must be finite and > 0")
-    if isinstance(source, (HotspotProfile, ResourceVector)):
+    if isinstance(source, HotspotProfile) or is_vector(source):
         source = matrix_from_profile(source)
     weights, lambda_max = principal_eigenvector(source, tol=tol, max_iter=max_iter)
     cr = consistency_ratio(lambda_max)
@@ -136,7 +136,7 @@ def derive_weights(
     cr_limit: float = DEFAULT_CR_LIMIT,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> WeightVector:
-    """Weights from a HotspotProfile/ResourceVector or a 3x3 comparison matrix.
+    """Weights from a HotspotProfile, three numbers or a 3x3 comparison matrix.
 
     Profile inputs go through the ratio-matrix construction and are
     consistent by construction; matrix inputs are accepted only when

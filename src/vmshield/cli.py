@@ -26,7 +26,7 @@ from .ahp import (DEFAULT_CR_LIMIT, DEFAULT_MAX_ITER, DEFAULT_TOL, _consistent_w
                   validate_pairwise_matrix)
 from .errors import ParseError, UnsortedTrace, ValidationError, VmShieldError
 from .resources import (ResourceVector, WeightVector, _csv_field, check_vector, json_int, json_list, json_object,
-                        json_str, json_text, read_json_file, read_text_file, write_text_file)
+                        json_str, json_text, read_json_file, write_text_file)
 
 log = logging.getLogger("vmshield")
 
@@ -227,10 +227,8 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
         det._interval_to_us(args.interval)
     except ValueError as exc:
         raise ValueError(f"--interval: {exc}") from None
-    kind, data = traffic.read_trace_csv(read_text_file(args.trace))
-    if kind == "events":
-        data = det.bin_events(data, interval_seconds=args.interval)
-    report = det.process_trace(data, drift=args.drift, threshold=args.threshold)
+    counts = traffic.read_trace_counts(args.trace, args.interval)
+    report = det.process_trace(counts, drift=args.drift, threshold=args.threshold)
     payload = {
         "alarms": [
             {
@@ -279,13 +277,11 @@ def _cmd_gen(args, cfg: GlobalConfig, out) -> int:
     specs = read_json_file(args.spec, _read_specs)
     if cfg.seed is not None:
         specs = [replace(s, seed=cfg.seed) for s in specs]
-    merged = traffic.merge_traces([traffic.generate(s) for s in specs])
-    text = traffic.events_to_csv(merged)
     if args.out == "-":
-        out.write(text)
+        events = traffic.write_trace(specs, out)
     else:
-        write_text_file(args.out, text, "trace")
-    log.info("generated %d events from %d spec(s)", len(merged), len(specs))
+        events = write_text_file(args.out, lambda fh: traffic.write_trace(specs, fh), "trace")
+    log.info("generated %d events from %d spec(s)", events, len(specs))
     return EXIT_OK
 
 

@@ -20,7 +20,8 @@ advances a batch of distinct slots by one interval each: the simulator
 makes one call per tick and process_trace one per interval, so
 contiguous exceedances collapse to one alarm the same way in both.
 Offline counts are one dense grid, a Counts of VMs by intervals:
-bin_events, fill_gaps and traffic's binned generators return one.
+bin_events (one trace), bin_event_blocks (one trace in blocks, a grid
+grown as they come), fill_gaps and traffic's binned generators return one.
 fill_gaps checks binned rows, read from a file or built in Python alike,
 so that each d stays in [-1, 1].
 One function, _interval_to_us, makes every interval length whole
@@ -279,37 +280,53 @@ def bin_events(
     trace is a traffic.Trace (hand-built events go through
     Trace.from_events), ordered by non-negative timestamp; a backwards
     jump raises UnsortedTrace, and a negative timestamp or a grid too
-    large to allocate ValueError.
+    large to allocate ValueError.  It is bin_event_blocks of one block.
+    """
+    return bin_event_blocks([trace], interval_seconds, n_intervals, vm_ids)
+
+
+def bin_event_blocks(blocks, interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
+                     n_intervals: int | None = None, vm_ids=None) -> Counts:
+    """bin_events of one trace handed over as Traces in turn, each going on in time from the last.
+
+    Each block's counts are added into one grid, grown as VMs and
+    intervals come, so a trace read in blocks holds the grid and one
+    block.  Time order is checked across blocks, and a grid too large to
+    allocate names the last timestamp of the block that needs it.
     """
     interval_us = _interval_to_us(interval_seconds)
-    t_us = trace.t_us
-
-    # comparing with a leading 0 lets the one ordering test also catch negative times
-    back = np.flatnonzero(t_us < np.concatenate(([0], t_us[:-1])))
-    if back.size:
-        i = back[0]
-        if t_us[i] < 0:
-            raise ValueError(f"negative timestamp {t_us[i]} us for vm "
-                             f"{trace.vm_ids[trace.vm[i]]!r}")
-        raise UnsortedTrace(f"timestamp {t_us[i]} after {t_us[i - 1]}")
-
-    index = t_us // interval_us
-    n = n_intervals
-    if n is None:
-        n = int(index[-1]) + 1 if len(index) else 0
-    present = {trace.vm_ids[code] for code in np.unique(trace.vm).tolist()}
-    vms = sorted(present.union(vm_ids or ()))
-    row = {vm_id: r for r, vm_id in enumerate(vms)}
-    keep = index < n
-    kind = trace.kind[keep]
-    try:
-        cell = np.array([row.get(v, 0) for v in trace.vm_ids], dtype=np.int64)[trace.vm[keep]] * n
-        cell += index[keep]
-        syn = np.bincount(cell[kind == _SYN], minlength=len(vms) * n)
-        finrst = np.bincount(cell[(kind == _FIN) | (kind == _RST)], minlength=len(vms) * n)
-    except (MemoryError, OverflowError, ValueError) as exc:
-        raise ValueError(f"timestamp {t_us[-1]} us makes a {len(vms)} x {n} grid too large to allocate: {exc}") from exc
-    return Counts(vms, syn.reshape(len(vms), n), finrst.reshape(len(vms), n))
+    rows = {vm_id: r for r, vm_id in enumerate(dict.fromkeys(vm_ids or ()))}  # each VM's grid row
+    n = n_intervals or 0
+    grid, last = np.zeros((2, len(rows), n), dtype=np.int64), 0  # syn and finrst; the last timestamp so far
+    for trace in blocks:
+        t_us = trace.t_us
+        prev = np.concatenate(([last], t_us[:-1]))  # a leading 0 lets the one ordering test catch negative times
+        if (back := np.flatnonzero(t_us < prev)).size:
+            i = back[0]
+            raise (ValueError(f"negative timestamp {t_us[i]} us for vm {trace.vm_ids[trace.vm[i]]!r}") if t_us[i] < 0
+                   else UnsortedTrace(f"timestamp {t_us[i]} after {prev[i]}"))
+        if not len(t_us):
+            continue
+        present, local = np.unique(trace.vm, return_inverse=True)
+        row = np.array([rows.setdefault(trace.vm_ids[code], len(rows)) for code in present.tolist()], dtype=np.intp)
+        index, last = t_us // interval_us, t_us[-1]
+        n = n if n_intervals is not None else max(n, int(index[-1]) + 1)
+        if len(rows) > grid.shape[1] or n > grid.shape[2]:  # grow an axis by a quarter more, so copies stay few
+            try:
+                bigger = np.zeros((2, *(need + need // 4 if need > have else have
+                                        for need, have in zip((len(rows), n), grid.shape[1:]))), dtype=np.int64)
+            except (MemoryError, OverflowError, ValueError) as exc:
+                raise ValueError(f"timestamp {last} us makes a {len(rows)} x {n} grid too large to allocate: "
+                                 f"{exc}") from exc
+            bigger[:, :grid.shape[1], :grid.shape[2]] = grid
+            grid = bigger
+        if stop := np.searchsorted(index, n):  # the events inside the grid, a prefix
+            lo, span, kind = int(index[0]), int(index[stop - 1] - index[0]) + 1, trace.kind[:stop]
+            cell = local.ravel()[:stop] * span + (index[:stop] - lo)
+            for k, counted in enumerate((kind == _SYN, (kind == _FIN) | (kind == _RST))):
+                grid[k, row, lo:lo + span] += np.bincount(cell[counted], minlength=len(row) * span).reshape(-1, span)
+    vms = sorted(rows)
+    return Counts(vms, *grid[:, [rows[vm_id] for vm_id in vms], :n])
 
 
 def fill_gaps(rows) -> Counts:

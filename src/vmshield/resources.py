@@ -59,11 +59,14 @@ def read_json_file(path: str, parse):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def write_text_file(path: str, text: str, what: str) -> None:
-    """Write text to path as UTF-8 with LF line ends; an OSError names what and path."""
+def write_text_file(path: str, text, what: str):
+    """Write text to path as UTF-8 with LF line ends; an OSError names what and path.
+
+    text may be a function that writes to the open file; its result is returned.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            return text(fh) if callable(text) else fh.write(text)
     except OSError as exc:
         raise OSError(f"writing {what} {path}: {exc}") from exc
 
@@ -281,10 +284,15 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def check_vector(vec, name: str, positive: bool = False):
-    """vec, if three numbers (a tuple, list or 1-d array), finite and >= 0 (> 0 if positive); else a ValidationError."""
+def is_vector(vec) -> bool:
+    """Whether vec is three numbers: a tuple, list or 1-d array of them."""
     shaped = isinstance(vec, (tuple, list)) or isinstance(vec, np.ndarray) and vec.ndim == 1
-    if not (shaped and len(vec) == 3 and all(map(is_number, vec))):
+    return shaped and len(vec) == 3 and all(map(is_number, vec))
+
+
+def check_vector(vec, name: str, positive: bool = False):
+    """vec, if three numbers (is_vector), finite and >= 0 (> 0 if positive); else a ValidationError."""
+    if not is_vector(vec):
         raise ValidationError(f"{name} must be three numbers, got {vec!r}")
     if not all((0 < c if positive else 0 <= c) and c < math.inf for c in vec):
         raise ValidationError(f"{name} components must be {'> 0' if positive else '>= 0'} and finite, got {vec}")

@@ -227,6 +227,10 @@ class Scenario:
             _delay_bounds_us(self.fin_delay_range)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
+        if not isinstance(self.wake_on_reject, bool):
+            raise ValidationError(f"wake_on_reject must be a bool, got {self.wake_on_reject!r}")
+        if not isinstance(self.detector, DetectorConfig):
+            raise ValidationError(f"detector must be a DetectorConfig, got {self.detector!r}")
         if not self.servers:
             raise ValidationError("scenario needs at least one server")
         ServerTable.from_servers(self.servers)  # the server rules; the run builds its own table

@@ -15,8 +15,10 @@ Trace.from_events.
 The event trace file is written by resources._csv_rows, and read by a
 numpy byte kernel if it is plain (_read_plain_events), else by
 csv.reader (_read_csv), the one path that reports errors: both give the
-same Trace.  A binned trace file reads into a detector.Counts grid.  The
-row rules belong to the table builders, Trace.from_events and fill_gaps.
+same Trace.  write_trace writes it a window of time at a time, and
+read_trace_counts bins a plain one block by block.  A binned trace file
+reads into a detector.Counts grid.  The row rules belong to the table
+builders, Trace.from_events and fill_gaps.
 
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
 directly as a one-VM Counts with gen_normal_binned / gen_attack_binned;
@@ -36,9 +38,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, fill_gaps
+from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, bin_event_blocks, bin_events, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import _csv_field, _csv_rows, is_int, is_number, json_int, json_number, json_object, json_str
+from .resources import (_csv_field, _csv_rows, is_int, is_number, json_int, json_number, json_object, json_str,
+                        read_text_file)
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -49,6 +52,15 @@ _TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
 # Timestamps are int64 microseconds; a trace must stay below this.
 T_US_LIMIT = 2**63
+_NEVER = T_US_LIMIT - 1  # no generated event comes this late (see TrafficSpec)
+
+# read_trace_counts reads a plain event file in blocks of this many bytes; on a
+# 2.6 MB trace 64 KiB peaked 2 MB lower and 1 MiB 10 MB higher.
+TRACE_BLOCK_BYTES = 1 << 18
+# write_trace writes about this many events at a time, or at least this many of the
+# shortest intervals: with 160 specs, 6 took about 1.2 times the CPU of one whole trace, 8 1.1.
+WINDOW_EVENTS = 1 << 15
+WINDOW_INTERVALS = 8
 
 _KIND = {pkt_type: code for code, pkt_type in enumerate(PKT_TYPES)}
 
@@ -110,13 +122,6 @@ def _sorted_ids(t_us, vm, kind, ids: list[str]) -> Trace:
     rank = np.empty(len(ids), dtype=np.int32)
     rank[order] = np.arange(len(ids), dtype=np.int32)
     return Trace(t_us, rank[np.asarray(vm, dtype=np.intp)], kind, [ids[i] for i in order])
-
-
-def _single_vm(vm_id: str, t_us: np.ndarray, kind: np.ndarray) -> Trace:
-    """One VM's events in time order; ties keep generation order."""
-    order = np.argsort(t_us, kind="stable")
-    return Trace(t_us[order], np.zeros(len(order), dtype=np.int32), kind[order],
-                 [vm_id] if len(order) else [])
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,11 @@ def _interval_us(spec: TrafficSpec) -> int:
     return _interval_to_us(spec.interval_seconds)
 
 
+def _syns(spec: TrafficSpec) -> int:
+    """SYNs per interval: base_rate connections, or base_rate * attack_multiplier bare SYNs."""
+    return spec.base_rate if spec.mode == "normal" else round(spec.base_rate * spec.attack_multiplier)
+
+
 def _normal_draws(spec: TrafficSpec):
     """Each interval's connection variates in turn: offsets, delays, rst flags.
 
@@ -211,9 +221,39 @@ def _normal_draws(spec: TrafficSpec):
         yield draws[:n], draws[n:], rng.random(n) < RST_FRACTION
 
 
-def _interval_starts(spec: TrafficSpec) -> np.ndarray:
-    """Each interval's first microsecond, as a column."""
-    return np.arange(spec.start, spec.end, dtype=np.int64)[:, None] * _interval_us(spec)
+def _spec_windows(spec: TrafficSpec):
+    """A generator of spec's events: sent a time, it returns those before it not yet returned.
+
+    They come as (t_us, kind) columns in time order, ties in generation
+    order (interval by interval, each connection's SYN before its end),
+    then a time no later than any event left (_NEVER once none is).
+    Attack offsets are drawn a block of intervals per call, the stream of
+    one call per interval.
+    """
+    iv, k, n = _interval_us(spec), spec.start, _syns(spec)
+    draws = _normal_draws(spec) if spec.mode == "normal" else np.random.default_rng(spec.seed)
+    t_us, kind = np.empty(0, np.int64), np.empty(0, np.int8)
+    end = yield
+    while True:
+        k1 = min(spec.end, max(k, -(-end // iv)))
+        shape, starts = (k1 - k, n), np.arange(k, k1, dtype=np.int64)[:, None] * iv
+        if spec.mode == "normal":
+            offsets, delays, is_rst = np.empty(shape, np.int64), np.empty(shape, np.int64), np.empty(shape, bool)
+            for row, drawn in zip(range(k1 - k), draws):
+                offsets[row], delays[row], is_rst[row] = drawn
+            new, new_kind = np.empty((*shape, 2), np.int64), np.full((*shape, 2), _KIND["SYN"], np.int8)
+            np.add(starts, offsets, out=new[:, :, 0])
+            np.add(new[:, :, 0], delays, out=new[:, :, 1])
+            new_kind[:, :, 1] = np.where(is_rst, _KIND["RST"], _KIND["FIN"])
+        else:
+            new, new_kind = starts + draws.integers(0, iv, shape), np.full(shape, _KIND["SYN"], np.int8)
+        k, t_us = k1, np.concatenate([t_us, new.ravel()])
+        order = np.argsort(t_us, kind="stable")
+        t_us, kind = t_us[order], np.concatenate([kind, new_kind.ravel()])[order]
+        cut = np.searchsorted(t_us, min(end, _NEVER))
+        left = min(int(t_us[cut]) if cut < len(t_us) else _NEVER, k * iv if k < spec.end else _NEVER)
+        end = yield t_us[:cut], kind[:cut], left
+        t_us, kind = t_us[cut:], kind[cut:]
 
 
 def gen_normal(spec: TrafficSpec) -> Trace:
@@ -224,32 +264,22 @@ def gen_normal(spec: TrafficSpec) -> Trace:
     """
     if spec.mode != "normal":
         raise ValueError("gen_normal needs a spec with mode='normal'")
-    shape = (spec.end - spec.start, spec.base_rate)
-    offsets = np.empty(shape, dtype=np.int64)
-    delays = np.empty(shape, dtype=np.int64)
-    is_rst = np.empty(shape, dtype=bool)
-    for row, draws in enumerate(_normal_draws(spec)):
-        offsets[row], delays[row], is_rst[row] = draws
-    t_syn = _interval_starts(spec) + offsets
-    t_us = np.stack([t_syn, t_syn + delays], axis=-1)
-    kind = np.stack([np.full(shape, _KIND["SYN"]),
-                     np.where(is_rst, _KIND["RST"], _KIND["FIN"])], axis=-1)
-    return _single_vm(spec.vm_id, t_us.ravel(), kind.ravel())
+    return generate(spec)
 
 
 def gen_attack(spec: TrafficSpec) -> Trace:
     """Flood traffic: base_rate * attack_multiplier bare SYNs per interval."""
     if spec.mode != "attack":
         raise ValueError("gen_attack needs a spec with mode='attack'")
-    rng = np.random.default_rng(spec.seed)
-    shape = (spec.end - spec.start, round(spec.base_rate * spec.attack_multiplier))
-    offsets = rng.integers(0, _interval_us(spec), shape)
-    t_us = (_interval_starts(spec) + offsets).ravel()
-    return _single_vm(spec.vm_id, t_us, np.full(len(t_us), _KIND["SYN"]))
+    return generate(spec)
 
 
 def generate(spec: TrafficSpec) -> Trace:
-    return gen_normal(spec) if spec.mode == "normal" else gen_attack(spec)
+    """gen_normal or gen_attack, by spec.mode: the spec's events as one window."""
+    window = _spec_windows(spec)
+    next(window)
+    t_us, kind, _ = window.send(_NEVER)
+    return Trace(t_us, np.zeros(len(t_us), np.int32), kind, [spec.vm_id] if len(t_us) else [])
 
 
 def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
@@ -276,8 +306,37 @@ def gen_attack_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
     if spec.mode != "attack":
         raise ValueError("gen_attack_binned needs a spec with mode='attack'")
     syn = np.zeros((1, n_intervals), dtype=np.int64)
-    syn[0, spec.start:spec.end] = round(spec.base_rate * spec.attack_multiplier)
+    syn[0, spec.start:spec.end] = _syns(spec)
     return Counts([spec.vm_id], syn, np.zeros_like(syn))
+
+
+def write_trace(specs, out) -> int:
+    """Write events_to_csv(merge_traces([generate(s) for s in specs])) to the text stream out; returns the event count.
+
+    It is written a window of time at a time, each ending where no spec
+    can add an earlier event (each drew every interval starting before
+    it), starting at the earliest event left, as long as WINDOW_EVENTS
+    events take at the specs' rates or, if longer, WINDOW_INTERVALS of the
+    shortest intervals.  A window merges by time, vm_id, spec and
+    generation order.
+    """
+    ivs = [_interval_us(spec) for spec in specs]
+    per = [(1 + (spec.mode == "normal")) * _syns(spec) for spec in specs]  # events an interval
+    rate = sum(events / iv for events, iv in zip(per, ivs))  # events a microsecond
+    span = max(int(WINDOW_EVENTS / rate), WINDOW_INTERVALS * min(ivs)) if rate else T_US_LIMIT
+    code = {vm_id: c for c, vm_id in enumerate(sorted({spec.vm_id for spec in specs}))}
+    vm, suffixes = np.array([code[spec.vm_id] for spec in specs], dtype=np.int32), _suffixes(code)
+    windows = [_spec_windows(spec) for spec in specs]
+    for window in windows:
+        next(window)
+    out.write(_TRACE_HEADER_LINE)
+    begin = min((spec.start * iv for spec, iv in zip(specs, ivs)), default=_NEVER)
+    while begin < _NEVER:
+        t_us, kind, left = zip(*(window.send(begin + span) for window in windows))
+        merged = _merge(np.concatenate(t_us), np.repeat(vm, list(map(len, t_us))), np.concatenate(kind), code)
+        out.write(_event_rows(merged, suffixes))
+        begin = min(left)
+    return sum(events * (spec.end - spec.start) for events, spec in zip(per, specs))
 
 
 def merge_traces(traces) -> Trace:
@@ -293,6 +352,11 @@ def merge_traces(traces) -> Trace:
     vm = np.concatenate([np.empty(0, np.int32), *(
         np.array([rank[v] for v in trace.vm_ids], dtype=np.int32)[trace.vm] for trace in traces)])
     kind = np.concatenate([np.empty(0, np.int8), *(trace.kind for trace in traces)])
+    return _merge(t_us, vm, kind, vm_ids)
+
+
+def _merge(t_us, vm, kind, vm_ids) -> Trace:
+    """The Trace of the columns' rows in (t_us, vm) order, ties in row order: merge_traces' order."""
     order = np.lexsort((vm, t_us))
     return Trace(t_us[order], vm[order], kind[order], vm_ids)
 
@@ -309,12 +373,20 @@ def events_to_csv(trace: Trace) -> str:
     resources._csv_rows writes each line: a sign, the floor seconds and
     micros as a number, then a ",vm_id,pkt_type\n" suffix from a table.
     """
+    return _TRACE_HEADER_LINE + _event_rows(trace, _suffixes(trace.vm_ids))
+
+
+def _suffixes(vm_ids) -> list[bytes]:
+    """Each event line's ",vm_id,pkt_type\n" end, indexed by vm code * len(PKT_TYPES) + kind."""
+    return [f",{_csv_field(v)},{p}\n".encode(errors="surrogatepass") for v in vm_ids for p in PKT_TYPES]
+
+
+def _event_rows(trace: Trace, suffixes: list[bytes]) -> str:
+    """events_to_csv's lines after the header, their ends from _suffixes(trace.vm_ids)."""
     seconds, micros = np.divmod(trace.t_us, 1_000_000)
-    suffixes = [f",{_csv_field(v)},{p}\n".encode(errors="surrogatepass")
-                for v in trace.vm_ids for p in PKT_TYPES]
     suffix = trace.vm.astype(np.intp) * len(PKT_TYPES) + trace.kind
     fields = [([b"", b"-"], seconds < 0), (np.abs(seconds), micros), (suffixes, suffix)]
-    return _TRACE_HEADER_LINE + _csv_rows(fields, len(suffix))
+    return _csv_rows(fields, len(suffix))
 
 
 def _read_plain_events(data: bytes) -> Trace | None:
@@ -382,6 +454,41 @@ def _read_plain_events(data: bytes) -> Trace | None:
         ids += [key[:w - 1].tobytes().decode(errors="surrogatepass")
                 for key in unique.view(np.uint8).reshape(len(unique), -1)]
     return _sorted_ids(t_us, vm, kind, ids)
+
+
+def _plain_blocks(fh):
+    """Each block of about TRACE_BLOCK_BYTES of the plain event trace in the binary stream fh, as a Trace.
+
+    A block runs to the end of the line it cuts and is read by
+    _read_plain_events with the header in front.  A file that is not
+    plain, or not UTF-8, raises ValueError.
+    """
+    head = _TRACE_HEADER_LINE.encode()
+    if fh.read(len(head)) != head:
+        raise ValueError("not a plain event trace")
+    while block := fh.read(TRACE_BLOCK_BYTES):
+        block = head + block + fh.readline()
+        if not block.isascii():
+            block.decode()  # a UnicodeDecodeError, which is a ValueError, if not UTF-8
+        if (trace := _read_plain_events(block)) is None:
+            raise ValueError("not a plain event trace")
+        yield trace
+
+
+def read_trace_counts(path: str, interval_seconds: float) -> Counts:
+    """The Counts grid of the trace file at path, as detect reads it.
+
+    A plain event file is binned block by block (_plain_blocks,
+    detector.bin_event_blocks), holding the grid and about one block.
+    Any other file, and one whose blocks raise, is read whole by
+    read_trace_csv and binned by bin_events, which raise what it holds.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return bin_event_blocks(_plain_blocks(fh), interval_seconds)
+    except (OSError, ValueError, UnsortedTrace):
+        kind, data = read_trace_csv(read_text_file(path))
+    return bin_events(data, interval_seconds) if kind == "events" else data
 
 
 def _event_row(row: list[str]) -> tuple[int, str, str]:

@@ -49,6 +49,24 @@ def test_memory_heavy_profile_recovers_published_weights():
     assert w.as_tuple() == pytest.approx((0.2, 0.6, 0.2), abs=1e-10)
 
 
+@pytest.mark.parametrize("profile", [(20, 60, 20), [20.0, 60.0, 20.0], np.array([20, 60, 20]), (7, 0, 3.5),
+                                     (0, 0, 0), (1e-300, 2.5, 1e300)])
+def test_any_three_numbers_are_a_profile_with_the_resource_vectors_weights(profile):
+    # a plain tuple used to be read as a comparison matrix: "must be 3x3, got shape (3,)"
+    expected = derive_weights(ResourceVector(*map(float, profile)))
+    for source in (profile, HotspotProfile(profile)):
+        got = derive_weights(source)
+        assert got.as_tuple() == expected.as_tuple()
+        assert [np.float64(x).tobytes() for x in got.as_tuple()] == [np.float64(x).tobytes() for x in expected.as_tuple()]
+    assert np.array_equal(matrix_from_profile(profile), matrix_from_profile(ResourceVector(*profile)))
+
+
+@pytest.mark.parametrize("source", [(20, 60), (20, 60, 20, 1), ("20", 60, 20), (True, 1, 1), [[1, 2, 3]]])
+def test_what_is_not_three_numbers_is_read_as_a_matrix(source):
+    with pytest.raises(ValueError, match="pairwise matrix"):
+        derive_weights(source)
+
+
 def test_validate_rejects_malformed_matrices():
     with pytest.raises(ValueError):
         validate_pairwise_matrix([[1, 2], [0.5, 1]])  # not 3x3

@@ -13,6 +13,9 @@ conftest on random events: CSV text, parsed rows, ParseError messages,
 merge order and interval counts.  The generators equal an oracle that
 draws each interval's variates in separate calls, and read_trace_csv's
 plain-file kernel reads edited plain files as its csv.reader path does.
+Binning a trace in blocks equals binning it whole, detect reads edited
+plain files in blocks of any size as it reads them whole, and gen's
+windows of any size write the bytes of the whole merged trace.
 
 The batched detector equals the CUSUM recurrence oracle on random
 multi-VM batches and on zero-filled grids of binned rows, detect prints
@@ -75,6 +78,7 @@ from vmshield.detector import (  # noqa: E402
     StatLog,
     StatRow,
     TrafficInterval,
+    bin_event_blocks,
     bin_events,
     fill_gaps,
     process_trace,
@@ -483,6 +487,81 @@ def test_bin_events_equals_the_per_event_oracle(events, interval_us, span, vm_id
     expected = _outcome(bin_events_oracle, events, interval_seconds, span, vm_ids)
     got = _outcome(bin_events, traffic.Trace.from_events(events), interval_seconds, span, vm_ids)
     assert (list(got) if isinstance(got, Counts) else got) == expected
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-3, 2**40), VM_ID, st.sampled_from(PKT_TYPES)), max_size=30).map(sorted)
+       | st.lists(EVENT, max_size=8), st.lists(st.integers(0, 30), max_size=4),
+       st.none() | st.integers(0, 40), st.none() | st.lists(VM_ID, max_size=3))
+def test_binning_a_trace_in_blocks_equals_binning_it_whole(events, cuts, span, vm_ids):
+    interval_seconds = (max((t for t, _, _ in events), default=0) // 40 + 1) / 1e6  # at most 41 intervals
+    blocks = [traffic.Trace.from_events(events[lo:hi])
+              for lo, hi in zip([0, *sorted(cuts)], [*sorted(cuts), len(events)])]
+    expected = _outcome(bin_events, traffic.Trace.from_events(events), interval_seconds, span, vm_ids)
+    got = _outcome(bin_event_blocks, blocks, interval_seconds, span, vm_ids)
+    if isinstance(expected, Counts):
+        assert (got.vm_ids, got.syn.tolist(), got.finrst.tolist()) == (
+            expected.vm_ids, expected.syn.tolist(), expected.finrst.tolist())
+    else:
+        assert got == expected
+
+
+# Edits that keep every stamp at or below its value (no digit goes in, none
+# comes out), so that no grid outgrows the stamps drawn.
+SMALL_EDIT = st.tuples(st.integers(0, 40), st.integers(0, 40), st.just(False), st.sampled_from(
+    ["", ".", ",", "a", "é", "-", " ", ":", "/", '"', "\0", "\r", "\n", "\r\n", "ACK", "\n\n"]))
+
+
+def _grid_or_error(read, *args):
+    got = _outcome(read, *args)
+    return (got.vm_ids, got.syn.tolist(), got.finrst.tolist()) if isinstance(got, Counts) else got
+
+
+def _read_whole(path, interval):
+    with open(path, encoding="utf-8", newline="") as fh:
+        kind, data = read_trace_csv(fh.read())
+    return bin_events(data, interval) if kind == "events" else data
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 10**8), PLAIN_ID, st.sampled_from(PKT_TYPES)), min_size=1, max_size=12)
+       .map(sorted) | st.lists(st.tuples(st.integers(0, 10**8), PLAIN_ID, st.sampled_from(PKT_TYPES)), max_size=6),
+       st.lists(SMALL_EDIT, max_size=2), st.integers(1, 96), st.sampled_from([0.25, 1.0, 10.0]))
+@example([(10**6, "a", "SYN"), (2 * 10**6, "a", "FIN")], [(2, 0, False, "\r\n")], 8, 1.0)
+@example([(10**6, "a", "SYN"), (5 * 10**5, "a", "FIN")], [], 8, 0.25)
+def test_detect_reads_a_file_in_blocks_as_it_reads_it_whole(events, edits, block, interval):
+    lines = events_to_csv_oracle(events).splitlines(keepends=True)
+    for row, column, cut, chars in edits:
+        row %= len(lines)
+        column %= len(lines[row])
+        lines[row] = lines[row][:column] + chars + lines[row][column + cut:]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traffic, "TRACE_BLOCK_BYTES", block):
+        path = os.path.join(tmp, "trace.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+        expected = _grid_or_error(_read_whole, path, interval)
+        assert _grid_or_error(traffic.read_trace_counts, path, interval) == expected
+
+
+SPEC = st.builds(
+    TrafficSpec, vm_id=st.sampled_from(["a", "b", "c,d"]), mode=st.sampled_from(["normal", "attack"]),
+    base_rate=st.integers(0, 4), attack_multiplier=st.sampled_from([1.0, 1.5, 2.5]),
+    fin_delay_range=st.sampled_from([(12.0, 19.0), (1e-6, 3e-6), (0.2, 0.4), (1.0, 30.0)]),
+    start=st.integers(0, 6), end=st.integers(0, 6).map(lambda k: k + 6), seed=st.integers(0, 2),
+    interval_seconds=st.sampled_from([1e-6, 0.5, 3.0, 10.0]))
+
+
+@SETTINGS
+@given(st.lists(SPEC, min_size=1, max_size=5), st.sampled_from([1, 8, 1 << 15]), st.sampled_from([1, 2, 6]))
+def test_gen_writes_the_whole_traces_bytes_a_window_at_a_time(specs, window_events, window_intervals):
+    # mixed intervals and starts, FINs due inside their SYN's window or many windows on, floods,
+    # and same-microsecond ties across specs (two specs alike, or one-microsecond intervals)
+    expected = events_to_csv(merge_traces([generate(s) for s in specs]))
+    out = io.StringIO()
+    with mock.patch.object(traffic, "WINDOW_EVENTS", window_events), \
+            mock.patch.object(traffic, "WINDOW_INTERVALS", window_intervals):
+        assert traffic.write_trace(specs, out) == expected.count("\n") - 1
+    assert out.getvalue() == expected
 
 
 # One bad field or row; the blank row is valid and only shifts line numbers.

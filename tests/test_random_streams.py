@@ -73,3 +73,13 @@ def _digest(arrays) -> str:
 def test_numpy_random_stream_is_the_one_the_reports_were_pinned_with(name):
     draw, pinned = STREAMS[name]
     assert _digest(draw()) == pinned, f"numpy's {name} stream changed: report bytes will change"
+
+
+@pytest.mark.parametrize("rows", [(6,), (1,) * 6, (2, 3, 1), (0, 4, 0, 2)])
+@pytest.mark.parametrize("high", [INTERVAL_US, 7, 2**32 + 5])
+def test_attack_offsets_drawn_a_block_of_intervals_at_a_time_equal_one_call(rows, high):
+    # gen writes a window at a time, so an attack draws each window's intervals in one call;
+    # the buffered half of a 32-bit draw carries over between calls, so the stream is unchanged
+    whole = np.random.default_rng(5).integers(0, high, (6, 75))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(np.concatenate([rng.integers(0, high, (k, 75)) for k in rows]), whole)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import consolidate_oracle, migration_oracle, random_cluster
+from vmshield.ahp import derive_weights
 from vmshield.errors import EmptyServer, ValidationError
 from vmshield.resources import UNIFORM_WEIGHTS, ZERO, ResourceVector, WeightVector, weighted_score
 from vmshield.scheduler import (
@@ -282,6 +283,21 @@ def test_consolidate_drains_and_sleeps_idle_server():
     # pure planning: the input cluster is untouched
     assert servers[1].power == "active"
     assert servers[1].vms == {"v1"}
+
+
+def test_plain_tuples_serve_as_class_defaults():
+    # a VM with no samples and no class peers is sized by its class default, whose weights
+    # derive_weights used to refuse for a tuple: "pairwise matrix must be 3x3, got shape (3,)"
+    tuples = {name: tuple(vec) for name, vec in CLASS_DEFAULTS.items()}
+    fresh = VmRecord("v9", "cpu-intensive")
+    estimate = estimate_demand_restart(fresh, {}, tuples)
+    assert estimate == (40, 15, 10)
+    assert derive_weights(estimate).as_tuple() == derive_weights(CLASS_DEFAULTS["cpu-intensive"]).as_tuple()
+    vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(10, 5, 5))}
+    servers = [_server("a", (40, 40, 40)), _server("b", (12, 7, 7), vms=("v1",))]
+    expected = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
+    assert consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), tuples) == expected
+    assert expected[1] == ["b"] and [(p.victim, p.target) for p in expected[0]] == [("v1", "a")]
 
 
 def test_consolidate_is_all_or_nothing():

@@ -269,6 +269,20 @@ def test_a_scenario_built_in_python_is_checked_as_its_file_would_be(build, named
         build()
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("wake_on_reject", "no", r"^wake_on_reject must be a bool, got 'no'$"),
+    ("wake_on_reject", 1, r"^wake_on_reject must be a bool, got 1$"),
+    ("detector", None, r"^detector must be a DetectorConfig, got None$"),
+    ("detector", {"drift": 0.1}, r"^detector must be a DetectorConfig, got \{'drift': 0.1\}$"),
+])
+def test_wake_on_reject_and_detector_are_checked_in_python(field, value, named):
+    # a truthy string used to wake servers on a rejection, and None to end the run in AttributeError
+    with pytest.raises(ValidationError, match=named):
+        _py_scn(**{field: value})
+    with pytest.raises(ValidationError, match=named):
+        replace(_py_scn(), **{field: value})
+
+
 def test_class_vectors_and_a_watermark_built_in_python_run_as_resource_vectors(tmp_path):
     # the run reads each class vector once; a tuple used to end in AttributeError
     def scenario(vector):

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import io
+import json
 import re
+import tracemalloc
+from dataclasses import asdict
+from unittest import mock
 
 import pytest
 
-from vmshield.detector import TrafficInterval, bin_events
+from vmshield import traffic
+from vmshield.cli import dispatch
+from vmshield.detector import TrafficInterval, bin_event_blocks, bin_events
 from vmshield.errors import ParseError, UnsortedTrace
 from vmshield.traffic import (
     PacketEvent,
@@ -344,3 +351,184 @@ def test_binned_trace_rejects_duplicate_intervals():
 def test_empty_window_spec_generates_nothing():
     assert list(gen_normal(_normal(start=0, end=0))) == []
     assert list(gen_attack(_attack(start=3, end=3))) == []
+
+
+# --- detect's block reader and gen's windows -------------------------------
+
+HEADER = "timestamp_s,vm_id,pkt_type\n"
+
+
+def _whole(path, interval=10.0):
+    """The whole-file reader's grid of the trace file at path: read_trace_csv, then bin_events."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        kind, data = read_trace_csv(fh.read())
+    return bin_events(data, interval) if kind == "events" else data
+
+
+def _grid(counts):
+    return counts.vm_ids, counts.syn.tolist(), counts.finrst.tolist()
+
+
+def _blocks(path):
+    """The Traces _plain_blocks cuts the file at path into."""
+    with open(path, "rb") as fh:
+        return list(traffic._plain_blocks(fh))
+
+
+@pytest.fixture
+def block_bytes(monkeypatch):
+    """Blocks of 64 bytes, so a small file spans several."""
+    monkeypatch.setattr(traffic, "TRACE_BLOCK_BYTES", 64)
+    return 64
+
+
+def _lines(stamps, vm="vm1", pkt="SYN"):
+    return [f"{t // 10**6}.{t % 10**6:06d},{vm},{pkt}\n" for t in stamps]
+
+
+def _first_block_lines(lines, size):
+    """How many of lines the first block of size bytes holds: it runs to the end of the line it cuts."""
+    total = 0
+    for i, line in enumerate(lines):
+        total += len(line)
+        if total >= size:
+            return i + 1
+    return len(lines)
+
+
+def test_a_block_runs_to_the_end_of_the_line_it_cuts(tmp_path, block_bytes):
+    lines = _lines(range(0, 40_000_000, 1_000_000), pkt="FIN")
+    path = tmp_path / "t.csv"
+    path.write_text(HEADER + "".join(lines))
+    assert len("".join(lines[:_first_block_lines(lines, block_bytes)])) > block_bytes  # the edge cuts a line
+    blocks = _blocks(path)
+    assert len(blocks) > 5
+    assert [e for block in blocks for e in block] == list(read_trace_csv(path.read_text())[1])
+    assert len(blocks[0]) == _first_block_lines(lines, block_bytes)
+    assert _grid(traffic.read_trace_counts(str(path), 10.0)) == _grid(_whole(path))
+
+
+def test_blank_lines_at_a_block_edge_are_skipped(tmp_path, block_bytes):
+    lines = _lines(range(0, 30_000_000, 1_000_000))
+    edge = _first_block_lines(lines, block_bytes)
+    lines[edge - 1] += "\n\n"  # blank lines end the first block and start the second
+    lines[edge] = "\n" + lines[edge]
+    path = tmp_path / "t.csv"
+    path.write_text(HEADER + "".join(lines))
+    assert sum(map(len, _blocks(path))) == 30
+    assert _grid(traffic.read_trace_counts(str(path), 10.0)) == _grid(_whole(path))
+
+
+def test_an_unsorted_pair_across_a_block_edge_raises_the_whole_files_error(tmp_path, block_bytes, capsys):
+    lines = _lines(range(0, 30_000_000, 1_000_000))
+    edge = _first_block_lines(lines, block_bytes)
+    lines[edge] = _lines([500_000])[0]  # the second block's first line goes back in time
+    path = tmp_path / "t.csv"
+    path.write_text(HEADER + "".join(lines))
+    first, second = _blocks(path)[:2]
+    assert first.t_us[-1] > second.t_us[0]
+    expected = f"timestamp 500000 after {first.t_us[-1]}"
+    with pytest.raises(UnsortedTrace, match=f"^{expected}$"):
+        _whole(path)
+    with open(path, "rb") as fh, pytest.raises(UnsortedTrace, match=f"^{expected}$"):
+        bin_event_blocks(traffic._plain_blocks(fh), 10.0)
+    assert dispatch(["detect", "--trace", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("old, new", [("vm1", '"vm,2"'), ("\n", "\r\n")], ids=["quoted-id", "crlf"])
+def test_a_block_that_is_not_plain_sends_the_whole_file_to_the_general_reader(tmp_path, block_bytes, old, new):
+    lines = _lines(range(0, 30_000_000, 1_000_000))
+    lines[20] = lines[20].replace(old, new)  # well after the first block
+    path = tmp_path / "t.csv"
+    path.write_bytes((HEADER + "".join(lines)).encode())
+    with open(path, "rb") as fh:
+        blocks = traffic._plain_blocks(fh)
+        assert len(next(blocks)) == _first_block_lines(lines, block_bytes)
+        with pytest.raises(ValueError, match="not a plain event trace"):
+            list(blocks)
+    with mock.patch.object(traffic, "_read_csv", wraps=traffic._read_csv) as general:
+        counts = traffic.read_trace_counts(str(path), 10.0)
+    assert general.call_count == 1
+    assert _grid(counts) == _grid(_whole(path))
+    assert counts.vm_ids == (("vm,2", "vm1") if new.startswith('"') else ("vm1",))
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["invalid-byte", "encoded-surrogate"])
+def test_a_block_that_is_not_utf8_fails_as_the_whole_file_does(tmp_path, block_bytes, capsys, bad):
+    lines = [line.encode() for line in _lines(range(0, 30_000_000, 1_000_000))]
+    lines[20] = lines[20].replace(b"vm1", b"vm" + bad)  # well after the first block
+    path = tmp_path / "t.csv"
+    path.write_bytes(HEADER.encode() + b"".join(lines))
+    with open(path, "rb") as fh, pytest.raises(UnicodeDecodeError):
+        list(traffic._plain_blocks(fh))
+    assert dispatch(["detect", "--trace", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte")
+
+
+def test_a_grid_too_large_across_blocks_names_the_last_timestamp(tmp_path, monkeypatch, capsys):
+    # 600 VMs by 10**15 one-microsecond intervals is more than numpy can size, so nothing is allocated
+    monkeypatch.setattr(traffic, "TRACE_BLOCK_BYTES", 512)
+    path = tmp_path / "far.csv"
+    path.write_text(HEADER + "".join(f"0.{v:06d},v{v},SYN\n" for v in range(600)) + "999999999.999999,v0,FIN\n")
+    assert len(_blocks(path)) > 20
+    expected = "timestamp 999999999999999 us makes a 600 x 1000000000000000 grid too large to allocate: "
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh, pytest.raises(ValueError, match=f"^{expected}"):
+            bin_event_blocks(traffic._plain_blocks(fh), 1e-6)
+        assert dispatch(["detect", "--trace", str(path), "--interval", "1e-6"], out=io.StringIO()) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith(f"error: {expected}")
+    assert peak < 16 << 20
+
+
+def _peak(fn, *args):
+    """fn(*args)'s tracemalloc peak, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_detect_holds_the_grid_and_a_few_blocks_not_the_trace(tmp_path, monkeypatch):
+    monkeypatch.setattr(traffic, "TRACE_BLOCK_BYTES", 1 << 16)
+    specs = [_normal(vm_id=f"vm-{i:02d}", base_rate=25, end=150, seed=i) for i in range(40)]
+    path, stats = tmp_path / "trace.csv", str(tmp_path / "stats.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        traffic.write_trace(specs, fh)
+    assert path.stat().st_size > 64 * traffic.TRACE_BLOCK_BYTES
+    argv = ["detect", "--trace", str(path), "--stats", stats]
+    assert dispatch(argv, out=io.StringIO()) == 0  # the first call imports and caches what it needs
+    counts = traffic.read_trace_counts(str(path), 10.0)
+    assert _grid(counts) == _grid(_whole(path))
+    bound = 24 * traffic.TRACE_BLOCK_BYTES + 24 * (counts.syn.nbytes + counts.finrst.nbytes)
+    peak = _peak(dispatch, argv, io.StringIO())
+    assert peak < bound, (peak, bound)
+    assert _peak(_whole, path) > 3 * bound  # reading the file whole holds it several times over
+
+
+@pytest.mark.parametrize("events, intervals", [(1 << 15, 6), (64, 1), (1, 1)])
+def test_gen_writes_windows_with_the_bytes_of_the_whole_trace(tmp_path, monkeypatch, events, intervals):
+    monkeypatch.setattr(traffic, "WINDOW_EVENTS", events)
+    monkeypatch.setattr(traffic, "WINDOW_INTERVALS", intervals)
+    specs = [_normal(vm_id="b", end=12, base_rate=3, interval_seconds=4.0, fin_delay_range=(0.5, 9.0)),
+             _attack(vm_id="a", start=2, end=9, base_rate=2, attack_multiplier=2.5),
+             _normal(vm_id="a", start=5, end=30, base_rate=2, seed=1),
+             _normal(vm_id="a", start=5, end=30, base_rate=2, seed=1),  # the same events: ties across specs
+             _normal(vm_id="c", start=10**6, end=10**6 + 2, base_rate=1)]  # far past a quiet stretch
+    expected = events_to_csv(merge_traces([generate(s) for s in specs]))
+    out = io.StringIO()
+    assert traffic.write_trace(specs, out) == expected.count("\n") - 1
+    assert out.getvalue() == expected
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps({"specs": [{**asdict(s), "fin_delay_range": list(s.fin_delay_range)}
+                                               for s in specs]}))
+    stdout = io.StringIO()
+    assert dispatch(["gen", "--spec", str(spec_file), "--out", "-"], out=stdout) == 0
+    assert dispatch(["gen", "--spec", str(spec_file), "--out", str(tmp_path / "t.csv")], out=io.StringIO()) == 0
+    assert stdout.getvalue() == (tmp_path / "t.csv").read_text() == expected
