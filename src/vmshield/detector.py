@@ -25,7 +25,8 @@ grown as they come), fill_gaps and traffic's binned generators return one.
 fill_gaps checks binned rows, read from a file or built in Python alike,
 so that each d stays in [-1, 1].
 One function, _interval_to_us, makes every interval length whole
-microseconds, so offline and simulated time share one grid.
+microseconds, so offline and simulated time share one grid, on which
+fin_slot_pairs counts, exactly, the slots a simulated FIN can land in.
 The statistic log is columnar too: a StatLog holds blocks of arrays, one
 per tick in the simulator and one for a whole trace, with slots in place
 of ids, and renders detector.csv through resources._csv_rows, the
@@ -126,6 +127,16 @@ def _interval_to_us(interval_seconds: float) -> int:
         raise ValueError(f"interval_seconds must be finite and at least 1 microsecond, "
                          f"got {interval_seconds}")
     return interval_us
+
+
+def fin_slot_pairs(interval_us: int, lo_us: int, hi_us: int) -> list[int]:
+    """By slot k, the pairs of an offset in [0, interval_us) and a FIN delay in [lo_us, hi_us]
+    with (offset + delay) // interval_us == k, for every slot a FIN can reach."""
+    def below(t):  # pairs with offset + delay < t: a second difference of triangular numbers
+        return sum(s * max(m, 0) * (max(m, 0) - 1) // 2 for s, m in (
+            (1, t - lo_us + 1), (-1, t - lo_us + 1 - interval_us), (-1, t - hi_us), (1, t - hi_us - interval_us)))
+    slots = (interval_us - 1 + hi_us) // interval_us + 1
+    return [below((k + 1) * interval_us) - below(k * interval_us) for k in range(slots)]
 
 
 def discrepancy(syn, finrst):

@@ -238,10 +238,11 @@ def estimate_demand_restart(vm: VmRecord, vms: Mapping[str, VmRecord],
     """Expected demand of a restarting VM: the mean of its own usage samples.
 
     usage_sum scaled by 1 / samples, which is mean_usage of the samples bit for
-    bit.  A VM with no samples yet is estimated like a first start, from vms.
+    bit.  A VM with no samples yet is estimated like a first start, from the
+    other VMs of its class in vms: it is not its own peer.
     """
     if not vm.samples:
-        peers = [r.observed for r in vms.values() if r.hotspot_class == vm.hotspot_class]
+        peers = [r.observed for vid, r in vms.items() if r.hotspot_class == vm.hotspot_class and vid != vm.id]
         return estimate_demand_first_start(peers, class_defaults[vm.hotspot_class])
     return vm.usage_sum.scaled(1.0 / vm.samples)
 

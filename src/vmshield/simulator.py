@@ -13,11 +13,15 @@ by default).  Each tick applies, in fixed order:
    overhead plus its hosted VMs' observed usage, added in sorted-VM
    order by one np.add.at;
 3. traffic and detection: each live VM's traffic scale, attack
-   multiplier and state come from the columns.  The run's traffic
-   generator draws every running VM's connection offsets and FIN delays
-   in two calls, in sorted-VM order, and one bincount adds each VM's
-   FINs to its row of the pending-FIN column (entry k holds the FINs due
-   k ticks from now); the live VMs' entry 0 and their SYN counts (0 for
+   multiplier and state come from the columns.  A connection's FIN
+   lands (offset + delay) // interval slots on, its offset uniform over
+   the interval and its delay over fin_delay_range in whole microseconds;
+   detector.fin_slot_pairs gives each slot's exact chance once a run.
+   The run's traffic generator splits every live VM's paired connections
+   by slot in one multinomial call, in sorted-VM order, so a tick costs
+   the same at any base_rate, and each VM's split is added to its row
+   of the pending-FIN column (entry k holds the FINs due k ticks from
+   now); the live VMs' entry 0 and their SYN counts (0 for
    a suspended VM) go to the run's CUSUM detector in one batched call,
    its rows join the columnar statistic log, and the entries shift left
    by one.  The response policy then acts, in sorted-VM order, on each
@@ -392,10 +396,13 @@ class _Sim:
             "suspensions": 0,
             "ignored_events": 0,
         }
-        self.iv_us = iv_us = det._interval_to_us(scenario.detector.interval_seconds)
-        self.fin_lo_us, self.fin_hi_us = _delay_bounds_us(scenario.fin_delay_range)
-        # FIN slots a connection can land in: this tick's plus the ones ahead
-        self.fin_slots = (iv_us - 1 + self.fin_hi_us) // iv_us + 1
+        # by FIN slot, this tick's and the ones ahead: the chance a connection's FIN lands there,
+        # its pairs over all pairs (Python ints divided give correctly rounded floats)
+        pairs = det.fin_slot_pairs(det._interval_to_us(scenario.detector.interval_seconds),
+                                   *_delay_bounds_us(scenario.fin_delay_range))
+        total = sum(pairs)
+        self.fin_p = [n / total for n in pairs]
+        self.fin_slots = len(pairs)
         # The per-VM columns, one row per placed VM in placement order, grown
         # as VMs are placed.  state holds an index into _STATES and host one
         # into servers (-1: none); fin_due[k] counts the FINs due k ticks
@@ -601,14 +608,9 @@ class _Sim:
         # np.rint rounds half to even, as round() does
         n_pair = np.rint(rate * scale).astype(np.int64)
         syn = n_pair + np.rint(rate * (multiplier - 1.0) * scale).astype(np.int64)
-        # every sending VM's paired connections in two draws, in sorted-VM order
-        total = int(n_pair.sum())
-        offsets = self.traffic_rng.integers(0, self.iv_us, total)
-        delays = self.traffic_rng.integers(self.fin_lo_us, self.fin_hi_us, total, endpoint=True)
-        slots = (np.repeat(np.arange(len(live)) * self.fin_slots, n_pair)
-                 + (offsets + delays) // self.iv_us)
-        fins = np.bincount(slots, minlength=len(live) * self.fin_slots).reshape(-1, self.fin_slots)
+        # every live VM's paired connections split by FIN slot, in one draw in sorted-VM order;
         # fins[:, k] is due k ticks from now, as is column k of fin_due
+        fins = self.traffic_rng.multinomial(n_pair, self.fin_p)
         fin_due = cols["fin_due"]
         fin_due[live] += fins
         finrst = fin_due[live, 0]

@@ -11,11 +11,13 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from vmshield.detector import PKT_TYPES, TrafficInterval
+from vmshield.detector import PKT_TYPES, StatRow, TrafficInterval
 from vmshield.errors import ParseError, UnsortedTrace
 from vmshield.resources import ResourceVector
 from vmshield.scheduler import ServerState, VmRecord
@@ -163,6 +165,65 @@ def traffic_oracle(spec):
     return sorted(events, key=lambda e: e[0])
 
 
+def fin_slot_oracle(interval_us, lo_us, hi_us):
+    """By slot k, how many (offset, delay) pairs, offset in [0, interval_us) and delay in
+    [lo_us, hi_us], land their FIN in slot (offset + delay) // interval_us == k: every pair counted."""
+    counts = Counter((offset + delay) // interval_us
+                     for offset in range(interval_us) for delay in range(lo_us, hi_us + 1))
+    return [counts[k] for k in range(max(counts) + 1)]
+
+
+def detector_reports_oracle(scenario):
+    """(detector.csv, alarms.json) of a scenario JSON whose VMs all fit on its one server, policy log.
+
+    Restated tick by tick from the simulator docstring.  Phase 1 names
+    requested VMs vm-001, vm-002, ... and gives each placement a seq;
+    shutdowns and revocations end a VM's traffic, and attacks set its
+    multiplier.  Phase 3 takes the running VMs in sorted-id order: each
+    sends base_rate paired connections and base_rate * (multiplier - 1)
+    more SYNs, rounded half to even.  One multinomial call from
+    default_rng([seed, 1]) splits every VM's paired connections by FIN
+    slot, with fin_slot_oracle's pairs over all pairs as the chances.  A
+    VM's split joins its ring of pending FINs, whose slot 0 is this
+    tick's finrst, and the ring shifts one slot.  d and y follow
+    cusum_oracle from the VM's first tick, and an alarm (with the next
+    seq) is the first tick of each run of exceedances.
+    """
+    rate, seed, det = scenario["base_rate"], scenario["seed"], scenario["detector"]
+    pairs = fin_slot_oracle(round(det["interval_seconds"] * 1_000_000),
+                            *(round(v * 1_000_000) for v in scenario["fin_delay_range"]))
+    chances = [n / sum(pairs) for n in pairs]
+    rng = np.random.default_rng([seed, 1])
+    vms, rows, alarms, seq = {}, [], [], 0
+    for tick in range(scenario["duration"]):
+        for ev in (ev for ev in scenario["events"] if ev["tick"] == tick):
+            if ev["op"] == "vm_request":
+                for _ in range(ev.get("count", 1)):
+                    seq += 1
+                    vms[f"vm-{len(vms) + 1:03d}"] = {"running": True, "multiplier": 1.0,
+                                                    "ring": [0] * len(pairs), "y": 0.0, "over": False}
+            elif ev["op"] in ("vm_shutdown", "vm_revoke"):
+                vms[ev["vm"]]["running"] = False
+            else:
+                vms[ev["vm"]]["multiplier"] = ev.get("multiplier", 1.0)
+        live = sorted(vm_id for vm_id, vm in vms.items() if vm["running"])
+        fins = rng.multinomial(np.array([rate] * len(live), dtype=np.int64), chances).tolist()
+        for vm_id, split in zip(live, fins):
+            vm = vms[vm_id]
+            ring = [due + new for due, new in zip(vm["ring"], split)]
+            syn, finrst = rate + round(rate * (vm["multiplier"] - 1.0)), ring[0]
+            vm["ring"] = ring[1:] + [0]
+            (y,), (over,) = cusum_oracle([(syn, finrst)], det["drift"], det["threshold"], vm["y"])
+            alarm = over and not vm["over"]
+            vm["y"], vm["over"] = y, over
+            rows.append(StatRow(tick, vm_id, syn, finrst, (syn - finrst) / max(syn + finrst, 1), y, alarm))
+            if alarm:
+                seq += 1
+                alarms.append({"tick": tick, "seq": seq, "vm": vm_id, "y": round(y, 6),
+                               "action": "log", "detail": "recorded"})
+    return stat_rows_to_csv_oracle(rows), json.dumps(alarms, indent=2, sort_keys=True) + "\n"
+
+
 def merge_oracle(streams):
     """Concatenate the streams, then a stable sort on (t_us, vm_id)."""
     for i, stream in enumerate(streams):
@@ -290,7 +351,7 @@ def consolidate_oracle(servers, vms, samples, low_watermark, class_defaults):
     uniform score, then id, and trial-drains them in that order on a deep
     copy of the cluster: every hosted VM, in id order, is sized as the
     mean of its samples[vid] list (or, with none, the mean observed usage of
-    its class, else the class default) and goes to the strictly feasible
+    the other VMs of its class, else the class default) and goes to the strictly feasible
     other active server of least share-weighted score.  The first drain
     that places every VM is kept and its source slept; a pass that keeps
     none ends the call.  Returns (moves, sleeps), each move a tuple
@@ -320,8 +381,8 @@ def consolidate_oracle(servers, vms, samples, low_watermark, class_defaults):
                 if samples[vid]:
                     estimate = _mean_sorted(samples[vid])
                 else:
-                    peers = [r.observed for r in vms.values()
-                             if r.hotspot_class == record.hotspot_class]
+                    peers = [r.observed for other, r in vms.items()
+                             if r.hotspot_class == record.hotspot_class and other != vid]
                     estimate = _mean_sorted(peers) if peers else class_defaults[record.hotspot_class]
                 w = _share_weights(estimate)
                 best = None

@@ -23,8 +23,8 @@ DEMO_DIGESTS = {
     "utilization.csv": "735bffc2c933c066895b9198692f545d47fe66837fc7698bc838563af0887652",
     "placements.json": "5d0541b9285e915615872c3369286c2a48fea3ef2a5f547b8e3d83fe67601e08",
     "migrations.json": "c0dea3f197daf006db33c88287fe64a969ebcdcced73b823c4e25b341c91b55f",
-    "detector.csv": "681294382a08af7569143b81527900a219e97f6e634fdd917d5613e60ff26d1a",
-    "alarms.json": "74ce7ac83f81caa530fb97a460cb0ac29d490578a79f8502fe399cb1905f9807",
+    "detector.csv": "1766785f946792c5250d3ed4e97701b83644ccdfa3ddcabb7c04c9772d75f7a5",
+    "alarms.json": "5fa634b537d58714eae5eb8716345d7ff7323942537d9419b73cd19c4aed03fb",
     "summary.json": "03fbb156c4ae642387056c8be42f33c3158626ebff35587ff88ff1bdd9c60095",
 }
 
@@ -61,24 +61,24 @@ SMALL_DIGESTS = {
         "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
         "placements.json": "8cfc983828b0a4dc5a8916f15691eb4ecb4f95536e97238e8f3d72b328d17591",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
-        "detector.csv": "8da854457c5667547efe36af2e5ee5cc2aba1da9b9b72ca5745bb5729b299bb7",
-        "alarms.json": "1bf5ac14a2ee3423d2bb918d18b6c2728162bf7605363031f56e60ea52304e50",
+        "detector.csv": "8e155aca6049f5ea5e16c5d0258d3d48e5b15304aa8a08d0c202f05528afc5e8",
+        "alarms.json": "2cbebb537056d36fbdb51f197c19d11d7117f3462792bb6aa8f431b8ad4f422d",
         "summary.json": "fb20d2a979e9970cfa4836f4fe79d6bc9e18235e6585d33356b5d0427fbb6eda",
     },
     "throttle": {
         "utilization.csv": "ce7d83093d50bd24ec0e294bf9bcb62eb44e5ba6c8214c1a1320b4c506aac031",
         "placements.json": "8cfc983828b0a4dc5a8916f15691eb4ecb4f95536e97238e8f3d72b328d17591",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
-        "detector.csv": "aac2a991214671e184f17fbe29d7b0950b8851036c6a45831ae4a14e7e60bc18",
-        "alarms.json": "a37c8001eb4be47954115624a81768d776a2e7c3c6d011e6906716b75f7ed1a3",
+        "detector.csv": "06b2b2eb64fc729f39df501f8c52446205b0edd1f4f8f518efe62de577efee51",
+        "alarms.json": "85ff67528b254d450b79658125f86be4854f05fe491371b6f41770e255e9b25f",
         "summary.json": "61ce1c29670cf55f0a3ac0768202c5a7ea4c41766effe7f8be86d3a70a03faf5",
     },
     "suspend": {
         "utilization.csv": "5cffbf3928ccb0d23198666acf0b17e2668d5033809bf3afb6d6e7e578efb1d9",
         "placements.json": "8cfc983828b0a4dc5a8916f15691eb4ecb4f95536e97238e8f3d72b328d17591",
         "migrations.json": "f30adfce404ceaeff57fcd84ab10d4a576398aa0d67c28689e640c0e6d929833",
-        "detector.csv": "6891a3d223b9c79efa226b26cf43beeb5900a31387bc1d4a602e029fe98e1a20",
-        "alarms.json": "061c20de2fe709130640da8bfb7c2d6594e3c581a7a30d2b56746c4cfad0bcaf",
+        "detector.csv": "34d436a951316101dff011162cd9d91552544dcb31c0ebaec4f12ba61b9adab4",
+        "alarms.json": "21e7929f890e4b458d4b152fe9f9fee3647ed324aa5c0da5412235962f103a0e",
         "summary.json": "9ff56dbe5704a4853773d5bbfdf194504c1f8cdd1590b1f98911789e6645de64",
     },
 }
@@ -159,8 +159,8 @@ MID_DIGESTS = {
     "utilization.csv": "844f61357cdf2baf35927d9f4a55923245d9ba8d7384fda60bddaa7c7d7417a8",
     "placements.json": "e81f61c02228647321e56e186175c0ab2d81a03894f0f06131f727e0496632ff",
     "migrations.json": "5194a25ebc2905ccbac3b9266cb63ea01130729783bfd6faa8d2cbc0f311dbc6",
-    "detector.csv": "cede3b2a48f1e0b6b714a9031caa5abf9d36ff97015098274975d9c608ac7fe8",
-    "alarms.json": "783b4fa118e80148cb7a2e1b8444c68e845054211aac4e02e9e1d61db97471d9",
+    "detector.csv": "b777dced93e365ed59b29c597ffc7a851f339cafe12d3aa10e5f9738a2c3b787",
+    "alarms.json": "dd72bc5526cd24609369f3cf6758b7e16f5087c2845c131910c4122579b1ebb4",
     "summary.json": "2e10c5953d37388c715e8f030b5011acdffde44c51cbaae84bef086f500edf9f",
 }
 

@@ -25,7 +25,11 @@ without a vector per candidate equals the ResourceVector oracle, ties with the t
 
 On random small scenarios every active server-tick's usage is its
 overhead plus its hosted VMs' observed usage, added in sorted-id order,
-exactly.  The restart estimate from a record's running usage sum equals
+exactly.  The closed-form FIN-slot pair counts equal an enumeration of
+every (offset, delay) pair, and on random scenarios of one roomy server
+under the log policy detector.csv and alarms.json equal conftest's
+plain-Python restatement of phases 1 and 3, multinomial calls included.
+The restart estimate from a record's running usage sum equals
 mean_usage of its samples bit for bit, and json_text equals
 json.dumps(indent=2, sort_keys=True) on random documents.
 
@@ -45,6 +49,7 @@ import math
 import os
 import tempfile
 from dataclasses import replace
+from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
@@ -59,8 +64,10 @@ from conftest import (  # noqa: E402
     bin_events_oracle,
     csv_row_oracle,
     cusum_oracle,
+    detector_reports_oracle,
     events_to_csv_oracle,
     exact_usage_oracle,
+    fin_slot_oracle,
     format_timestamp,
     merge_oracle,
     place_oracle,
@@ -81,6 +88,7 @@ from vmshield.detector import (  # noqa: E402
     bin_event_blocks,
     bin_events,
     fill_gaps,
+    fin_slot_pairs,
     process_trace,
     stat_rows_to_csv,
 )
@@ -873,6 +881,89 @@ def _small_scenario(draw):
 @given(_small_scenario())
 def test_usage_is_overhead_plus_hosted_vms_exactly(scenario):
     exact_usage_oracle(scenario, run(scenario))
+
+
+@settings(SETTINGS, max_examples=500)
+@given(interval_us=st.integers(1, 30), lo_us=st.integers(1, 60), width=st.integers(0, 60))
+@example(interval_us=10, lo_us=12, width=7)
+@example(interval_us=1, lo_us=1, width=0)
+@example(interval_us=7, lo_us=7, width=0)
+@example(interval_us=30, lo_us=1, width=59)
+def test_fin_slot_pairs_count_every_pair_exactly(interval_us, lo_us, width):
+    assert fin_slot_pairs(interval_us, lo_us, lo_us + width) == fin_slot_oracle(interval_us, lo_us, lo_us + width)
+
+
+def test_the_default_fin_slot_chances_are_0_045_and_055():
+    pairs = fin_slot_pairs(10_000_000, 12_000_000, 19_000_000)
+    assert [n / sum(pairs) for n in pairs] == [0.0, 0.45, 0.55]
+
+
+def _roomy_scenario(events, duration, interval_us=10, delays_us=(12, 19), base_rate=100, seed=0):
+    """A scenario JSON whose VMs all fit on its one server, with policy log and intervals in microseconds."""
+    return {
+        "servers": [{"id": "s1", "usage": {"cpu": 1, "mem": 1, "bw": 1},
+                     "threshold": {"cpu": 1e9, "mem": 1e9, "bw": 1e9}}],
+        "vm_classes": {"cpu-intensive": {"cpu": 3, "mem": 1, "bw": 1}},
+        "events": events,
+        "detector": {"drift": 0.08, "threshold": 1.43, "interval_seconds": interval_us / 1e6, "policy": "log"},
+        "base_rate": base_rate,
+        "fin_delay_range": [v / 1e6 for v in delays_us],
+        "duration": duration,
+        "seed": seed,
+    }
+
+
+@st.composite
+def _roomy_scenarios(draw):
+    """Random requests, shutdowns, revocations and attacks on one roomy server."""
+    duration = draw(st.integers(1, 25))
+    events, created, revoked = [], 0, set()
+    for tick in range(duration):
+        for op in draw(st.lists(st.sampled_from(["vm_request", "vm_request", "vm_shutdown", "vm_revoke",
+                                                 "attack_start", "attack_start", "attack_stop"]), max_size=3)):
+            if op == "vm_request":
+                count = draw(st.integers(1, 4))
+                events.append({"tick": tick, "op": op, "class": "cpu-intensive", "count": count})
+                created += count
+                continue
+            vm = f"vm-{draw(st.integers(1, max(created, 1))):03d}"
+            if not created or vm in revoked:
+                continue
+            events.append({"tick": tick, "op": op, "vm": vm})
+            if op == "attack_start":
+                # at an odd base_rate, 1.5 and 2.5 put the extra SYNs half way, to be rounded to even
+                events[-1]["multiplier"] = draw(st.floats(1, 5) | st.sampled_from([1.5, 2.5, 3.0]))
+            if op == "vm_revoke":
+                revoked.add(vm)
+    lo = draw(st.integers(1, 40))
+    return _roomy_scenario(events, duration, interval_us=draw(st.integers(1, 20)),
+                           delays_us=(lo, lo + draw(st.integers(0, 30))),
+                           base_rate=draw(st.integers(0, 60) | st.sampled_from([1001, 2**40])),
+                           seed=draw(st.integers(0, 2**16)))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(_roomy_scenarios())
+@example(_roomy_scenario([{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 2},
+                          {"tick": 3, "op": "attack_start", "vm": "vm-002", "multiplier": 3.0},
+                          {"tick": 9, "op": "attack_stop", "vm": "vm-002"},
+                          {"tick": 12, "op": "vm_shutdown", "vm": "vm-001"}], 20))
+@example(_roomy_scenario([{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 1002},
+                          {"tick": 1, "op": "attack_start", "vm": "vm-1001", "multiplier": 4.0},
+                          {"tick": 2, "op": "vm_shutdown", "vm": "vm-100"}], 4, base_rate=20))
+def test_detector_reports_equal_the_plain_python_restatement(scenario):
+    report = run(Scenario.from_json(scenario))
+    csv_text, alarms_text = detector_reports_oracle(scenario)
+    assert _first_difference(stat_rows_to_csv(report.stat_rows), csv_text) is None
+    assert _first_difference(json_text(report.alarms), alarms_text) is None
+
+
+def _first_difference(got, want):
+    """None if the texts are equal, else (line number, got's line, want's line) of the first difference."""
+    for number, (line, expected) in enumerate(zip_longest(got.splitlines(), want.splitlines()), 1):
+        if line != expected:
+            return number, line, expected
+    return None
 
 
 SAMPLE = st.builds(ResourceVector, *[st.floats(0, 1e6) | st.sampled_from([0.0, 1e-300, 0.1, 1e15])] * 3)

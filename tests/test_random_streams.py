@@ -26,12 +26,14 @@ def _simulator_jitter():
 
 
 def _simulator_traffic():
-    # phase 3: every sending VM's connection offsets, then their FIN delays, stream 1
+    # phase 3: one multinomial a tick splits every live VM's paired connections
+    # by FIN slot, stream 1; the default interval and fin_delay_range give the
+    # chances (0, 0.45, 0.55), and other delays give more slots
     rng = np.random.default_rng([7, 1])
     draws = []
-    for total in (0, 3, 4000, 250):
-        draws.append(rng.integers(0, INTERVAL_US, total))
-        draws.append(rng.integers(*FIN_DELAY_US, total, endpoint=True))
+    for n_pair in ([], [100], [100] * 400, [0, 2**40, 37], [3, 0]):
+        draws.append(rng.multinomial(np.array(n_pair, dtype=np.int64), [0.0, 0.45, 0.55]))
+    draws.append(rng.multinomial(np.array([20, 2**40]), [0.0, 0.1, 0.4, 0.5]))
     return draws
 
 
@@ -54,7 +56,7 @@ def _gen_attack():
 
 STREAMS = {
     "simulator-jitter": (_simulator_jitter, "770fe2d87d998397169c6d6e162802cf98e6fbbb8d0f431844e251fdc7ac8920"),
-    "simulator-traffic": (_simulator_traffic, "4f9dc976ed6b759423bef62407d913bf18b14fa8431fe9c500639d2e92c5b7bc"),
+    "simulator-traffic": (_simulator_traffic, "5084db27f2b01a5e21e5fbba46fae024285d3f2ce63079486814577efab042a2"),
     "gen-normal": (_gen_normal, "49ce76d462868fed4cfc1022d7dd0d3d9389db6f602dab0b0477ee289e0d4eef"),
     "gen-attack": (_gen_attack, "831456041e198a3d2acf1dadf6b9fbd9588c4b74c79e3c769439c045b85b8d02"),
 }

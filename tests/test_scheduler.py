@@ -81,6 +81,15 @@ def test_restart_estimate_prefers_own_history():
     assert estimate_demand_restart(bare, {}, CLASS_DEFAULTS) == CLASS_DEFAULTS["bandwidth-intensive"]
 
 
+def test_a_restarting_vm_is_not_its_own_peer():
+    # a VM with no samples is sized by the other VMs of its class: one alone in
+    # its class falls back to the class default, not to its own zero observed usage
+    vm = VmRecord("v1", "cpu-intensive")
+    assert estimate_demand_restart(vm, {"v1": vm}, CLASS_DEFAULTS) == CLASS_DEFAULTS["cpu-intensive"]
+    peer = VmRecord("v2", "cpu-intensive", ResourceVector(8, 4, 2))
+    assert estimate_demand_restart(vm, {"v1": vm, "v2": peer}, CLASS_DEFAULTS) == ResourceVector(8, 4, 2)
+
+
 def test_feasibility_is_strict():
     demand = ResourceVector(10, 10, 10)
     servers = [
@@ -293,8 +302,9 @@ def test_plain_tuples_serve_as_class_defaults():
     estimate = estimate_demand_restart(fresh, {}, tuples)
     assert estimate == (40, 15, 10)
     assert derive_weights(estimate).as_tuple() == derive_weights(CLASS_DEFAULTS["cpu-intensive"]).as_tuple()
+    # v1 is alone in its class, so consolidate sizes it by the default too: (40, 15, 10) fits on a
     vms = {"v1": VmRecord("v1", "cpu-intensive", observed=ResourceVector(10, 5, 5))}
-    servers = [_server("a", (40, 40, 40)), _server("b", (12, 7, 7), vms=("v1",))]
+    servers = [_server("a", (30, 30, 30)), _server("b", (12, 7, 7), vms=("v1",))]
     expected = consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), CLASS_DEFAULTS)
     assert consolidate(ServerTable.from_servers(servers), vms, ResourceVector(20, 20, 20), tuples) == expected
     assert expected[1] == ["b"] and [(p.victim, p.target) for p in expected[0]] == [("v1", "a")]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import exact_usage_oracle, stat_rows_to_csv_oracle
+from conftest import cusum_oracle, exact_usage_oracle, stat_rows_to_csv_oracle
 from vmshield import scheduler as sched
 from vmshield.errors import ParseError, ValidationError
 from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector
@@ -846,21 +846,51 @@ def _one_vm(events, duration, seed, **over):
     ))
 
 
-@pytest.mark.parametrize("multiplier,predicted", [(1.5, 12), (2.0, 6), (3.0, 4), (4.0, 3)])
-def test_detection_delay_matches_cusum_theory(multiplier, predicted):
+DELAY_THEORY = [(1.5, 12), (2.0, 6), (3.0, 4), (4.0, 3)]
+
+
+def _theory(multiplier, predicted):
     # Under a flood of multiplier m the paired FINs still arrive, so each
     # attacked interval adds d = (m - 1) / (m + 1) to y less the drift a,
     # and the first alarm needs ceil(h / (d - a)) attacked intervals
     # (Wang, Zhang & Shin, INFOCOM 2002).
     drift, threshold = DetectorConfig().drift, DetectorConfig().threshold
     assert predicted == math.ceil(threshold / ((multiplier - 1) / (multiplier + 1) - drift))
+    return drift, threshold
+
+
+@pytest.mark.parametrize("multiplier,predicted", DELAY_THEORY)
+def test_detection_delay_is_exactly_cusum_theory_when_every_fin_lands_one_interval_on(multiplier, predicted):
+    # A 10 s FIN delay puts every FIN of a tick's connections in the next
+    # tick, so each attacked interval's d is exactly (m - 1) / (m + 1).
+    _theory(multiplier, predicted)
+    for seed in range(20):
+        scn = _one_vm([{"tick": 30, "op": "attack_start", "vm": "vm-001", "multiplier": multiplier}],
+                      duration=30 + predicted + 2, seed=seed, fin_delay_range=[10, 10])
+        alarms = [a["tick"] for a in run(scn).alarms]
+        assert alarms and alarms[0] - 30 + 1 == predicted, f"seed {seed}: alarms {alarms}"
+
+
+@pytest.mark.parametrize("multiplier,predicted", DELAY_THEORY)
+def test_detection_delay_matches_cusum_theory(multiplier, predicted):
+    # With FIN delays of 12-19 s a tick's FINs come one or two ticks on, so
+    # the FINs of k attacked ticks sum to k ticks' connections plus the
+    # difference of two ticks' one-tick-on counts (the sum telescopes): y
+    # strays from the theory's line by about one interval's d, and the
+    # first alarm comes within one tick of theory.  It comes where the
+    # recurrence over the VM's logged counts first exceeds h.
+    drift, threshold = _theory(multiplier, predicted)
     for seed in range(20):
         scn = _one_vm([{"tick": 30, "op": "attack_start", "vm": "vm-001",
                         "multiplier": multiplier}], duration=30 + predicted + 2, seed=seed)
-        alarms = [a["tick"] for a in run(scn).alarms]
+        report = run(scn)
+        alarms = [a["tick"] for a in report.alarms]
         assert alarms, f"seed {seed}: no alarm"
+        _, over = cusum_oracle([(r.syn, r.finrst) for r in report.stat_rows if r.vm_id == "vm-001"],
+                               drift, threshold)
+        assert alarms[0] == over.index(True), f"seed {seed}"
         delay = alarms[0] - 30 + 1
-        assert predicted <= delay <= predicted + 1, f"seed {seed}: delay {delay}"
+        assert predicted - 1 <= delay <= predicted + 1, f"seed {seed}: delay {delay}"
 
 
 def test_fin_ring_conserves_connections():
@@ -997,3 +1027,25 @@ def test_memory_per_vm_tick_stays_small():
     # and the vm_samples columns
     growth = (_usage_peak(500) - _usage_peak(250)) / (250 * 120)
     assert growth <= 200, f"{growth:.0f} bytes per VM-tick"
+
+
+DEMO = Path(__file__).parent.parent / "demos" / "small_datacenter.json"
+
+
+def _demo_peak(base_rate):
+    """tracemalloc's peak while simulating the demo's first five ticks at base_rate."""
+    demo = load_scenario(str(DEMO))
+    scn = replace(demo, events=[ev for ev in demo.events if ev.tick < 5], duration=5, base_rate=base_rate)
+    tracemalloc.start()
+    try:
+        run(scn)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_ticks_traffic_costs_the_same_memory_at_any_base_rate():
+    # up to 20 VMs send 10**6 connections a tick: the FIN-slot split is one
+    # (VMs, slots) array, not an array per connection
+    _demo_peak(100)  # the first run also fills import-time caches
+    assert _demo_peak(10**6) <= _demo_peak(100) + 16 * 1024
