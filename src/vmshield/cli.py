@@ -252,7 +252,7 @@ def _cmd_detect(args, cfg: GlobalConfig, out) -> int:
     ]
     _emit(payload, rows, cfg.format, out)
     if args.stats:
-        write_text_file(args.stats, det.stat_rows_to_csv(report.rows), "statistic log")
+        write_text_file(args.stats, lambda fh: det.stat_rows_to_csv(report.rows, fh), "statistic log")
         log.info("wrote statistic log %s (%d rows)", args.stats, len(report.rows))
     return EXIT_OK
 

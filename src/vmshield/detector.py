@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsortedTrace
-from .resources import _csv_field, _csv_rows, _six_places, is_int
+from .resources import _csv_chunks, _csv_field, _csv_rows, _csv_table, _six_places, is_int
 
 DEFAULT_DRIFT = 0.08
 DEFAULT_THRESHOLD = 1.43
@@ -195,10 +195,6 @@ class CusumDetector:
         return d, y, start
 
 
-_NO_ROWS = (np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0, np.int64), np.empty(0, np.int64),
-            np.empty(0), np.empty(0), np.empty(0, bool))
-
-
 class StatLog:
     """The statistic log as columns: one block of arrays per append.
 
@@ -227,11 +223,6 @@ class StatLog:
         for interval, slots, syn, finrst, d, y, alarm in self.blocks:
             yield from map(StatRow, interval.tolist(), map(self.vm_ids.__getitem__, slots.tolist()),
                            syn.tolist(), finrst.tolist(), d.tolist(), y.tolist(), alarm.tolist())
-
-    def columns(self) -> tuple:
-        """Every block's columns joined: (interval, slots, syn, finrst, d, y, alarm)."""
-        blocks = [_NO_ROWS, *self.blocks]  # the empty block fixes the dtypes
-        return tuple(np.concatenate([b[k] for b in blocks]) for k in range(7))
 
 
 @dataclass
@@ -377,22 +368,29 @@ def fill_gaps(rows) -> Counts:
     return Counts(vm_ids, syn, finrst)
 
 
-def stat_rows_to_csv(log: StatLog) -> str:
-    """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm.
+def stat_rows_to_csv(log: StatLog, out=None) -> str | None:
+    """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm; the text, or None once written to out.
 
     The text equals csv.writer's row by row, with d and y as %.6f writes
-    them.  resources._csv_rows writes the lines, each id quoted once and
+    them.  Given a text stream out, it is written there a chunk of
+    resources._csv_chunks at a time, so only one chunk's text is held.
+    resources._csv_rows writes the lines, each id quoted once a log and
     picked by slot; a row with a negative count, or a d or y that
     _six_places cannot write exactly, is a line formatted with % instead.
     """
-    interval, slots, syn, finrst, d, y, alarm = log.columns()
+    chunks = _stat_csv(log)
+    return "".join(chunks) if out is None else out.writelines(chunks)
+
+
+def _stat_csv(log: StatLog):
+    """stat_rows_to_csv's text: its header, then the lines of each chunk of the log's blocks."""
+    yield "interval,vm_id,syn,finrst,d,y,alarm\n"
     ids = [_csv_field(vm_id) for vm_id in log.vm_ids]
-    (d6, exact_d), (y6, exact_y) = _six_places(d), _six_places(y)
-    odd = ~(exact_d & exact_y) | (np.minimum(np.minimum(interval, syn), finrst) < 0)
-    line = np.cumsum(odd) * odd  # an odd row's line in lines
-    lines = [b"", *(("%d,%s,%d,%d,%.6f,%.6f,%d\n" % (interval[i], ids[slots[i]], syn[i], finrst[i], d[i], y[i],
-                                                     alarm[i])).encode(errors="surrogatepass")
-                    for i in np.flatnonzero(odd))]
-    fields = [interval, b",", ([(f + ",").encode(errors="surrogatepass") for f in ids], slots), syn, b",",
-              finrst, b",", *d6, b",", *y6, b",", alarm.astype(np.int64), b"\n", (lines, line)]
-    return "interval,vm_id,syn,finrst,d,y,alarm\n" + _csv_rows(fields, len(slots), odd)
+    table = _csv_table([(f + ",").encode(errors="surrogatepass") for f in ids])
+    for interval, slots, syn, finrst, d, y, alarm in _csv_chunks(log.blocks):
+        (d6, exact_d), (y6, exact_y) = _six_places(d), _six_places(y)
+        fields = [interval, b",", (table, slots), syn, b",", finrst, b",", *d6, b",", *y6, b",",
+                  alarm.astype(np.int64), b"\n"]
+        odd = ~(exact_d & exact_y) | (np.minimum(np.minimum(interval, syn), finrst) < 0)
+        yield _csv_rows(fields, len(slots), odd, lambda i: "%d,%s,%d,%d,%.6f,%.6f,%d\n" % (
+            interval[i], ids[slots[i]], syn[i], finrst[i], d[i], y[i], alarm[i]))

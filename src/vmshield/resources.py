@@ -10,7 +10,7 @@ Input files are read by read_text_file (JSON ones by read_json_file),
 each JSON object against a table of its keys by json_object, and output
 files are written by write_text_file, JSON ones as json_text lays them out
 and every CSV field as _csv_field quotes it; _csv_rows writes CSV lines
-in bulk with _six_places' exact %.6f digits.
+in bulk with _six_places' exact %.6f digits, a chunk of _csv_chunks at a time.
 """
 
 from __future__ import annotations
@@ -105,53 +105,75 @@ def _six_places(x):
     return [([b"", b"-"], np.signbit(x)), np.divmod(np.rint(scaled).astype(np.int64), 10**6)], exact
 
 
-def _csv_rows(fields, n: int, alone=None) -> str:
-    """n CSV lines, written field by field into a uint8 matrix of CSV_CHUNK_ROWS lines at a time.
+def _csv_table(entries: list[bytes]) -> tuple:
+    """entries as a _csv_rows table: a uint8 matrix of them padded to the longest, and a mask of their lengths."""
+    width = max(map(len, entries), default=0) or 1
+    return (np.array(entries, dtype=f"S{width}").view(np.uint8).reshape(-1, width),
+            np.arange(width) < np.array(list(map(len, entries)))[:, None])
+
+
+def _csv_chunks(blocks):
+    """Column blocks, each a tuple of equal-length arrays, cut and joined into chunks of CSV_CHUNK_ROWS rows,
+    the last one shorter, so a writer holds one chunk whatever the log's length."""
+    group, rows = [], 0
+    for block in blocks:
+        lo = 0
+        while lo < len(block[0]):
+            group.append([column[lo:lo + CSV_CHUNK_ROWS - rows] for column in block])
+            lo, rows = lo + len(group[-1][0]), rows + len(group[-1][0])
+            if rows == CSV_CHUNK_ROWS:
+                yield [np.concatenate(column) for column in zip(*group)]
+                group, rows = [], 0
+    if group:
+        yield [np.concatenate(column) for column in zip(*group)]
+
+
+def _csv_rows(fields, n: int, odd=None, odd_line=None) -> str:
+    """n CSV lines, written field by field into one uint8 matrix: callers cut a log into _csv_chunks.
 
     A field is bytes, written on every line; a (table, index) pair, line i
-    writing the bytes table[index[i]]; or a (whole, frac) number: the int64
-    whole (not negative on lines kept) in decimal and, unless frac is None,
-    '.' and frac's six digits (a bare int64 array is a whole).  A mask drops
-    leading zeros, the pad after table entries and, on lines where the bool
-    array alone is true, every field but the last.
+    writing the bytes table[index[i]], table a list of bytes or its
+    _csv_table; or a (whole, frac) number: the int64 whole (not negative
+    on lines kept) in decimal and, unless frac is None, '.' and frac's six
+    digits (a bare int64 array is a whole).  A mask drops leading zeros and
+    the pad after table entries; a line i where the bool array odd is true
+    is the text odd_line(i) instead.
     """
     fields = [(f, None) if isinstance(f, np.ndarray) else f for f in fields]
+    if odd is not None:  # the odd lines, a table entry each, in place of every other field
+        fields.append(([b"", *(odd_line(i).encode(errors="surrogatepass") for i in np.flatnonzero(odd))],
+                       np.cumsum(odd) * odd))
     tables, widths, span = {}, [], 0
     for k, field in enumerate(fields):
         if isinstance(field, bytes):
             widths.append(len(field))
-        elif isinstance(field[0], list):  # entries padded to the longest, and a mask of their lengths
-            widths.append(max(map(len, field[0]), default=0) or 1)
-            tables[k] = (np.array(field[0], dtype=f"S{widths[-1]}").view(np.uint8).reshape(-1, widths[-1]),
-                         np.arange(widths[-1]) < np.array(list(map(len, field[0])))[:, None])
+        elif isinstance(field[0], (list, tuple)):
+            tables[k] = _csv_table(field[0]) if isinstance(field[0], list) else field[0]
+            widths.append(tables[k][0].shape[1])
         else:  # the whole's digits; a fraction adds seven columns
             widths.append(len(str(field[0].max() if n else 0)))
             span += 7 * (field[1] is not None)
     span += sum(widths)
-    text = []
-    for lo in range(0, n, CSV_CHUNK_ROWS):
-        hi = min(n, lo + CSV_CHUNK_ROWS)
-        rows, keep, col = np.empty((hi - lo, span), dtype=np.uint8), np.ones((hi - lo, span), dtype=bool), 0
-        for k, (field, width) in enumerate(zip(fields, widths)):
-            if alone is not None and k == len(fields) - 1:
-                keep[alone[lo:hi]] = False
-            if isinstance(field, bytes):
-                rows[:, col:col + width] = np.frombuffer(field, np.uint8)
-            elif k in tables:
-                rows[:, col:col + width] = np.take(tables[k][0], field[1][lo:hi], axis=0)
-                keep[:, col:col + width] = np.take(tables[k][1], field[1][lo:hi], axis=0)
-            else:
-                whole, frac = field[0][lo:hi], field[1]
-                for digit in range(width - 1):  # leading zeros
-                    keep[:, col + digit] = whole >= 10 ** (width - 1 - digit)
-                _put_digits(rows, col + width, whole, width)
-                if frac is not None:
-                    rows[:, col + width] = ord(".")
-                    _put_digits(rows, col + width + 7, frac[lo:hi], 6)
-                    col += 7
-            col += width
-        text.append(rows[keep].tobytes().decode(errors="surrogatepass"))
-    return "".join(text)
+    rows, keep, col = np.empty((n, span), dtype=np.uint8), np.ones((n, span), dtype=bool), 0
+    for k, (field, width) in enumerate(zip(fields, widths)):
+        if odd is not None and k == len(fields) - 1:
+            keep[odd] = False
+        if isinstance(field, bytes):
+            rows[:, col:col + width] = np.frombuffer(field, np.uint8)
+        elif k in tables:
+            rows[:, col:col + width] = np.take(tables[k][0], field[1], axis=0)
+            keep[:, col:col + width] = np.take(tables[k][1], field[1], axis=0)
+        else:
+            whole, frac = field
+            for digit in range(width - 1):  # leading zeros
+                keep[:, col + digit] = whole >= 10 ** (width - 1 - digit)
+            _put_digits(rows, col + width, whole, width)
+            if frac is not None:
+                rows[:, col + width] = ord(".")
+                _put_digits(rows, col + width + 7, frac, 6)
+                col += 7
+        col += width
+    return rows[keep].tobytes().decode(errors="surrogatepass")
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))

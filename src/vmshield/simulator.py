@@ -29,8 +29,9 @@ by default).  Each tick applies, in fixed order:
 4. one migration pass off the hottest overloaded server, if any plan
    qualifies;
 5. a consolidation pass draining under-watermark servers to sleep;
-6. log emission: one utilization row per server, and one block of
-   columns (rows, observed usage, host) a tick to vm_samples.
+6. log emission: one block of columns (usage, active flags, hosted
+   counts) a tick to the utilization log, a row per server, and one
+   (rows, observed usage, host) a tick to vm_samples.
 
 Inside a run a VM is its row of _Sim.cols, which holds its state and is
 its detector slot.  Rows follow placement order, and the rows in sorted-id
@@ -65,8 +66,9 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import derive_weights
 from .errors import ParseError, ValidationError
-from .resources import (ZERO, ResourceVector, _csv_field, check_vector, is_int, json_bool, json_int, json_list,
-                        json_number, json_object, json_str, json_text, read_json_file, weighted_score, write_text_file)
+from .resources import (ZERO, ResourceVector, _csv_chunks, _csv_field, _csv_rows, _csv_table, _six_places, check_vector,
+                        is_int, json_bool, json_int, json_list, json_number, json_object, json_str, json_text,
+                        read_json_file, weighted_score, write_text_file)
 from .scheduler import ACTIVE, ASLEEP, ServerState, ServerTable, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
@@ -80,6 +82,8 @@ _STATES = (RUNNING, SUSPENDED, STOPPED, REVOKED)
 # the counter _Sim._set_state bumps on entering each state, and the event op that enters it
 _STATE_COUNTER = {STOPPED: "shutdowns", REVOKED: "revocations", SUSPENDED: "suspensions"}
 _OP_STATE = {"vm_shutdown": STOPPED, "vm_revoke": REVOKED}
+
+_POWER = (ASLEEP, ACTIVE)  # a server's power by its active flag
 
 REPORT_FILES = (
     "utilization.csv",
@@ -322,11 +326,45 @@ class SampleLog:
                        self.server_ids[host] if host >= 0 else None)
 
 
+class UtilizationLog:
+    """SimReport.utilization as columns: one block a tick of the tick, server indices, usage (zero while
+    asleep), active flags and hosted-VM counts, a row per server in table order.  It reads as a list of
+    (tick, server, cpu, mem, bw, power, vms) tuples; a tuple set at an index sets usage, power and count."""
+
+    def __init__(self, server_ids: tuple[str, ...] = ()):
+        self.server_ids = server_ids
+        self.rows = np.arange(len(server_ids))  # every block's server column
+        self.blocks: list = []
+
+    def add(self, tick: int, usage: np.ndarray, active: np.ndarray, hosted: np.ndarray) -> None:
+        self.blocks.append((np.broadcast_to(np.int64(tick), self.rows.shape), self.rows, usage, active, hosted))
+
+    def __len__(self) -> int:
+        return len(self.blocks) * len(self.server_ids)
+
+    def __iter__(self):
+        for tick, _, usage, active, hosted in self.blocks:
+            yield from zip(tick.tolist(), self.server_ids, *usage.T.tolist(), map(_POWER.__getitem__, active.tolist()),
+                           hosted.tolist())
+
+    def __getitem__(self, i: int) -> tuple:
+        block, k = divmod(range(len(self))[i], len(self.server_ids))
+        tick, _, usage, active, hosted = self.blocks[block]
+        return (int(tick[k]), self.server_ids[k], *usage[k].tolist(), _POWER[bool(active[k])], int(hosted[k]))
+
+    def __setitem__(self, i: int, row: tuple) -> None:
+        if tuple(row[:2]) != self[i][:2]:
+            raise ValueError(f"row {i} is {self[i][:2]}, not {tuple(row[:2])}")
+        block, k = divmod(range(len(self))[i], len(self.server_ids))
+        usage, active, hosted = self.blocks[block][2:]
+        usage[k], active[k], hosted[k] = row[2:5], row[5] == ACTIVE, row[6]
+
+
 @dataclass
 class SimReport:
     """Every decision and metric of one run, in emission order."""
 
-    utilization: list[tuple] = field(default_factory=list)
+    utilization: UtilizationLog = field(default_factory=UtilizationLog)
     placements: list[dict] = field(default_factory=list)
     migrations: list[dict] = field(default_factory=list)
     power_events: list[dict] = field(default_factory=list)
@@ -414,7 +452,7 @@ class _Sim:
         self.vm_ids: list[str] = []  # by row
         self.rows_by_id: list[int] = []  # rows in sorted-id order
         self.order: np.ndarray | None = None  # rows_by_id as an array, made on first use
-        self.report = SimReport(stat_rows=det.StatLog(self.vm_ids),
+        self.report = SimReport(utilization=UtilizationLog(self.table.ids), stat_rows=det.StatLog(self.vm_ids),
                                 vm_samples=SampleLog(self.vm_ids, self.table.ids))
 
     def _next_seq(self) -> int:
@@ -665,10 +703,8 @@ class _Sim:
 
     def _emit_logs(self, completed_ticks: int, sample_tick: int | None) -> None:
         table = self._table()
-        append = self.report.utilization.append
-        for sid, usage, active, hosted in zip(table.ids, table.usage.tolist(), table.active.tolist(), table.vms):
-            cpu, mem, bw = usage if active else ZERO  # a sleeping server's row shares ZERO's floats
-            append((completed_ticks, sid, cpu, mem, bw, ACTIVE if active else ASLEEP, len(hosted)))
+        self.report.utilization.add(completed_ticks, np.where(table.active[:, None], table.usage, 0.0),
+                                    table.active.copy(), np.fromiter(map(len, table.vms), np.int64, len(table.vms)))
         if sample_tick is not None:
             order = self._order()
             rows = order[self.cols["state"][order] != _STATES.index(REVOKED)]
@@ -742,20 +778,18 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
     """Write the six report files; returns their paths.
 
     CSV files are comma-separated with a header row and LF endings;
-    floats are exactly %.6f's text, detector.csv's written in bulk by
-    resources._csv_rows.  Identical reports produce identical bytes, so
+    floats are exactly %.6f's text.  Both CSVs go from their column blocks
+    to the file a chunk at a time (resources._csv_chunks), written by
+    resources._csv_rows, so emission holds one chunk's text, not a
+    whole report's.  Identical reports produce identical bytes, so
     reruns into the same directory are no-ops content-wise.
     """
     os.makedirs(outdir, exist_ok=True)
-    util_lines = ["tick,server,cpu,mem,bw,power,vms"]
-    quoted = {sid: _csv_field(sid) for sid in {row[1] for row in report.utilization}}
-    for tick, sid, cpu, mem, bw, power, nvms in report.utilization:
-        util_lines.append(f"{tick},{quoted[sid]},{cpu:.6f},{mem:.6f},{bw:.6f},{power},{nvms}")
     files = {
-        "utilization.csv": "\n".join(util_lines) + "\n",
+        "utilization.csv": lambda fh: fh.writelines(_utilization_csv(report.utilization)),
         "placements.json": json_text(report.placements),
         "migrations.json": json_text(report.migrations),
-        "detector.csv": det.stat_rows_to_csv(report.stat_rows),
+        "detector.csv": lambda fh: det.stat_rows_to_csv(report.stat_rows, fh),
         "alarms.json": json_text(report.alarms),
         "summary.json": json_text(report.summary),
     }
@@ -765,3 +799,17 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
         write_text_file(path, text, "report")
         paths.append(path)
     return paths
+
+
+def _utilization_csv(log: UtilizationLog):
+    """utilization.csv's text: its header, then the lines of each chunk of the log's blocks."""
+    yield "tick,server,cpu,mem,bw,power,vms\n"
+    ids = [_csv_field(sid) for sid in log.server_ids]
+    table = _csv_table([(f + ",").encode(errors="surrogatepass") for f in ids])
+    power = [(p + ",").encode() for p in _POWER]
+    for tick, server, usage, active, hosted in _csv_chunks(log.blocks):
+        (cpu, exact_cpu), (mem, exact_mem), (bw, exact_bw) = map(_six_places, usage.T)
+        fields = [tick, b",", (table, server), *cpu, b",", *mem, b",", *bw, b",", (power, active), hosted, b"\n"]
+        odd = ~(exact_cpu & exact_mem & exact_bw) | (np.minimum(tick, hosted) < 0)
+        yield _csv_rows(fields, len(tick), odd, lambda i: "%d,%s,%.6f,%.6f,%.6f,%s,%d\n" % (
+            tick[i], ids[server[i]], *usage[i], _POWER[bool(active[i])], hosted[i]))

@@ -40,8 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, bin_event_blocks, bin_events, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import (_csv_field, _csv_rows, is_int, is_number, json_int, json_number, json_object, json_str,
-                        read_text_file)
+from .resources import (_csv_chunks, _csv_field, _csv_rows, _csv_table, is_int, is_number, json_int, json_number,
+                        json_object, json_str, read_text_file)
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -376,17 +376,20 @@ def events_to_csv(trace: Trace) -> str:
     return _TRACE_HEADER_LINE + _event_rows(trace, _suffixes(trace.vm_ids))
 
 
-def _suffixes(vm_ids) -> list[bytes]:
-    """Each event line's ",vm_id,pkt_type\n" end, indexed by vm code * len(PKT_TYPES) + kind."""
-    return [f",{_csv_field(v)},{p}\n".encode(errors="surrogatepass") for v in vm_ids for p in PKT_TYPES]
+def _suffixes(vm_ids) -> tuple:
+    """The _csv_table of each event line's ",vm_id,pkt_type\n" end, indexed by vm code * len(PKT_TYPES) + kind."""
+    return _csv_table([f",{_csv_field(v)},{p}\n".encode(errors="surrogatepass") for v in vm_ids for p in PKT_TYPES])
 
 
-def _event_rows(trace: Trace, suffixes: list[bytes]) -> str:
+def _event_rows(trace: Trace, suffixes: tuple) -> str:
     """events_to_csv's lines after the header, their ends from _suffixes(trace.vm_ids)."""
-    seconds, micros = np.divmod(trace.t_us, 1_000_000)
-    suffix = trace.vm.astype(np.intp) * len(PKT_TYPES) + trace.kind
-    fields = [([b"", b"-"], seconds < 0), (np.abs(seconds), micros), (suffixes, suffix)]
-    return _csv_rows(fields, len(suffix))
+    text = []
+    for t_us, vm, kind in _csv_chunks([(trace.t_us, trace.vm, trace.kind)]):
+        seconds, micros = np.divmod(t_us, 1_000_000)
+        suffix = vm.astype(np.intp) * len(PKT_TYPES) + kind
+        fields = [([b"", b"-"], seconds < 0), (np.abs(seconds), micros), (suffixes, suffix)]
+        text.append(_csv_rows(fields, len(t_us)))
+    return "".join(text)
 
 
 def _read_plain_events(data: bytes) -> Trace | None:

@@ -91,6 +91,14 @@ def stat_rows_to_csv_oracle(rows):
                       for r in rows)])
 
 
+def utilization_csv_oracle(rows):
+    """utilization.csv written a row at a time, as emit_reports once wrote it with an f-string per
+    (tick, server, cpu, mem, bw, power, vms) row: csv.writer's fields, the usage as %.6f."""
+    return "".join([csv_row_oracle(["tick", "server", "cpu", "mem", "bw", "power", "vms"]),
+                    *(csv_row_oracle([tick, sid, f"{cpu:.6f}", f"{mem:.6f}", f"{bw:.6f}", power, nvms])
+                      for tick, sid, cpu, mem, bw, power, nvms in rows)])
+
+
 def place_oracle(demand, weights, servers):
     """(candidate ids, scores, chosen id or None) of one placement, on ResourceVectors.
 

@@ -56,7 +56,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -75,7 +75,9 @@ from conftest import (  # noqa: E402
     read_events_oracle,
     stat_rows_to_csv_oracle,
     traffic_oracle,
+    utilization_csv_oracle,
 )
+from test_golden import SMALL as GOLDEN_SMALL  # noqa: E402
 from vmshield import ahp, traffic  # noqa: E402
 from vmshield.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, dispatch  # noqa: E402
 from vmshield.detector import (  # noqa: E402
@@ -96,7 +98,7 @@ from vmshield.errors import NonConvergence, ParseError, UnsortedTrace, Validatio
 from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, json_text  # noqa: E402
 from vmshield.scheduler import (ServerState, ServerTable, VmRecord, estimate_demand_restart,  # noqa: E402
                                mean_usage, place)
-from vmshield.simulator import Scenario, run  # noqa: E402
+from vmshield.simulator import Scenario, SimReport, UtilizationLog, emit_reports, run  # noqa: E402
 from vmshield.traffic import (  # noqa: E402
     TrafficSpec,
     events_to_csv,
@@ -770,6 +772,61 @@ VECTOR = st.builds(ResourceVector, COMPONENT, COMPONENT, COMPONENT)
 OFFSETS = (0.0, 0.0, 0.1, 10.0, -0.1)
 
 
+# counts, the kernel leaving negative ones to %, and floats: mostly ones it writes, then
+# EDGE_FLOATS, magnitudes about 10**9, from which on it leaves a float to %, and any float
+ANY_COUNT = st.integers(0, 300) | st.integers(-2**53 + 1, 2**53 - 1) | st.sampled_from([-1, 2**53 - 1])
+ANY_FLOAT = (st.floats(0, 100) | st.floats(-1e6, 1e6) | st.integers(-5, 5).map(lambda k: k / 8)
+             | st.sampled_from(EDGE_FLOATS + [1e9, -1e9, math.nextafter(1e9, 0)]) | st.floats(allow_nan=False))
+
+
+@st.composite
+def _stat_log(draw):
+    """A StatLog of up to 40 rows in random blocks, and its rows."""
+    vm_ids = draw(st.lists(VM_ID, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.builds(StatRow, st.integers(-3, 10**6), st.sampled_from(vm_ids), ANY_COUNT, ANY_COUNT,
+                                   ANY_FLOAT, ANY_FLOAT, st.booleans()), max_size=40))
+    log = StatLog(vm_ids)
+    bounds = sorted({0, len(rows), *draw(st.lists(st.integers(0, len(rows)), max_size=6))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        log.append(*zip(*[(r.interval_index, vm_ids.index(r.vm_id), r.syn, r.finrst, r.d, r.y, r.alarm)
+                          for r in rows[lo:hi]]))
+    return log, rows
+
+
+@st.composite
+def _utilization_log(draw):
+    """A UtilizationLog of up to 8 ticks of up to 4 servers, and its rows."""
+    server_ids = tuple(sorted(draw(st.lists(VM_ID, min_size=1, max_size=4, unique=True))))
+    log, rows = UtilizationLog(server_ids), []
+    for tick in sorted(draw(st.lists(st.integers(0, 10**6), max_size=8))):
+        usage = [draw(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)) for _ in server_ids]
+        active = draw(st.lists(st.booleans(), min_size=len(server_ids), max_size=len(server_ids)))
+        hosted = draw(st.lists(st.integers(-1, 2) | st.integers(0, 10**6), min_size=len(server_ids),
+                               max_size=len(server_ids)))
+        log.add(tick, np.array(usage).reshape(-1, 3), np.array(active), np.array(hosted, dtype=np.int64))
+        rows += [(tick, sid, *u, "active" if on else "asleep", n)
+                 for sid, u, on, n in zip(server_ids, usage, active, hosted)]
+    return log, rows
+
+
+@settings(SETTINGS, max_examples=100)
+@given(_stat_log(), _utilization_log(), st.integers(1, 9))
+@example((StatLog(["v"]), []), (UtilizationLog(("s",)), []), 1)
+def test_csv_reports_written_a_chunk_at_a_time_equal_their_row_oracles(stat, utilization, chunk):
+    # chunks of 1-9 rows, so blocks straddle chunk edges as 2,048-row chunks do in long runs
+    (stat_log, stat_rows), (utilization_log, utilization_rows) = stat, utilization
+    assert list(stat_log) == stat_rows
+    assert list(utilization_log) == utilization_rows
+    with mock.patch("vmshield.resources.CSV_CHUNK_ROWS", chunk), tempfile.TemporaryDirectory() as out:
+        emit_reports(SimReport(utilization=utilization_log, stat_rows=stat_log), out)
+        text = stat_rows_to_csv(stat_log)
+        for name, expected in (("detector.csv", stat_rows_to_csv_oracle(stat_rows)),
+                               ("utilization.csv", utilization_csv_oracle(utilization_rows))):
+            with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
+                assert fh.read() == expected, name
+    assert text == stat_rows_to_csv_oracle(stat_rows)
+
+
 @st.composite
 def _placement(draw):
     """demand, weights, servers and the servers' rejects: each with one threshold component at
@@ -881,6 +938,41 @@ def _small_scenario(draw):
 @given(_small_scenario())
 def test_usage_is_overhead_plus_hosted_vms_exactly(scenario):
     exact_usage_oracle(scenario, run(scenario))
+
+
+def _scaled(scenario, factor):
+    """scenario with every resource vector times factor: server usage and thresholds, class demands and
+    the low watermark."""
+    return replace(scenario, servers=[replace(s, usage=s.usage.scaled(factor), threshold=s.threshold.scaled(factor))
+                                      for s in scenario.servers],
+                   vm_classes={name: vec.scaled(factor) for name, vec in scenario.vm_classes.items()},
+                   low_watermark=scenario.low_watermark and scenario.low_watermark.scaled(factor))
+
+
+def _decisions(report):
+    """Every decision of a run, without the scores and demands that scale with the resources."""
+    placements = [{**{k: v for k, v in p.items() if k not in ("demand", "score")},
+                   "runner_up": p["runner_up"] and p["runner_up"]["server"]} for p in report.placements]
+    migrations = [{k: m[k] for k in ("tick", "seq", "kind", "vm", "from", "to")} for m in report.migrations]
+    return placements, migrations, report.power_events, report.alarms, report.summary["counters"]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(_small_scenario() | st.just(Scenario.from_json(GOLDEN_SMALL)), st.sampled_from([2.0, 0.5, 0.25]))
+@example(Scenario.from_json(GOLDEN_SMALL), 0.25)
+def test_a_power_of_two_times_every_resource_vector_scales_usage_and_keeps_every_decision(scenario, factor):
+    # a power-of-two factor scales each product, sum and comparison of resources exactly,
+    # barring overflow and subnormals, so an absolute constant that reaches a decision or a
+    # usage value (a fixed margin or an additive jitter) breaks it
+    assume(all(c == 0 or 2**-900 < c < 2**900 for vec in (
+        *(v for s in scenario.servers for v in (s.usage, s.threshold)), *scenario.vm_classes.values(),
+        scenario.low_watermark or ()) for c in vec))
+    report, scaled = run(scenario), run(_scaled(scenario, factor))
+    assert _decisions(scaled) == _decisions(report)
+    assert list(scaled.utilization) == [(tick, sid, cpu * factor, mem * factor, bw * factor, power, vms)
+                                        for tick, sid, cpu, mem, bw, power, vms in report.utilization]
+    assert list(scaled.vm_samples) == [(tick, vm, observed.scaled(factor), host)
+                                       for tick, vm, observed, host in report.vm_samples]
 
 
 @settings(SETTINGS, max_examples=500)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cusum_oracle, exact_usage_oracle, stat_rows_to_csv_oracle
+from conftest import cusum_oracle, exact_usage_oracle, stat_rows_to_csv_oracle, utilization_csv_oracle
 from vmshield import scheduler as sched
 from vmshield.errors import ParseError, ValidationError
 from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector
@@ -451,6 +451,31 @@ def test_detector_csv_across_chunks_equals_the_row_oracle(tmp_path):
     assert {(a["vm"], a["action"]) for a in report.alarms} >= {("vm-007", "throttle")}
     emit_reports(report, str(tmp_path))
     assert (tmp_path / "detector.csv").read_bytes() == stat_rows_to_csv_oracle(list(report.stat_rows)).encode()
+
+
+def test_utilization_csv_across_chunks_equals_the_row_oracle(tmp_path):
+    # the demo's three servers for 1,000 ticks, one of them asleep for most: 3,003 rows,
+    # so utilization.csv is written in two chunks
+    report = run(load_scenario(str(DEMO)))
+    rows = list(report.utilization)
+    assert len(rows) == len(report.utilization) > CSV_CHUNK_ROWS
+    assert {row[5] for row in rows} == {"active", "asleep"}
+    emit_reports(report, str(tmp_path))
+    assert (tmp_path / "utilization.csv").read_bytes() == utilization_csv_oracle(rows).encode()
+
+
+def test_utilization_rows_read_and_set_by_index_as_a_list_would():
+    report = run(Scenario.from_json(_scn(duration=3)))
+    log, rows = report.utilization, list(report.utilization)
+    assert [log[i] for i in range(-len(rows), len(rows))] == rows + rows
+    log[3] = rows[3][:2] + (1.5, -0.0, 1e9, "asleep", 7)
+    log[-1] = rows[-1][:6] + (4,)
+    assert list(log) == rows[:3] + [rows[3][:2] + (1.5, -0.0, 1e9, "asleep", 7)] + rows[4:-1] + [rows[-1][:6] + (4,)]
+    for bad in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            log[bad]
+    with pytest.raises(ValueError, match="not"):
+        log[0] = (9,) + rows[0][1:]
 
 
 def test_emit_reports_writes_all_files_and_is_rerunnable(tmp_path):
@@ -995,19 +1020,43 @@ def test_first_start_demand_averages_the_class_in_placement_order_past_vm_999(mo
     assert other_order
 
 
-def _usage_peak(duration):
-    """tracemalloc's peak while simulating 20 servers and 120 VMs for duration ticks."""
+def _fleet(duration):
+    """20 servers and 120 VMs for duration ticks."""
     servers = [{"id": f"s{i:02d}", "threshold": {"cpu": 95, "mem": 95, "bw": 95}} for i in range(20)]
-    scn = Scenario.from_json(_scn(
+    return Scenario.from_json(_scn(
         servers=servers, duration=duration, seed=1,
         vm_classes={"cpu-intensive": {"cpu": 4, "mem": 2, "bw": 1}},
         events=[{"tick": 0, "op": "vm_request", "class": "cpu-intensive", "count": 120}]))
+
+
+def _usage_peak(duration):
+    """tracemalloc's peak while simulating _fleet(duration)."""
+    scn = _fleet(duration)
     tracemalloc.start()
     try:
         run(scn)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _emission_peak(duration, outdir):
+    """tracemalloc's peak while emit_reports writes a finished run of _fleet(duration): the
+    run's own heap is not traced, so this is what emission adds above it."""
+    report = run(_fleet(duration))
+    tracemalloc.start()
+    try:
+        emit_reports(report, str(outdir))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emission_memory_does_not_grow_with_the_run(tmp_path):
+    # 1,000 ticks hold four times the report rows of 250 (120,000 detector rows and
+    # 20,020 utilization rows); both CSVs go to their files a chunk at a time
+    short, long = _emission_peak(250, tmp_path), _emission_peak(1000, tmp_path)
+    assert long <= short + 64 * 1024, (short, long)
 
 
 def test_a_sample_appended_to_the_log_iterates_as_the_runs_own():
