@@ -37,6 +37,7 @@ Defaults: drift 0.08, threshold 1.43, 10 s sampling interval.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -291,20 +292,21 @@ def bin_event_blocks(blocks, interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
                      n_intervals: int | None = None, vm_ids=None) -> Counts:
     """bin_events of one trace handed over as Traces in turn, each going on in time from the last.
 
-    Each block's counts are added into one grid, grown as VMs and
-    intervals come, so a trace read in blocks holds the grid and one
-    block.  Time order is checked across blocks, and a grid too large to
-    allocate names the last timestamp of the block that needs it.
+    Each block's counts are added into one grid, grown as VMs and intervals come, so a trace read in blocks
+    holds the grid and one block.  After a fault, a step back in time or a grid too large to allocate, the rest
+    is still taken, so that an error in making a block comes first; then it is raised as bin_events raises it.
     """
     interval_us = _interval_to_us(interval_seconds)
     rows = {vm_id: r for r, vm_id in enumerate(dict.fromkeys(vm_ids or ()))}  # each VM's grid row
     n = n_intervals or 0
-    grid, last = np.zeros((2, len(rows), n), dtype=np.int64), 0  # syn and finrst; the last timestamp so far
+    grid = first = np.zeros((2, len(rows), n), dtype=np.int64)  # syn and finrst
+    last, too_big = 0, None  # the last timestamp so far, and why counting stopped
     for trace in blocks:
         t_us = trace.t_us
         prev = np.concatenate(([last], t_us[:-1]))  # a leading 0 lets the one ordering test catch negative times
         if (back := np.flatnonzero(t_us < prev)).size:
             i = back[0]
+            collections.deque(blocks, maxlen=0)  # the rest first: an error in making a block wins
             raise (ValueError(f"negative timestamp {t_us[i]} us for vm {trace.vm_ids[trace.vm[i]]!r}") if t_us[i] < 0
                    else UnsortedTrace(f"timestamp {t_us[i]} after {prev[i]}"))
         if not len(t_us):
@@ -313,22 +315,33 @@ def bin_event_blocks(blocks, interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
         row = np.array([rows.setdefault(trace.vm_ids[code], len(rows)) for code in present.tolist()], dtype=np.intp)
         index, last = t_us // interval_us, t_us[-1]
         n = n if n_intervals is not None else max(n, int(index[-1]) + 1)
-        if len(rows) > grid.shape[1] or n > grid.shape[2]:  # grow an axis by a quarter more, so copies stay few
-            try:
-                bigger = np.zeros((2, *(need + need // 4 if need > have else have
-                                        for need, have in zip((len(rows), n), grid.shape[1:]))), dtype=np.int64)
-            except (MemoryError, OverflowError, ValueError) as exc:
-                raise ValueError(f"timestamp {last} us makes a {len(rows)} x {n} grid too large to allocate: "
-                                 f"{exc}") from exc
-            bigger[:, :grid.shape[1], :grid.shape[2]] = grid
-            grid = bigger
-        if stop := np.searchsorted(index, n):  # the events inside the grid, a prefix
+        try:
+            grid = grid if grid is None else _grown(grid, len(rows), n, last)
+        except ValueError as exc:
+            grid, too_big = None, str(exc)
+        if grid is not None and (stop := np.searchsorted(index, n)):  # the events inside the grid, a prefix
             lo, span, kind = int(index[0]), int(index[stop - 1] - index[0]) + 1, trace.kind[:stop]
             cell = local.ravel()[:stop] * span + (index[:stop] - lo)
             for k, counted in enumerate((kind == _SYN, (kind == _FIN) | (kind == _RST))):
                 grid[k, row, lo:lo + span] += np.bincount(cell[counted], minlength=len(row) * span).reshape(-1, span)
+    if grid is None:
+        _grown(first, len(rows), n, last)  # the whole trace's grid, as bin_events sizes it, names the fault
+        raise ValueError(too_big)
     vms = sorted(rows)
     return Counts(vms, *grid[:, [rows[vm_id] for vm_id in vms], :n])
+
+
+def _grown(grid, vms: int, n: int, last: int):
+    """grid, or a zero-padded copy with vms rows and n intervals, an axis grown a quarter more so copies stay few."""
+    if vms <= grid.shape[1] and n <= grid.shape[2]:
+        return grid
+    try:
+        bigger = np.zeros((2, *(need + need // 4 if need > have else have
+                                for need, have in zip((vms, n), grid.shape[1:]))), dtype=np.int64)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ValueError(f"timestamp {last} us makes a {vms} x {n} grid too large to allocate: {exc}") from exc
+    bigger[:, :grid.shape[1], :grid.shape[2]] = grid
+    return bigger
 
 
 def fill_gaps(rows) -> Counts:

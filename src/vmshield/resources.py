@@ -6,8 +6,8 @@ vectors from different servers compare directly.  Weighted scores are
 plain dot products against a priority vector whose components sum to 1.
 check_vector is the one rule of a resource vector, which its owners call.
 
-Input files are read by read_text_file (JSON ones by read_json_file),
-each JSON object against a table of its keys by json_object, and output
+Input JSON files are read by read_json_file, each object against a
+table of its keys by json_object (trace files by traffic), and output
 files are written by write_text_file, JSON ones as json_text lays them out
 and every CSV field as _csv_field quotes it; _csv_rows writes CSV lines
 in bulk with _six_places' exact %.6f digits, a chunk of _csv_chunks at a time.
@@ -28,31 +28,19 @@ from .errors import ParseError, ValidationError
 WEIGHT_SUM_TOL = 1e-9
 
 
-def read_text_file(path: str) -> str:
-    """The UTF-8 text of the file at path; else a ParseError naming path.
-
-    Line ends are not translated, so a carriage return inside a quoted CSV
-    field survives.
-    """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
 def read_json_file(path: str, parse):
-    """parse(the JSON value in the file at path).
+    """parse(the JSON value in the UTF-8 file at path, its line ends untranslated).
 
     An unreadable file or invalid JSON is a ParseError naming path, and a
     ParseError or ValidationError from parse is re-raised with path in front.
     """
     try:
-        obj = json.loads(read_text_file(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            obj = json.loads(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     try:
         return parse(obj)
     except (ParseError, ValidationError) as exc:
@@ -304,6 +292,11 @@ def json_bool(value, name: str) -> bool:
 def is_number(value) -> bool:
     """Whether value is an int or a float, numpy's included, and not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def is_text(value) -> bool:
+    """Whether value is a str that encodes as UTF-8, holding no lone surrogate, as an id written to a file must."""
+    return isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value)
 
 
 def is_vector(vec) -> bool:

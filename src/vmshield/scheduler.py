@@ -43,6 +43,7 @@ from .resources import (
     ResourceVector,
     WeightVector,
     check_vector,
+    is_text,
     json_list,
     json_object,
     json_str,
@@ -114,12 +115,13 @@ class ServerTable:
     def from_servers(cls, servers: list[ServerState]) -> "ServerTable":
         """The table of servers, sorted by id; their usage, power and vms are copied.
 
-        The one check of a server list: ids non-empty unique strings, power 'active' or 'asleep', threshold
+        The one check of a server list: ids non-empty unique UTF-8 strings, power 'active' or 'asleep', threshold
         and usage vectors by check_vector, > 0 and >= 0, vms a collection of id strings, none hosted twice.  A
         ValidationError names a non-string id's list index, else the server of the first fault in id order."""
         for i, s in enumerate(servers):
-            if not isinstance(s.id, str):
-                raise ValidationError(f"servers[{i}]: id must be a string, got {s.id!r}")
+            if not is_text(s.id):
+                raise ValidationError(f"servers[{i}]: id must be a {'UTF-8 ' * isinstance(s.id, str)}string, "
+                                      f"got {s.id!r}")
         by_id = sorted(servers, key=lambda s: s.id)
         host: dict[str, str] = {}
         for i, s in enumerate(by_id):

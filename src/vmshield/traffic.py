@@ -12,12 +12,10 @@ rows.  merge_traces, events_to_csv and detector.bin_events take only
 Traces: hand-built (t_us, vm_id, pkt_type) triples go through
 Trace.from_events.
 
-The event trace file is written by resources._csv_rows, and read by a
-numpy byte kernel if it is plain (_read_plain_events), else by
-csv.reader (_read_csv), the one path that reports errors: both give the
-same Trace.  write_trace writes it a window of time at a time, and
-read_trace_counts bins a plain one block by block.  A binned trace file
-reads into a detector.Counts grid.  The row rules belong to the table
+The event trace file is written by resources._csv_rows, a window of time at a time by write_trace.  A trace
+file is read once, in blocks: by a numpy byte kernel while they are plain (_read_plain_events), then by
+csv.reader (_read_csv), the one path that reports errors; both give the same Trace.  read_trace_counts bins
+the blocks as they come; a binned file reads into a detector.Counts grid.  The row rules belong to the table
 builders, Trace.from_events and fill_gaps.
 
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
@@ -29,19 +27,21 @@ interval length: both cut time on detector's one microsecond grid.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, bin_event_blocks, bin_events, fill_gaps
+from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, bin_event_blocks, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import (_csv_chunks, _csv_field, _csv_rows, _csv_table, is_int, is_number, json_int, json_number,
-                        json_object, json_str, read_text_file)
+from .resources import (CSV_CHUNK_ROWS, _csv_chunks, _csv_field, _csv_rows, _csv_table, is_int, is_number, is_text,
+                        json_int, json_number, json_object, json_str)
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -54,7 +54,7 @@ _TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 T_US_LIMIT = 2**63
 _NEVER = T_US_LIMIT - 1  # no generated event comes this late (see TrafficSpec)
 
-# read_trace_counts reads a plain event file in blocks of this many bytes; on a
+# read_trace_counts reads a trace file in blocks of this many bytes; on a plain
 # 2.6 MB trace 64 KiB peaked 2 MB lower and 1 MiB 10 MB higher.
 TRACE_BLOCK_BYTES = 1 << 18
 # write_trace writes about this many events at a time, or at least this many of the
@@ -139,8 +139,8 @@ class TrafficSpec:
     interval_seconds: float = 10.0
 
     def __post_init__(self):
-        if not isinstance(self.vm_id, str):
-            raise ValueError(f"vm_id must be a string, got {self.vm_id!r}")
+        if not is_text(self.vm_id):
+            raise ValueError(f"vm_id must be a {'UTF-8 ' * isinstance(self.vm_id, str)}string, got {self.vm_id!r}")
         if self.mode not in ("normal", "attack"):
             raise ValueError(f"mode must be 'normal' or 'attack', got {self.mode!r}")
         for name in ("base_rate", "start", "end", "seed"):
@@ -459,39 +459,42 @@ def _read_plain_events(data: bytes) -> Trace | None:
     return _sorted_ids(t_us, vm, kind, ids)
 
 
-def _plain_blocks(fh):
-    """Each block of about TRACE_BLOCK_BYTES of the plain event trace in the binary stream fh, as a Trace.
-
-    A block runs to the end of the line it cuts and is read by
-    _read_plain_events with the header in front.  A file that is not
-    plain, or not UTF-8, raises ValueError.
-    """
-    head = _TRACE_HEADER_LINE.encode()
-    if fh.read(len(head)) != head:
-        raise ValueError("not a plain event trace")
-    while block := fh.read(TRACE_BLOCK_BYTES):
-        block = head + block + fh.readline()
-        if not block.isascii():
-            block.decode()  # a UnicodeDecodeError, which is a ValueError, if not UTF-8
-        if (trace := _read_plain_events(block)) is None:
-            raise ValueError("not a plain event trace")
-        yield trace
-
-
 def read_trace_counts(path: str, interval_seconds: float) -> Counts:
     """The Counts grid of the trace file at path, as detect reads it.
 
-    A plain event file is binned block by block (_plain_blocks,
-    detector.bin_event_blocks), holding the grid and about one block.
-    Any other file, and one whose blocks raise, is read whole by
-    read_trace_csv and binned by bin_events, which raise what it holds.
+    It is read once, in blocks of TRACE_BLOCK_BYTES (_read_trace), and an event file's Traces are binned as they
+    come (detector.bin_event_blocks).  A file that cannot be read, or is not UTF-8, is a ParseError naming path.
     """
     try:
         with open(path, "rb") as fh:
-            return bin_event_blocks(_plain_blocks(fh), interval_seconds)
-    except (OSError, ValueError, UnsortedTrace):
-        kind, data = read_trace_csv(read_text_file(path))
-    return bin_events(data, interval_seconds) if kind == "events" else data
+            kind, data = _read_trace(fh, TRACE_BLOCK_BYTES)
+            return bin_event_blocks(data, interval_seconds) if kind == "events" else data
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_trace(fh, block_bytes: int, errors: str = "strict"):
+    """The trace in the binary stream fh, read once: ('events', an iterator of Traces) or ('binned', Counts).
+
+    fh is read in blocks of block_bytes (-1: the rest), each run to the end of the line it cuts, as UTF-8 decoded
+    by errors.  After the event header line _read_plain_events reads the blocks; the first that it refuses, and
+    the rest, go to _read_csv, which counts the lines on, as do all the lines of any other file.
+    """
+    head = fh.readline()
+    blocks = iter(lambda: fh.read(block_bytes) + fh.readline(), b"")
+    if head.removesuffix(b"\n") != ",".join(TRACE_HEADER).encode():
+        return _read_csv(chain([head], blocks), errors)
+
+    def traces(line=0):  # line: the lines read after the header
+        for block in blocks:
+            block = head + block  # read as a file of its own, one copy held
+            block.decode(errors=errors)  # a UnicodeDecodeError, if not UTF-8
+            if (trace := _read_plain_events(block)) is None:
+                yield from _read_csv(chain([block], blocks), errors, line)[1]
+                return
+            line += block.count(b"\n") - 1
+            yield trace
+    return "events", traces()
 
 
 def _event_row(row: list[str]) -> tuple[int, str, str]:
@@ -510,26 +513,27 @@ def read_trace_csv(text: str):
 
     The two trace forms are told apart by their header row.  Rows may
     end in \\n, \\r\\n or \\r; a quoted field keeps its own line breaks.
-    A plain event file is read by _read_plain_events, any other by
-    _read_csv.  Its errors are ParseErrors naming the physical line
-    (reader.line_num) where the bad row ends.
+    It is _read_trace of text as one block.  Its errors are ParseErrors
+    naming the physical line (reader.line_num) where the bad row ends.
     """
-    trace = _read_plain_events(text.encode(errors="surrogatepass"))
-    return ("events", trace) if trace is not None else _read_csv(text)
+    kind, data = _read_trace(io.BytesIO(text.encode(errors="surrogatepass")), -1, "surrogatepass")
+    if kind == "events":  # the kernel's one Trace, or the general reader's chunks
+        traces = list(data)
+        data = traces[0] if len(traces) == 1 else Trace.from_events(chain.from_iterable(traces))
+    return kind, data
 
 
-def _read_csv(text: str):
-    """read_trace_csv by csv.reader, which reads any trace file.
+def _read_csv(blocks, errors: str, line: int = 0):
+    """_read_trace's result for blocks of whole lines, after line lines, by csv.reader, which reads any trace file.
 
-    The readers only parse fields: the rows go to the owner of the row
-    rules, Trace.from_events or fill_gaps, one at a time, so a row's
-    error comes while reader.line_num is its line.  Here alone an error
-    becomes a ParseError naming the line: a bad row's, or csv.reader's
-    own (an over-long field, or a NUL before Python 3.11).  fill_gaps's
-    grid too large to allocate, raised once every row is read, names
-    the last line holding the largest interval_index.
+    The readers only parse fields: the rows go to the owner of the row rules, fill_gaps or Trace.from_events
+    (CSV_CHUNK_ROWS at a time), one at a time, so a row's error comes while reader.line_num is its line.  Here
+    alone an error becomes a ParseError naming the line: a bad row's, csv.reader's own (an over-long field, a NUL
+    before Python 3.11), or fill_gaps's grid too large, raised once every row is read, naming the last line of
+    the largest interval_index.  The rest is read first: a line on that is not UTF-8 fails first, as read whole.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    lines = (text for block in blocks for text in io.StringIO(block.decode(errors=errors), newline=""))
+    reader = csv.reader(lines)
     top = (0, 0)  # the largest interval_index read, and the last line holding it
     read_all = False
 
@@ -545,16 +549,27 @@ def _read_csv(text: str):
         top = max(top, (iv.interval_index, reader.line_num))
         return iv
 
+    def fault(exc):
+        if isinstance(exc, UnicodeDecodeError):
+            raise exc  # a line that is not UTF-8: the caller names the file
+        collections.deque(lines, maxlen=0)
+        return ParseError(f"trace line {line + (top[1] if read_all else reader.line_num)}: {exc}")
+
+    def traces(events):
+        try:
+            while trace := Trace.from_events(islice(events, CSV_CHUNK_ROWS)):
+                yield trace
+        except (ValueError, OverflowError, csv.Error) as exc:
+            raise fault(exc) from exc
+
     try:
         header = next(reader, None)
         if header == TRACE_HEADER:
-            return "events", Trace.from_events(rows(_event_row))
+            return "events", traces(rows(_event_row))
         if header == BINNED_HEADER:
             return "binned", fill_gaps(rows(binned_row))
     except (ValueError, OverflowError, csv.Error) as exc:  # OverflowError: inf, -inf, 1e400
-        raise ParseError(f"trace line {top[1] if read_all else reader.line_num}: {exc}") from exc
-    if header is None:
-        raise ParseError("empty trace file")
-    raise ParseError(
-        f"unrecognized trace header {header!r}; expected {TRACE_HEADER} or {BINNED_HEADER}"
-    )
+        raise fault(exc) from exc
+    collections.deque(lines, maxlen=0)
+    raise ParseError("empty trace file" if header is None else
+                     f"unrecognized trace header {header!r}; expected {TRACE_HEADER} or {BINNED_HEADER}")

@@ -636,6 +636,15 @@ def test_gen_rejects_spec_fields_of_the_wrong_json_type(tmp_path, capsys, spec, 
     assert field in capsys.readouterr().err
 
 
+def test_gen_rejects_an_id_that_is_not_utf8_before_opening_the_trace(tmp_path, capsys):
+    # "\ud800" is a valid JSON escape of a lone surrogate, which no UTF-8 file can hold
+    path = _write(tmp_path, "spec.json", '{"vm_id": "v\\ud800", "end": 2}')
+    trace = tmp_path / "t.csv"
+    assert _run(["gen", "--spec", path, "--out", str(trace)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {path}: vm_id must be a UTF-8 string, got 'v\\ud800'\n"
+    assert not trace.exists()
+
+
 # ------------------------------------------------------------- simulate
 
 
@@ -652,6 +661,15 @@ def test_simulate_writes_reports(tmp_path):
         assert (outdir / name).is_file()
     on_disk = json.loads((outdir / "summary.json").read_text())
     assert on_disk == summary
+
+
+def test_simulate_rejects_a_server_id_that_is_not_utf8_before_writing_reports(tmp_path, capsys):
+    servers = [dict(SCENARIO["servers"][0], id="s\ud800")]
+    scenario = _write(tmp_path, "bad.json", json.dumps(dict(SCENARIO, servers=servers)))  # escaped as \ud800
+    outdir = tmp_path / "out"
+    assert _run(["simulate", "--scenario", scenario, "--out", str(outdir)]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {scenario}: servers[0]: id must be a UTF-8 string, got 's\\ud800'\n"
+    assert not outdir.exists()
 
 
 def test_simulate_seed_override_revalidates(tmp_path):

@@ -553,6 +553,30 @@ def test_detect_reads_a_file_in_blocks_as_it_reads_it_whole(events, edits, block
         assert _grid_or_error(traffic.read_trace_counts, path, interval) == expected
 
 
+def _rows(*stamps_and_types):
+    return [f"{t // 10**6}.{t % 10**6:06d},a,{pkt}\n" for t, pkt in stamps_and_types]
+
+
+@pytest.mark.parametrize("rows, block, interval, expected", [
+    # a quoted newline that ends the third one-line block, then a bad pkt_type: lines count on across the switch
+    ([*_rows((1, "SYN"), (2, "SYN")), '0.000003,"x\n', 'y",SYN\n', *_rows((4, "SYN"), (5, "PING"))], 8, 1.0,
+     (ParseError, "trace line 7: pkt_type 'PING' not in")),
+    # an unsorted pair in the first two-line block, then a bad row in the fourth: the row's error comes first
+    (_rows((2, "SYN"), (1, "SYN"), *((t, "SYN") for t in range(3, 8)), (8, "PING")), 20, 1.0,
+     (ParseError, "trace line 9: pkt_type 'PING' not in")),
+    # a grid too large in the general reader's first chunk, then an unsorted pair in its second
+    (["0.000001,a,SYN\n", *["9000000000000.000002,a,SYN\n"] * CSV_CHUNK_ROWS, "0.000003,a,SYN\n"], 8, 1e-6,
+     (UnsortedTrace, "timestamp 3 after 9000000000000000000")),
+], ids=["quoted-newline-then-bad-row", "unsorted-then-bad-row", "too-large-then-unsorted"])
+def test_a_fault_in_a_block_raises_as_the_whole_file_does(tmp_path, rows, block, interval, expected):
+    path = tmp_path / "trace.csv"
+    path.write_text("timestamp_s,vm_id,pkt_type\n" + "".join(rows), encoding="utf-8", newline="")
+    with mock.patch.object(traffic, "TRACE_BLOCK_BYTES", block):
+        got = _grid_or_error(traffic.read_trace_counts, path, interval)
+    assert got == _grid_or_error(_read_whole, path, interval)
+    assert got[0] is expected[0] and got[1].startswith(expected[1]), got
+
+
 SPEC = st.builds(
     TrafficSpec, vm_id=st.sampled_from(["a", "b", "c,d"]), mode=st.sampled_from(["normal", "attack"]),
     base_rate=st.integers(0, 4), attack_multiplier=st.sampled_from([1.0, 1.5, 2.5]),

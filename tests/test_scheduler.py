@@ -560,14 +560,15 @@ NAN = float("nan")
     # these used to build a table, or to end in numpy's or sorted's error naming no server
     ([ServerState(5), ServerState(7)], r"^servers\[0\]: id must be a string, got 5$"),
     ([ServerState("a"), ServerState(7)], r"^servers\[1\]: id must be a string, got 7$"),
+    ([ServerState("a"), ServerState("b\udfff")], r"^servers\[1\]: id must be a UTF-8 string, got 'b\\udfff'$"),
     ([ServerState("a", vms="v1")], "^server a: vms must be a collection of vm id strings, got 'v1'$"),
     ([ServerState("a", vms=["v1", 2])], r"^server a: vms must be a collection of vm id strings, got \['v1', 2\]$"),
     ([ServerState("a", usage=(1, 2))], r"^server a: usage must be three numbers, got \(1, 2\)$"),
     ([ServerState("a", threshold=(80, "80", 80))], r"^server a: threshold must be three numbers, got \(80, '80', 80\)$"),
     ([ServerState("a", usage=(True, 0, 0))], r"^server a: usage must be three numbers, got \(True, 0, 0\)$"),
 ], ids=["empty-id", "duplicate-id", "power-on", "threshold-nan", "threshold-0", "usage-negative", "usage-inf",
-        "vm-twice-on-one", "vm-on-two", "int-ids", "int-id-after-str", "vms-string", "vms-int", "usage-two",
-        "threshold-string", "usage-bool"])
+        "vm-twice-on-one", "vm-on-two", "int-ids", "int-id-after-str", "surrogate-id", "vms-string", "vms-int",
+        "usage-two", "threshold-string", "usage-bool"])
 def test_the_table_checks_every_server_list_it_is_built_from(servers, message):
     # these used to build a table: a NaN threshold left no feasible server, usage -50
     # scored -16.67, power "on" ran asleep and a VM on two servers could be migrated

@@ -101,9 +101,10 @@ def test_spec_from_json_rejects_wrong_json_types(field, value):
     ("fin_delay_range", (12, 15, 19), "fin_delay_range must be a (low, high) pair of numbers, got (12, 15, 19)"),
     ("fin_delay_range", 15, "fin_delay_range must be a (low, high) pair of numbers, got 15"),
     ("vm_id", 5, "vm_id must be a string, got 5"),
+    ("vm_id", "v\ud800", "vm_id must be a UTF-8 string, got 'v\\ud800'"),
 ], ids=["base_rate-float", "base_rate-bool", "seed-float", "start-float", "end-float", "multiplier-string",
         "multiplier-bool", "interval-string", "interval-bool", "delay-low-string", "delay-high-string",
-        "delay-three", "delay-number", "vm_id-int"])
+        "delay-three", "delay-number", "vm_id-int", "vm_id-lone-surrogate"])
 def test_a_spec_built_in_python_checks_its_field_types(field, value, message):
     # these used to end in numpy's or the stdlib's TypeError naming no field, or, for a
     # bool or an int vm_id, to build a spec (the trace of vm_id 5 could not be written)
@@ -369,10 +370,17 @@ def _grid(counts):
     return counts.vm_ids, counts.syn.tolist(), counts.finrst.tolist()
 
 
+def _read_blocks(fh):
+    """The Traces detect reads the event file in the binary stream fh as, a block at a time."""
+    kind, traces = traffic._read_trace(fh, traffic.TRACE_BLOCK_BYTES)
+    assert kind == "events"
+    return traces
+
+
 def _blocks(path):
-    """The Traces _plain_blocks cuts the file at path into."""
+    """The Traces _read_blocks cuts the file at path into."""
     with open(path, "rb") as fh:
-        return list(traffic._plain_blocks(fh))
+        return list(_read_blocks(fh))
 
 
 @pytest.fixture
@@ -431,27 +439,60 @@ def test_an_unsorted_pair_across_a_block_edge_raises_the_whole_files_error(tmp_p
     with pytest.raises(UnsortedTrace, match=f"^{expected}$"):
         _whole(path)
     with open(path, "rb") as fh, pytest.raises(UnsortedTrace, match=f"^{expected}$"):
-        bin_event_blocks(traffic._plain_blocks(fh), 10.0)
+        bin_event_blocks(_read_blocks(fh), 10.0)
     assert dispatch(["detect", "--trace", str(path)], out=io.StringIO()) == 2
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+class _CountedFile(io.FileIO):
+    """A file opened for reading that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.bytes_read += n or 0
+        return n
+
+
 @pytest.mark.parametrize("old, new", [("vm1", '"vm,2"'), ("\n", "\r\n")], ids=["quoted-id", "crlf"])
-def test_a_block_that_is_not_plain_sends_the_whole_file_to_the_general_reader(tmp_path, block_bytes, old, new):
+def test_a_block_that_is_not_plain_hands_the_rest_of_the_file_to_the_general_reader(
+        tmp_path, block_bytes, monkeypatch, old, new):
     lines = _lines(range(0, 30_000_000, 1_000_000))
     lines[20] = lines[20].replace(old, new)  # well after the first block
     path = tmp_path / "t.csv"
     path.write_bytes((HEADER + "".join(lines)).encode())
-    with open(path, "rb") as fh:
-        blocks = traffic._plain_blocks(fh)
-        assert len(next(blocks)) == _first_block_lines(lines, block_bytes)
-        with pytest.raises(ValueError, match="not a plain event trace"):
-            list(blocks)
-    with mock.patch.object(traffic, "_read_csv", wraps=traffic._read_csv) as general:
+    opened, kernel_read, handed = [], [], []
+    read_plain, read_csv = traffic._read_plain_events, traffic._read_csv
+
+    def open_counted(file, mode):
+        opened.append((file, mode, _CountedFile(file)))
+        return io.BufferedReader(opened[-1][2])
+
+    def kernel(data):
+        kernel_read.append(read_plain(data))
+        return kernel_read[-1]
+
+    def general(blocks, errors, line=0):
+        handed.append((list(blocks), line))
+        return read_csv(iter(handed[-1][0]), errors, line)
+
+    monkeypatch.setattr(traffic, "open", open_counted, raising=False)
+    with mock.patch.object(traffic, "_read_plain_events", kernel), mock.patch.object(traffic, "_read_csv", general):
         counts = traffic.read_trace_counts(str(path), 10.0)
-    assert general.call_count == 1
     assert _grid(counts) == _grid(_whole(path))
     assert counts.vm_ids == (("vm,2", "vm1") if new.startswith('"') else ("vm1",))
+    [(file, mode, raw)] = opened  # opened once, and each byte read once
+    assert (file, mode, raw.bytes_read) == (str(path), "rb", path.stat().st_size)
+    # the kernel reads the blocks before line 20's; the general reader gets the header, then the rest from that
+    # block on, and counts its lines on from the kernel's
+    *plain, refused = kernel_read
+    assert refused is None and len(plain) > 1 and None not in plain
+    assert len(plain[0]) == _first_block_lines(lines, block_bytes)
+    before = sum(map(len, plain))
+    [(blocks, line)] = handed
+    assert line == before <= 20 < before + blocks[0].count(b"\n") - 1
+    assert b"".join(blocks) == (HEADER + "".join(lines[before:])).encode()
 
 
 @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["invalid-byte", "encoded-surrogate"])
@@ -461,7 +502,7 @@ def test_a_block_that_is_not_utf8_fails_as_the_whole_file_does(tmp_path, block_b
     path = tmp_path / "t.csv"
     path.write_bytes(HEADER.encode() + b"".join(lines))
     with open(path, "rb") as fh, pytest.raises(UnicodeDecodeError):
-        list(traffic._plain_blocks(fh))
+        list(_read_blocks(fh))
     assert dispatch(["detect", "--trace", str(path)], out=io.StringIO()) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte")
 
@@ -476,13 +517,21 @@ def test_a_grid_too_large_across_blocks_names_the_last_timestamp(tmp_path, monke
     tracemalloc.start()
     try:
         with open(path, "rb") as fh, pytest.raises(ValueError, match=f"^{expected}"):
-            bin_event_blocks(traffic._plain_blocks(fh), 1e-6)
+            bin_event_blocks(_read_blocks(fh), 1e-6)
         assert dispatch(["detect", "--trace", str(path), "--interval", "1e-6"], out=io.StringIO()) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert capsys.readouterr().err.startswith(f"error: {expected}")
     assert peak < 16 << 20
+
+
+def _grid_or_error(read):
+    """read()'s grid, or the type and text of what it raised."""
+    try:
+        return _grid(read())
+    except (ParseError, UnsortedTrace, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def _peak(fn, *args):
@@ -510,6 +559,39 @@ def test_detect_holds_the_grid_and_a_few_blocks_not_the_trace(tmp_path, monkeypa
     peak = _peak(dispatch, argv, io.StringIO())
     assert peak < bound, (peak, bound)
     assert _peak(_whole, path) > 3 * bound  # reading the file whole holds it several times over
+
+
+@pytest.mark.parametrize("form", ["crlf", "quoted-id", "unsorted"])
+def test_detect_holds_the_grid_and_a_few_blocks_of_a_trace_the_kernel_refuses(tmp_path, monkeypatch, capsys, form):
+    # the general reader's blocks, from the start or from the second block on, and a fault in the first block
+    monkeypatch.setattr(traffic, "TRACE_BLOCK_BYTES", 1 << 16)
+    specs = [_normal(vm_id=f"vm-{i:02d}", base_rate=25, end=60, seed=i) for i in range(40)]
+    path, stats = tmp_path / "trace.csv", str(tmp_path / "stats.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        traffic.write_trace(specs, fh)
+    assert path.stat().st_size > 32 * traffic.TRACE_BLOCK_BYTES
+    plain = traffic.read_trace_counts(str(path), 10.0)
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    if form == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    elif form == "quoted-id":
+        edge = data.index(b"\n", 2 * traffic.TRACE_BLOCK_BYTES) + 1  # a line in the third block
+        data = data[:edge] + data[edge:].replace(b",vm-00,", b',"vm,00",', 1)
+    else:
+        assert lines[1].split(b",")[0] < lines[2].split(b",")[0]
+        lines[1], lines[2] = lines[2], lines[1]  # the first two events, now out of order
+        data = b"".join(lines)
+    path.write_bytes(data)
+    argv = ["detect", "--trace", str(path), "--stats", stats]
+    code = 2 if form == "unsorted" else 0
+    assert dispatch(argv, out=io.StringIO()) == code  # the first call imports and caches what it needs
+    assert _grid_or_error(lambda: traffic.read_trace_counts(str(path), 10.0)) == _grid_or_error(lambda: _whole(path))
+    bound = 24 * traffic.TRACE_BLOCK_BYTES + 24 * (plain.syn.nbytes + plain.finrst.nbytes)
+    capsys.readouterr()
+    peak = _peak(dispatch, argv, io.StringIO())
+    assert peak < bound, (peak, bound)
+    assert capsys.readouterr().err.startswith("error: timestamp " if code else "")
 
 
 @pytest.mark.parametrize("events, intervals", [(1 << 15, 6), (64, 1), (1, 1)])
