@@ -29,8 +29,8 @@ microseconds, so offline and simulated time share one grid, on which
 fin_slot_pairs counts, exactly, the slots a simulated FIN can land in.
 The statistic log is columnar too: a StatLog holds blocks of arrays, one
 per tick in the simulator and one for a whole trace, with slots in place
-of ids, and renders detector.csv through resources._csv_rows, the
-byte kernel that also writes trace files.
+of ids, and renders detector.csv by naming its columns to
+resources._csv_lines, the byte kernel that also writes trace files.
 
 Defaults: drift 0.08, threshold 1.43, 10 s sampling interval.
 """
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsortedTrace
-from .resources import _csv_chunks, _csv_field, _csv_rows, _csv_table, _six_places, is_int
+from .resources import _csv_lines, is_int
 
 DEFAULT_DRIFT = 0.08
 DEFAULT_THRESHOLD = 1.43
@@ -384,26 +384,9 @@ def fill_gaps(rows) -> Counts:
 def stat_rows_to_csv(log: StatLog, out=None) -> str | None:
     """Render the statistic log: interval,vm_id,syn,finrst,d,y,alarm; the text, or None once written to out.
 
-    The text equals csv.writer's row by row, with d and y as %.6f writes
-    them.  Given a text stream out, it is written there a chunk of
-    resources._csv_chunks at a time, so only one chunk's text is held.
-    resources._csv_rows writes the lines, each id quoted once a log and
-    picked by slot; a row with a negative count, or a d or y that
-    _six_places cannot write exactly, is a line formatted with % instead.
+    The text, by resources._csv_lines, equals csv.writer's row by row, with d and y as %.6f writes them.
+    Given a text stream out, it goes there a chunk at a time, so only one chunk's text is held.
     """
-    chunks = _stat_csv(log)
+    chunks = _csv_lines({"interval": "d", "vm_id": list(log.vm_ids), "syn": "d", "finrst": "d", "d": "f", "y": "f",
+                         "alarm": "d"}, log.blocks)
     return "".join(chunks) if out is None else out.writelines(chunks)
-
-
-def _stat_csv(log: StatLog):
-    """stat_rows_to_csv's text: its header, then the lines of each chunk of the log's blocks."""
-    yield "interval,vm_id,syn,finrst,d,y,alarm\n"
-    ids = [_csv_field(vm_id) for vm_id in log.vm_ids]
-    table = _csv_table([(f + ",").encode(errors="surrogatepass") for f in ids])
-    for interval, slots, syn, finrst, d, y, alarm in _csv_chunks(log.blocks):
-        (d6, exact_d), (y6, exact_y) = _six_places(d), _six_places(y)
-        fields = [interval, b",", (table, slots), syn, b",", finrst, b",", *d6, b",", *y6, b",",
-                  alarm.astype(np.int64), b"\n"]
-        odd = ~(exact_d & exact_y) | (np.minimum(np.minimum(interval, syn), finrst) < 0)
-        yield _csv_rows(fields, len(slots), odd, lambda i: "%d,%s,%d,%d,%.6f,%.6f,%d\n" % (
-            interval[i], ids[slots[i]], syn[i], finrst[i], d[i], y[i], alarm[i]))

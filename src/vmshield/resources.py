@@ -9,8 +9,9 @@ check_vector is the one rule of a resource vector, which its owners call.
 Input JSON files are read by read_json_file, each object against a
 table of its keys by json_object (trace files by traffic), and output
 files are written by write_text_file, JSON ones as json_text lays them out
-and every CSV field as _csv_field quotes it; _csv_rows writes CSV lines
-in bulk with _six_places' exact %.6f digits, a chunk of _csv_chunks at a time.
+and every CSV field as _csv_field quotes it.  _csv_lines writes every
+CSV file the program writes in bulk, from a name and a kind per column,
+with _six_places' exact %.6f digits, a chunk of _csv_chunks at a time.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _put_digits(rows, end: int, values, width: int) -> None:
 
 
 def _six_places(x):
-    """The floats x as _csv_rows fields, a sign and a (whole, frac) number, rint(fl(|x| * 1e6)), and where those
+    """The floats x as _csv_lines fields, a sign and a (whole, frac) number, rint(fl(|x| * 1e6)), and where those
     are %.6f's, half to even: unless |x| >= 1e9 (0 then) or fl(|x| * 1e6) is within about 2**-53 of a half."""
     exact = np.abs(x) < 1e9
     scaled = np.where(exact, np.abs(x), 0.0) * 1e6
@@ -94,7 +95,7 @@ def _six_places(x):
 
 
 def _csv_table(entries: list[bytes]) -> tuple:
-    """entries as a _csv_rows table: a uint8 matrix of them padded to the longest, and a mask of their lengths."""
+    """entries as a _csv_lines table: a uint8 matrix of them padded to the longest, and a mask of their lengths."""
     width = max(map(len, entries), default=0) or 1
     return (np.array(entries, dtype=f"S{width}").view(np.uint8).reshape(-1, width),
             np.arange(width) < np.array(list(map(len, entries)))[:, None])
@@ -116,52 +117,74 @@ def _csv_chunks(blocks):
         yield [np.concatenate(column) for column in zip(*group)]
 
 
-def _csv_rows(fields, n: int, odd=None, odd_line=None) -> str:
-    """n CSV lines, written field by field into one uint8 matrix: callers cut a log into _csv_chunks.
+def _csv_text(kind, value) -> str:
+    """value as a field of a _csv_lines column of kind kind, by %."""
+    if kind == "t":
+        return "%d.%06d" % divmod(int(value), 1_000_000)
+    return ("%d" if kind == "d" else "%.6f") % value if isinstance(kind, str) else _csv_field(kind[int(value)])
 
-    A field is bytes, written on every line; a (table, index) pair, line i
-    writing the bytes table[index[i]], table a list of bytes or its
-    _csv_table; or a (whole, frac) number: the int64 whole (not negative
-    on lines kept) in decimal and, unless frac is None, '.' and frac's six
-    digits (a bare int64 array is a whole).  A mask drops leading zeros and
-    the pad after table entries; a line i where the bool array odd is true
-    is the text odd_line(i) instead.
+
+def _csv_lines(columns: dict, blocks):
+    """A CSV file's text, a chunk at a time: its header, columns' names, then the rows of blocks (_csv_chunks).
+
+    columns maps each name to its column's kind: "d", an int64 or bool as
+    %d; "f", a float as %.6f in _six_places' digits; "t", int64 micros as
+    signed floor seconds, '.' and six digits; or a list of texts, which
+    the column indexes.  A chunk is one uint8 matrix, written by field: a
+    bytes on every line, a (_csv_table, index) pair of one table column or
+    adjacent ones, entries ending in separators, or an (int64, width)
+    number, its last width digits (None: no leading zeros).  A line with a
+    negative "d" or a float _six_places cannot write exactly is _csv_text's.
     """
-    fields = [(f, None) if isinstance(f, np.ndarray) else f for f in fields]
-    if odd is not None:  # the odd lines, a table entry each, in place of every other field
-        fields.append(([b"", *(odd_line(i).encode(errors="surrogatepass") for i in np.flatnonzero(odd))],
-                       np.cumsum(odd) * odd))
-    tables, widths, span = {}, [], 0
-    for k, field in enumerate(fields):
-        if isinstance(field, bytes):
-            widths.append(len(field))
-        elif isinstance(field[0], (list, tuple)):
-            tables[k] = _csv_table(field[0]) if isinstance(field[0], list) else field[0]
-            widths.append(tables[k][0].shape[1])
-        else:  # the whole's digits; a fraction adds seven columns
-            widths.append(len(str(field[0].max() if n else 0)))
-            span += 7 * (field[1] is not None)
-    span += sum(widths)
-    rows, keep, col = np.empty((n, span), dtype=np.uint8), np.ones((n, span), dtype=bool), 0
-    for k, (field, width) in enumerate(zip(fields, widths)):
-        if odd is not None and k == len(fields) - 1:
-            keep[odd] = False
-        if isinstance(field, bytes):
-            rows[:, col:col + width] = np.frombuffer(field, np.uint8)
-        elif k in tables:
-            rows[:, col:col + width] = np.take(tables[k][0], field[1], axis=0)
-            keep[:, col:col + width] = np.take(tables[k][1], field[1], axis=0)
-        else:
-            whole, frac = field
-            for digit in range(width - 1):  # leading zeros
-                keep[:, col + digit] = whole >= 10 ** (width - 1 - digit)
-            _put_digits(rows, col + width, whole, width)
-            if frac is not None:
-                rows[:, col + width] = ord(".")
-                _put_digits(rows, col + width + 7, frac, 6)
-                col += 7
-        col += width
-    return rows[keep].tobytes().decode(errors="surrogatepass")
+    yield ",".join(map(_csv_field, columns)) + "\n"
+    columns, signs = list(columns.values()), _csv_table([b"", b"-"])
+    ends = [b","] * (len(columns) - 1) + [b"\n"]  # each column's separator, table entries holding their own
+    tables = {k: [_csv_field(text).encode(errors="surrogatepass") + ends[k] for text in kind]
+              for k, kind in enumerate(columns) if not isinstance(kind, str)}
+    for k in sorted(tables, reverse=True):  # a table column after another joins it: one take, not two
+        if k - 1 in tables:
+            after = tables.pop(k)
+            tables[k - 1] = [a + b for a in tables[k - 1] for b in after]
+    tables = {k: _csv_table(entries) for k, entries in tables.items()}
+    for chunk in _csv_chunks(blocks):
+        fields, odd = [], np.zeros(len(chunk[0]), dtype=bool)
+        for k, (kind, values) in enumerate(zip(columns, chunk)):
+            if k in tables:
+                fields.append((tables[k], values))
+            elif not isinstance(kind, str):  # indexes the joined table with the columns before it
+                fields[-1] = (fields[-1][0], fields[-1][1].astype(np.intp) * len(kind) + values)
+            elif kind == "d":
+                fields += [(values.astype(np.int64, copy=False), None), ends[k]]
+                odd |= values < 0
+            else:
+                if kind == "f":
+                    [(_, negative), (whole, frac)], exact = _six_places(values)
+                    odd |= ~exact
+                else:
+                    whole, frac = np.divmod(values, 1_000_000)
+                    negative, whole = whole < 0, np.abs(whole)
+                fields += [(signs, negative)] * bool(negative.any()) + [(whole, None), b".", (frac, 6), ends[k]]
+        if odd.any():  # the odd lines, as the last field
+            lines = (",".join(map(_csv_text, columns, row)) + "\n" for row in zip(*(c[odd] for c in chunk)))
+            fields.append((_csv_table([b"", *(line.encode(errors="surrogatepass") for line in lines)]),
+                           np.cumsum(odd) * odd))
+        widths = [len(f) if isinstance(f, bytes) else f[0][0].shape[1] if isinstance(f[0], tuple)
+                  else f[1] or len(str(f[0].max())) for f in fields]
+        span, col = sum(widths), 0
+        rows, keep = np.empty((len(odd), span), dtype=np.uint8), np.ones((len(odd), span), dtype=bool)
+        for field, width in zip(fields, widths):
+            if isinstance(field, bytes):
+                rows[:, col:col + width] = np.frombuffer(field, np.uint8)
+            elif isinstance(field[0], tuple):
+                rows[:, col:col + width] = np.take(field[0][0], field[1], axis=0)
+                keep[:, col:col + width] = np.take(field[0][1], field[1], axis=0)
+            else:
+                for digit in range(width - 1) if field[1] is None else ():  # leading zeros
+                    keep[:, col + digit] = field[0] >= 10 ** (width - 1 - digit)
+                _put_digits(rows, col + width, field[0], width)
+            col += width
+        keep[odd, :span - widths[-1]] = False  # where odd, the last field alone
+        yield rows[keep].tobytes().decode(errors="surrogatepass")
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))

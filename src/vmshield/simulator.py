@@ -66,9 +66,9 @@ from . import detector as det
 from . import scheduler as sched
 from .ahp import derive_weights
 from .errors import ParseError, ValidationError
-from .resources import (ZERO, ResourceVector, _csv_chunks, _csv_field, _csv_rows, _csv_table, _six_places, check_vector,
-                        is_int, json_bool, json_int, json_list, json_number, json_object, json_str, json_text,
-                        read_json_file, weighted_score, write_text_file)
+from .resources import (ZERO, ResourceVector, _csv_lines, check_vector, is_int, json_bool, json_int, json_list,
+                        json_number, json_object, json_str, json_text, read_json_file, weighted_score,
+                        write_text_file)
 from .scheduler import ACTIVE, ASLEEP, ServerState, ServerTable, VmRecord, read_class
 from .traffic import DEFAULT_FIN_DELAY_RANGE, _delay_bounds_us, read_delay_range
 
@@ -779,8 +779,8 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
 
     CSV files are comma-separated with a header row and LF endings;
     floats are exactly %.6f's text.  Both CSVs go from their column blocks
-    to the file a chunk at a time (resources._csv_chunks), written by
-    resources._csv_rows, so emission holds one chunk's text, not a
+    to the file a chunk at a time, each written by resources._csv_lines
+    from the file's column kinds, so emission holds one chunk's text, not a
     whole report's.  Identical reports produce identical bytes, so
     reruns into the same directory are no-ops content-wise.
     """
@@ -802,14 +802,7 @@ def emit_reports(report: SimReport, outdir: str) -> list[str]:
 
 
 def _utilization_csv(log: UtilizationLog):
-    """utilization.csv's text: its header, then the lines of each chunk of the log's blocks."""
-    yield "tick,server,cpu,mem,bw,power,vms\n"
-    ids = [_csv_field(sid) for sid in log.server_ids]
-    table = _csv_table([(f + ",").encode(errors="surrogatepass") for f in ids])
-    power = [(p + ",").encode() for p in _POWER]
-    for tick, server, usage, active, hosted in _csv_chunks(log.blocks):
-        (cpu, exact_cpu), (mem, exact_mem), (bw, exact_bw) = map(_six_places, usage.T)
-        fields = [tick, b",", (table, server), *cpu, b",", *mem, b",", *bw, b",", (power, active), hosted, b"\n"]
-        odd = ~(exact_cpu & exact_mem & exact_bw) | (np.minimum(tick, hosted) < 0)
-        yield _csv_rows(fields, len(tick), odd, lambda i: "%d,%s,%.6f,%.6f,%.6f,%s,%d\n" % (
-            tick[i], ids[server[i]], *usage[i], _POWER[bool(active[i])], hosted[i]))
+    """utilization.csv's text, a chunk at a time."""
+    return _csv_lines({"tick": "d", "server": list(log.server_ids), "cpu": "f", "mem": "f", "bw": "f",
+                       "power": list(_POWER), "vms": "d"},
+                      ((tick, server, *usage.T, active, hosted) for tick, server, usage, active, hosted in log.blocks))

@@ -12,11 +12,11 @@ rows.  merge_traces, events_to_csv and detector.bin_events take only
 Traces: hand-built (t_us, vm_id, pkt_type) triples go through
 Trace.from_events.
 
-The event trace file is written by resources._csv_rows, a window of time at a time by write_trace.  A trace
-file is read once, in blocks: by a numpy byte kernel while they are plain (_read_plain_events), then by
-csv.reader (_read_csv), the one path that reports errors; both give the same Trace.  read_trace_counts bins
-the blocks as they come; a binned file reads into a detector.Counts grid.  The row rules belong to the table
-builders, Trace.from_events and fill_gaps.
+The event trace file is written by resources._csv_lines from its column kinds (_event_lines), a window of
+time at a time by write_trace.  A trace file is read once, in blocks: by a numpy byte kernel while they are
+plain, LF or CRLF (_read_plain_events), then by csv.reader (_read_csv), the one path that reports errors;
+both give the same Trace.  read_trace_counts bins the blocks as they come; a binned file reads into a
+detector.Counts grid.  The row rules belong to the table builders, Trace.from_events and fill_gaps.
 
 For long traces the per-interval (SYN, FIN|RST) counts can be produced
 directly as a one-VM Counts with gen_normal_binned / gen_attack_binned;
@@ -40,8 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, bin_event_blocks, fill_gaps
 from .errors import ParseError, UnsortedTrace
-from .resources import (CSV_CHUNK_ROWS, _csv_chunks, _csv_field, _csv_rows, _csv_table, is_int, is_number, is_text,
-                        json_int, json_number, json_object, json_str)
+from .resources import (CSV_CHUNK_ROWS, _csv_lines, is_int, is_number, is_text, json_int, json_number, json_object,
+                        json_str)
 
 DEFAULT_FIN_DELAY_RANGE = (12.0, 19.0)
 RST_FRACTION = 0.1
@@ -100,8 +100,8 @@ class Trace:
     def from_events(cls, events) -> "Trace":
         """The table of (t_us, vm_id, pkt_type) triples, in their order.
 
-        A pkt_type outside PKT_TYPES, or a t_us that is not an integer
-        within int64, is a ValueError.
+        A pkt_type outside PKT_TYPES, a t_us that is not an integer within
+        int64, or a vm_id that is not text (_check_vm_id) is a ValueError.
         """
         codes: dict[str, int] = {}
         t_us, vm, kind = [], [], []
@@ -113,7 +113,14 @@ class Trace:
             t_us.append(t)
             vm.append(codes.setdefault(vm_id, len(codes)))
             kind.append(_KIND[pkt_type])
-        return _sorted_ids(t_us, vm, kind, list(codes))
+        return _sorted_ids(t_us, vm, kind, list(map(_check_vm_id, codes)))
+
+
+def _check_vm_id(vm_id):
+    """vm_id, if it is text that a UTF-8 file can hold (resources.is_text); else a ValueError."""
+    if not is_text(vm_id):
+        raise ValueError(f"vm_id must be a {'UTF-8 ' * isinstance(vm_id, str)}string, got {vm_id!r}")
+    return vm_id
 
 
 def _sorted_ids(t_us, vm, kind, ids: list[str]) -> Trace:
@@ -139,8 +146,7 @@ class TrafficSpec:
     interval_seconds: float = 10.0
 
     def __post_init__(self):
-        if not is_text(self.vm_id):
-            raise ValueError(f"vm_id must be a {'UTF-8 ' * isinstance(self.vm_id, str)}string, got {self.vm_id!r}")
+        _check_vm_id(self.vm_id)
         if self.mode not in ("normal", "attack"):
             raise ValueError(f"mode must be 'normal' or 'attack', got {self.mode!r}")
         for name in ("base_rate", "start", "end", "seed"):
@@ -325,17 +331,18 @@ def write_trace(specs, out) -> int:
     rate = sum(events / iv for events, iv in zip(per, ivs))  # events a microsecond
     span = max(int(WINDOW_EVENTS / rate), WINDOW_INTERVALS * min(ivs)) if rate else T_US_LIMIT
     code = {vm_id: c for c, vm_id in enumerate(sorted({spec.vm_id for spec in specs}))}
-    vm, suffixes = np.array([code[spec.vm_id] for spec in specs], dtype=np.int32), _suffixes(code)
+    vm = np.array([code[spec.vm_id] for spec in specs], dtype=np.int32)
     windows = [_spec_windows(spec) for spec in specs]
     for window in windows:
         next(window)
-    out.write(_TRACE_HEADER_LINE)
-    begin = min((spec.start * iv for spec, iv in zip(specs, ivs)), default=_NEVER)
-    while begin < _NEVER:
-        t_us, kind, left = zip(*(window.send(begin + span) for window in windows))
-        merged = _merge(np.concatenate(t_us), np.repeat(vm, list(map(len, t_us))), np.concatenate(kind), code)
-        out.write(_event_rows(merged, suffixes))
-        begin = min(left)
+
+    def merged(begin):
+        while begin < _NEVER:
+            t_us, kind, left = zip(*(window.send(begin + span) for window in windows))
+            trace = _merge(np.concatenate(t_us), np.repeat(vm, list(map(len, t_us))), np.concatenate(kind), code)
+            yield trace.t_us, trace.vm, trace.kind
+            begin = min(left)
+    out.writelines(_event_lines(code, merged(min((spec.start * iv for spec, iv in zip(specs, ivs)), default=_NEVER))))
     return sum(events * (spec.end - spec.start) for events, spec in zip(per, specs))
 
 
@@ -370,41 +377,31 @@ def events_to_csv(trace: Trace) -> str:
 
     The text equals csv.writer's with timestamps as seconds.micros, and
     a vm_id holding a carriage return is quoted so that it reads back.
-    resources._csv_rows writes each line: a sign, the floor seconds and
-    micros as a number, then a ",vm_id,pkt_type\n" suffix from a table.
     """
-    return _TRACE_HEADER_LINE + _event_rows(trace, _suffixes(trace.vm_ids))
+    return "".join(_event_lines(trace.vm_ids, [(trace.t_us, trace.vm, trace.kind)]))
 
 
-def _suffixes(vm_ids) -> tuple:
-    """The _csv_table of each event line's ",vm_id,pkt_type\n" end, indexed by vm code * len(PKT_TYPES) + kind."""
-    return _csv_table([f",{_csv_field(v)},{p}\n".encode(errors="surrogatepass") for v in vm_ids for p in PKT_TYPES])
-
-
-def _event_rows(trace: Trace, suffixes: tuple) -> str:
-    """events_to_csv's lines after the header, their ends from _suffixes(trace.vm_ids)."""
-    text = []
-    for t_us, vm, kind in _csv_chunks([(trace.t_us, trace.vm, trace.kind)]):
-        seconds, micros = np.divmod(t_us, 1_000_000)
-        suffix = vm.astype(np.intp) * len(PKT_TYPES) + kind
-        fields = [([b"", b"-"], seconds < 0), (np.abs(seconds), micros), (suffixes, suffix)]
-        text.append(_csv_rows(fields, len(t_us)))
-    return "".join(text)
+def _event_lines(vm_ids, blocks):
+    """The event trace file of blocks of (t_us, vm, kind) columns, by resources._csv_lines."""
+    return _csv_lines(dict(zip(TRACE_HEADER, ("t", list(vm_ids), list(PKT_TYPES)))), blocks)
 
 
 def _read_plain_events(data: bytes) -> Trace | None:
     """The event trace in data (UTF-8) if it is a plain file, else None.
 
-    A plain file starts with the event header line and holds no '"',
-    '\\r' or NUL; each non-blank line has exactly two commas, a timestamp
-    matching [0-9]{1,9}\\.[0-9]{6} and a pkt_type in PKT_TYPES.  csv.reader
-    splits it at its newlines and commas alone, skipping blank lines.
+    A plain file, its CRLF line ends read as LF, starts with the event
+    header line and holds no '"', lone '\\r' or NUL; each non-blank line
+    has exactly two commas, a timestamp matching [0-9]{1,9}\\.[0-9]{6}
+    and a pkt_type in PKT_TYPES.  csv.reader splits it at its line ends
+    and commas alone, skipping blank lines.
 
     The stamps are built exactly from their digits and equal _event_row's
     round(float(ts) * 1e6): a plain stamp is below 10**15 < 2**51 us, so
     parsing it as a float and multiplying by 10**6 errs by a relative
     2**-52 or so, less than 0.5 in absolute terms, and rounds exactly.
     """
+    if b"\r" in data:  # CRLF line ends, as csv.reader reads them; a lone CR is refused below
+        data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"  # as csv.reader, end the last line at the end of the file
     if not data.startswith(_TRACE_HEADER_LINE.encode()) or any(
@@ -454,7 +451,7 @@ def _read_plain_events(data: bytes) -> Trace | None:
             keys = sliding_window_view(buf, w)[first[lines] + 1].view(f"S{w}").ravel()
         unique, code = np.unique(keys, return_inverse=True)
         vm[lines] = len(ids) + code.ravel()
-        ids += [key[:w - 1].tobytes().decode(errors="surrogatepass")
+        ids += [key[:w - 1].tobytes().decode()
                 for key in unique.view(np.uint8).reshape(len(unique), -1)]
     return _sorted_ids(t_us, vm, kind, ids)
 
@@ -473,24 +470,24 @@ def read_trace_counts(path: str, interval_seconds: float) -> Counts:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_trace(fh, block_bytes: int, errors: str = "strict"):
+def _read_trace(fh, block_bytes: int):
     """The trace in the binary stream fh, read once: ('events', an iterator of Traces) or ('binned', Counts).
 
-    fh is read in blocks of block_bytes (-1: the rest), each run to the end of the line it cuts, as UTF-8 decoded
-    by errors.  After the event header line _read_plain_events reads the blocks; the first that it refuses, and
-    the rest, go to _read_csv, which counts the lines on, as do all the lines of any other file.
+    fh is read in blocks of block_bytes (-1: the rest) of UTF-8, each run to the end of the line it cuts.  After
+    the event header line, ending in LF or CRLF, _read_plain_events reads the blocks; the first that it refuses,
+    and the rest, go to _read_csv, which counts the lines on, as do all the lines of any other file.
     """
     head = fh.readline()
     blocks = iter(lambda: fh.read(block_bytes) + fh.readline(), b"")
-    if head.removesuffix(b"\n") != ",".join(TRACE_HEADER).encode():
-        return _read_csv(chain([head], blocks), errors)
+    if head.removesuffix(b"\n").removesuffix(b"\r") != ",".join(TRACE_HEADER).encode():
+        return _read_csv(chain([head], blocks))
 
     def traces(line=0):  # line: the lines read after the header
         for block in blocks:
             block = head + block  # read as a file of its own, one copy held
-            block.decode(errors=errors)  # a UnicodeDecodeError, if not UTF-8
+            block.decode()  # a UnicodeDecodeError, if not UTF-8
             if (trace := _read_plain_events(block)) is None:
-                yield from _read_csv(chain([block], blocks), errors, line)[1]
+                yield from _read_csv(chain([block], blocks), line)[1]
                 return
             line += block.count(b"\n") - 1
             yield trace
@@ -514,16 +511,17 @@ def read_trace_csv(text: str):
     The two trace forms are told apart by their header row.  Rows may
     end in \\n, \\r\\n or \\r; a quoted field keeps its own line breaks.
     It is _read_trace of text as one block.  Its errors are ParseErrors
-    naming the physical line (reader.line_num) where the bad row ends.
+    naming the physical line (reader.line_num) where the bad row ends; a
+    text that no UTF-8 file holds (a lone surrogate) is a UnicodeEncodeError.
     """
-    kind, data = _read_trace(io.BytesIO(text.encode(errors="surrogatepass")), -1, "surrogatepass")
+    kind, data = _read_trace(io.BytesIO(text.encode()), -1)
     if kind == "events":  # the kernel's one Trace, or the general reader's chunks
         traces = list(data)
         data = traces[0] if len(traces) == 1 else Trace.from_events(chain.from_iterable(traces))
     return kind, data
 
 
-def _read_csv(blocks, errors: str, line: int = 0):
+def _read_csv(blocks, line: int = 0):
     """_read_trace's result for blocks of whole lines, after line lines, by csv.reader, which reads any trace file.
 
     The readers only parse fields: the rows go to the owner of the row rules, fill_gaps or Trace.from_events
@@ -532,7 +530,7 @@ def _read_csv(blocks, errors: str, line: int = 0):
     before Python 3.11), or fill_gaps's grid too large, raised once every row is read, naming the last line of
     the largest interval_index.  The rest is read first: a line on that is not UTF-8 fails first, as read whole.
     """
-    lines = (text for block in blocks for text in io.StringIO(block.decode(errors=errors), newline=""))
+    lines = (text for block in blocks for text in io.StringIO(block.decode(), newline=""))
     reader = csv.reader(lines)
     top = (0, 0)  # the largest interval_index read, and the last line holding it
     read_all = False

@@ -20,12 +20,14 @@ windows of any size write the bytes of the whole merged trace.
 The batched detector equals the CUSUM recurrence oracle on random
 multi-VM batches and on zero-filled grids of binned rows, detect prints
 the same output for an event trace as for its binned counts, the
-columnar statistic log equals csv.writer row by row, and placement
+columnar CSV reports equal csv.writer row by row, also with every float
+row written by the % fallback, and placement
 without a vector per candidate equals the ResourceVector oracle, ties with the threshold included.
 
 On random small scenarios every active server-tick's usage is its
 overhead plus its hosted VMs' observed usage, added in sorted-id order,
-exactly.  The closed-form FIN-slot pair counts equal an enumeration of
+exactly, and renaming the servers by a map that keeps id order renames
+them in all six reports and changes nothing else.  The closed-form FIN-slot pair counts equal an enumeration of
 every (offset, delay) pair, and on random scenarios of one roomy server
 under the log policy detector.csv and alarms.json equal conftest's
 plain-Python restatement of phases 1 and 3, multinomial calls included.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -95,10 +98,10 @@ from vmshield.detector import (  # noqa: E402
     stat_rows_to_csv,
 )
 from vmshield.errors import NonConvergence, ParseError, UnsortedTrace, ValidationError  # noqa: E402
-from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, json_text  # noqa: E402
+from vmshield.resources import CSV_CHUNK_ROWS, ResourceVector, WeightVector, _six_places, json_text  # noqa: E402
 from vmshield.scheduler import (ServerState, ServerTable, VmRecord, estimate_demand_restart,  # noqa: E402
                                mean_usage, place)
-from vmshield.simulator import Scenario, SimReport, UtilizationLog, emit_reports, run  # noqa: E402
+from vmshield.simulator import REPORT_FILES, Scenario, SimReport, UtilizationLog, emit_reports, run  # noqa: E402
 from vmshield.traffic import (  # noqa: E402
     TrafficSpec,
     events_to_csv,
@@ -833,15 +836,23 @@ def _utilization_log(draw):
     return log, rows
 
 
+def _no_exact_places(x):
+    """resources._six_places, claiming no value exact, so that every row with a float is written by %."""
+    fields, exact = _six_places(x)
+    return fields, np.zeros_like(exact)
+
+
 @settings(SETTINGS, max_examples=100)
-@given(_stat_log(), _utilization_log(), st.integers(1, 9))
-@example((StatLog(["v"]), []), (UtilizationLog(("s",)), []), 1)
-def test_csv_reports_written_a_chunk_at_a_time_equal_their_row_oracles(stat, utilization, chunk):
+@given(_stat_log(), _utilization_log(), st.integers(1, 9), st.booleans())
+@example((StatLog(["v"]), []), (UtilizationLog(("s",)), []), 1, False)
+def test_csv_reports_written_a_chunk_at_a_time_equal_their_row_oracles(stat, utilization, chunk, every_row_by_percent):
     # chunks of 1-9 rows, so blocks straddle chunk edges as 2,048-row chunks do in long runs
     (stat_log, stat_rows), (utilization_log, utilization_rows) = stat, utilization
     assert list(stat_log) == stat_rows
     assert list(utilization_log) == utilization_rows
-    with mock.patch("vmshield.resources.CSV_CHUNK_ROWS", chunk), tempfile.TemporaryDirectory() as out:
+    places = _no_exact_places if every_row_by_percent else _six_places
+    with mock.patch("vmshield.resources.CSV_CHUNK_ROWS", chunk), mock.patch("vmshield.resources._six_places", places), \
+            tempfile.TemporaryDirectory() as out:
         emit_reports(SimReport(utilization=utilization_log, stat_rows=stat_log), out)
         text = stat_rows_to_csv(stat_log)
         for name, expected in (("detector.csv", stat_rows_to_csv_oracle(stat_rows)),
@@ -997,6 +1008,50 @@ def test_a_power_of_two_times_every_resource_vector_scales_usage_and_keeps_every
                                         for tick, sid, cpu, mem, bw, power, vms in report.utilization]
     assert list(scaled.vm_samples) == [(tick, vm, observed.scaled(factor), host)
                                        for tick, vm, observed, host in report.vm_samples]
+
+
+def _renamed(scenario):
+    """scenario with its server ids mapped in id order, and the map: each id becomes 'r,"', which needs CSV
+    quoting, then a rank code that shortens as the id rises, then the id, so an id's length says nothing."""
+    ids = sorted(server.id for server in scenario.servers)
+    names = {sid: 'r,"' + "a" * (len(ids) - 1 - rank) + "b" + sid for rank, sid in enumerate(ids)}
+    return replace(scenario, servers=[replace(server, id=names[server.id]) for server in scenario.servers]), names
+
+
+def _parsed_reports(scenario):
+    """The six report files of a run of scenario, CSV rows by csv.reader and JSON documents by json."""
+    with tempfile.TemporaryDirectory() as out:
+        parsed = {}
+        for path in emit_reports(run(scenario), out):
+            with open(path, encoding="utf-8", newline="") as fh:
+                parsed[os.path.basename(path)] = list(csv.reader(fh)) if path.endswith(".csv") else json.load(fh)
+    return parsed
+
+
+def _mapped(value, names):
+    """value, a parsed report, with every string (and key) that names names' key replaced by its value."""
+    if isinstance(value, list):
+        return [_mapped(item, names) for item in value]
+    if isinstance(value, dict):
+        return {names.get(key, key): _mapped(item, names) for key, item in value.items()}
+    return names.get(value, value) if isinstance(value, str) else value
+
+
+@settings(SETTINGS, max_examples=60)
+@given(_small_scenario() | st.just(Scenario.from_json(GOLDEN_SMALL)), st.booleans())
+@example(Scenario.from_json(GOLDEN_SMALL), False)
+def test_renaming_the_servers_in_id_order_renames_them_in_every_report(scenario, twins):
+    # the reports depend on server ids only through their order: no tie-break, set order or
+    # CSV field may read an id's text, length or hash.  Drawn usages seldom tie, so with twins
+    # every server takes the first one's usage and threshold, and every placement score ties
+    if twins:
+        first = scenario.servers[0]
+        scenario = replace(scenario, servers=[replace(server, usage=first.usage, threshold=first.threshold)
+                                              for server in scenario.servers])
+    renamed, names = _renamed(scenario)
+    reports = _parsed_reports(scenario)
+    assert set(reports) == set(REPORT_FILES)
+    assert _parsed_reports(renamed) == _mapped(reports, names)
 
 
 @settings(SETTINGS, max_examples=500)

@@ -455,7 +455,7 @@ class _CountedFile(io.FileIO):
         return n
 
 
-@pytest.mark.parametrize("old, new", [("vm1", '"vm,2"'), ("\n", "\r\n")], ids=["quoted-id", "crlf"])
+@pytest.mark.parametrize("old, new", [("vm1", '"vm,2"'), ("\n", "\r")], ids=["quoted-id", "lone-cr"])
 def test_a_block_that_is_not_plain_hands_the_rest_of_the_file_to_the_general_reader(
         tmp_path, block_bytes, monkeypatch, old, new):
     lines = _lines(range(0, 30_000_000, 1_000_000))
@@ -473,9 +473,9 @@ def test_a_block_that_is_not_plain_hands_the_rest_of_the_file_to_the_general_rea
         kernel_read.append(read_plain(data))
         return kernel_read[-1]
 
-    def general(blocks, errors, line=0):
+    def general(blocks, line=0):
         handed.append((list(blocks), line))
-        return read_csv(iter(handed[-1][0]), errors, line)
+        return read_csv(iter(handed[-1][0]), line)
 
     monkeypatch.setattr(traffic, "open", open_counted, raising=False)
     with mock.patch.object(traffic, "_read_plain_events", kernel), mock.patch.object(traffic, "_read_csv", general):
@@ -493,6 +493,32 @@ def test_a_block_that_is_not_plain_hands_the_rest_of_the_file_to_the_general_rea
     [(blocks, line)] = handed
     assert line == before <= 20 < before + blocks[0].count(b"\n") - 1
     assert b"".join(blocks) == (HEADER + "".join(lines[before:])).encode()
+
+
+@pytest.mark.parametrize("size", [64, 1000, 1 << 18])
+def test_a_crlf_trace_is_read_by_the_kernel_alone(tmp_path, monkeypatch, size):
+    # blocks of any size, the header's line end CRLF too; the general reader is never called
+    monkeypatch.setattr(traffic, "TRACE_BLOCK_BYTES", size)
+    specs = [_normal(vm_id=f"vm-{i}", base_rate=20, end=8, seed=i) for i in range(3)] + [_attack(end=4)]
+    path = tmp_path / "trace.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        traffic.write_trace(specs, fh)
+    plain = traffic.read_trace_counts(str(path), 10.0)
+    lf = path.read_text(encoding="utf-8")
+    path.write_bytes(lf.replace("\n", "\r\n").encode())
+    with mock.patch.object(traffic, "_read_csv", side_effect=AssertionError("general reader")):
+        assert _grid(traffic.read_trace_counts(str(path), 10.0)) == _grid(plain)
+        kind, trace = read_trace_csv(lf.replace("\n", "\r\n"))
+    assert kind == "events" and list(trace) == list(read_trace_csv(lf)[1])
+
+
+def test_trace_ids_must_be_text():
+    # a lone surrogate, which no UTF-8 trace file can hold, is refused where the table is built, with
+    # TrafficSpec's message, and where a text is read
+    with pytest.raises(ValueError, match=r"^vm_id must be a UTF-8 string, got 'v\\ud800'$"):
+        Trace.from_events([(0, "v\ud800", "SYN")])
+    with pytest.raises(UnicodeEncodeError):
+        read_trace_csv(HEADER + "0.000000,v\ud800,SYN\n")
 
 
 @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["invalid-byte", "encoded-surrogate"])
