@@ -18,11 +18,11 @@ plain, LF or CRLF (_read_plain_events), then by csv.reader (_read_csv), the one 
 both give the same Trace.  read_trace_counts bins the blocks as they come; a binned file reads into a
 detector.Counts grid.  The row rules belong to the table builders, Trace.from_events and fill_gaps.
 
-For long traces the per-interval (SYN, FIN|RST) counts can be produced
-directly as a one-VM Counts with gen_normal_binned / gen_attack_binned;
-these draw the same random variates as the event generators and
-therefore agree with binning the materialized events exactly, at any
-interval length: both cut time on detector's one microsecond grid.
+A normal spec draws its connections a block of DRAW_CONNECTIONS at a time (_normal_draws), a stream fixed by the
+spec alone.  For long traces the per-interval (SYN, FIN|RST) counts can be produced directly as a one-VM Counts
+with gen_normal_binned / gen_attack_binned; these draw the same random variates as the event generators and
+therefore agree with binning the materialized events exactly, at any interval length: both cut time on
+detector's one microsecond grid.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ TRACE_BLOCK_BYTES = 1 << 18
 # shortest intervals: with 160 specs, 6 took about 1.2 times the CPU of one whole trace, 8 1.1.
 WINDOW_EVENTS = 1 << 15
 WINDOW_INTERVALS = 8
+# A normal spec draws about this many connections a call (_normal_draws), at least one interval's: for 40
+# specs at 25 a 10 s interval, 256, 512 and 1024 took alike CPU, and 256 the least peak RSS (0.2-0.3 MB less).
+DRAW_CONNECTIONS = 1 << 8
 
 _KIND = {pkt_type: code for code, pkt_type in enumerate(PKT_TYPES)}
 
@@ -77,7 +80,7 @@ class Trace:
     ``t_us`` holds int64 timestamps in microseconds, ``vm`` int32 codes
     into the sorted ``vm_ids`` tuple and ``kind`` int8 codes into
     detector.PKT_TYPES.  Iterating yields one PacketEvent per row, in
-    table order.
+    table order.  A vm_id that is not text (_check_vm_id) is a ValueError.
     """
 
     __slots__ = ("t_us", "vm", "kind", "vm_ids")
@@ -86,7 +89,7 @@ class Trace:
         self.t_us = np.asarray(t_us, dtype=np.int64)
         self.vm = np.asarray(vm, dtype=np.int32)
         self.kind = np.asarray(kind, dtype=np.int8)
-        self.vm_ids = tuple(vm_ids)
+        self.vm_ids = tuple(map(_check_vm_id, vm_ids))
 
     def __len__(self) -> int:
         return len(self.t_us)
@@ -113,7 +116,7 @@ class Trace:
             t_us.append(t)
             vm.append(codes.setdefault(vm_id, len(codes)))
             kind.append(_KIND[pkt_type])
-        return _sorted_ids(t_us, vm, kind, list(map(_check_vm_id, codes)))
+        return _sorted_ids(t_us, vm, kind, list(codes))
 
 
 def _check_vm_id(vm_id):
@@ -124,11 +127,13 @@ def _check_vm_id(vm_id):
 
 
 def _sorted_ids(t_us, vm, kind, ids: list[str]) -> Trace:
-    """A Trace whose vm codes, given in first-seen order of ids, index sorted(ids)."""
+    """A Trace whose vm codes, given in first-seen order of ids, index sorted(ids); the ids are checked first."""
+    trace = Trace(t_us, vm, kind, ids)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.int32)
     rank[order] = np.arange(len(ids), dtype=np.int32)
-    return Trace(t_us, rank[np.asarray(vm, dtype=np.intp)], kind, [ids[i] for i in order])
+    trace.vm, trace.vm_ids = rank[trace.vm], tuple(ids[i] for i in order)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -212,19 +217,18 @@ def _syns(spec: TrafficSpec) -> int:
 
 
 def _normal_draws(spec: TrafficSpec):
-    """Each interval's connection variates in turn: offsets, delays, rst flags.
+    """The connection variates in blocks of intervals: offsets, delays, rst flags, each (intervals, base_rate).
 
-    Drawn in a fixed order from the spec's seed so the event and binned
-    generators stay in lockstep.  One integers call per interval draws
-    the offsets and delays together, the same stream as one call each.
+    A block holds max(1, DRAW_CONNECTIONS // base_rate) intervals, the
+    last what is left, and comes from three calls on the spec's seed, in
+    this order, so the blocks depend on the spec alone and the event and
+    binned generators and gen's windows all read one stream.
     """
-    rng = np.random.default_rng(spec.seed)
-    n = spec.base_rate
-    lo, hi = _delay_bounds_us(spec.fin_delay_range)
-    low, high = np.repeat([0, lo], n), np.repeat([_interval_us(spec) - 1, hi], n)
-    for _ in range(spec.start, spec.end):
-        draws = rng.integers(low, high, endpoint=True)
-        yield draws[:n], draws[n:], rng.random(n) < RST_FRACTION
+    rng, rows = np.random.default_rng(spec.seed), max(1, DRAW_CONNECTIONS // max(spec.base_rate, 1))
+    lo_hi, iv = _delay_bounds_us(spec.fin_delay_range), _interval_us(spec)
+    for k in range(spec.start, spec.end, rows):
+        shape = (min(rows, spec.end - k), spec.base_rate)
+        yield rng.integers(0, iv, shape), rng.integers(*lo_hi, shape, endpoint=True), rng.random(shape) < RST_FRACTION
 
 
 def _spec_windows(spec: TrafficSpec):
@@ -233,20 +237,25 @@ def _spec_windows(spec: TrafficSpec):
     They come as (t_us, kind) columns in time order, ties in generation
     order (interval by interval, each connection's SYN before its end),
     then a time no later than any event left (_NEVER once none is).
-    Attack offsets are drawn a block of intervals per call, the stream of
-    one call per interval.
+    A window takes its intervals' rows of the normal draws' blocks and
+    keeps the rest for the next.  Attack offsets are drawn a block of
+    intervals per call, the stream of one call per interval.
     """
     iv, k, n = _interval_us(spec), spec.start, _syns(spec)
     draws = _normal_draws(spec) if spec.mode == "normal" else np.random.default_rng(spec.seed)
     t_us, kind = np.empty(0, np.int64), np.empty(0, np.int8)
+    pending = [np.empty((0, n), np.int64)] * 2 + [np.empty((0, n), bool)]  # drawn intervals from k on
     end = yield
     while True:
         k1 = min(spec.end, max(k, -(-end // iv)))
         shape, starts = (k1 - k, n), np.arange(k, k1, dtype=np.int64)[:, None] * iv
         if spec.mode == "normal":
-            offsets, delays, is_rst = np.empty(shape, np.int64), np.empty(shape, np.int64), np.empty(shape, bool)
-            for row, drawn in zip(range(k1 - k), draws):
-                offsets[row], delays[row], is_rst[row] = drawn
+            blocks, drawn = [pending], k + len(pending[0])
+            while drawn < k1:
+                blocks.append(next(draws))
+                drawn += len(blocks[-1][0])
+            blocks = [np.concatenate(column) for column in zip(*blocks)]  # frees the blocks as drawn
+            (offsets, delays, is_rst), pending = [c[:k1 - k] for c in blocks], [c[k1 - k:] for c in blocks]
             new, new_kind = np.empty((*shape, 2), np.int64), np.full((*shape, 2), _KIND["SYN"], np.int8)
             np.add(starts, offsets, out=new[:, :, 0])
             np.add(new[:, :, 0], delays, out=new[:, :, 1])
@@ -258,6 +267,7 @@ def _spec_windows(spec: TrafficSpec):
         t_us, kind = t_us[order], np.concatenate([kind, new_kind.ravel()])[order]
         cut = np.searchsorted(t_us, min(end, _NEVER))
         left = min(int(t_us[cut]) if cut < len(t_us) else _NEVER, k * iv if k < spec.end else _NEVER)
+        del new, new_kind, order  # while it waits for its next end, a window holds only what is left
         end = yield t_us[:cut], kind[:cut], left
         t_us, kind = t_us[cut:], kind[cut:]
 
@@ -297,13 +307,12 @@ def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
     if spec.mode != "normal":
         raise ValueError("gen_normal_binned needs a spec with mode='normal'")
     iv_us = _interval_us(spec)
-    syn = np.zeros(n_intervals, dtype=np.int64)
-    fin = np.zeros(n_intervals, dtype=np.int64)
-    for k, (offsets, delays, _) in zip(range(spec.start, spec.end), _normal_draws(spec)):
-        if k < n_intervals:
-            syn[k] += spec.base_rate
-        idx = (k * iv_us + offsets + delays) // iv_us
+    syn, fin, k = np.zeros(n_intervals, dtype=np.int64), np.zeros(n_intervals, dtype=np.int64), spec.start
+    syn[spec.start:spec.end] = spec.base_rate
+    for offsets, delays, _ in _normal_draws(spec):  # a block of intervals per bincount
+        idx = (np.arange(k, k + len(offsets), dtype=np.int64)[:, None] * iv_us + offsets + delays) // iv_us
         fin += np.bincount(idx[idx < n_intervals], minlength=n_intervals)
+        k += len(offsets)
     return Counts([spec.vm_id], syn[None], fin[None])
 
 

@@ -146,30 +146,38 @@ def read_events_oracle(text):
     return events
 
 
-def traffic_oracle(spec):
-    """(t_us, vm_id, pkt_type) events of one TrafficSpec, drawn interval by interval.
+def traffic_oracle(spec, draw_connections):
+    """(t_us, vm_id, pkt_type) events of one TrafficSpec, from its default_rng(seed).
 
-    Each interval makes one integers call for the SYN offsets and, for a
-    normal spec, one for the FIN|RST delays and one random call for the
-    RST flags (10% RST); the events are then stably sorted by time.
+    An attack spec makes one integers call per interval for its SYN
+    offsets.  A normal spec draws its connections in blocks of
+    max(1, draw_connections // base_rate) intervals from its start, the
+    last block what is left: one integers call of the block's
+    (intervals, base_rate) shape for the SYN offsets, one for the FIN|RST
+    delays and one random call for the RST flags (10% RST).  The events
+    are then stably sorted by time.
     """
     rng = np.random.default_rng(spec.seed)
     interval_us = round(spec.interval_seconds * 1_000_000)
     low, high = (round(v * 1_000_000) for v in spec.fin_delay_range)
     events = []
-    for k in range(spec.start, spec.end):
-        if spec.mode == "attack":
+    if spec.mode == "attack":
+        for k in range(spec.start, spec.end):
             n = round(spec.base_rate * spec.attack_multiplier)
             events += [(k * interval_us + offset, spec.vm_id, "SYN")
                        for offset in rng.integers(0, interval_us, n).tolist()]
-            continue
-        offsets = rng.integers(0, interval_us, spec.base_rate).tolist()
-        delays = rng.integers(low, high, spec.base_rate, endpoint=True).tolist()
-        is_rst = (rng.random(spec.base_rate) < 0.1).tolist()
-        for offset, delay, rst in zip(offsets, delays, is_rst):
-            t_syn = k * interval_us + offset
-            events += [(t_syn, spec.vm_id, "SYN"),
-                       (t_syn + delay, spec.vm_id, "RST" if rst else "FIN")]
+        return sorted(events, key=lambda e: e[0])
+    rows = max(1, draw_connections // max(spec.base_rate, 1))
+    for first in range(spec.start, spec.end, rows):
+        shape = (min(rows, spec.end - first), spec.base_rate)
+        offsets = rng.integers(0, interval_us, shape).tolist()
+        delays = rng.integers(low, high, shape, endpoint=True).tolist()
+        is_rst = (rng.random(shape) < 0.1).tolist()
+        for k, interval in enumerate(zip(offsets, delays, is_rst), first):
+            for offset, delay, rst in zip(*interval):
+                t_syn = k * interval_us + offset
+                events += [(t_syn, spec.vm_id, "SYN"),
+                           (t_syn + delay, spec.vm_id, "RST" if rst else "FIN")]
     return sorted(events, key=lambda e: e[0])
 
 

@@ -192,9 +192,9 @@ TRACE_SPECS = {"specs": [
 ]}
 
 TRACE_DIGESTS = {
-    "trace.csv": "f800514359ea919b10ec2ef2700b518eb188ee19e1746cfb872a12a75e640800",
-    "stats.csv": "3a75d5d901ef29c3e8ded5fa7d8301fcc50b70aea79686f3c6a857a32203fa7e",
-    "detect.json": "f99aef57f34e01c96f1e9a654e8de12b27f37b53f42c3d106cc4b945d66c93e5",
+    "trace.csv": "ec0d43ff1b2e447568555ee319ee1ed8033d8d1e6545cc72cf9c1d9268953329",
+    "stats.csv": "5913d004d7ed19b1c494d62e7f99e8156c985d43f39779e5c63d883863fa3a0a",
+    "detect.json": "865c5bc42285860a660ad19ca7dac7711bcfaeaac24be6c294838a0f30dc40e9",
 }
 
 
@@ -234,9 +234,9 @@ PLAIN_TRACE_SPECS = {"specs": [
 ]}
 
 PLAIN_TRACE_DIGESTS = {
-    "trace.csv": "d6c3eb92c25db3bf3cdc3231ea7539024c4b61ee7badc71864db43c68afbfeda",
-    "stats.csv": "504ec920e9f71972e56c3fd6756473c0d35de47f927cc6587d3665c83e8af439",
-    "detect.json": "4394f071f06e78555bfa0dd0ec8f1facec3810e8fb22c8c1760f21f8c03874d1",
+    "trace.csv": "c4e966ec3c48eac5949fd8877d4910f0c43b324b94a5e76f1d5552abeb519858",
+    "stats.csv": "5e1a4a95c63797c5e9a650ff3afe315a1345a3733f50cc9c822ce2c8c09cf8db",
+    "detect.json": "3d90e6a374ceb19de8c1e53a6c66802ae2a1775ccb6f8129533c8c6359c84ea5",
 }
 
 

@@ -11,7 +11,7 @@ for random traffic specs.
 The columnar trace functions equal the one-row-at-a-time oracles of
 conftest on random events: CSV text, parsed rows, ParseError messages,
 merge order and interval counts.  The generators equal an oracle that
-draws each interval's variates in separate calls, and read_trace_csv's
+draws each block of intervals' variates in separate calls, and read_trace_csv's
 plain-file kernel reads edited plain files as its csv.reader path does.
 Binning a trace in blocks equals binning it whole, detect reads edited
 plain files in blocks of any size as it reads them whole, and gen's
@@ -362,22 +362,28 @@ WIDE_US = st.integers(1, 20_000_000) | st.integers(2**32 - 2, 5_000_000_000)
     interval_us=WIDE_US,
     n=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
+    draw_connections=st.sampled_from([1, 2, 7, traffic.DRAW_CONNECTIONS]),
 )
 def test_generators_equal_the_per_interval_draw_oracle(
-        mode, base_rate, multiplier, start, length, delays, interval_us, n, seed):
+        mode, base_rate, multiplier, start, length, delays, interval_us, n, seed, draw_connections):
+    # small blocks put block edges inside a spec's span, and the default draws it as one block;
+    # gen's windows of one interval each take a block's rows a few at a time
     low, extra = delays
     spec = TrafficSpec("vm", mode=mode, base_rate=base_rate, attack_multiplier=multiplier,
                        fin_delay_range=(low / 1e6, (low + extra) / 1e6), start=start,
                        end=start + length, seed=seed, interval_seconds=interval_us / 1e6)
-    events = traffic_oracle(spec)
-    assert list(generate(spec)) == events
+    events, out = traffic_oracle(spec, draw_connections), io.StringIO()
+    with mock.patch.multiple(traffic, DRAW_CONNECTIONS=draw_connections, WINDOW_EVENTS=1, WINDOW_INTERVALS=1):
+        assert list(generate(spec)) == events
+        assert traffic.write_trace([spec], out) == len(events)
+        binned = gen_normal_binned(spec, n) if mode == "normal" else None
+    assert out.getvalue() == events_to_csv_oracle(events)
     if mode == "normal":
         counts = [[0, 0] for _ in range(n)]
         for t_us, _, pkt_type in events:
             if t_us // interval_us < n:
                 counts[t_us // interval_us][pkt_type != "SYN"] += 1
-        assert list(gen_normal_binned(spec, n)) == [
-            TrafficInterval(i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(counts)]
+        assert list(binned) == [TrafficInterval(i, "vm", syn, finrst) for i, (syn, finrst) in enumerate(counts)]
 
 
 # VM ids with the characters CSV must quote, and the empty id.
@@ -928,10 +934,19 @@ def test_place_picks_the_least_two_scores_of_the_vector_oracle(case):
     assert list(decision.scores) == sorted(candidates)
 
 
+def _twinned(scenario):
+    """scenario with every server given the first one's usage and threshold, so that every placement score ties."""
+    first = scenario.servers[0]
+    return replace(scenario, servers=[replace(server, usage=first.usage, threshold=first.threshold)
+                                      for server in scenario.servers])
+
+
 @st.composite
 def _small_scenario(draw):
     """A valid scenario of up to 4 servers and 8 ticks: requests, shutdowns,
-    revocations and attacks at random ticks, any policy, maybe a watermark."""
+    revocations and attacks at random ticks, any policy, maybe a watermark.
+    Drawn usages seldom tie, so maybe every server is its first one's twin
+    (_twinned), and place's least-id tie-break is reached."""
     vec = lambda lo, hi: st.fixed_dictionaries(  # noqa: E731
         {key: st.floats(lo, hi) for key in ("cpu", "mem", "bw")})
     servers = [{"id": f"s{i}", "usage": draw(vec(0, 10)), "threshold": draw(vec(20, 100)),
@@ -957,7 +972,7 @@ def _small_scenario(draw):
                 events[-1]["multiplier"] = draw(st.floats(1, 5))
             if op == "vm_revoke":
                 revoked.add(vm)
-    return Scenario.from_json({
+    scenario = Scenario.from_json({
         "servers": servers,
         "vm_classes": {"cpu-intensive": draw(vec(0, 30)), "memory-intensive": draw(vec(0, 30))},
         "events": events,
@@ -967,6 +982,7 @@ def _small_scenario(draw):
         "duration": duration,
         "seed": draw(st.integers(0, 2**16)),
     })
+    return _twinned(scenario) if draw(st.booleans()) else scenario
 
 
 @settings(SETTINGS, max_examples=150)
@@ -1042,12 +1058,10 @@ def _mapped(value, names):
 @example(Scenario.from_json(GOLDEN_SMALL), False)
 def test_renaming_the_servers_in_id_order_renames_them_in_every_report(scenario, twins):
     # the reports depend on server ids only through their order: no tie-break, set order or
-    # CSV field may read an id's text, length or hash.  Drawn usages seldom tie, so with twins
-    # every server takes the first one's usage and threshold, and every placement score ties
+    # CSV field may read an id's text, length or hash.  twins ties every placement score of the
+    # golden scenario too
     if twins:
-        first = scenario.servers[0]
-        scenario = replace(scenario, servers=[replace(server, usage=first.usage, threshold=first.threshold)
-                                              for server in scenario.servers])
+        scenario = _twinned(scenario)
     renamed, names = _renamed(scenario)
     reports = _parsed_reports(scenario)
     assert set(reports) == set(REPORT_FILES)

@@ -38,14 +38,15 @@ def _simulator_traffic():
 
 
 def _gen_normal():
-    # traffic._normal_draws: per interval, offsets and delays in one call with array bounds, then RST flags
-    rng = np.random.default_rng(3)
-    n = 25
-    low, high = np.repeat([0, FIN_DELAY_US[0]], n), np.repeat([INTERVAL_US - 1, FIN_DELAY_US[1]], n)
+    # traffic._normal_draws: a block of intervals at a time, its offsets, then its delays, then its RST
+    # flags, each (intervals, base_rate).  60 intervals at base_rate 25 come in blocks of
+    # DRAW_CONNECTIONS // 25 = 10 intervals; at a base_rate of DRAW_CONNECTIONS or more a block is one interval
     draws = []
-    for _ in range(4):
-        draws.append(rng.integers(low, high, endpoint=True))
-        draws.append(rng.random(n))
+    for seed, shapes in ((3, [(10, 25)] * 6), (4, [(1, 256)] * 2 + [(1, 2000)] * 2)):
+        rng = np.random.default_rng(seed)
+        for shape in shapes:
+            draws += [rng.integers(0, INTERVAL_US, shape), rng.integers(*FIN_DELAY_US, shape, endpoint=True),
+                      rng.random(shape)]
     return draws
 
 
@@ -57,7 +58,7 @@ def _gen_attack():
 STREAMS = {
     "simulator-jitter": (_simulator_jitter, "770fe2d87d998397169c6d6e162802cf98e6fbbb8d0f431844e251fdc7ac8920"),
     "simulator-traffic": (_simulator_traffic, "5084db27f2b01a5e21e5fbba46fae024285d3f2ce63079486814577efab042a2"),
-    "gen-normal": (_gen_normal, "49ce76d462868fed4cfc1022d7dd0d3d9389db6f602dab0b0477ee289e0d4eef"),
+    "gen-normal": (_gen_normal, "b0444ac8c52bf956ecb06764377930c2b7ddfb872e3d21ed120eef21afa02193"),
     "gen-attack": (_gen_attack, "831456041e198a3d2acf1dadf6b9fbd9588c4b74c79e3c769439c045b85b8d02"),
 }
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import tracemalloc
 from dataclasses import asdict
@@ -513,10 +514,14 @@ def test_a_crlf_trace_is_read_by_the_kernel_alone(tmp_path, monkeypatch, size):
 
 
 def test_trace_ids_must_be_text():
-    # a lone surrogate, which no UTF-8 trace file can hold, is refused where the table is built, with
-    # TrafficSpec's message, and where a text is read
+    # a lone surrogate, which no UTF-8 trace file can hold, is refused where any table is built, with
+    # TrafficSpec's message, and where a text is read; an id that is not a str is refused before ids are sorted
     with pytest.raises(ValueError, match=r"^vm_id must be a UTF-8 string, got 'v\\ud800'$"):
         Trace.from_events([(0, "v\ud800", "SYN")])
+    with pytest.raises(ValueError, match=r"^vm_id must be a UTF-8 string, got 'v\\ud800'$"):
+        events_to_csv(Trace([0], [0], [0], ["v\ud800"]))
+    with pytest.raises(ValueError, match=r"^vm_id must be a string, got 5$"):
+        Trace.from_events([(0, "a", "SYN"), (1, 5, "SYN")])
     with pytest.raises(UnicodeEncodeError):
         read_trace_csv(HEADER + "0.000000,v\ud800,SYN\n")
 
@@ -620,10 +625,14 @@ def test_detect_holds_the_grid_and_a_few_blocks_of_a_trace_the_kernel_refuses(tm
     assert capsys.readouterr().err.startswith("error: timestamp " if code else "")
 
 
+@pytest.mark.parametrize("draw_connections", [1, 5, traffic.DRAW_CONNECTIONS])
 @pytest.mark.parametrize("events, intervals", [(1 << 15, 6), (64, 1), (1, 1)])
-def test_gen_writes_windows_with_the_bytes_of_the_whole_trace(tmp_path, monkeypatch, events, intervals):
+def test_gen_writes_windows_with_the_bytes_of_the_whole_trace(tmp_path, monkeypatch, events, intervals,
+                                                              draw_connections):
+    # blocks of one interval, blocks that windows cut inside, and one block for each spec's span
     monkeypatch.setattr(traffic, "WINDOW_EVENTS", events)
     monkeypatch.setattr(traffic, "WINDOW_INTERVALS", intervals)
+    monkeypatch.setattr(traffic, "DRAW_CONNECTIONS", draw_connections)
     specs = [_normal(vm_id="b", end=12, base_rate=3, interval_seconds=4.0, fin_delay_range=(0.5, 9.0)),
              _attack(vm_id="a", start=2, end=9, base_rate=2, attack_multiplier=2.5),
              _normal(vm_id="a", start=5, end=30, base_rate=2, seed=1),
@@ -640,3 +649,19 @@ def test_gen_writes_windows_with_the_bytes_of_the_whole_trace(tmp_path, monkeypa
     assert dispatch(["gen", "--spec", str(spec_file), "--out", "-"], out=stdout) == 0
     assert dispatch(["gen", "--spec", str(spec_file), "--out", str(tmp_path / "t.csv")], out=io.StringIO()) == 0
     assert stdout.getvalue() == (tmp_path / "t.csv").read_text() == expected
+
+
+def test_gen_holds_a_window_and_a_block_per_spec_not_the_trace(monkeypatch):
+    # a window's events, with their merge and CSV text, and per spec the drawn connections not yet
+    # in a window: at most one block, two int64 columns and a bool one (17 bytes a connection), and
+    # their copy as a window takes its rows.  Neither grows with the span; the bound leaves room.
+    monkeypatch.setattr(traffic, "WINDOW_EVENTS", 1 << 12)
+    monkeypatch.setattr(traffic, "WINDOW_INTERVALS", 1)
+    monkeypatch.setattr(traffic, "DRAW_CONNECTIONS", 1 << 8)
+    specs = [_normal(vm_id=f"vm-{i:02d}", base_rate=25, end=400, seed=i) for i in range(40)]
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        traffic.write_trace(specs[:1], sink)  # the first call imports and caches what it needs
+        peak = _peak(traffic.write_trace, specs, sink)
+    bound = 256 * traffic.WINDOW_EVENTS + 64 * traffic.DRAW_CONNECTIONS * len(specs)
+    assert peak < bound, (peak, bound)
+    assert _peak(lambda: merge_traces([generate(spec) for spec in specs])) > 16 * bound
