@@ -12,11 +12,13 @@ rows.  merge_traces, events_to_csv and detector.bin_events take only
 Traces: hand-built (t_us, vm_id, pkt_type) triples go through
 Trace.from_events.
 
-The event trace file is written by resources._csv_lines from its column kinds (_event_lines), a window of
-time at a time by write_trace.  A trace file is read once, in blocks: by a numpy byte kernel while they are
-plain, LF or CRLF (_read_plain_events), then by csv.reader (_read_csv), the one path that reports errors;
-both give the same Trace.  read_trace_counts bins the blocks as they come; a binned file reads into a
-detector.Counts grid.  The row rules belong to the table builders, Trace.from_events and fill_gaps.
+The events of any set of specs come from one window generator, _windows: a window draws every spec's intervals
+that start before its end, turns them into events in one buffer, and yields the buffered events below its end in
+merge_traces' order.  write_trace writes its windows through resources._csv_lines (_event_lines); generate is the
+one window of one spec.  A trace file is read once, in blocks: by a numpy byte kernel while they are plain, LF or
+CRLF (_read_plain_events), then by csv.reader (_read_csv), the one path that reports errors; both give the same
+Trace.  read_trace_counts bins the blocks as they come; a binned file reads into a detector.Counts grid.  The row
+rules belong to the table builders, Trace.from_events and fill_gaps.
 
 A normal spec draws its connections a block of DRAW_CONNECTIONS at a time (_normal_draws), a stream fixed by the
 spec alone.  For long traces the per-interval (SYN, FIN|RST) counts can be produced directly as a one-VM Counts
@@ -32,13 +34,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .detector import PKT_TYPES, Counts, TrafficInterval, _interval_to_us, bin_event_blocks, fill_gaps
+from .detector import MAX_COUNT, PKT_TYPES, Counts, TrafficInterval, _interval_to_us, bin_event_blocks, fill_gaps
 from .errors import ParseError, UnsortedTrace
 from .resources import (CSV_CHUNK_ROWS, _csv_lines, is_int, is_number, is_text, json_int, json_number, json_object,
                         json_str)
@@ -57,8 +59,8 @@ _NEVER = T_US_LIMIT - 1  # no generated event comes this late (see TrafficSpec)
 # read_trace_counts reads a trace file in blocks of this many bytes; on a plain
 # 2.6 MB trace 64 KiB peaked 2 MB lower and 1 MiB 10 MB higher.
 TRACE_BLOCK_BYTES = 1 << 18
-# write_trace writes about this many events at a time, or at least this many of the
-# shortest intervals: with 160 specs, 6 took about 1.2 times the CPU of one whole trace, 8 1.1.
+# write_trace writes about this many events at a time, or at least this many of the shortest intervals:
+# with 160 specs at 25 over 120 intervals, 6 or 8 took 0.9-1.0 times the CPU of one whole-trace window.
 WINDOW_EVENTS = 1 << 15
 WINDOW_INTERVALS = 8
 # A normal spec draws about this many connections a call (_normal_draws), at least one interval's: for 40
@@ -160,12 +162,15 @@ class TrafficSpec:
         for name in ("attack_multiplier", "interval_seconds"):
             if not is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.base_rate < 0:
-            raise ValueError("base_rate must be >= 0")
+        if not 0 <= self.base_rate < MAX_COUNT:
+            raise ValueError(f"base_rate must be >= 0 and below {MAX_COUNT}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 1.0 <= self.attack_multiplier < math.inf:
             raise ValueError("attack_multiplier must be finite and >= 1")
+        if self.mode == "attack" and not self.base_rate * self.attack_multiplier < MAX_COUNT:  # as _syns rounds it
+            raise ValueError(f"attack_multiplier {self.attack_multiplier} times base_rate {self.base_rate} "
+                             f"must stay below {MAX_COUNT} SYNs an interval")
         if not 0 <= self.start <= self.end:
             raise ValueError("need 0 <= start <= end")
         # _interval_us and _delay_bounds_us raise on an interval below one
@@ -231,45 +236,61 @@ def _normal_draws(spec: TrafficSpec):
         yield rng.integers(0, iv, shape), rng.integers(*lo_hi, shape, endpoint=True), rng.random(shape) < RST_FRACTION
 
 
-def _spec_windows(spec: TrafficSpec):
-    """A generator of spec's events: sent a time, it returns those before it not yet returned.
+def _windows(specs, span: int):
+    """The specs' events in merge_traces' order, as (t_us, vm, kind) columns, a window of span microseconds at a time.
 
-    They come as (t_us, kind) columns in time order, ties in generation
-    order (interval by interval, each connection's SYN before its end),
-    then a time no later than any event left (_NEVER once none is).
-    A window takes its intervals' rows of the normal draws' blocks and
-    keeps the rest for the next.  Attack offsets are drawn a block of
-    intervals per call, the stream of one call per interval.
+    vm codes index the sorted vm_ids.  A window starts at the earliest event not yet yielded.  Each spec first takes
+    every interval starting before the window's end: a normal spec its rows of _normal_draws' blocks, a flood one
+    integers call for them all (the stream of one call per interval).  Their events join one buffer, each spec's in
+    generation order (interval by interval, each connection's SYN before its end), and the window yields those below
+    its end sorted by time, vm_id and spec, ties in buffer order.  A spec too large to allocate is a ValueError.
     """
-    iv, k, n = _interval_us(spec), spec.start, _syns(spec)
-    draws = _normal_draws(spec) if spec.mode == "normal" else np.random.default_rng(spec.seed)
-    t_us, kind = np.empty(0, np.int64), np.empty(0, np.int8)
-    pending = [np.empty((0, n), np.int64)] * 2 + [np.empty((0, n), bool)]  # drawn intervals from k on
-    end = yield
-    while True:
-        k1 = min(spec.end, max(k, -(-end // iv)))
-        shape, starts = (k1 - k, n), np.arange(k, k1, dtype=np.int64)[:, None] * iv
-        if spec.mode == "normal":
-            blocks, drawn = [pending], k + len(pending[0])
-            while drawn < k1:
-                blocks.append(next(draws))
-                drawn += len(blocks[-1][0])
-            blocks = [np.concatenate(column) for column in zip(*blocks)]  # frees the blocks as drawn
-            (offsets, delays, is_rst), pending = [c[:k1 - k] for c in blocks], [c[k1 - k:] for c in blocks]
-            new, new_kind = np.empty((*shape, 2), np.int64), np.full((*shape, 2), _KIND["SYN"], np.int8)
-            np.add(starts, offsets, out=new[:, :, 0])
-            np.add(new[:, :, 0], delays, out=new[:, :, 1])
-            new_kind[:, :, 1] = np.where(is_rst, _KIND["RST"], _KIND["FIN"])
-        else:
-            new, new_kind = starts + draws.integers(0, iv, shape), np.full(shape, _KIND["SYN"], np.int8)
-        k, t_us = k1, np.concatenate([t_us, new.ravel()])
-        order = np.argsort(t_us, kind="stable")
-        t_us, kind = t_us[order], np.concatenate([kind, new_kind.ravel()])[order]
-        cut = np.searchsorted(t_us, min(end, _NEVER))
-        left = min(int(t_us[cut]) if cut < len(t_us) else _NEVER, k * iv if k < spec.end else _NEVER)
-        del new, new_kind, order  # while it waits for its next end, a window holds only what is left
-        end = yield t_us[:cut], kind[:cut], left
-        t_us, kind = t_us[cut:], kind[cut:]
+    ivs, syns = [_interval_us(spec) for spec in specs], [_syns(spec) for spec in specs]
+    code = {vm_id: c for c, vm_id in enumerate(sorted({spec.vm_id for spec in specs}))}
+    vm = np.array([code[spec.vm_id] for spec in specs], dtype=np.int32)
+    tie = vm.astype(np.int64) * len(specs) + np.arange(len(specs))  # sorts by vm_id, then spec
+    draws = [chain.from_iterable(zip(*block) for block in _normal_draws(spec)) if spec.mode == "normal"
+             else np.random.default_rng(spec.seed) for spec in specs]  # a normal spec's rows an interval each
+    ks = [spec.start for spec in specs]  # each spec's first interval not yet taken
+    t_us, kind, src = np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int32)  # the buffer
+    while (begin := min([int(t_us.min(initial=_NEVER)),
+                         *(k * iv for k, iv, spec in zip(ks, ivs, specs) if k < spec.end)])) < _NEVER:
+        end, paired, floods = min(begin + span, _NEVER), [], []
+        for i, (spec, iv, k) in enumerate(zip(specs, ivs, ks)):
+            ks[i] = k1 = min(spec.end, max(k, -(-end // iv)))
+            try:
+                if spec.mode == "normal":
+                    paired += zip(repeat(i), range(k * iv, k1 * iv, iv), islice(draws[i], k1 - k))
+                elif k1 > k:
+                    floods.append((i, np.arange(k, k1)[:, None] * iv + draws[i].integers(0, iv, (k1 - k, syns[i]))))
+            except MemoryError as exc:
+                raise ValueError(f"traffic spec {spec.vm_id!r} is too large to allocate: {exc}") from exc
+        t_us, kind, src = (np.concatenate(c) for c in zip((t_us, kind, src), *_events(paired, floods)))
+        del paired, floods  # while the window is written, only the buffer holds its events
+        below = t_us < end
+        cut = np.flatnonzero(below)
+        cut = cut[np.lexsort((tie[src[cut]], t_us[cut]))]
+        yield t_us[cut], vm[src[cut]], kind[cut]
+        t_us, kind, src = t_us[~below], kind[~below], src[~below]
+
+
+def _events(paired, floods):
+    """(t_us, kind, spec) columns of taken intervals, each spec's events in generation order.
+
+    paired holds normal intervals, (spec, start, (offsets, delays, is_rst)), each connection a SYN and then its FIN
+    or RST; floods holds (spec, SYN times), a row an interval.
+    """
+    columns = [(t.ravel(), np.full(t.size, _KIND["SYN"], np.int8), np.full(t.size, i, np.int32)) for i, t in floods]
+    if paired:
+        spec_of, start, rows = zip(*paired)
+        offsets, delays, is_rst = zip(*rows)
+        n = np.array([len(o) for o in offsets])
+        times, kinds = np.empty((n.sum(), 2), np.int64), np.full((n.sum(), 2), _KIND["SYN"], np.int8)
+        np.add(np.repeat(start, n), np.concatenate(offsets), out=times[:, 0])
+        np.add(times[:, 0], np.concatenate(delays), out=times[:, 1])
+        kinds[:, 1] = np.where(np.concatenate(is_rst), _KIND["RST"], _KIND["FIN"])
+        columns.append((times.ravel(), kinds.ravel(), np.repeat(np.array(spec_of, np.int32), 2 * n)))
+    return columns
 
 
 def gen_normal(spec: TrafficSpec) -> Trace:
@@ -292,10 +313,8 @@ def gen_attack(spec: TrafficSpec) -> Trace:
 
 def generate(spec: TrafficSpec) -> Trace:
     """gen_normal or gen_attack, by spec.mode: the spec's events as one window."""
-    window = _spec_windows(spec)
-    next(window)
-    t_us, kind, _ = window.send(_NEVER)
-    return Trace(t_us, np.zeros(len(t_us), np.int32), kind, [spec.vm_id] if len(t_us) else [])
+    t_us, vm, kind = next(_windows([spec], T_US_LIMIT), ([], [], []))
+    return Trace(t_us, vm, kind, [spec.vm_id] if len(t_us) else [])
 
 
 def gen_normal_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
@@ -328,30 +347,15 @@ def gen_attack_binned(spec: TrafficSpec, n_intervals: int) -> Counts:
 def write_trace(specs, out) -> int:
     """Write events_to_csv(merge_traces([generate(s) for s in specs])) to the text stream out; returns the event count.
 
-    It is written a window of time at a time, each ending where no spec
-    can add an earlier event (each drew every interval starting before
-    it), starting at the earliest event left, as long as WINDOW_EVENTS
-    events take at the specs' rates or, if longer, WINDOW_INTERVALS of the
-    shortest intervals.  A window merges by time, vm_id, spec and
-    generation order.
+    It is written a window (_windows) at a time, each as long as
+    WINDOW_EVENTS events take at the specs' rates or, if longer,
+    WINDOW_INTERVALS of the shortest intervals.
     """
     ivs = [_interval_us(spec) for spec in specs]
     per = [(1 + (spec.mode == "normal")) * _syns(spec) for spec in specs]  # events an interval
     rate = sum(events / iv for events, iv in zip(per, ivs))  # events a microsecond
     span = max(int(WINDOW_EVENTS / rate), WINDOW_INTERVALS * min(ivs)) if rate else T_US_LIMIT
-    code = {vm_id: c for c, vm_id in enumerate(sorted({spec.vm_id for spec in specs}))}
-    vm = np.array([code[spec.vm_id] for spec in specs], dtype=np.int32)
-    windows = [_spec_windows(spec) for spec in specs]
-    for window in windows:
-        next(window)
-
-    def merged(begin):
-        while begin < _NEVER:
-            t_us, kind, left = zip(*(window.send(begin + span) for window in windows))
-            trace = _merge(np.concatenate(t_us), np.repeat(vm, list(map(len, t_us))), np.concatenate(kind), code)
-            yield trace.t_us, trace.vm, trace.kind
-            begin = min(left)
-    out.writelines(_event_lines(code, merged(min((spec.start * iv for spec, iv in zip(specs, ivs)), default=_NEVER))))
+    out.writelines(_event_lines(sorted({spec.vm_id for spec in specs}), _windows(specs, span)))
     return sum(events * (spec.end - spec.start) for events, spec in zip(per, specs))
 
 
@@ -368,11 +372,6 @@ def merge_traces(traces) -> Trace:
     vm = np.concatenate([np.empty(0, np.int32), *(
         np.array([rank[v] for v in trace.vm_ids], dtype=np.int32)[trace.vm] for trace in traces)])
     kind = np.concatenate([np.empty(0, np.int8), *(trace.kind for trace in traces)])
-    return _merge(t_us, vm, kind, vm_ids)
-
-
-def _merge(t_us, vm, kind, vm_ids) -> Trace:
-    """The Trace of the columns' rows in (t_us, vm) order, ties in row order: merge_traces' order."""
     order = np.lexsort((vm, t_us))
     return Trace(t_us[order], vm[order], kind[order], vm_ids)
 

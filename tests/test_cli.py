@@ -636,6 +636,18 @@ def test_gen_rejects_spec_fields_of_the_wrong_json_type(tmp_path, capsys, spec, 
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    {"vm_id": "v", "base_rate": 10**14, "end": 1},
+    {"vm_id": "v", "mode": "attack", "base_rate": 100, "attack_multiplier": 1e12, "end": 1},
+], ids=["normal", "flood"])
+def test_gen_names_a_spec_too_large_to_allocate(tmp_path, capsys, spec):
+    # 10**14 SYN offsets take 800 TB, beyond any 47-bit address space, so the first draw fails at
+    # once; it used to end in numpy's MemoryError traceback and exit 1
+    path = _write(tmp_path, "spec.json", spec)
+    assert _run(["gen", "--spec", path, "--out", str(tmp_path / "t.csv")]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("error: traffic spec 'v' is too large to allocate: Unable to allocate")
+
+
 def test_gen_rejects_an_id_that_is_not_utf8_before_opening_the_trace(tmp_path, capsys):
     # "\ud800" is a valid JSON escape of a lone surrogate, which no UTF-8 file can hold
     path = _write(tmp_path, "spec.json", '{"vm_id": "v\\ud800", "end": 2}')

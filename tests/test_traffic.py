@@ -61,6 +61,22 @@ def test_spec_validation():
         TrafficSpec(vm_id="v", end=10**13)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"base_rate": 2**53}, "base_rate must be >= 0 and below 9007199254740992"),
+    ({"mode": "attack", "base_rate": 2**52, "attack_multiplier": 2},
+     "attack_multiplier 2.0 times base_rate 4503599627370496 must stay below 9007199254740992 SYNs an interval"),
+    ({"mode": "attack", "attack_multiplier": 1e300},
+     "attack_multiplier 1e+300 times base_rate 100 must stay below 9007199254740992 SYNs an interval"),
+], ids=["normal", "flood-at-the-bound", "flood-far-past-it"])
+def test_a_spec_bounds_its_syns_an_interval(fields, message):
+    # detector.MAX_COUNT, as Scenario.validate bounds a flood's SYNs a tick; these used to build, and a
+    # multiplier of 1e300 ended gen in numpy's "Maximum allowed dimension exceeded"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        TrafficSpec.from_json({"vm_id": "v", "end": 1, **fields})
+    assert traffic._syns(TrafficSpec("v", base_rate=2**53 - 1)) == 2**53 - 1  # just below it builds
+    assert traffic._syns(_attack(base_rate=2**52 - 1, attack_multiplier=2)) == 2**53 - 2
+
+
 def test_spec_from_json_round_trip_and_errors():
     spec = TrafficSpec.from_json(
         {"vm_id": "v", "mode": "attack", "base_rate": 10, "attack_multiplier": 3,
